@@ -6,8 +6,8 @@
 //!
 //! ```text
 //! experiments --spec <path> [--scale-down] [--app <name>] [--threads <n>]
-//!             [--store <dir>] [--program-cache <dir>] [--resume]
-//!             [--shard <k>/<n>] [--store-gc-mib <n>] [--json <path>]
+//!             [--store <dir>] [--resume] [--shard <k>/<n>]
+//!             [--store-gc-mib <n>] [--json <path>]
 //! ```
 //!
 //! The manifest picks the artefact, the workload/mix list, the scenario
@@ -30,8 +30,8 @@ use ava_bench::driver;
 use ava_bench::spec::ExperimentSpec;
 
 const USAGE: &str = "experiments --spec <path> [--scale-down] [--app <name>] [--threads <n>] \
-                     [--store <dir>] [--program-cache <dir>] [--resume] [--shard <k>/<n>] \
-                     [--store-gc-mib <n>] [--json <path>]";
+                     [--store <dir>] [--resume] [--shard <k>/<n>] [--store-gc-mib <n>] \
+                     [--json <path>]";
 
 fn main() -> ExitCode {
     match run() {

@@ -2,12 +2,12 @@
 //!
 //! Every binary parses its arguments through one [`BenchArgs`] pass: the
 //! shared flags — `--json <path>`, `--threads <n>`, `--store <dir>`,
-//! `--program-cache <dir>`, `--resume`, `--shard <k>/<n>` and
-//! `--store-gc-mib <n>` — are recognised in one place,
-//! and each binary pulls its own extensions (`--app`, `--chart`, `--mode`,
-//! ...) out of the remainder with [`BenchArgs::take_value`] before calling
-//! [`BenchArgs::finish`] to reject anything left over. New shared flags
-//! therefore land once instead of nine times.
+//! `--resume`, `--shard <k>/<n>` and `--store-gc-mib <n>` — are recognised
+//! in one place, and each binary pulls its own extensions (`--app`,
+//! `--chart`, `--mode`, ...) out of the remainder with
+//! [`BenchArgs::take_value`] before calling [`BenchArgs::finish`] to reject
+//! anything left over. New shared flags therefore land once instead of nine
+//! times.
 //!
 //! The shared flags mean the same thing everywhere:
 //!
@@ -17,10 +17,6 @@
 //! * `--store <dir>` — attach the content-addressed result store at `<dir>`
 //!   (created if missing): points already stored are served from disk, fresh
 //!   results are checkpointed as they finish;
-//! * `--program-cache <dir>` — attach the persistent program cache at
-//!   `<dir>` (created if missing): compilations already checkpointed there
-//!   are served from disk (a warm cache compiles nothing), fresh ones are
-//!   checkpointed as they happen;
 //! * `--resume` — assert that `--store` points at an *existing* checkpoint
 //!   directory (e.g. from a killed run) instead of silently starting cold;
 //! * `--shard <k>/<n>` — run only shard `k` of `n` deterministic slices of
@@ -36,7 +32,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use ava_sim::{DiskProgramCache, Json, ResultStore, SweepRunner};
+use ava_sim::{Json, ResultStore, SweepRunner};
 
 /// The parsed shared flags plus each binary's unparsed extension arguments.
 #[derive(Debug)]
@@ -47,8 +43,6 @@ pub struct BenchArgs {
     pub threads: Option<usize>,
     /// `--store <dir>`: the opened result store.
     pub store: Option<ResultStore>,
-    /// `--program-cache <dir>`: the opened persistent program cache.
-    pub program_cache: Option<DiskProgramCache>,
     /// `--resume`: the user expects the store to hold a prior checkpoint.
     pub resume: bool,
     /// `--shard <k>/<n>`: run only shard `k` of `n` slices of the grid.
@@ -84,7 +78,6 @@ impl BenchArgs {
         let mut json = None;
         let mut threads = None;
         let mut store_dir: Option<String> = None;
-        let mut program_cache_dir: Option<String> = None;
         let mut resume = false;
         let mut shard = None;
         let mut store_gc_mib = None;
@@ -116,12 +109,6 @@ impl BenchArgs {
                 "--store" => {
                     store_dir = Some(it.next().ok_or("--store requires a directory argument")?);
                 }
-                "--program-cache" => {
-                    program_cache_dir = Some(
-                        it.next()
-                            .ok_or("--program-cache requires a directory argument")?,
-                    );
-                }
                 "--resume" => resume = true,
                 _ => rest.push(arg),
             }
@@ -150,15 +137,10 @@ impl BenchArgs {
             }
             None => None,
         };
-        let program_cache = match program_cache_dir {
-            Some(dir) => Some(DiskProgramCache::open(dir)?),
-            None => None,
-        };
         Ok(Self {
             json,
             threads,
             store,
-            program_cache,
             resume,
             shard,
             store_gc_mib,
@@ -210,8 +192,8 @@ impl BenchArgs {
     }
 
     /// For binaries that never run a sweep: rejects `--threads`, `--store`,
-    /// `--program-cache`, `--resume`, `--shard` and `--store-gc-mib` with
-    /// `reason` rather than silently ignoring them.
+    /// `--resume`, `--shard` and `--store-gc-mib` with `reason` rather than
+    /// silently ignoring them.
     ///
     /// # Errors
     ///
@@ -222,9 +204,6 @@ impl BenchArgs {
         }
         if self.store.is_some() || self.resume {
             return Err(format!("--store/--resume do not apply: {reason}"));
-        }
-        if self.program_cache.is_some() {
-            return Err(format!("--program-cache does not apply: {reason}"));
         }
         if self.shard.is_some() {
             return Err(format!("--shard does not apply: {reason}"));
@@ -249,7 +228,7 @@ impl BenchArgs {
     }
 
     /// Applies the shared execution flags (`--threads`, `--store`,
-    /// `--program-cache`, `--shard`) to a sweep runner.
+    /// `--shard`) to a sweep runner.
     #[must_use]
     pub fn configure<'a>(&'a self, mut runner: SweepRunner<'a>) -> SweepRunner<'a> {
         if let Some(n) = self.threads {
@@ -257,9 +236,6 @@ impl BenchArgs {
         }
         if let Some(store) = &self.store {
             runner = runner.store(store);
-        }
-        if let Some(cache) = &self.program_cache {
-            runner = runner.program_cache(cache);
         }
         if let Some((index, of)) = self.shard {
             runner = runner.shard(index, of);
@@ -275,9 +251,9 @@ impl BenchArgs {
     ///
     /// # Errors
     ///
-    /// Returns a diagnostic when a manifest store/program-cache directory
-    /// cannot be opened, when `resume` points at a store directory that
-    /// does not exist yet, or when the merged options violate a cross-flag
+    /// Returns a diagnostic when a manifest store directory cannot be
+    /// opened, when `resume` points at a store directory that does not
+    /// exist yet, or when the merged options violate a cross-flag
     /// constraint (`resume`/`shard`/`store_gc_mib` without a store).
     pub fn apply_execution(&mut self, exec: &crate::spec::ExecutionSpec) -> Result<(), String> {
         if self.threads.is_none() {
@@ -292,11 +268,6 @@ impl BenchArgs {
                     ));
                 }
                 self.store = Some(ResultStore::open(dir.clone())?);
-            }
-        }
-        if self.program_cache.is_none() {
-            if let Some(dir) = &exec.program_cache {
-                self.program_cache = Some(DiskProgramCache::open(dir.clone())?);
             }
         }
         if self.shard.is_none() {
@@ -463,23 +434,6 @@ mod tests {
         assert!(args.store.is_some());
         assert!(args.resume);
         let _ = std::fs::remove_dir_all(&missing);
-    }
-
-    #[test]
-    fn program_cache_flag_opens_creates_and_can_be_rejected() {
-        let dir =
-            std::env::temp_dir().join(format!("ava-bencharg-progcache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let args = BenchArgs::from_args(argv(&["--program-cache", dir.to_str().unwrap()])).unwrap();
-        assert!(args.program_cache.is_some());
-        assert!(dir.is_dir(), "--program-cache must create the directory");
-        let err = args
-            .reject_execution_flags("table1 is analytic")
-            .unwrap_err();
-        assert!(err.contains("--program-cache"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        assert!(BenchArgs::from_args(argv(&["--program-cache"])).is_err());
     }
 
     #[test]

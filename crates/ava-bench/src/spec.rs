@@ -3,9 +3,9 @@
 //! A manifest is a JSON document describing one experiment end to end —
 //! which artefact to regenerate (`fig3`, `fig4`, `sensitivity`,
 //! `ablation`), which workloads and mixes to sweep, which scenario axes to
-//! cross, how to execute (threads, result store, sharding, program cache)
-//! and what to emit (JSON path, chart kind). The generic `experiments`
-//! binary drives the whole bench stack from such a file, and the legacy
+//! cross, how to execute (threads, result store, sharding) and what to
+//! emit (JSON path, chart kind). The generic `experiments` binary drives
+//! the whole bench stack from such a file, and the legacy
 //! `fig3`/`fig4`/`sensitivity`/`ablation` binaries are thin shims that
 //! translate their flags into an in-memory [`ExperimentSpec`] and call the
 //! same driver — one code path, so a manifest run and a flag run of the
@@ -241,8 +241,8 @@ impl Default for AxesSpec {
 }
 
 /// The execution options of a manifest, mirroring the shared CLI flags
-/// (`--threads`, `--store`, `--program-cache`, `--resume`, `--shard`,
-/// `--store-gc-mib`). CLI flags override manifest values field by field
+/// (`--threads`, `--store`, `--resume`, `--shard`, `--store-gc-mib`). CLI
+/// flags override manifest values field by field
 /// ([`crate::cli::BenchArgs::apply_execution`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutionSpec {
@@ -250,8 +250,6 @@ pub struct ExecutionSpec {
     pub threads: Option<usize>,
     /// Result-store directory.
     pub store: Option<String>,
-    /// Persistent program-cache directory.
-    pub program_cache: Option<String>,
     /// Assert the store already holds a checkpoint.
     pub resume: bool,
     /// Run only shard `(k, n)` of the grid.
@@ -591,9 +589,6 @@ impl ExperimentSpec {
             if let Some(store) = &self.execution.store {
                 e = e.field("store", store.as_str());
             }
-            if let Some(cache) = &self.execution.program_cache {
-                e = e.field("program_cache", cache.as_str());
-            }
             if self.execution.resume {
                 e = e.field("resume", true);
             }
@@ -912,15 +907,6 @@ fn parse_execution(ctx: &Ctx<'_>, value: &Json) -> Result<ExecutionSpec, String>
                         .to_string(),
                 );
             }
-            "program_cache" => {
-                exec.program_cache = Some(
-                    v.as_str()
-                        .ok_or_else(|| {
-                            ctx.fail(key, "execution \"program_cache\" must be a path string")
-                        })?
-                        .to_string(),
-                );
-            }
             "resume" => {
                 exec.resume = v
                     .as_bool()
@@ -942,7 +928,7 @@ fn parse_execution(ctx: &Ctx<'_>, value: &Json) -> Result<ExecutionSpec, String>
                     other,
                     format!(
                         "unknown execution field {other:?} (expected threads, store, \
-                         program_cache, resume, shard or store_gc_mib)"
+                         resume, shard or store_gc_mib)"
                     ),
                 ))
             }
@@ -1120,7 +1106,7 @@ mod tests {
         let spec = ExperimentSpec::parse(
             "t",
             r#"{"artefact": "fig3", "execution": {"threads": 2, "store": "d", "shard": "1/4",
-                "store_gc_mib": 64, "resume": true, "program_cache": "p"}}"#,
+                "store_gc_mib": 64, "resume": true}}"#,
         )
         .unwrap();
         assert_eq!(spec.execution.threads, Some(2));

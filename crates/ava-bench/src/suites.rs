@@ -12,10 +12,7 @@
 use ava_compiler::{compile, CompileOptions, KernelBuilder};
 use ava_isa::{Element, Lmul, Opcode, VReg};
 use ava_memory::{HierarchyConfig, MemoryHierarchy};
-use ava_sim::progcache::compile_fingerprint;
-use ava_sim::{
-    run_workload, DiskProgramCache, ResultStore, ScenarioConfig, StoreKey, WorkStealScheduler,
-};
+use ava_sim::{run_workload, ResultStore, ScenarioConfig, StoreKey};
 use ava_vpu::exec::{execute_into, OperandValue};
 use ava_vpu::rac::Rac;
 use ava_vpu::rename::{RenameCheckpoint, RenameUnit};
@@ -230,39 +227,6 @@ fn microarch(run: &mut Runner<'_>) {
         bits
     });
 
-    // A warm persistent ProgramCache hit: fingerprint the kernel and read
-    // the compiled program back from disk instead of re-running regalloc.
-    let opts = CompileOptions::new(Lmul::M8, 0x40_0000, 1024);
-    let dir = std::env::temp_dir().join(format!("ava-bench-progcache-{}", std::process::id()));
-    let cache = DiskProgramCache::open(&dir).expect("temp program cache opens");
-    let fingerprint = compile_fingerprint(&kernel, &opts);
-    cache
-        .insert(fingerprint, &compile(&kernel, &opts))
-        .expect("seeding the program cache succeeds");
-    run("microarch/program_cache_warm_compile", &mut || {
-        let compiled = cache
-            .lookup(compile_fingerprint(&kernel, &opts))
-            .expect("warm cache hit");
-        compiled.program.len() as u64
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // The claim/complete hot path of the sweep scheduler under contention:
-    // N worker threads drain a 4096-point synthetic grid doing nothing but
-    // claiming and completing, so the scheduler itself is the entire
-    // measured cost. The work-stealing scheduler takes per-worker locks;
-    // the `single_mutex` variant reconstructs the previous global-mutex
-    // O(n)-scan scheduler as the contention baseline it replaced.
-    run("microarch/sched_claim_contention_8w", &mut || {
-        drain_work_steal(8)
-    });
-    run("microarch/sched_claim_contention_16w", &mut || {
-        drain_work_steal(16)
-    });
-    run("microarch/sched_claim_single_mutex_16w", &mut || {
-        drain_single_mutex(16)
-    });
-
     // One full garbage-collection pass over a populated result store with a
     // cap nothing exceeds: the pure directory-scan + mtime-sort cost every
     // `--store-gc-mib` invocation pays before any eviction.
@@ -283,140 +247,6 @@ fn microarch(run: &mut Runner<'_>) {
         stats.remaining as u64
     });
     let _ = std::fs::remove_dir_all(&gc_dir);
-}
-
-/// The synthetic 4096-point grid the scheduler-contention benches drain:
-/// deterministic pseudo-random heuristic costs so the claim order is
-/// non-trivial but identical across runs.
-fn synthetic_grid() -> (Vec<u64>, Vec<u64>) {
-    let heuristic: Vec<u64> = (0..4096u64)
-        .map(|i| i.wrapping_mul(2_654_435_761) % 10_000 + 1)
-        .collect();
-    let walls: Vec<u64> = heuristic.iter().map(|h| h % 977 + 1).collect();
-    (heuristic, walls)
-}
-
-/// Drains a fresh [`WorkStealScheduler`] over the synthetic grid with
-/// `workers` real threads, each feeding deterministic pseudo-wall-clocks
-/// back through `complete`. Returns claims ⊕ steals so the whole drain is
-/// observable.
-fn drain_work_steal(workers: usize) -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let (heuristic, walls) = synthetic_grid();
-    let n = heuristic.len();
-    let scheduler = WorkStealScheduler::new(workers, heuristic, vec![None; n]);
-    let claims = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let scheduler = &scheduler;
-            let claims = &claims;
-            let walls = &walls;
-            scope.spawn(move || {
-                let mut mine = 0u64;
-                while let Some((point, _cost)) = scheduler.claim(worker) {
-                    scheduler.complete(point, walls[point]);
-                    mine += 1;
-                }
-                claims.fetch_add(mine, Ordering::Relaxed);
-            });
-        }
-    });
-    let claimed = claims.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(claimed as usize, n, "every point is claimed exactly once");
-    claimed ^ scheduler.steals()
-}
-
-/// The previous sweep scheduler, reconstructed as the contention baseline:
-/// one global mutex, an O(n) scan per claim and a full pending-point
-/// rescale per completion — every worker serialises on the same lock.
-struct SingleMutexScheduler {
-    inner: std::sync::Mutex<SingleMutexInner>,
-}
-
-struct SingleMutexInner {
-    heuristic: Vec<u64>,
-    costs: Vec<u64>,
-    pending: Vec<bool>,
-    remaining: usize,
-    ratios: Vec<f64>,
-}
-
-impl SingleMutexScheduler {
-    fn new(heuristic: Vec<u64>) -> Self {
-        let n = heuristic.len();
-        Self {
-            inner: std::sync::Mutex::new(SingleMutexInner {
-                costs: heuristic.clone(),
-                heuristic,
-                pending: vec![true; n],
-                remaining: n,
-                ratios: Vec::new(),
-            }),
-        }
-    }
-
-    fn claim(&self) -> Option<usize> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.remaining == 0 {
-            return None;
-        }
-        let mut best: Option<usize> = None;
-        for i in 0..inner.costs.len() {
-            if inner.pending[i] && best.is_none_or(|b| inner.costs[i] > inner.costs[b]) {
-                best = Some(i);
-            }
-        }
-        let i = best?;
-        inner.pending[i] = false;
-        inner.remaining -= 1;
-        Some(i)
-    }
-
-    fn complete(&self, point: usize, wall_ns: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        let ratio = wall_ns as f64 / inner.heuristic[point].max(1) as f64;
-        let pos = inner.ratios.partition_point(|&r| r < ratio);
-        inner.ratios.insert(pos, ratio);
-        let mid = inner.ratios.len() / 2;
-        let scale = if inner.ratios.len() % 2 == 1 {
-            inner.ratios[mid]
-        } else {
-            f64::midpoint(inner.ratios[mid - 1], inner.ratios[mid])
-        };
-        for i in 0..inner.costs.len() {
-            if inner.pending[i] {
-                inner.costs[i] = ((inner.heuristic[i] as f64 * scale).round() as u64).max(1);
-            }
-        }
-    }
-}
-
-/// Drains the reconstructed single-mutex scheduler over the same synthetic
-/// grid with `workers` real threads.
-fn drain_single_mutex(workers: usize) -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let (heuristic, walls) = synthetic_grid();
-    let n = heuristic.len();
-    let scheduler = SingleMutexScheduler::new(heuristic);
-    let claims = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let scheduler = &scheduler;
-            let claims = &claims;
-            let walls = &walls;
-            scope.spawn(move || {
-                let mut mine = 0u64;
-                while let Some(point) = scheduler.claim() {
-                    scheduler.complete(point, walls[point]);
-                    mine += 1;
-                }
-                claims.fetch_add(mine, Ordering::Relaxed);
-            });
-        }
-    });
-    let claimed = claims.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(claimed as usize, n, "every point is claimed exactly once");
-    claimed
 }
 
 #[cfg(test)]

@@ -213,8 +213,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Every opcode, in declaration order. The canonical iteration set for
-    /// exhaustive checks and for serializers that map opcodes to and from
-    /// their mnemonics.
+    /// exhaustive checks.
     pub const ALL: &'static [Opcode] = &[
         Opcode::VLoad,
         Opcode::VStore,
@@ -263,17 +262,6 @@ impl Opcode {
         Opcode::VFRedMin,
         Opcode::SetVl,
     ];
-
-    /// The opcode with the given [`Opcode::mnemonic`], or `None`. Mnemonics
-    /// are unique (pinned by test), so this inverts `mnemonic` exactly —
-    /// the lookup serializers use to parse a program back from text.
-    #[must_use]
-    pub fn from_mnemonic(mnemonic: &str) -> Option<Opcode> {
-        Opcode::ALL
-            .iter()
-            .copied()
-            .find(|op| op.mnemonic() == mnemonic)
-    }
 
     /// Queue/kind classification for the two-stage issue unit.
     #[must_use]
@@ -452,15 +440,6 @@ mod tests {
             assert!(!op.mnemonic().is_empty());
             assert!(seen.insert(op.mnemonic()), "duplicate mnemonic {op}");
         }
-    }
-
-    #[test]
-    fn from_mnemonic_inverts_mnemonic_for_every_opcode() {
-        for &op in ALL {
-            assert_eq!(Opcode::from_mnemonic(op.mnemonic()), Some(op));
-        }
-        assert_eq!(Opcode::from_mnemonic("not-an-opcode"), None);
-        assert_eq!(Opcode::from_mnemonic(""), None);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 
 pub mod configs;
 pub mod json;
-pub mod progcache;
 pub mod report;
 pub mod run;
 pub mod store;
@@ -35,8 +34,7 @@ pub mod sweep;
 
 pub use configs::{Axis, ScenarioConfig, SystemConfig, SystemKind, AVA_EXTRAPOLATION_PREG_FLOOR};
 pub use json::Json;
-pub use progcache::DiskProgramCache;
 pub use report::{format_runs_table, format_sweep_summary, geometric_mean, speedup_vs};
 pub use run::{run_system, run_workload, run_workload_sized, PhaseBreakdown, RunReport};
 pub use store::{GcStats, ResultStore, StoreKey, CODE_VERSION};
-pub use sweep::{PointStats, ProgramCache, Sweep, SweepReport, SweepRunner, WorkStealScheduler};
+pub use sweep::{PointStats, Sweep, SweepReport, SweepRunner};

@@ -80,8 +80,8 @@ pub fn format_runs_table(reports: &[RunReport], baseline: &str) -> String {
 }
 
 /// One-line execution summary of a sweep: shard (when restricted), points,
-/// threads, wall/busy time, compile-cache traffic, work-steal count and
-/// (when a store was attached) how many points the result store served.
+/// threads, wall/busy time, compile-cache traffic and (when a store was
+/// attached) how many points the result store served.
 /// Printed by the benchmark binaries under `--threads`, `--shard` and
 /// `--store` so incremental runs show what they skipped.
 #[must_use]
@@ -100,13 +100,6 @@ pub fn format_sweep_summary(report: &SweepReport) -> String {
         report.cache_hits,
         report.cache_misses,
     ));
-    if report.steals > 0 {
-        out.push_str(&format!(
-            "; {} steal{}",
-            report.steals,
-            if report.steals == 1 { "" } else { "s" }
-        ));
-    }
     if report.store_hits + report.store_misses > 0 {
         out.push_str(&format!(
             "; store served {} of {}",
@@ -176,20 +169,18 @@ mod tests {
     }
 
     #[test]
-    fn sweep_summary_mentions_shards_and_steals_when_present() {
+    fn sweep_summary_mentions_shards_only_when_present() {
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(128))];
         let sweep = Sweep::grid(workloads, vec![ScenarioConfig::native_x(1)]);
-        let plain = sweep.runner().threads(1).run();
+        let plain = sweep.runner().threads(2).run();
         let summary = format_sweep_summary(&plain);
         assert!(!summary.contains("shard"), "whole-grid runs stay terse");
-        assert!(!summary.contains("steal"), "serial runs cannot steal");
 
         let mut forged = plain;
         forged.shard = Some((1, 4));
-        forged.steals = 1;
         let summary = format_sweep_summary(&forged);
         assert!(summary.starts_with("shard 1/4: "));
-        assert!(summary.contains("; 1 steal"));
+        assert!(!summary.contains("steal"), "the claim cursor never steals");
     }
 
     #[test]

@@ -8,39 +8,34 @@
 //!
 //! * every point gets a fresh [`MemoryHierarchy`], so no simulation state is
 //!   shared;
-//! * the only shared structure is a [`ProgramCache`] that deduplicates
-//!   *compilations* — and because [`ava_compiler::compile`] is a pure
-//!   function of its inputs, reusing its output cannot change any report;
+//! * the only shared structure is the sweep's compile memo, which
+//!   compiles each (workload, MVL, register-allocation inputs) key exactly
+//!   once — and because [`ava_compiler::compile`] is a pure function of its
+//!   inputs, reusing its output cannot change any report;
 //! * results are written into per-point slots, so the returned `Vec` is in
 //!   grid order regardless of which thread finished first.
 //!
 //! Execution goes through the builder-style [`SweepRunner`] — thread count,
 //! profile-guided scheduling, cross-process sharding and the on-disk
-//! [`ResultStore`] are independent knobs on one `run()` path (the old
-//! six-method `run_{serial,parallel}[_report][_with]` family is gone).
+//! [`ResultStore`] are independent knobs on one `run()` path.
 //!
 //! # Scheduling
 //!
 //! Per-point simulation cost is heavily skewed — one large Blackscholes
 //! point can cost more than a dozen Axpy points — so claiming points in
 //! grid order lets an expensive point picked up last tail the whole sweep.
-//! Scheduling is two-tier ([`WorkStealScheduler`]): the points are sorted
-//! once by a per-point **cost estimate** ([`Workload::elements`] over the
-//! configuration's effective width `MVL / LMUL` — narrower width means more
-//! strips, hence more dynamic instructions to simulate) and dealt
-//! round-robin into one pending deque per worker. Each worker then pops the
-//! highest-cost point of its *own* deque — claims touch one small
-//! per-worker lock, not a global mutex, so grids of thousands of points do
-//! not serialise on the claim path — and a worker whose deque runs dry
-//! **steals** the highest-cost pending point from the most-loaded victim.
-//! The estimates are also updated **online**: every point that finishes
-//! feeds its measured wall-clock back into a shared median
-//! nanoseconds-per-heuristic-unit, and every later claim re-ranks the
-//! candidates it is choosing between under the refreshed median — a run
-//! whose static heuristic misjudged the workload corrects itself mid-sweep.
-//! The estimate only orders work; results are still reported in grid order
-//! and remain bit-identical at any thread count, any steal pattern and any
-//! estimate quality.
+//! The runner claims longest-processing-time-first instead. Every point
+//! gets one **cost estimate** when the sweep starts: its recorded
+//! wall-clock from a previous sweep or an attached store where one exists,
+//! otherwise [`Workload::elements`] over the configuration's effective
+//! width `MVL / LMUL` (narrower width means more strips, hence more dynamic
+//! instructions to simulate), rescaled by the median
+//! nanoseconds-per-heuristic-unit of the recorded points so the two kinds
+//! sort commensurably. The points are sorted once by descending estimate,
+//! grid order breaking ties, and the workers claim them in that order
+//! through one atomic cursor. The estimate only orders work; results are
+//! still reported in grid order and are bit-identical at any thread count
+//! and under any estimate.
 //!
 //! [`Workload::elements`]: ava_workloads::Workload::elements
 //!
@@ -64,23 +59,22 @@
 //! stopped, and a change to one workload invalidates only that workload's
 //! points (the store is keyed by a content fingerprint of the compiled
 //! program, planned layout and golden reference). Recorded per-point wall
-//! times in the store seed cost-sorted scheduling automatically.
+//! times in the store seed the claim order automatically.
 //!
-//! Compilations persist the same way: a runner pointed at a
-//! [`DiskProgramCache`] ([`SweepRunner::program_cache`]) serves in-memory
-//! cache misses from disk and checkpoints every fresh compilation, so a
-//! warm rerun performs zero compilations ([`SweepReport::compiles`]).
+//! Compilations are memoised per sweep only. A store hit still plans and
+//! compiles its point (the store key covers the compiled program), so the
+//! compile counters of a warm rerun equal those of the cold run.
 //!
 //! # Instrumentation
 //!
 //! [`SweepRunner::run`] returns a [`SweepReport`] that wraps the
 //! [`RunReport`]s with per-point wall-clock timing, the cost estimate,
-//! store provenance and claiming worker of every point, compile-cache and
+//! store provenance and claiming worker of every point, compile-memo and
 //! result-store hit/miss counters and the sweep's total wall-clock — the
 //! raw material for the `--json` report pipeline and CI wall-clock
 //! baselines.
 //!
-//! The cache also makes the sweep cheaper than the sum of its points: on the
+//! The memo also makes the sweep cheaper than the sum of its points: on the
 //! full Figure 3 grid, NATIVE Xn, AVA Xn and RG-LMUL1 all compile the same
 //! (kernel, LMUL, MVL) combination, so 14 configurations need only 8
 //! compilations per workload.
@@ -106,6 +100,7 @@
 //!
 //! [`MemoryHierarchy`]: ava_memory::MemoryHierarchy
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -117,7 +112,6 @@ use ava_workloads::SharedWorkload;
 
 use crate::configs::{config_axes_key, workload_identity, ScenarioConfig, SystemConfig};
 use crate::json::{object, Json};
-use crate::progcache::{compile_fingerprint, DiskProgramCache};
 use crate::run::{run_workload_stored, RunReport};
 use crate::store::ResultStore;
 
@@ -149,118 +143,51 @@ struct CacheKey {
     spill_slot_bytes: u64,
 }
 
-/// A thread-safe cache of compiled kernels shared by every point of a sweep,
-/// with an optional persistent on-disk tier ([`DiskProgramCache`]).
+/// The compile memo shared by every point of a sweep: one slot per key, so
+/// each key compiles exactly once however many workers ask for it.
 ///
-/// Keyed on everything that feeds [`ava_compiler::compile`], so a hit —
-/// in-memory or on-disk — is guaranteed to return exactly the bytes a fresh
-/// compilation would produce. An in-memory miss consults the disk tier
-/// before compiling; a warm disk cache therefore serves a whole sweep with
-/// zero compilations.
+/// Keyed on everything that feeds [`ava_compiler::compile`], so a hit is
+/// guaranteed to return exactly the bytes a fresh compilation would
+/// produce. The first request for a key is its one miss; every later
+/// request is a hit, including one that waits on the in-flight compile, so
+/// both counters are the same at any thread count.
 #[derive(Debug, Default)]
-pub struct ProgramCache {
-    entries: Mutex<HashMap<CacheKey, Arc<CompiledKernel>>>,
+struct ProgramCache {
+    entries: Mutex<HashMap<CacheKey, Arc<OnceLock<Arc<CompiledKernel>>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    compiles: AtomicU64,
 }
 
 impl ProgramCache {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the cached kernel for `key`: from memory, else from `disk`
-    /// when attached, else by compiling (and checkpointing to `disk`).
+    /// Returns the memoised kernel for `key`, compiling it on first use.
     fn get_or_compile(
         &self,
         key: CacheKey,
         kernel: &ava_compiler::IrKernel,
         opts: &CompileOptions,
-        disk: Option<&DiskProgramCache>,
     ) -> Arc<CompiledKernel> {
-        if let Some(hit) = self.entries.lock().expect("cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Disk lookups and compilation run outside the lock: distinct keys
-        // must not serialise on one long compilation. Two threads racing on
-        // the same key both compile, but `compile` is deterministic so
-        // either result is correct.
-        if let Some(disk) = disk {
-            let fingerprint = compile_fingerprint(kernel, opts);
-            if let Some(cached) = disk.lookup(fingerprint) {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return self
-                    .entries
-                    .lock()
-                    .expect("cache poisoned")
-                    .entry(key)
-                    .or_insert(Arc::new(cached))
-                    .clone();
-            }
-            self.disk_misses.fetch_add(1, Ordering::Relaxed);
-            let compiled = Arc::new(compile(kernel, opts));
-            self.compiles.fetch_add(1, Ordering::Relaxed);
-            // A failed checkpoint write just means the compilation stays
-            // uncached — never a reason to fail the sweep.
-            let _ = disk.insert(fingerprint, &compiled);
-            return self
-                .entries
-                .lock()
-                .expect("cache poisoned")
-                .entry(key)
-                .or_insert(compiled)
-                .clone();
-        }
-        let compiled = Arc::new(compile(kernel, opts));
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        self.entries
-            .lock()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert(compiled)
-            .clone()
+        let (slot, first) = {
+            let mut entries = self.entries.lock().expect("cache poisoned");
+            let first = !entries.contains_key(&key);
+            (Arc::clone(entries.entry(key).or_default()), first)
+        };
+        let counter = if first { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        // The compile runs outside the map lock: distinct keys never
+        // serialise on one long compilation, and a second request for this
+        // key blocks on the slot until the first one fills it.
+        Arc::clone(slot.get_or_init(|| Arc::new(compile(kernel, opts))))
     }
 
-    /// Number of compilations served from the in-memory cache.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
+    /// Number of compile requests served from the memo.
+    fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of compile requests the in-memory cache could not serve
-    /// (every one is then either a disk hit or an actual compilation, so
-    /// `hits() + misses()` always equals the number of compile requests).
-    #[must_use]
-    pub fn misses(&self) -> u64 {
+    /// Number of distinct keys compiled (`hits() + misses()` is the number
+    /// of compile requests).
+    fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// In-memory misses served from the attached [`DiskProgramCache`]
-    /// (always 0 without one).
-    #[must_use]
-    pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
-    }
-
-    /// In-memory misses the attached [`DiskProgramCache`] could not serve
-    /// (always 0 without one).
-    #[must_use]
-    pub fn disk_misses(&self) -> u64 {
-        self.disk_misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of compilations actually performed (`misses()` minus the
-    /// disk hits). Zero on a sweep fully served by a warm disk cache.
-    #[must_use]
-    pub fn compiles(&self) -> u64 {
-        self.compiles.load(Ordering::Relaxed)
     }
 }
 
@@ -272,13 +199,13 @@ pub struct PointStats {
     pub workload: String,
     /// Configuration label of the point ("AVA X4", ...).
     pub config: String,
-    /// The scheduler's cost estimate for the point *at the moment it was
-    /// claimed*: workload element operations over the configuration's
-    /// effective width, rescaled online by the median
-    /// nanoseconds-per-heuristic-unit of every point finished so far — or
-    /// the recorded wall-clock of a previous sweep under
-    /// [`SweepRunner::recorded_costs`] / an attached store, which a
-    /// rescale never overrides. Orders execution only.
+    /// The point's cost estimate, fixed when the sweep started: the
+    /// recorded wall-clock of a previous sweep under
+    /// [`SweepRunner::recorded_costs`] / an attached store where one
+    /// exists, otherwise workload element operations over the
+    /// configuration's effective width, rescaled by the median
+    /// nanoseconds-per-heuristic-unit of the recorded points. Orders
+    /// execution only.
     pub cost_estimate: u64,
     /// The workload's element-operation count ([`Workload::elements`]) —
     /// the denominator of derived per-element metrics such as
@@ -307,20 +234,19 @@ pub struct SweepReport {
     pub reports: Vec<RunReport>,
     /// Per-point scheduling/timing metadata, parallel to `reports`.
     pub points: Vec<PointStats>,
-    /// Compile requests served from the sweep's in-memory program cache.
+    /// Compile requests served from the sweep's compile memo.
     pub cache_hits: u64,
-    /// Compile requests the in-memory program cache could not serve
-    /// (`cache_hits + cache_misses` is the total number of requests).
+    /// Distinct compilations the memo performed (`cache_hits +
+    /// cache_misses` is the total number of requests). The same at any
+    /// thread count.
     pub cache_misses: u64,
-    /// In-memory misses served from the attached [`DiskProgramCache`]
-    /// (0 without one).
+    /// Always 0: there is no on-disk compile tier. Kept so the report's
+    /// field set and JSON keys stay stable.
     pub cache_disk_hits: u64,
-    /// In-memory misses the attached [`DiskProgramCache`] could not serve
-    /// (0 without one).
+    /// Always 0, like [`SweepReport::cache_disk_hits`].
     pub cache_disk_misses: u64,
-    /// Compilations actually performed. Zero when a warm
-    /// [`DiskProgramCache`] served every miss — the warm-start invariant CI
-    /// asserts.
+    /// Compilations performed; always equal to
+    /// [`SweepReport::cache_misses`].
     pub compiles: u64,
     /// Points served from the attached result store (0 without a store).
     pub store_hits: u64,
@@ -329,9 +255,8 @@ pub struct SweepReport {
     pub store_misses: u64,
     /// Worker threads used.
     pub threads: usize,
-    /// Claims served from another worker's deque by the work-stealing
-    /// scheduler (always 0 on a single-threaded run, where there is nobody
-    /// to steal from).
+    /// Always 0: workers claim from one shared cursor and never steal.
+    /// Kept so the report's field set and JSON keys stay stable.
     pub steals: u64,
     /// The `(index, of)` shard this run executed ([`SweepRunner::shard`]),
     /// or `None` for a whole-grid run. A sharded report covers only the
@@ -569,7 +494,6 @@ impl Sweep {
             threads: None,
             recorded: HashMap::new(),
             store: None,
-            program_cache: None,
             shard: None,
         }
     }
@@ -627,43 +551,21 @@ impl Sweep {
         heuristic_points_cost(elements, width)
     }
 
-    /// Every point's cost estimate, computed once per sweep execution:
-    /// [`Workload::elements`] can be arbitrarily expensive (composite
-    /// workloads sum their phases), so neither the execution-order sort nor
-    /// the report assembly recomputes it per use.
-    ///
-    /// When recorded costs cover only part of the grid, the unseen points'
-    /// heuristic estimates are rescaled by the median nanoseconds-per-
-    /// heuristic-unit observed on the covered points: raw element counts
-    /// and wall-clock nanoseconds are not commensurable, and without the
-    /// rescale one new grid point would sort arbitrarily against every
-    /// measured point. The rescale (like every cost) only orders execution
-    /// and can never change a result.
+    /// The cost estimates of the `owned` points, computed once per sweep
+    /// execution: recorded wall-clock where `recorded` has the point's
+    /// identity, the static heuristic rescaled into nanoseconds otherwise
+    /// ([`cost_estimates`]). [`Workload::elements`] can be arbitrarily
+    /// expensive (composite workloads sum their phases), so the estimates
+    /// are computed once, not per claim.
     ///
     /// [`Workload::elements`]: ava_workloads::Workload::elements
-    #[cfg(test)]
-    fn point_costs(&self, recorded_map: &HashMap<(String, String), u64>) -> Vec<u64> {
-        let owned: Vec<usize> = (0..self.points.len()).collect();
-        self.scheduler(&owned, 1, recorded_map).initial_costs()
-    }
-
-    /// The claim-time scheduler for one execution over the `owned` subset
-    /// of the grid: initial cost estimates from recorded timings where
-    /// available (heuristics rescaled by the median recorded
-    /// ns-per-heuristic-unit to fill the gaps), dealt across `workers`
-    /// deques and re-ranked online as this run's own timings land.
-    fn scheduler(
-        &self,
-        owned: &[usize],
-        workers: usize,
-        recorded_map: &HashMap<(String, String), u64>,
-    ) -> WorkStealScheduler {
+    fn point_costs(&self, owned: &[usize], recorded: &HashMap<(String, String), u64>) -> Vec<u64> {
         let heuristic: Vec<u64> = owned.iter().map(|&i| self.heuristic_cost(i)).collect();
         let recorded: Vec<Option<u64>> = owned
             .iter()
-            .map(|&i| self.recorded_cost_in(i, recorded_map))
+            .map(|&i| self.recorded_cost_in(i, recorded))
             .collect();
-        WorkStealScheduler::new(workers, heuristic, recorded)
+        cost_estimates(&heuristic, &recorded)
     }
 
     /// The grid-order point indices owned by shard `index` of `of`.
@@ -696,31 +598,19 @@ impl Sweep {
             .collect()
     }
 
-    /// Point indices in execution order under *fixed* costs: descending
-    /// cost estimate, grid order as the tie-break. The online scheduler
-    /// claims in exactly this order until its first completion lands;
-    /// kept as the test oracle for the initial schedule.
-    #[cfg(test)]
-    fn execution_order(&self, costs: &[u64]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.points.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-        order
-    }
-
     #[cfg(test)]
     fn run_point(&self, point: usize, cache: &ProgramCache) -> RunReport {
-        self.run_point_stored(point, cache, None, None).0
+        self.run_point_stored(point, cache, None).0
     }
 
-    /// Runs one point through the shared program cache (and its optional
-    /// on-disk tier), consulting `store` when attached. Returns the report
-    /// and whether it came from the store.
+    /// Runs one point through the shared compile memo, consulting `store`
+    /// when attached. Returns the report and whether it came from the
+    /// store.
     fn run_point_stored(
         &self,
         point: usize,
         cache: &ProgramCache,
         store: Option<&ResultStore>,
-        program_cache: Option<&DiskProgramCache>,
     ) -> (RunReport, bool) {
         let (w, s) = self.points[point];
         let workload = &self.workloads[w];
@@ -736,7 +626,7 @@ impl Sweep {
                     spill_base: opts.spill_base,
                     spill_slot_bytes: opts.spill_slot_bytes,
                 };
-                cache.get_or_compile(key, kernel, opts, program_cache)
+                cache.get_or_compile(key, kernel, opts)
             },
             store,
         )
@@ -757,207 +647,38 @@ fn sorted_median(ratios: &[f64]) -> f64 {
     }
 }
 
-/// The two-tier work-stealing point scheduler behind [`SweepRunner::run`].
+/// Per-point cost estimates from the static `heuristic` costs and the
+/// `recorded` wall-clock times covering part (or none) of the grid.
 ///
-/// Tier one is **distribution**: the points are ranked once by descending
-/// initial cost estimate (recorded wall-clock where known, the static
-/// heuristic rescaled by the median recorded ns-per-heuristic-unit
-/// otherwise; grid order breaks ties) and dealt round-robin into one
-/// pending deque per worker, so every worker starts with a balanced mix of
-/// expensive and cheap points. Tier two is **execution**: a worker claims
-/// the highest-cost pending point of its *own* deque — each deque sits
-/// behind its own small lock, so claims never serialise on one global
-/// mutex the way the previous single-`Mutex` scheduler did — and a worker
-/// whose deque runs dry *steals* the highest-cost pending point from the
-/// most-loaded victim, so nobody idles while a skewed point's backlog
-/// queues behind one thread.
-///
-/// The online re-ranking survives at the batch level: every finished point
-/// feeds its measured wall-clock back as a nanoseconds-per-heuristic-unit
-/// observation, and the median of all observations — seed ratios from
-/// recorded costs plus everything that landed this run — is published as a
-/// single atomic scale factor that each claim reads to re-rank the
-/// candidates it is choosing between. Points with recorded timings keep
-/// them (a measurement always beats a rescaled guess).
-///
-/// Cost estimates only order execution: given the same sequence of claim
-/// and completion events the schedule is fully deterministic, and under
-/// any timing feed, worker count or steal pattern the results are
-/// bit-identical — only the schedule moves. With one worker the scheduler
-/// degenerates to exactly the old global claim order (highest current
-/// cost, grid order on ties).
-pub struct WorkStealScheduler {
-    /// Per-worker pending deques of point indices, each behind its own
-    /// lock. A local claim touches exactly one shard; a steal locks only
-    /// the victim's (never two shards at once, so no lock-order cycles).
-    deques: Vec<Mutex<Vec<usize>>>,
-    /// Deque occupancy mirrors, so victim selection scans without locking.
-    /// Updated under the owning deque's lock and only ever decreasing, a
-    /// stale read can overestimate a victim (harmless: the steal locks and
-    /// re-checks) but never hide pending work.
-    occupancy: Vec<AtomicUsize>,
-    /// Static heuristic per point — the unit the median ratio rescales.
-    heuristic: Vec<u64>,
-    /// Recorded wall-clock per point; a recording is never rescaled.
-    recorded: Vec<Option<u64>>,
-    /// Bit pattern of the current median ns-per-heuristic-unit `f64`,
-    /// republished on every completion and read on every claim.
-    scale_bits: AtomicU64,
-    /// Sorted ns-per-heuristic-unit observations (recorded seeds plus this
-    /// run's completions).
-    ratios: Mutex<Vec<f64>>,
-    /// Claims served from another worker's deque.
-    steals: AtomicU64,
+/// A recorded point keeps its nanoseconds. An unrecorded point's heuristic
+/// is rescaled by the median nanoseconds-per-heuristic-unit of the recorded
+/// points: raw element counts and wall-clock nanoseconds are not
+/// commensurable, and without the rescale one new grid point would sort
+/// arbitrarily against every measured point. The zero-width max-cost
+/// sentinel is not a real unit count, so it never feeds the median; `f64 as
+/// u64` saturates, so it stays the maximum after rescaling.
+fn cost_estimates(heuristic: &[u64], recorded: &[Option<u64>]) -> Vec<u64> {
+    let mut ratios: Vec<f64> = heuristic
+        .iter()
+        .zip(recorded)
+        .filter(|&(&h, _)| h != u64::MAX)
+        .filter_map(|(&h, &ns)| Some(ns? as f64 / h.max(1) as f64))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let scale = sorted_median(&ratios);
+    heuristic
+        .iter()
+        .zip(recorded)
+        .map(|(&h, &ns)| ns.unwrap_or_else(|| ((h as f64 * scale).round() as u64).max(1)))
+        .collect()
 }
 
-impl WorkStealScheduler {
-    /// Builds the initial schedule for `workers` deques from the static
-    /// `heuristic` costs and the `recorded` wall-clock times covering part
-    /// (or none) of the grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero or the slices disagree in length.
-    #[must_use]
-    pub fn new(workers: usize, heuristic: Vec<u64>, recorded: Vec<Option<u64>>) -> Self {
-        assert!(workers >= 1, "a scheduler needs at least one worker");
-        assert_eq!(heuristic.len(), recorded.len());
-        let mut ratios = Vec::new();
-        for (h, r) in heuristic.iter().zip(&recorded) {
-            if let Some(ns) = *r {
-                push_ratio(&mut ratios, *h, ns);
-            }
-        }
-        let scale = sorted_median(&ratios);
-        let scheduler = Self {
-            deques: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-            occupancy: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
-            heuristic,
-            recorded,
-            scale_bits: AtomicU64::new(scale.to_bits()),
-            ratios: Mutex::new(ratios),
-            steals: AtomicU64::new(0),
-        };
-        // Cost-sorted round-robin distribution: rank every point by its
-        // initial estimate, then deal rank j to deque j mod workers, so
-        // each worker starts with its fair share of the expensive points.
-        let costs = scheduler.initial_costs();
-        let mut order: Vec<usize> = (0..costs.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-        for (rank, &point) in order.iter().enumerate() {
-            let deque = rank % workers;
-            scheduler.deques[deque]
-                .lock()
-                .expect("deque poisoned")
-                .push(point);
-            scheduler.occupancy[deque].fetch_add(1, Ordering::Relaxed);
-        }
-        scheduler
-    }
-
-    /// Every point's cost estimate under the current median scale.
-    fn initial_costs(&self) -> Vec<u64> {
-        let scale = f64::from_bits(self.scale_bits.load(Ordering::Relaxed));
-        (0..self.heuristic.len())
-            .map(|i| self.cost_of(i, scale))
-            .collect()
-    }
-
-    /// The current cost estimate of one point: its recorded nanoseconds if
-    /// any, else the heuristic rescaled by `scale` (`f64 as u64` saturates,
-    /// so a huge product — or the zero-width max-cost sentinel — stays the
-    /// maximum).
-    fn cost_of(&self, point: usize, scale: f64) -> u64 {
-        match self.recorded[point] {
-            Some(ns) => ns,
-            None => ((self.heuristic[point] as f64 * scale).round() as u64).max(1),
-        }
-    }
-
-    /// Removes the highest-cost entry of one locked deque under the current
-    /// median (earliest position — i.e. highest initial rank — on ties),
-    /// returning its point index and claim-time cost estimate.
-    fn pop_best(&self, deque: &mut Vec<usize>) -> Option<(usize, u64)> {
-        let scale = f64::from_bits(self.scale_bits.load(Ordering::Relaxed));
-        let mut best: Option<(usize, u64)> = None;
-        for (pos, &point) in deque.iter().enumerate() {
-            let cost = self.cost_of(point, scale);
-            if best.is_none_or(|(_, b)| cost > b) {
-                best = Some((pos, cost));
-            }
-        }
-        let (pos, cost) = best?;
-        Some((deque.remove(pos), cost))
-    }
-
-    /// Claims the most expensive pending point for `worker`: from its own
-    /// deque, else stolen from the most-loaded victim. Returns the point
-    /// index and claim-time cost estimate, or `None` when every deque is
-    /// empty (every remaining point is already claimed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is not below the scheduler's worker count.
-    pub fn claim(&self, worker: usize) -> Option<(usize, u64)> {
-        {
-            let mut own = self.deques[worker].lock().expect("deque poisoned");
-            if let Some(claimed) = self.pop_best(&mut own) {
-                self.occupancy[worker].store(own.len(), Ordering::Relaxed);
-                return Some(claimed);
-            }
-        }
-        self.steal(worker)
-    }
-
-    /// Steals the highest-cost pending point from the most-loaded victim
-    /// (lowest worker index on ties). Occupancy mirrors can overestimate,
-    /// so a raced-empty victim just re-runs the scan; mirrors never
-    /// underestimate, so `None` means genuinely nothing left to claim.
-    fn steal(&self, thief: usize) -> Option<(usize, u64)> {
-        loop {
-            let victim = (0..self.deques.len())
-                .filter(|&w| w != thief)
-                .map(|w| (self.occupancy[w].load(Ordering::Relaxed), w))
-                .filter(|&(load, _)| load > 0)
-                .max_by_key(|&(load, w)| (load, std::cmp::Reverse(w)))?
-                .1;
-            let mut deque = self.deques[victim].lock().expect("deque poisoned");
-            if let Some(claimed) = self.pop_best(&mut deque) {
-                self.occupancy[victim].store(deque.len(), Ordering::Relaxed);
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(claimed);
-            }
-            self.occupancy[victim].store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Feeds one finished point's measured wall-clock back into the
-    /// schedule: its ns-per-heuristic-unit observation joins the sorted
-    /// list and the republished median re-ranks every later claim.
-    pub fn complete(&self, point: usize, wall_ns: u64) {
-        let mut ratios = self.ratios.lock().expect("ratios poisoned");
-        push_ratio(&mut ratios, self.heuristic[point], wall_ns.max(1));
-        self.scale_bits
-            .store(sorted_median(&ratios).to_bits(), Ordering::Relaxed);
-    }
-
-    /// Number of claims served from another worker's deque so far.
-    #[must_use]
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-}
-
-/// Inserts one ns-per-heuristic-unit observation into the sorted list.
-/// The degenerate zero-width sentinel is not a real unit count — its ratio
-/// would drag the median toward zero — so it is skipped.
-fn push_ratio(ratios: &mut Vec<f64>, heuristic: u64, wall_ns: u64) {
-    if heuristic == u64::MAX {
-        return;
-    }
-    let ratio = wall_ns as f64 / heuristic.max(1) as f64;
-    let pos = ratios.partition_point(|&r| r < ratio);
-    ratios.insert(pos, ratio);
+/// Indices into `costs` in claim order: descending cost, index order
+/// breaking ties (longest processing time first).
+fn execution_order(costs: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| (Reverse(costs[i]), i));
+    order
 }
 
 /// Builder-style execution of one [`Sweep`]: configure the thread count
@@ -987,7 +708,6 @@ pub struct SweepRunner<'a> {
     threads: Option<usize>,
     recorded: HashMap<(String, String), u64>,
     store: Option<&'a ResultStore>,
-    program_cache: Option<&'a DiskProgramCache>,
     shard: Option<(usize, usize)>,
 }
 
@@ -1063,18 +783,6 @@ impl<'a> SweepRunner<'a> {
         self
     }
 
-    /// Attaches the persistent on-disk program cache: compilations the
-    /// in-memory per-sweep cache misses are served from `cache` when a
-    /// usable entry exists, and every fresh compilation is checkpointed
-    /// into it. A warm cache serves a whole sweep with zero compilations
-    /// ([`SweepReport::compiles`]); corrupted or version-drifted entries
-    /// degrade to misses and are overwritten in place.
-    #[must_use]
-    pub fn program_cache(mut self, cache: &'a DiskProgramCache) -> Self {
-        self.program_cache = Some(cache);
-        self
-    }
-
     /// Explicit recorded costs and the store's recorded wall times,
     /// max-merged into one scheduling map.
     fn merged_recorded(&self) -> HashMap<(String, String), u64> {
@@ -1088,13 +796,11 @@ impl<'a> SweepRunner<'a> {
         recorded
     }
 
-    /// The per-point cost estimates this run will *start* scheduling by:
-    /// recorded costs where known, heuristics rescaled to fill the gaps.
-    /// The online scheduler then re-ranks still-pending points as measured
-    /// timings land during the run.
+    /// The whole grid's cost estimates as this run would order it.
     #[cfg(test)]
     fn effective_costs(&self) -> Vec<u64> {
-        self.sweep.point_costs(&self.merged_recorded())
+        let all: Vec<usize> = (0..self.sweep.points.len()).collect();
+        self.sweep.point_costs(&all, &self.merged_recorded())
     }
 
     /// Executes the sweep. Results come back in point order and are
@@ -1114,23 +820,25 @@ impl<'a> SweepRunner<'a> {
             thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
         let workers = requested.clamp(1, n.max(1));
-        let cache = ProgramCache::new();
-        let scheduler = sweep.scheduler(&owned, workers, &self.merged_recorded());
+        let cache = ProgramCache::default();
+        let costs = sweep.point_costs(&owned, &self.merged_recorded());
+        let order = execution_order(&costs);
+        let cursor = AtomicUsize::new(0);
         let store = self.store;
-        let program_cache = self.program_cache;
         let sweep_start = Instant::now();
-        // (report, from_store, wall_ns, worker, claim-time cost estimate)
-        type PointSlot = (RunReport, bool, u64, usize, u64);
+        // (report, from_store, wall_ns, worker)
+        type PointSlot = (RunReport, bool, u64, usize);
         let slots: Vec<OnceLock<PointSlot>> = (0..n).map(|_| OnceLock::new()).collect();
         let work = |worker: usize| {
-            while let Some((local, cost)) = scheduler.claim(worker) {
+            // Each claim takes the next slot of `order`. The cursor publishes
+            // no data (results travel through `slots` and the scope join),
+            // so a relaxed counter suffices.
+            while let Some(&local) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                 let point_start = Instant::now();
-                let (report, from_store) =
-                    sweep.run_point_stored(owned[local], &cache, store, program_cache);
+                let (report, from_store) = sweep.run_point_stored(owned[local], &cache, store);
                 let wall_ns = point_start.elapsed().as_nanos() as u64;
-                scheduler.complete(local, wall_ns);
                 slots[local]
-                    .set((report, from_store, wall_ns, worker, cost))
+                    .set((report, from_store, wall_ns, worker))
                     .expect("each point is claimed by one worker");
             }
         };
@@ -1148,12 +856,12 @@ impl<'a> SweepRunner<'a> {
         let mut reports = Vec::with_capacity(n);
         let mut points = Vec::with_capacity(n);
         for (local, slot) in slots.into_iter().enumerate() {
-            let (report, from_store, wall_ns, worker, cost_estimate) =
+            let (report, from_store, wall_ns, worker) =
                 slot.into_inner().expect("every point completed");
             points.push(PointStats {
                 workload: report.workload.clone(),
                 config: report.config.clone(),
-                cost_estimate,
+                cost_estimate: costs[local],
                 elements: sweep.workloads[sweep.points[owned[local]].0].elements() as u64,
                 wall_ns,
                 worker,
@@ -1172,13 +880,13 @@ impl<'a> SweepRunner<'a> {
             points,
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
-            cache_disk_hits: cache.disk_hits(),
-            cache_disk_misses: cache.disk_misses(),
-            compiles: cache.compiles(),
+            cache_disk_hits: 0,
+            cache_disk_misses: 0,
+            compiles: cache.misses(),
             store_hits,
             store_misses,
             threads: workers,
-            steals: scheduler.steals(),
+            steals: 0,
             shard: self.shard,
             wall_ns: sweep_start.elapsed().as_nanos() as u64,
         }
@@ -1203,10 +911,6 @@ mod tests {
         let workloads: Vec<SharedWorkload> =
             vec![Arc::new(Axpy::new(256)), Arc::new(Blackscholes::new(64))];
         (workloads, small_scenarios())
-    }
-
-    fn no_recorded() -> HashMap<(String, String), u64> {
-        HashMap::new()
     }
 
     #[test]
@@ -1271,7 +975,7 @@ mod tests {
         ];
         let systems = vec![ScenarioConfig::native_x(1)];
         let sweep = Sweep::grid(workloads, systems);
-        let order = sweep.execution_order(&sweep.point_costs(&no_recorded()));
+        let order = execution_order(&sweep.runner().effective_costs());
         assert_eq!(order[0], 1, "the huge Blackscholes point must start first");
         assert_eq!(
             sweep.point_cost(1),
@@ -1293,7 +997,7 @@ mod tests {
         let sweep = Sweep::grid(workloads, systems);
         let baseline = sweep.runner().threads(1).run();
         assert_eq!(
-            sweep.execution_order(&sweep.point_costs(&no_recorded())),
+            execution_order(&sweep.runner().effective_costs()),
             vec![1, 0]
         );
 
@@ -1304,7 +1008,7 @@ mod tests {
         let tuned = sweep.runner().recorded_costs(&forged);
         let costs = tuned.effective_costs();
         assert_eq!(costs, vec![1_000_000_000, 1_000]);
-        assert_eq!(sweep.execution_order(&costs), vec![0, 1]);
+        assert_eq!(execution_order(&costs), vec![0, 1]);
 
         let retimed = tuned.threads(2).run();
         for (a, b) in baseline.reports.iter().zip(&retimed.reports) {
@@ -1375,7 +1079,7 @@ mod tests {
         // 8192 * 50 / 16384 = 25 ns.
         assert_eq!(costs, vec![50, 25]);
         assert_eq!(
-            sweep.execution_order(&costs),
+            execution_order(&costs),
             vec![0, 1],
             "the heuristically-narrower X1 point must still be scheduled \
              first; raw unit mixing would have ranked the unseen point's \
@@ -1421,9 +1125,9 @@ mod tests {
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(256))];
         let scenarios = vec![ScenarioConfig::native_x(2), ScenarioConfig::ava_x(2)];
         let sweep = Sweep::grid(workloads, scenarios);
-        let costs = sweep.point_costs(&no_recorded());
+        let costs = sweep.runner().effective_costs();
         assert_eq!(costs[0], costs[1], "the tie this test is about");
-        assert_eq!(sweep.execution_order(&costs), vec![0, 1]);
+        assert_eq!(execution_order(&costs), vec![0, 1]);
     }
 
     #[test]
@@ -1475,7 +1179,7 @@ mod tests {
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(256))];
         let systems = vec![ScenarioConfig::native_x(2), ScenarioConfig::ava_x(2)];
         let sweep = Sweep::grid(workloads, systems);
-        let cache = ProgramCache::new();
+        let cache = ProgramCache::default();
         let a = sweep.run_point(0, &cache);
         let b = sweep.run_point(1, &cache);
         assert_eq!(cache.misses(), 1);
@@ -1496,7 +1200,7 @@ mod tests {
             ScenarioConfig::rg_lmul(Lmul::M8),
         ];
         let sweep = Sweep::grid(workloads, systems);
-        let cache = ProgramCache::new();
+        let cache = ProgramCache::default();
         let _ = sweep.run_point(0, &cache);
         let _ = sweep.run_point(1, &cache);
         assert_eq!(
@@ -1571,178 +1275,50 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_rescales_pending_points_as_results_land() {
-        // Three unmeasured points; the initial order is by raw heuristic.
-        let s = WorkStealScheduler::new(1, vec![1000, 100, 10], vec![None, None, None]);
-        assert_eq!(s.claim(0), Some((0, 1000)));
-        // Point 0 finishing at 10 ns per heuristic unit rescales the rest.
-        s.complete(0, 10_000);
-        assert_eq!(s.claim(0), Some((1, 1000)), "100 units * 10 ns/unit");
-        // A second, slower observation moves the median to 255 ns/unit.
-        s.complete(1, 50_000);
-        assert_eq!(s.claim(0), Some((2, 2550)));
-        s.complete(2, 1);
-        assert_eq!(s.claim(0), None, "all points claimed exactly once");
-        assert_eq!(s.steals(), 0, "one worker has nobody to steal from");
+    fn claim_order_is_descending_cost_with_grid_order_ties() {
+        assert_eq!(execution_order(&[10, 40, 10, 40, 20]), vec![1, 3, 4, 0, 2]);
+        assert_eq!(execution_order(&[u64::MAX, 1, u64::MAX]), vec![0, 2, 1]);
+        assert!(execution_order(&[]).is_empty());
     }
 
     #[test]
-    fn scheduler_never_rescales_measured_points() {
-        // Point 0 carries a recorded timing (100 ns over 100 units seeds a
-        // 1 ns/unit median), point 1 starts from the rescaled heuristic.
-        let s = WorkStealScheduler::new(1, vec![100, 100], vec![Some(100), None]);
-        assert_eq!(s.initial_costs(), vec![100, 100]);
-        // Grid order breaks the tie; the claim-time cost is the recording.
-        assert_eq!(s.claim(0), Some((0, 100)));
-        // The measured point finishing far slower than recorded re-ranks
-        // the unmeasured point, never the recording itself.
-        s.complete(0, 300_000);
-        assert_eq!(
-            s.claim(0),
-            Some((1, 150_050)),
-            "median of ratios [1, 3000] is 1500.5 ns/unit"
+    fn unrecorded_points_are_rescaled_by_the_recorded_median() {
+        // Recorded ratios 10 and 500 ns/unit: the median is 255 ns/unit.
+        let costs = cost_estimates(
+            &[1000, 100, 10, 100],
+            &[Some(10_000), None, None, Some(50_000)],
         );
-    }
-
-    #[test]
-    fn scheduler_is_deterministic_given_the_same_timings() {
-        let feed = [(50_u64, 7_000_u64), (8, 100), (300, 2)];
-        let run = || {
-            let s = WorkStealScheduler::new(1, vec![50, 8, 300], vec![None, None, None]);
-            let mut order = Vec::new();
-            while let Some((i, cost)) = s.claim(0) {
-                order.push((i, cost));
-                s.complete(i, feed[i].1);
-            }
-            order
-        };
-        assert_eq!(run(), run(), "same timings feed, same schedule");
-        assert_eq!(run()[0], (2, 300), "initial claim follows the heuristic");
-    }
-
-    #[test]
-    fn scheduler_deals_points_round_robin_by_descending_cost() {
-        // Rank order is 0,1,2,3; two workers deal ranks alternately, so
-        // worker 0 owns {0, 2} and worker 1 owns {1, 3} — each deque gets
-        // its fair share of the expensive points.
-        let s = WorkStealScheduler::new(2, vec![40, 30, 20, 10], vec![None; 4]);
-        assert_eq!(s.claim(0), Some((0, 40)));
-        assert_eq!(s.claim(1), Some((1, 30)));
-        assert_eq!(s.claim(0), Some((2, 20)));
-        assert_eq!(s.claim(1), Some((3, 10)));
-        assert_eq!(s.claim(0), None);
-        assert_eq!(s.steals(), 0, "both workers stayed on their own deques");
-    }
-
-    #[test]
-    fn an_idle_worker_steals_the_highest_cost_pending_point() {
-        // Worker 1 drains its own deque {1, 3}, then must steal from
-        // worker 0's {0, 2} — highest cost first.
-        let s = WorkStealScheduler::new(2, vec![40, 30, 20, 10], vec![None; 4]);
-        assert_eq!(s.claim(1), Some((1, 30)));
-        assert_eq!(s.claim(1), Some((3, 10)));
-        assert_eq!(s.claim(1), Some((0, 40)), "steals the most expensive");
-        assert_eq!(s.claim(1), Some((2, 20)));
-        assert_eq!(s.claim(1), None);
-        assert_eq!(s.steals(), 2);
-    }
-
-    #[test]
-    fn steals_come_from_the_most_loaded_victim() {
-        // Three workers: deques {0, 3}, {1, 4}, {2, 5}. Worker 2 drains its
-        // own deque, worker 0 claims once leaving loads (1, 2) — the steal
-        // must hit worker 1, the most-loaded victim.
-        let s = WorkStealScheduler::new(3, vec![60, 50, 40, 30, 20, 10], vec![None; 6]);
-        assert_eq!(s.claim(2), Some((2, 40)));
-        assert_eq!(s.claim(2), Some((5, 10)));
-        assert_eq!(s.claim(0), Some((0, 60)));
-        assert_eq!(s.claim(2), Some((1, 50)), "victim is worker 1 (load 2)");
-        assert_eq!(s.steals(), 1);
+        assert_eq!(costs, vec![10_000, 25_500, 2_550, 50_000]);
+        // With nothing recorded the heuristic is the estimate.
+        assert_eq!(cost_estimates(&[7, 3], &[None, None]), vec![7, 3]);
     }
 
     #[test]
     fn the_zero_width_sentinel_never_feeds_the_median() {
-        // A max-cost sentinel point schedules first, and its completion is
-        // excluded from the ratio pool — its "heuristic units" are not a
-        // real count and would drag the median toward zero.
-        let s = WorkStealScheduler::new(1, vec![u64::MAX, 10], vec![None, None]);
-        assert_eq!(s.claim(0), Some((0, u64::MAX)));
-        s.complete(0, 5);
-        assert_eq!(s.claim(0), Some((1, 10)), "median stayed at 1.0 ns/unit");
-    }
-
-    fn temp_program_cache(tag: &str) -> DiskProgramCache {
-        let dir =
-            std::env::temp_dir().join(format!("ava-progcache-sweep-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        DiskProgramCache::open(dir).unwrap()
+        // The sentinel's "heuristic units" are not a real count: its
+        // recording would otherwise set a 5e-19 ns/unit median and rank
+        // the unrecorded point at the 1 ns floor.
+        assert_eq!(
+            cost_estimates(&[u64::MAX, 10], &[Some(5), None]),
+            vec![5, 10]
+        );
+        assert_eq!(
+            cost_estimates(&[u64::MAX, 10], &[None, None]),
+            vec![u64::MAX, 10]
+        );
     }
 
     #[test]
-    fn a_warm_program_cache_serves_a_sweep_with_zero_compilations() {
-        let disk = temp_program_cache("warm");
+    fn cost_estimates_are_fixed_at_sweep_start() {
         let (w, s) = small_axes();
         let sweep = Sweep::grid(w, s);
-
-        let cold = sweep.runner().threads(2).program_cache(&disk).run();
-        assert_eq!(cold.cache_hits + cold.cache_misses, 6);
-        assert_eq!(cold.cache_disk_hits, 0, "cold cache cannot hit");
-        assert_eq!(cold.cache_disk_misses, cold.cache_misses);
-        assert_eq!(cold.compiles, cold.cache_misses);
-        assert!(!disk.is_empty(), "cold run checkpoints its compilations");
-
-        let warm = sweep.runner().threads(2).program_cache(&disk).run();
-        assert_eq!(warm.compiles, 0, "warm rerun compiles nothing");
-        assert_eq!(warm.cache_disk_hits, warm.cache_misses);
-        assert_eq!(warm.cache_disk_misses, 0);
-        for (a, b) in cold.reports.iter().zip(&warm.reports) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "cached = compiled");
+        let expected = sweep.runner().effective_costs();
+        for threads in [1, 2, 3] {
+            let report = sweep.runner().threads(threads).run();
+            let costs: Vec<u64> = report.points.iter().map(|p| p.cost_estimate).collect();
+            assert_eq!(costs, expected, "{threads} workers");
+            assert_eq!(report.steals, 0);
         }
-        let _ = std::fs::remove_dir_all(disk.dir());
-    }
-
-    #[test]
-    fn a_program_cache_attached_sweep_is_bit_identical_to_a_cacheless_one() {
-        let disk = temp_program_cache("bitident");
-        let (w, s) = small_axes();
-        let sweep = Sweep::grid(w, s);
-        let plain = sweep.runner().threads(1).run();
-        assert_eq!(plain.cache_disk_hits + plain.cache_disk_misses, 0);
-        assert_eq!(plain.compiles, plain.cache_misses, "no disk tier attached");
-        let cached = sweep.runner().threads(1).program_cache(&disk).run();
-        // Warm pass exercises the deserialization path end to end.
-        let warm = sweep.runner().threads(1).program_cache(&disk).run();
-        assert_eq!(warm.compiles, 0);
-        for ((a, b), c) in plain.reports.iter().zip(&cached.reports).zip(&warm.reports) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-            assert_eq!(format!("{a:?}"), format!("{c:?}"));
-        }
-        let _ = std::fs::remove_dir_all(disk.dir());
-    }
-
-    #[test]
-    fn corrupted_program_cache_entries_degrade_to_recompilation() {
-        let disk = temp_program_cache("corrupt");
-        let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(128))];
-        let sweep = Sweep::grid(workloads, vec![ScenarioConfig::native_x(1)]);
-        let cold = sweep.runner().threads(1).program_cache(&disk).run();
-        assert_eq!(cold.compiles, 1);
-        // Truncate every entry: the warm run must recompile, not crash,
-        // and self-repair the entries for the run after it.
-        for entry in std::fs::read_dir(disk.dir()).unwrap() {
-            let path = entry.unwrap().path();
-            let text = std::fs::read_to_string(&path).unwrap();
-            std::fs::write(&path, &text[..text.len() / 3]).unwrap();
-        }
-        let repaired = sweep.runner().threads(1).program_cache(&disk).run();
-        assert_eq!(repaired.compiles, 1, "corrupted entry recompiles");
-        assert_eq!(repaired.cache_disk_hits, 0);
-        let warm = sweep.runner().threads(1).program_cache(&disk).run();
-        assert_eq!(warm.compiles, 0, "self-repaired entry hits again");
-        for (a, b) in cold.reports.iter().zip(&warm.reports) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
-        let _ = std::fs::remove_dir_all(disk.dir());
     }
 
     #[test]

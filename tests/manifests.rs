@@ -93,6 +93,10 @@ fn schema_errors_name_the_token_and_its_byte_offset() {
             r#"{"artefact": "fig3", "execution": {"shards": "0/2"}}"#,
             "shards",
         ),
+        (
+            r#"{"artefact": "fig3", "execution": {"program_cache": "p"}}"#,
+            "program_cache",
+        ),
     ] {
         let err = ExperimentSpec::parse("t", text).unwrap_err();
         let offset = text.find(&format!("\"{token}\"")).unwrap();
