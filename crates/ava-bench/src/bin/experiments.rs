@@ -1,13 +1,13 @@
-//! The generic spec-driven experiment runner: executes any experiment
-//! manifest from `experiments/` (or anywhere else) through the same driver
-//! the figure binaries use.
+//! The one entry point that runs experiment sweeps: executes any
+//! experiment manifest from `experiments/` (or anywhere else) through the
+//! spec-driven driver. Every figure and sensitivity study of the paper is a
+//! committed manifest.
 //!
 //! Usage:
 //!
 //! ```text
 //! experiments --spec <path> [--scale-down] [--app <name>] [--threads <n>]
-//!             [--store <dir>] [--resume] [--shard <k>/<n>]
-//!             [--store-gc-mib <n>] [--json <path>]
+//!             [--store <dir>] [--resume] [--json <path>]
 //! ```
 //!
 //! The manifest picks the artefact, the workload/mix list, the scenario
@@ -15,8 +15,9 @@
 //! [`ava_bench::spec`] for the schema. The shared execution flags mean what
 //! they mean everywhere; where the manifest's `execution` block sets the
 //! same option, the command line wins field by field, so one manifest can
-//! be run locally single-threaded and on CI sharded without editing it.
-//! `--json <path>` likewise overrides the manifest's `output.json`.
+//! be run single-threaded locally and against a result store on CI without
+//! editing it. `--json <path>` likewise overrides the manifest's
+//! `output.json`.
 //!
 //! `--scale-down` shrinks the experiment to smoke size (first workload,
 //! first value of every axis, reduced system lists) so CI can validate
@@ -30,8 +31,7 @@ use ava_bench::driver;
 use ava_bench::spec::ExperimentSpec;
 
 const USAGE: &str = "experiments --spec <path> [--scale-down] [--app <name>] [--threads <n>] \
-                     [--store <dir>] [--resume] [--shard <k>/<n>] [--store-gc-mib <n>] \
-                     [--json <path>]";
+                     [--store <dir>] [--resume] [--json <path>]";
 
 fn main() -> ExitCode {
     match run() {

@@ -1,13 +1,12 @@
-//! Shared command-line plumbing for the figure/table binaries.
+//! Shared command-line plumbing for the `experiments` driver and the
+//! table/lint binaries.
 //!
 //! Every binary parses its arguments through one [`BenchArgs`] pass: the
-//! shared flags — `--json <path>`, `--threads <n>`, `--store <dir>`,
-//! `--resume`, `--shard <k>/<n>` and `--store-gc-mib <n>` — are recognised
-//! in one place, and each binary pulls its own extensions (`--app`,
-//! `--chart`, `--mode`, ...) out of the remainder with
+//! shared flags — `--json <path>`, `--threads <n>`, `--store <dir>` and
+//! `--resume` — are recognised in one place, and each binary pulls its own
+//! extensions (`--spec`, `--app`, `--mode`, ...) out of the remainder with
 //! [`BenchArgs::take_value`] before calling [`BenchArgs::finish`] to reject
-//! anything left over. New shared flags therefore land once instead of nine
-//! times.
+//! anything left over.
 //!
 //! The shared flags mean the same thing everywhere:
 //!
@@ -18,13 +17,7 @@
 //!   (created if missing): points already stored are served from disk, fresh
 //!   results are checkpointed as they finish;
 //! * `--resume` — assert that `--store` points at an *existing* checkpoint
-//!   directory (e.g. from a killed run) instead of silently starting cold;
-//! * `--shard <k>/<n>` — run only shard `k` of `n` deterministic slices of
-//!   the sweep grid: `n` processes pointed at one shared `--store` cover
-//!   the grid exactly once, and a final unsharded `--resume` run merges
-//!   the checkpoints into the complete report;
-//! * `--store-gc-mib <n>` — after the sweep, cap the `--store` directory at
-//!   `n` MiB by evicting the least-recently-written entries.
+//!   directory (e.g. from a killed run) instead of silently starting cold.
 //!
 //! Binaries that do not run sweeps reject the execution flags with a clear
 //! message rather than ignoring them.
@@ -45,10 +38,6 @@ pub struct BenchArgs {
     pub store: Option<ResultStore>,
     /// `--resume`: the user expects the store to hold a prior checkpoint.
     pub resume: bool,
-    /// `--shard <k>/<n>`: run only shard `k` of `n` slices of the grid.
-    pub shard: Option<(usize, usize)>,
-    /// `--store-gc-mib <n>`: post-sweep size cap for the store, in MiB.
-    pub store_gc_mib: Option<u64>,
     rest: Vec<String>,
 }
 
@@ -79,23 +68,10 @@ impl BenchArgs {
         let mut threads = None;
         let mut store_dir: Option<String> = None;
         let mut resume = false;
-        let mut shard = None;
-        let mut store_gc_mib = None;
         let mut rest = Vec::new();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--shard" => {
-                    let v = it.next().ok_or("--shard requires a <k>/<n> value")?;
-                    shard = Some(parse_shard(&v)?);
-                }
-                "--store-gc-mib" => {
-                    let v = it.next().ok_or("--store-gc-mib requires a value")?;
-                    store_gc_mib = Some(
-                        v.parse()
-                            .map_err(|_| format!("invalid --store-gc-mib value: {v}"))?,
-                    );
-                }
                 "--json" => {
                     json = Some(it.next().ok_or("--json requires a path argument")?);
                 }
@@ -116,16 +92,6 @@ impl BenchArgs {
         if resume && store_dir.is_none() {
             return Err("--resume requires --store <dir>".to_string());
         }
-        if shard.is_some() && store_dir.is_none() {
-            return Err(
-                "--shard requires --store <dir>: without a shared store the shard's \
-                 results are lost and cannot be merged"
-                    .to_string(),
-            );
-        }
-        if store_gc_mib.is_some() && store_dir.is_none() {
-            return Err("--store-gc-mib requires --store <dir>".to_string());
-        }
         let store = match store_dir {
             Some(dir) => {
                 if resume && !Path::new(&dir).is_dir() {
@@ -142,8 +108,6 @@ impl BenchArgs {
             threads,
             store,
             resume,
-            shard,
-            store_gc_mib,
             rest,
         })
     }
@@ -191,9 +155,8 @@ impl BenchArgs {
         }
     }
 
-    /// For binaries that never run a sweep: rejects `--threads`, `--store`,
-    /// `--resume`, `--shard` and `--store-gc-mib` with `reason` rather than
-    /// silently ignoring them.
+    /// For binaries that never run a sweep: rejects `--threads`, `--store`
+    /// and `--resume` with `reason` rather than silently ignoring them.
     ///
     /// # Errors
     ///
@@ -204,12 +167,6 @@ impl BenchArgs {
         }
         if self.store.is_some() || self.resume {
             return Err(format!("--store/--resume do not apply: {reason}"));
-        }
-        if self.shard.is_some() {
-            return Err(format!("--shard does not apply: {reason}"));
-        }
-        if self.store_gc_mib.is_some() {
-            return Err(format!("--store-gc-mib does not apply: {reason}"));
         }
         Ok(())
     }
@@ -227,8 +184,8 @@ impl BenchArgs {
         }
     }
 
-    /// Applies the shared execution flags (`--threads`, `--store`,
-    /// `--shard`) to a sweep runner.
+    /// Applies the shared execution flags (`--threads`, `--store`) to a
+    /// sweep runner.
     #[must_use]
     pub fn configure<'a>(&'a self, mut runner: SweepRunner<'a>) -> SweepRunner<'a> {
         if let Some(n) = self.threads {
@@ -236,9 +193,6 @@ impl BenchArgs {
         }
         if let Some(store) = &self.store {
             runner = runner.store(store);
-        }
-        if let Some((index, of)) = self.shard {
-            runner = runner.shard(index, of);
         }
         runner
     }
@@ -253,8 +207,7 @@ impl BenchArgs {
     ///
     /// Returns a diagnostic when a manifest store directory cannot be
     /// opened, when `resume` points at a store directory that does not
-    /// exist yet, or when the merged options violate a cross-flag
-    /// constraint (`resume`/`shard`/`store_gc_mib` without a store).
+    /// exist yet, or when `resume` is set without a store.
     pub fn apply_execution(&mut self, exec: &crate::spec::ExecutionSpec) -> Result<(), String> {
         if self.threads.is_none() {
             self.threads = exec.threads;
@@ -270,69 +223,11 @@ impl BenchArgs {
                 self.store = Some(ResultStore::open(dir.clone())?);
             }
         }
-        if self.shard.is_none() {
-            self.shard = exec.shard;
-        }
-        if self.store_gc_mib.is_none() {
-            self.store_gc_mib = exec.store_gc_mib;
-        }
-        if self.store.is_none() {
-            if self.resume {
-                return Err("--resume requires --store <dir>".to_string());
-            }
-            if self.shard.is_some() {
-                return Err(
-                    "--shard requires --store <dir>: without a shared store the shard's \
-                     results are lost and cannot be merged"
-                        .to_string(),
-                );
-            }
-            if self.store_gc_mib.is_some() {
-                return Err("--store-gc-mib requires --store <dir>".to_string());
-            }
+        if self.resume && self.store.is_none() {
+            return Err("--resume requires --store <dir>".to_string());
         }
         Ok(())
     }
-
-    /// Runs the post-sweep store garbage collection when `--store-gc-mib`
-    /// was given, printing a one-line eviction summary to stderr. A no-op
-    /// without the flag; call after the sweep (and its JSON emission) so
-    /// fresh checkpoints are the last-written entries.
-    pub fn run_store_gc(&self) {
-        let (Some(mib), Some(store)) = (self.store_gc_mib, &self.store) else {
-            return;
-        };
-        let stats = store.gc(mib.saturating_mul(1024 * 1024));
-        eprintln!(
-            "store gc: evicted {} entr{} ({} bytes), {} remaining ({} bytes, cap {mib} MiB)",
-            stats.evicted,
-            if stats.evicted == 1 { "y" } else { "ies" },
-            stats.evicted_bytes,
-            stats.remaining,
-            stats.remaining_bytes,
-        );
-    }
-}
-
-/// Parses a `--shard` value of the form `<k>/<n>` into `(k, n)`. Shared
-/// with the manifest schema, which spells its `execution.shard` field the
-/// same way.
-pub(crate) fn parse_shard(value: &str) -> Result<(usize, usize), String> {
-    let diag = || format!("invalid --shard value {value:?} (expected <k>/<n>, e.g. 0/4)");
-    let (index, of) = value.split_once('/').ok_or_else(diag)?;
-    let index: usize = index.parse().map_err(|_| diag())?;
-    let of: usize = of.parse().map_err(|_| diag())?;
-    if of == 0 {
-        return Err(format!(
-            "invalid --shard value {value:?}: shard count must be at least 1"
-        ));
-    }
-    if index >= of {
-        return Err(format!(
-            "invalid --shard value {value:?}: shard index must be below the shard count"
-        ));
-    }
-    Ok((index, of))
 }
 
 /// Prints `message` plus the usage line and returns the conventional
@@ -443,43 +338,6 @@ mod tests {
         let args = BenchArgs::from_args(argv(&["--store", dir.to_str().unwrap()])).unwrap();
         assert!(args.store.is_some());
         assert!(dir.is_dir(), "--store must create the directory");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_flag_parses_and_requires_a_store() {
-        let err = BenchArgs::from_args(argv(&["--shard", "0/2"])).unwrap_err();
-        assert!(err.contains("--shard requires --store"), "{err}");
-
-        let dir = std::env::temp_dir().join(format!("ava-bencharg-shard-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = dir.to_str().unwrap();
-        let args = BenchArgs::from_args(argv(&["--shard", "1/4", "--store", store])).unwrap();
-        assert_eq!(args.shard, Some((1, 4)));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        for bad in ["2", "a/b", "1/", "/4", "4/4", "9/4", "0/0"] {
-            let got = BenchArgs::from_args(argv(&["--shard", bad, "--store", store]));
-            assert!(got.is_err(), "--shard {bad} must be rejected");
-        }
-        assert!(BenchArgs::from_args(argv(&["--shard"])).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn store_gc_flag_parses_and_requires_a_store() {
-        let err = BenchArgs::from_args(argv(&["--store-gc-mib", "64"])).unwrap_err();
-        assert!(err.contains("--store-gc-mib requires --store"), "{err}");
-
-        let dir = std::env::temp_dir().join(format!("ava-bencharg-gc-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = dir.to_str().unwrap();
-        let args = BenchArgs::from_args(argv(&["--store-gc-mib", "64", "--store", store])).unwrap();
-        assert_eq!(args.store_gc_mib, Some(64));
-        // A zero cap is legal: it empties the store after the sweep.
-        args.run_store_gc();
-        assert!(BenchArgs::from_args(argv(&["--store-gc-mib", "x", "--store", store])).is_err());
-        assert!(BenchArgs::from_args(argv(&["--store-gc-mib"])).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

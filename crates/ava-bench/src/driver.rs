@@ -3,13 +3,11 @@
 //! [`execute`] turns one validated [`ExperimentSpec`] plus the shared
 //! execution options ([`BenchArgs`]) into the experiment's artefacts: the
 //! chart/table text that goes to stdout and the machine-readable JSON
-//! document. It is a port of the four figure binaries' bodies onto one code
-//! path — the binaries themselves are shims that translate flags into a
-//! spec and call [`run`] — so a manifest run and a legacy flag run of the
-//! same experiment produce byte-identical output.
+//! document. The `experiments` binary calls [`run`]; it is the only entry
+//! point that runs sweeps.
 //!
-//! Progress lines (sweep size, scheduler summary, store GC) still stream to
-//! stderr while the sweeps run; the stdout text is accumulated and printed
+//! Progress lines (sweep size, sweep summary) stream to stderr while the
+//! sweeps run; the stdout text is accumulated and printed
 //! by [`run`] in one piece, which is also what lets in-process tests pin it
 //! byte for byte without spawning processes.
 
@@ -31,8 +29,8 @@ use crate::{
 
 /// The artefacts of one executed experiment.
 pub struct ExperimentRun {
-    /// The accumulated chart/table text (what the legacy binaries printed
-    /// to stdout, byte for byte).
+    /// The accumulated chart/table text (what [`run`] prints to stdout,
+    /// byte for byte).
     pub stdout: String,
     /// The machine-readable document (what `--json` writes).
     pub document: Json,
@@ -72,7 +70,7 @@ pub fn execute(spec: &ExperimentSpec, args: &BenchArgs) -> Result<ExperimentRun,
 }
 
 /// Builds the spec's workload entries and applies the `app` filter.
-/// `no_match` is the artefact's legacy diagnostic for an empty result.
+/// `no_match` is the artefact's diagnostic for an empty result.
 fn build_workloads(spec: &ExperimentSpec, no_match: &str) -> Result<Vec<SharedWorkload>, String> {
     let mut workloads = Vec::with_capacity(spec.workloads.len());
     for w in &spec.workloads {
@@ -88,9 +86,9 @@ fn build_workloads(spec: &ExperimentSpec, no_match: &str) -> Result<Vec<SharedWo
     Ok(workloads)
 }
 
-/// The unroll depth of the spec's solver entry, if it has one. Like the
-/// legacy `--mix solver` flow, the depth becomes a grid-wide scenario axis
-/// even when the `app` filter later drops the solver itself.
+/// The unroll depth of the spec's solver entry, if it has one. The depth
+/// becomes a grid-wide scenario axis even when the `app` filter later
+/// drops the solver itself.
 fn solver_iters(spec: &ExperimentSpec) -> Option<usize> {
     spec.workloads
         .iter()
@@ -124,26 +122,20 @@ fn fig3(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Jso
     );
     let report = args.configure(sweep.runner()).run();
     eprintln!("{}", format_sweep_summary(&report));
-    args.run_store_gc();
 
-    // A sharded run holds only its slice of the grid, so the per-workload
-    // charts (which need every configuration of a workload) are deferred to
-    // the final unsharded merge pass over the shared store.
-    if args.shard.is_none() {
-        for (workload, runs) in workloads.iter().zip(report.reports.chunks(per_workload)) {
-            let name = workload.name();
-            if chart == "mem" || chart == "all" {
-                push_line(out, &format_memory_breakdown(name, runs));
-            }
-            if chart == "mix" || chart == "all" {
-                push_line(out, &format_instruction_mix(name, runs));
-            }
-            if chart == "perf" || chart == "all" {
-                push_line(out, &format_performance(name, runs));
-            }
-            if chart == "energy" || chart == "all" {
-                push_line(out, &format_energy(name, runs));
-            }
+    for (workload, runs) in workloads.iter().zip(report.reports.chunks(per_workload)) {
+        let name = workload.name();
+        if chart == "mem" || chart == "all" {
+            push_line(out, &format_memory_breakdown(name, runs));
+        }
+        if chart == "mix" || chart == "all" {
+            push_line(out, &format_instruction_mix(name, runs));
+        }
+        if chart == "perf" || chart == "all" {
+            push_line(out, &format_performance(name, runs));
+        }
+        if chart == "energy" || chart == "all" {
+            push_line(out, &format_energy(name, runs));
         }
     }
 
@@ -195,8 +187,9 @@ fn sensitivity(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Res
     let extra = &spec.axes.extra;
     let workloads = build_workloads(
         spec,
-        "no workload matches --app filter (axpy, blackscholes, somier, composite, \
-         pipelined with --mix pipelined, and iterated with --mix solver)",
+        "no workload matches --app filter (the default pool builds axpy, blackscholes, \
+         somier and composite; a \"pipelined\" entry builds pipelined and a \"solver\" \
+         entry builds iterated)",
     )?;
 
     let mut scenarios = sensitivity_grid_with(mvls, l2_kib, extra);
@@ -235,28 +228,22 @@ fn sensitivity(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Res
         );
     }
 
-    // A sharded run holds only its slice of the grid; the per-workload
-    // tables need every scenario of a workload, so they are deferred to the
-    // final unsharded merge pass over the shared store.
-    if args.shard.is_none() {
-        for (workload, runs) in workloads.iter().zip(report.reports.chunks(per_workload)) {
-            if chart == "tables" || chart == "all" {
-                push_line(
-                    out,
-                    &format_mvl_extrapolation(workload.name(), sweep.resolved_systems(), runs),
-                );
-                push_line(out, &format_cache_sensitivity(workload.name(), runs));
-            }
-            if chart == "energy" || chart == "all" {
-                push_line(
-                    out,
-                    &format_energy_sensitivity(workload.name(), sweep.resolved_systems(), runs),
-                );
-            }
+    for (workload, runs) in workloads.iter().zip(report.reports.chunks(per_workload)) {
+        if chart == "tables" || chart == "all" {
+            push_line(
+                out,
+                &format_mvl_extrapolation(workload.name(), sweep.resolved_systems(), runs),
+            );
+            push_line(out, &format_cache_sensitivity(workload.name(), runs));
+        }
+        if chart == "energy" || chart == "all" {
+            push_line(
+                out,
+                &format_energy_sensitivity(workload.name(), sweep.resolved_systems(), runs),
+            );
         }
     }
     eprintln!("{}", format_sweep_summary(&report));
-    args.run_store_gc();
 
     Ok(sensitivity_json(
         mvls,
@@ -294,7 +281,6 @@ fn ablation(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Json {
             out,
         ),
     ];
-    args.run_store_gc();
     out.push_str("The per-operation overhead of the vector memory unit dominates the\n");
     out.push_str("short-vector baseline (three memory operations per 16-element strip),\n");
     out.push_str("while the swap-heavy AVA X8 case is bound by the arithmetic pipeline and\n");
@@ -352,20 +338,6 @@ fn study(
     }
     for r in &sweep.reports {
         assert!(r.validated, "{}: {:?}", r.config, r.validation_error);
-    }
-    // A sharded run holds only its slice of the grid: the variant table
-    // (and its reference point) need every variant, so they are deferred to
-    // the final unsharded merge pass over the shared store.
-    if args.shard.is_some() {
-        push_line(out, &format_sweep_summary(&sweep));
-        out.push('\n');
-        return object()
-            .field("study", label)
-            .field("workload", workload.name())
-            .field("base_config", base.label())
-            .field("variants", Json::Arr(Vec::new()))
-            .field("sweep", sweep.to_json())
-            .finish();
     }
     let reference = sweep.reports[0].cycles;
     out.push_str(&format!(

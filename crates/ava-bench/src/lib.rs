@@ -1,17 +1,17 @@
 //! # ava-bench — experiment harness regenerating every table and figure
 //!
-//! Each binary in `src/bin/` regenerates one artefact of the paper's
-//! evaluation from the simulator, the compiler and the physical models:
+//! The binaries in `src/bin/` regenerate the paper's evaluation from the
+//! simulator, the compiler and the physical models:
 //!
 //! | Binary          | Paper artefact                                              |
 //! |-----------------|-------------------------------------------------------------|
+//! | `experiments`   | Every sweep-backed artefact, one committed manifest each:     |
+//! |                 | Figure 3 (`experiments/fig3_extrapolation.json`), Figure 4    |
+//! |                 | (`fig4_area.json`), the sensitivity studies and the           |
+//! |                 | microarchitectural ablation (`ablation_microarch.json`)       |
 //! | `table1`        | Table I — P-VRF configurations (physical registers vs MVL)   |
 //! | `table_configs` | Tables II & III — evaluated system configurations             |
-//! | `fig3`          | Figure 3 — per-application memory-instruction breakdown,      |
-//! |                 | instruction mix, execution time/speedup and energy            |
-//! | `fig4`          | Figure 4 — area breakdown and performance/mm²                 |
 //! | `table5`        | Table V — post-place-and-route estimates                      |
-//! | `ablation`      | Sensitivity to queue/ROB sizes and VMU overhead (DESIGN.md)    |
 //! | `bench_baseline`| Wall-clock baselines — `BENCH_<suite>.json` for CI            |
 //! | `lint`          | Static-analysis sweep — every workload/mix linted at every    |
 //! |                 | evaluated MVL (plus the 512 extrapolation), deny mode in CI   |
@@ -204,7 +204,7 @@ pub fn format_energy(workload: &str, reports: &[RunReport]) -> String {
     out
 }
 
-/// The standard dataflow pipeline of the `--mix pipelined` scenarios: a
+/// The standard dataflow pipeline behind a manifest's `"pipelined"` entry: a
 /// stencil-style three-stage chain over `n`-element arrays. Axpy's in-place
 /// output feeds Somier's velocity array; Somier's position and velocity
 /// results feed a second Axpy (`y[i] = a * xout[i] + vout[i]`). Golden
@@ -225,7 +225,7 @@ pub fn pipelined_mix(n: usize) -> SharedWorkload {
     ))
 }
 
-/// The iterative-solver mix of the `--mix solver` scenarios: a somier
+/// The iterative-solver mix behind a manifest's `"solver"` entry: a somier
 /// spring relaxation ([`ava_workloads::Somier::relaxation`]) unrolled
 /// `iters` times, each iteration's position/velocity outputs carrying into
 /// the next iteration's inputs. Carried arrays ping-pong between two
@@ -350,7 +350,7 @@ pub fn figure4_data(workloads: &[SharedWorkload]) -> Figure4Data {
     figure4_data_with(workloads, None, None)
 }
 
-/// [`figure4_data`] with the execution knobs of the `fig4` binary: an
+/// [`figure4_data`] with the execution knobs of a `fig4` manifest run: an
 /// optional worker-thread cap and an optional result store serving
 /// already-computed points.
 #[must_use]
@@ -510,18 +510,18 @@ pub fn format_table5() -> String {
 // Sensitivity study: MVL extrapolation and cache-size grids
 // ----------------------------------------------------------------------
 
-/// The default MVL axis of the `sensitivity` binary: the paper's longest
+/// The default MVL axis of a sensitivity manifest: the paper's longest
 /// configuration plus the Table I extrapolation points.
 pub const SENSITIVITY_MVLS: [usize; 3] = [128, 256, 512];
 
-/// The default L2-capacity axis of the `sensitivity` binary, in KiB (the
+/// The default L2-capacity axis of a sensitivity manifest, in KiB (the
 /// paper's 1 MiB flanked by a quarter-size and a quadruple-size L2).
 pub const SENSITIVITY_L2_KIB: [usize; 3] = [256, 1024, 4096];
 
-/// The optional extra axes of the sensitivity study, driven by the
-/// `sensitivity` binary's `--l1-kib`, `--dram-bw`, `--vmu-bus` and `--vvr`
-/// flags (or a manifest's `axes` block). An empty vector leaves the
-/// corresponding dimension at its Table II default (and out of the grid).
+/// The optional extra axes of the sensitivity study, driven by a
+/// manifest's `axes` block (`l1_kib`, `dram_bw`, `vmu_bus`, `vvrs`). An
+/// empty vector leaves the corresponding dimension at its Table II default
+/// (and out of the grid).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HierarchyAxes {
     /// L1 data-cache capacities in KiB (`axis_l1_kib`).
@@ -851,12 +851,12 @@ pub fn sweep_energy_json(report: &SweepReport, systems: &[SystemConfig]) -> Json
 }
 
 /// Formats the energy matrix of the sensitivity study for one workload
-/// (`sensitivity --chart energy`, or a manifest artefact of kind
-/// `"energy"`): one row per MVL, one total-energy column (millijoules) per
-/// L2 capacity on the grid — the text rendering of what
-/// [`sweep_energy_json`] emits per point. Points beyond the MVL × L2 plane
-/// (extra hierarchy axes) fold into the cell of their (MVL, L2) pair by
-/// summation, matching the cycles matrix's convention of one cell per pair.
+/// (a sensitivity manifest with output kind `"energy"` or `"all"`): one row
+/// per MVL, one total-energy column (millijoules) per L2 capacity on the
+/// grid — the text rendering of what [`sweep_energy_json`] emits per point.
+/// Points beyond the MVL × L2 plane (extra hierarchy axes) fold into the
+/// cell of their (MVL, L2) pair by summation, matching the cycles matrix's
+/// convention of one cell per pair.
 #[must_use]
 pub fn format_energy_sensitivity(
     workload: &str,

@@ -3,13 +3,11 @@
 //! A manifest is a JSON document describing one experiment end to end —
 //! which artefact to regenerate (`fig3`, `fig4`, `sensitivity`,
 //! `ablation`), which workloads and mixes to sweep, which scenario axes to
-//! cross, how to execute (threads, result store, sharding) and what to
-//! emit (JSON path, chart kind). The generic `experiments` binary drives
-//! the whole bench stack from such a file, and the legacy
-//! `fig3`/`fig4`/`sensitivity`/`ablation` binaries are thin shims that
-//! translate their flags into an in-memory [`ExperimentSpec`] and call the
-//! same driver — one code path, so a manifest run and a flag run of the
-//! same experiment are byte-identical.
+//! cross, how to execute (threads, result store) and what to emit (JSON
+//! path, chart kind). The `experiments` binary is the one entry point that
+//! runs sweeps: it drives the whole bench stack from such a file, and the
+//! committed `experiments/*.json` manifests regenerate every artefact of
+//! the paper.
 //!
 //! The schema is parsed with the dependency-free [`ava_sim::json`] parser;
 //! every schema error is a diagnostic naming the offending token and its
@@ -78,7 +76,7 @@ impl ArtefactKind {
     }
 
     /// The chart kinds this artefact's text output can be restricted to
-    /// (the manifest `output.kind` field / the binaries' `--chart` flag).
+    /// (the manifest `output.kind` field).
     /// Empty for artefacts with exactly one rendering.
     #[must_use]
     pub fn chart_kinds(self) -> &'static [&'static str] {
@@ -241,8 +239,8 @@ impl Default for AxesSpec {
 }
 
 /// The execution options of a manifest, mirroring the shared CLI flags
-/// (`--threads`, `--store`, `--resume`, `--shard`, `--store-gc-mib`). CLI
-/// flags override manifest values field by field
+/// (`--threads`, `--store`, `--resume`). CLI flags override manifest values
+/// field by field
 /// ([`crate::cli::BenchArgs::apply_execution`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutionSpec {
@@ -252,10 +250,6 @@ pub struct ExecutionSpec {
     pub store: Option<String>,
     /// Assert the store already holds a checkpoint.
     pub resume: bool,
-    /// Run only shard `(k, n)` of the grid.
-    pub shard: Option<(usize, usize)>,
-    /// Post-sweep store size cap in MiB.
-    pub store_gc_mib: Option<u64>,
 }
 
 /// The output block of a manifest: where to write the JSON artefact and
@@ -462,8 +456,8 @@ impl ExperimentSpec {
         Ok(spec)
     }
 
-    /// Cross-field validation shared by [`ExperimentSpec::parse`] and the
-    /// flag-translation constructors.
+    /// Cross-field validation run by [`ExperimentSpec::parse`] once every
+    /// field is read.
     fn validate(&self, ctx: &Ctx<'_>) -> Result<(), String> {
         if self.artefact != ArtefactKind::Ablation && self.workloads.is_empty() {
             return Err(format!(
@@ -516,16 +510,9 @@ impl ExperimentSpec {
                 ));
             }
         }
-        if let Some((_, of)) = self.execution.shard {
-            let _ = of; // validated in parse_execution / by the constructor
-        }
-        if (self.execution.resume
-            || self.execution.shard.is_some()
-            || self.execution.store_gc_mib.is_some())
-            && self.execution.store.is_none()
-        {
+        if self.execution.resume && self.execution.store.is_none() {
             return Err(format!(
-                "manifest {}: execution \"resume\"/\"shard\"/\"store_gc_mib\" require \"store\"",
+                "manifest {}: execution \"resume\" requires \"store\"",
                 ctx.label
             ));
         }
@@ -592,12 +579,6 @@ impl ExperimentSpec {
             if self.execution.resume {
                 e = e.field("resume", true);
             }
-            if let Some((k, n)) = self.execution.shard {
-                e = e.field("shard", format!("{k}/{n}"));
-            }
-            if let Some(mib) = self.execution.store_gc_mib {
-                e = e.field("store_gc_mib", mib);
-            }
             o = o.field("execution", e.finish());
         }
         if self.output != OutputSpec::default() {
@@ -638,116 +619,6 @@ impl ExperimentSpec {
             .kind
             .as_deref()
             .unwrap_or_else(|| self.artefact.default_chart())
-    }
-
-    // ------------------------------------------------------------------
-    // Flag translation: the legacy binaries build their spec here
-    // ------------------------------------------------------------------
-
-    /// The spec a `fig3 [--app] [--chart] [--mix] [--iters]` invocation
-    /// translates to.
-    ///
-    /// # Errors
-    ///
-    /// Returns the legacy diagnostics for an unknown chart or mix name, or
-    /// an `--iters` without `--mix solver`.
-    pub fn fig3(
-        app: Option<String>,
-        chart: &str,
-        mix: &str,
-        iters: Option<usize>,
-    ) -> Result<Self, String> {
-        let mut spec = Self::new(ArtefactKind::Fig3);
-        if !ArtefactKind::Fig3.chart_kinds().contains(&chart) {
-            return Err(format!(
-                "--chart must be mem, mix, perf, energy or all, got {chart}"
-            ));
-        }
-        spec.output.kind = Some(chart.to_string());
-        spec.append_mix(mix, iters, 4096)?;
-        spec.app = app;
-        Ok(spec)
-    }
-
-    /// The spec a flag-less `fig4` invocation translates to.
-    #[must_use]
-    pub fn fig4() -> Self {
-        Self::new(ArtefactKind::Fig4)
-    }
-
-    /// The spec a `sensitivity` invocation translates to: the axis lists
-    /// (defaults already applied by the caller), the mix selection and the
-    /// chart kind.
-    ///
-    /// # Errors
-    ///
-    /// Returns the legacy diagnostics for axis values out of range, an
-    /// unknown mix/chart name, or an `--iters` without `--mix solver`.
-    pub fn sensitivity(
-        axes: AxesSpec,
-        mix: &str,
-        iters: Option<usize>,
-        app: Option<String>,
-        chart: &str,
-    ) -> Result<Self, String> {
-        let mut spec = Self::new(ArtefactKind::Sensitivity);
-        if !ArtefactKind::Sensitivity.chart_kinds().contains(&chart) {
-            return Err(format!(
-                "--chart must be tables, energy or all, got {chart}"
-            ));
-        }
-        spec.output.kind = Some(chart.to_string());
-        spec.axes = axes;
-        spec.append_mix(mix, iters, 8192)?;
-        spec.app = app;
-        spec.validate_flags()?;
-        Ok(spec)
-    }
-
-    /// The spec an `ablation [--repeat <n>]` invocation translates to.
-    #[must_use]
-    pub fn ablation(repeat: usize) -> Self {
-        let mut spec = Self::new(ArtefactKind::Ablation);
-        spec.repeat = repeat.max(1);
-        spec
-    }
-
-    /// Appends the legacy `--mix` selection to the default pool.
-    fn append_mix(&mut self, mix: &str, iters: Option<usize>, size: usize) -> Result<(), String> {
-        if !["independent", "pipelined", "solver"].contains(&mix) {
-            return Err(format!(
-                "--mix must be independent, pipelined or solver, got {mix}"
-            ));
-        }
-        if iters.is_some() && mix != "solver" {
-            // Silently ignoring the flag would let a sweep the user
-            // believes covers n iterations run with no iteration axis at
-            // all.
-            return Err("--iters only applies to --mix solver".to_string());
-        }
-        match mix {
-            "pipelined" => self.workloads.push(WorkloadSpec::sized("pipelined", size)),
-            "solver" => self.workloads.push(WorkloadSpec {
-                iters: Some(iters.unwrap_or(4)),
-                ..WorkloadSpec::sized("solver", size)
-            }),
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Runs the shared validation against a flag-built spec (no source
-    /// text, so diagnostics carry no byte offsets).
-    fn validate_flags(&self) -> Result<(), String> {
-        self.validate(&Ctx {
-            label: "<flags>",
-            text: "",
-        })
-        .map_err(|e| {
-            e.strip_prefix("manifest <flags>: ")
-                .unwrap_or(&e)
-                .to_string()
-        })
     }
 }
 
@@ -912,23 +783,12 @@ fn parse_execution(ctx: &Ctx<'_>, value: &Json) -> Result<ExecutionSpec, String>
                     .as_bool()
                     .ok_or_else(|| ctx.fail(key, "execution \"resume\" must be a boolean"))?;
             }
-            "shard" => {
-                let s = v.as_str().ok_or_else(|| {
-                    ctx.fail(key, "execution \"shard\" must be a \"<k>/<n>\" string")
-                })?;
-                exec.shard = Some(crate::cli::parse_shard(s).map_err(|e| ctx.fail(s, e))?);
-            }
-            "store_gc_mib" => {
-                exec.store_gc_mib = Some(v.as_u64().ok_or_else(|| {
-                    ctx.fail(key, "execution \"store_gc_mib\" must be an integer")
-                })?);
-            }
             other => {
                 return Err(ctx.fail(
                     other,
                     format!(
-                        "unknown execution field {other:?} (expected threads, store, \
-                         resume, shard or store_gc_mib)"
+                        "unknown execution field {other:?} (expected threads, store \
+                         or resume)"
                     ),
                 ))
             }
@@ -1105,25 +965,18 @@ mod tests {
     fn execution_block_parses_and_cross_checks() {
         let spec = ExperimentSpec::parse(
             "t",
-            r#"{"artefact": "fig3", "execution": {"threads": 2, "store": "d", "shard": "1/4",
-                "store_gc_mib": 64, "resume": true}}"#,
+            r#"{"artefact": "fig3", "execution": {"threads": 2, "store": "d", "resume": true}}"#,
         )
         .unwrap();
         assert_eq!(spec.execution.threads, Some(2));
-        assert_eq!(spec.execution.shard, Some((1, 4)));
+        assert_eq!(spec.execution.store.as_deref(), Some("d"));
         assert!(spec.execution.resume);
         let err = ExperimentSpec::parse(
             "t",
             r#"{"artefact": "fig3", "execution": {"resume": true}}"#,
         )
         .unwrap_err();
-        assert!(err.contains("require \"store\""), "{err}");
-        let err = ExperimentSpec::parse(
-            "t",
-            r#"{"artefact": "fig3", "execution": {"store": "d", "shard": "4/4"}}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("shard"), "{err}");
+        assert!(err.contains("requires \"store\""), "{err}");
     }
 
     #[test]
@@ -1183,30 +1036,5 @@ mod tests {
         assert_eq!(solver.name(), "iterated");
         assert!(MixRegistry::build(&WorkloadSpec::named("nope")).is_err());
         assert!(MixRegistry::names().contains(&"solver"));
-    }
-
-    #[test]
-    fn flag_translation_matches_hand_written_manifests() {
-        let from_flags =
-            ExperimentSpec::fig3(Some("axpy".into()), "perf", "independent", None).unwrap();
-        let from_text = ExperimentSpec::parse(
-            "t",
-            &format!(
-                r#"{{"artefact": "fig3", "workloads": {},
-                     "app": "axpy", "output": {{"kind": "perf"}}}}"#,
-                Json::Arr(
-                    paper_workload_specs()
-                        .iter()
-                        .map(WorkloadSpec::to_json)
-                        .collect()
-                )
-            ),
-        )
-        .unwrap();
-        assert_eq!(from_flags, from_text);
-
-        assert!(ExperimentSpec::fig3(None, "all", "solver", None).is_ok());
-        assert!(ExperimentSpec::fig3(None, "all", "independent", Some(3)).is_err());
-        assert!(ExperimentSpec::fig3(None, "bogus", "independent", None).is_err());
     }
 }

@@ -12,7 +12,7 @@
 use ava_compiler::{compile, CompileOptions, KernelBuilder};
 use ava_isa::{Element, Lmul, Opcode, VReg};
 use ava_memory::{HierarchyConfig, MemoryHierarchy};
-use ava_sim::{run_workload, ResultStore, ScenarioConfig, StoreKey};
+use ava_sim::{run_workload, ScenarioConfig};
 use ava_vpu::exec::{execute_into, OperandValue};
 use ava_vpu::rac::Rac;
 use ava_vpu::rename::{RenameCheckpoint, RenameUnit};
@@ -226,27 +226,6 @@ fn microarch(run: &mut Runner<'_>) {
         }
         bits
     });
-
-    // One full garbage-collection pass over a populated result store with a
-    // cap nothing exceeds: the pure directory-scan + mtime-sort cost every
-    // `--store-gc-mib` invocation pays before any eviction.
-    let gc_dir = std::env::temp_dir().join(format!("ava-bench-storegc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&gc_dir);
-    let store = ResultStore::open(&gc_dir).expect("temp result store opens");
-    let seeded = run_workload(&ava_workloads::Axpy::new(64), &ScenarioConfig::ava_x(2));
-    let system = ScenarioConfig::ava_x(2).resolve();
-    for fingerprint in 0..64u64 {
-        let key = StoreKey::new("axpy", 64, &system, fingerprint);
-        store
-            .insert(&key, &seeded, 1_000)
-            .expect("seeding the result store succeeds");
-    }
-    run("microarch/store_gc_scan", &mut || {
-        let stats = store.gc(u64::MAX);
-        assert_eq!(stats.evicted, 0, "the cap must never evict in this bench");
-        stats.remaining as u64
-    });
-    let _ = std::fs::remove_dir_all(&gc_dir);
 }
 
 #[cfg(test)]

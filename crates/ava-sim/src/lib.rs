@@ -36,5 +36,5 @@ pub use configs::{Axis, ScenarioConfig, SystemConfig, SystemKind, AVA_EXTRAPOLAT
 pub use json::Json;
 pub use report::{format_runs_table, format_sweep_summary, geometric_mean, speedup_vs};
 pub use run::{run_system, run_workload, run_workload_sized, PhaseBreakdown, RunReport};
-pub use store::{GcStats, ResultStore, StoreKey, CODE_VERSION};
+pub use store::{ResultStore, StoreKey, CODE_VERSION};
 pub use sweep::{PointStats, Sweep, SweepReport, SweepRunner};

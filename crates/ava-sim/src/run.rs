@@ -522,8 +522,10 @@ pub(crate) fn run_workload_stored(
     // 7. Checkpoint: the fresh result lands in the store the moment this
     //    point finishes, so a killed sweep loses at most the points in
     //    flight. The recorded wall time seeds cost-sorted scheduling of
-    //    future sweeps. A write failure degrades to an uncached run.
-    if let (Some(store), Some(key)) = (store, &key) {
+    //    future sweeps. A write failure degrades to an uncached run. A
+    //    point that failed validation is never stored: a wrong result must
+    //    be simulated (and reported) again, not served on every rerun.
+    if let (true, Some(store), Some(key)) = (report.validated, store, &key) {
         let wall_ns = u64::try_from(run_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         if let Err(e) = store.insert(key, &report, wall_ns.max(1)) {
             eprintln!("warning: result store write failed: {e}");

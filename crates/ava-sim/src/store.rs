@@ -128,20 +128,6 @@ pub struct ResultStore {
     tmp_counter: AtomicU64,
 }
 
-/// What one [`ResultStore::gc`] pass did: how much it evicted and what the
-/// directory holds afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GcStats {
-    /// Entries removed, least-recently-written first.
-    pub evicted: usize,
-    /// Total bytes of the removed entries.
-    pub evicted_bytes: u64,
-    /// Entries left on disk after the pass.
-    pub remaining: usize,
-    /// Total bytes of the remaining entries.
-    pub remaining_bytes: u64,
-}
-
 const SCHEMA: &str = "ava-result-store/v1";
 
 impl ResultStore {
@@ -287,54 +273,6 @@ impl ResultStore {
         }
         costs
     }
-
-    /// Caps the store directory at `max_bytes` by evicting whole entries,
-    /// least-recently-*written* first (entry files are written exactly once
-    /// per checkpoint, so mtime order is write order; equal mtimes break
-    /// ties by file name for determinism). A long-lived store shared by many
-    /// sweeps therefore keeps its freshest results and sheds the stale
-    /// tail.
-    ///
-    /// Every removal is as safe as a lookup miss: a concurrent reader of an
-    /// evicted entry simply re-simulates the point and (if its sweep writes
-    /// to the store) re-checkpoints it, and an entry a concurrent process
-    /// already removed is skipped without error. Unreadable metadata
-    /// (e.g. an entry vanishing between the scan and its `stat`) just
-    /// excludes that file from this pass.
-    #[must_use]
-    pub fn gc(&self, max_bytes: u64) -> GcStats {
-        let mut entries: Vec<(std::time::SystemTime, PathBuf, u64)> = self
-            .entries()
-            .filter_map(|path| {
-                let meta = fs::metadata(&path).ok()?;
-                Some((meta.modified().ok()?, path, meta.len()))
-            })
-            .collect();
-        entries.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        let mut total: u64 = entries.iter().map(|e| e.2).sum();
-        let mut stats = GcStats {
-            evicted: 0,
-            evicted_bytes: 0,
-            remaining: entries.len(),
-            remaining_bytes: total,
-        };
-        for (_, path, bytes) in entries {
-            if total <= max_bytes {
-                break;
-            }
-            // A concurrent process may have removed (or replaced) the entry
-            // already; either way this pass has nothing left to reclaim
-            // from it, so count the eviction only when the unlink is ours.
-            if fs::remove_file(&path).is_ok() {
-                stats.evicted += 1;
-                stats.evicted_bytes += bytes;
-                stats.remaining -= 1;
-                stats.remaining_bytes -= bytes;
-            }
-            total -= bytes;
-        }
-        stats
-    }
 }
 
 #[cfg(test)]
@@ -438,74 +376,6 @@ mod tests {
         resized.fingerprint ^= 0xabc;
         store.insert(&resized, &report, 50).unwrap();
         assert_eq!(store.recorded_costs().len(), 2);
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    /// Backdates one entry's mtime by `secs` so eviction order is forced
-    /// regardless of filesystem timestamp granularity.
-    fn backdate(store: &ResultStore, key: &StoreKey, secs: u64) {
-        let path = store.dir().join(key.file_name());
-        let file = fs::File::options().write(true).open(path).unwrap();
-        let then = std::time::SystemTime::now() - std::time::Duration::from_secs(secs);
-        file.set_times(fs::FileTimes::new().set_modified(then))
-            .unwrap();
-    }
-
-    #[test]
-    fn gc_evicts_least_recently_written_entries_first() {
-        let store = temp_store("gc-order");
-        let (key, report) = sample();
-        let mut newer = key.clone();
-        newer.fingerprint ^= 1;
-        store.insert(&key, &report, 1).unwrap();
-        store.insert(&newer, &report, 1).unwrap();
-        backdate(&store, &key, 3600);
-        let entry_bytes = fs::metadata(store.dir().join(key.file_name()))
-            .unwrap()
-            .len();
-
-        // A cap fitting exactly one entry must shed the backdated one.
-        let stats = store.gc(entry_bytes);
-        assert_eq!(stats.evicted, 1);
-        assert_eq!(stats.evicted_bytes, entry_bytes);
-        assert_eq!(stats.remaining, 1);
-        assert!(stats.remaining_bytes <= entry_bytes);
-        assert!(store.lookup(&key).is_none(), "the old entry is gone");
-        assert!(store.lookup(&newer).is_some(), "the fresh entry survives");
-
-        // An evicted entry is an ordinary miss: re-inserting self-repairs.
-        store.insert(&key, &report, 1).unwrap();
-        assert!(store.lookup(&key).is_some());
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn gc_under_the_cap_is_a_no_op() {
-        let store = temp_store("gc-noop");
-        let (key, report) = sample();
-        store.insert(&key, &report, 1).unwrap();
-        let stats = store.gc(u64::MAX);
-        assert_eq!(stats.evicted, 0);
-        assert_eq!(stats.evicted_bytes, 0);
-        assert_eq!(stats.remaining, 1);
-        assert!(stats.remaining_bytes > 0);
-        assert!(store.lookup(&key).is_some());
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn gc_to_zero_empties_the_store() {
-        let store = temp_store("gc-zero");
-        let (key, report) = sample();
-        let mut other = key.clone();
-        other.fingerprint ^= 2;
-        store.insert(&key, &report, 1).unwrap();
-        store.insert(&other, &report, 1).unwrap();
-        let stats = store.gc(0);
-        assert_eq!(stats.evicted, 2);
-        assert_eq!(stats.remaining, 0);
-        assert_eq!(stats.remaining_bytes, 0);
-        assert!(store.is_empty());
         let _ = fs::remove_dir_all(store.dir());
     }
 

@@ -16,8 +16,8 @@
 //!   grid order regardless of which thread finished first.
 //!
 //! Execution goes through the builder-style [`SweepRunner`] — thread count,
-//! profile-guided scheduling, cross-process sharding and the on-disk
-//! [`ResultStore`] are independent knobs on one `run()` path.
+//! profile-guided scheduling and the on-disk [`ResultStore`] are
+//! independent knobs on one `run()` path.
 //!
 //! # Scheduling
 //!
@@ -38,18 +38,6 @@
 //! and under any estimate.
 //!
 //! [`Workload::elements`]: ava_workloads::Workload::elements
-//!
-//! # Sharding
-//!
-//! [`SweepRunner::shard`] restricts one execution to a deterministic slice
-//! of the grid: every process hashes each point's canonical identity (the
-//! same stable workload ⊕ config keys the result store and recorded-cost
-//! replay use) and keeps the points landing in its shard, so `n` processes
-//! — or `n` machines sharing one store directory — partition a grid with no
-//! communication at all. Each sharded run checkpoints its slice into the
-//! shared [`ResultStore`] (the atomic rename writes make concurrent writers
-//! safe), and a final *unsharded* run over the same store assembles the
-//! complete [`SweepReport`] from all-hits without simulating anything.
 //!
 //! # Incremental sweeps
 //!
@@ -258,9 +246,8 @@ pub struct SweepReport {
     /// Always 0: workers claim from one shared cursor and never steal.
     /// Kept so the report's field set and JSON keys stay stable.
     pub steals: u64,
-    /// The `(index, of)` shard this run executed ([`SweepRunner::shard`]),
-    /// or `None` for a whole-grid run. A sharded report covers only the
-    /// shard's own points, still in grid order.
+    /// Always `None`: every run covers the whole grid. Kept so the
+    /// report's field set and JSON keys stay stable.
     pub shard: Option<(usize, usize)>,
     /// Wall-clock time of the whole sweep, in nanoseconds.
     pub wall_ns: u64,
@@ -312,13 +299,7 @@ impl SweepReport {
             )
             .field("threads", self.threads)
             .field("steals", self.steals)
-            .field(
-                "shard",
-                match self.shard {
-                    Some((index, of)) => object().field("index", index).field("of", of).finish(),
-                    None => Json::Null,
-                },
-            )
+            .field("shard", Json::Null)
             .field("wall_ns", self.wall_ns)
             .field("busy_ns", self.busy_ns())
             .field(
@@ -494,7 +475,6 @@ impl Sweep {
             threads: None,
             recorded: HashMap::new(),
             store: None,
-            shard: None,
         }
     }
 
@@ -551,7 +531,7 @@ impl Sweep {
         heuristic_points_cost(elements, width)
     }
 
-    /// The cost estimates of the `owned` points, computed once per sweep
+    /// The cost estimates of every point, computed once per sweep
     /// execution: recorded wall-clock where `recorded` has the point's
     /// identity, the static heuristic rescaled into nanoseconds otherwise
     /// ([`cost_estimates`]). [`Workload::elements`] can be arbitrarily
@@ -559,43 +539,12 @@ impl Sweep {
     /// are computed once, not per claim.
     ///
     /// [`Workload::elements`]: ava_workloads::Workload::elements
-    fn point_costs(&self, owned: &[usize], recorded: &HashMap<(String, String), u64>) -> Vec<u64> {
-        let heuristic: Vec<u64> = owned.iter().map(|&i| self.heuristic_cost(i)).collect();
-        let recorded: Vec<Option<u64>> = owned
-            .iter()
-            .map(|&i| self.recorded_cost_in(i, recorded))
-            .collect();
+    fn point_costs(&self, recorded: &HashMap<(String, String), u64>) -> Vec<u64> {
+        let points = 0..self.points.len();
+        let heuristic: Vec<u64> = points.clone().map(|i| self.heuristic_cost(i)).collect();
+        let recorded: Vec<Option<u64>> =
+            points.map(|i| self.recorded_cost_in(i, recorded)).collect();
         cost_estimates(&heuristic, &recorded)
-    }
-
-    /// The grid-order point indices owned by shard `index` of `of`.
-    ///
-    /// The partition hashes each point's canonical identity — the same
-    /// stable `(workload ⊕ size, config ⊕ axes)` keys recorded-cost replay
-    /// and the result store use — with the workspace's fixed FNV-1a
-    /// fingerprint, so every process (or machine) computes the identical
-    /// partition with no communication, and the shards are disjoint and
-    /// exhaustive by construction. `shard_points(0, 1)` is the whole grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `of` is zero or `index` is not below `of`.
-    #[must_use]
-    pub fn shard_points(&self, index: usize, of: usize) -> Vec<usize> {
-        assert!(of >= 1, "shard count must be at least 1");
-        assert!(
-            index < of,
-            "shard index {index} out of range for {of} shards"
-        );
-        (0..self.points.len())
-            .filter(|&i| {
-                let (workload, config) = self.point_identity(i);
-                let mut hash = ava_workloads::Fingerprint::new();
-                hash.write_str(&workload);
-                hash.write_str(&config);
-                (hash.finish() % of as u64) as usize == index
-            })
-            .collect()
     }
 
     #[cfg(test)]
@@ -708,7 +657,6 @@ pub struct SweepRunner<'a> {
     threads: Option<usize>,
     recorded: HashMap<(String, String), u64>,
     store: Option<&'a ResultStore>,
-    shard: Option<(usize, usize)>,
 }
 
 impl<'a> SweepRunner<'a> {
@@ -760,29 +708,6 @@ impl<'a> SweepRunner<'a> {
         self
     }
 
-    /// Restricts this execution to shard `index` of `of` equal slices of
-    /// the grid ([`Sweep::shard_points`]): every process hashing the same
-    /// point identities computes the same partition, so `of` independent
-    /// processes — or machines sharing one store directory — cover the grid
-    /// exactly once with no communication. The returned report holds only
-    /// the shard's own points (in grid order); run the full grid afterwards
-    /// with an attached [`SweepRunner::store`] to assemble the complete
-    /// report from all-hits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `of` is zero or `index` is not below `of`.
-    #[must_use]
-    pub fn shard(mut self, index: usize, of: usize) -> Self {
-        assert!(of >= 1, "shard count must be at least 1");
-        assert!(
-            index < of,
-            "shard index {index} out of range for {of} shards"
-        );
-        self.shard = Some((index, of));
-        self
-    }
-
     /// Explicit recorded costs and the store's recorded wall times,
     /// max-merged into one scheduling map.
     fn merged_recorded(&self) -> HashMap<(String, String), u64> {
@@ -799,8 +724,7 @@ impl<'a> SweepRunner<'a> {
     /// The whole grid's cost estimates as this run would order it.
     #[cfg(test)]
     fn effective_costs(&self) -> Vec<u64> {
-        let all: Vec<usize> = (0..self.sweep.points.len()).collect();
-        self.sweep.point_costs(&all, &self.merged_recorded())
+        self.sweep.point_costs(&self.merged_recorded())
     }
 
     /// Executes the sweep. Results come back in point order and are
@@ -809,19 +733,13 @@ impl<'a> SweepRunner<'a> {
     #[must_use]
     pub fn run(self) -> SweepReport {
         let sweep = self.sweep;
-        // The points this execution owns, in grid order. `local` indices
-        // below index into this list; `owned[local]` is the grid index.
-        let owned: Vec<usize> = match self.shard {
-            Some((index, of)) => sweep.shard_points(index, of),
-            None => (0..sweep.points.len()).collect(),
-        };
-        let n = owned.len();
+        let n = sweep.points.len();
         let requested = self.threads.unwrap_or_else(|| {
             thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
         let workers = requested.clamp(1, n.max(1));
         let cache = ProgramCache::default();
-        let costs = sweep.point_costs(&owned, &self.merged_recorded());
+        let costs = sweep.point_costs(&self.merged_recorded());
         let order = execution_order(&costs);
         let cursor = AtomicUsize::new(0);
         let store = self.store;
@@ -833,11 +751,11 @@ impl<'a> SweepRunner<'a> {
             // Each claim takes the next slot of `order`. The cursor publishes
             // no data (results travel through `slots` and the scope join),
             // so a relaxed counter suffices.
-            while let Some(&local) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            while let Some(&point) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                 let point_start = Instant::now();
-                let (report, from_store) = sweep.run_point_stored(owned[local], &cache, store);
+                let (report, from_store) = sweep.run_point_stored(point, &cache, store);
                 let wall_ns = point_start.elapsed().as_nanos() as u64;
-                slots[local]
+                slots[point]
                     .set((report, from_store, wall_ns, worker))
                     .expect("each point is claimed by one worker");
             }
@@ -855,14 +773,14 @@ impl<'a> SweepRunner<'a> {
 
         let mut reports = Vec::with_capacity(n);
         let mut points = Vec::with_capacity(n);
-        for (local, slot) in slots.into_iter().enumerate() {
+        for (point, slot) in slots.into_iter().enumerate() {
             let (report, from_store, wall_ns, worker) =
                 slot.into_inner().expect("every point completed");
             points.push(PointStats {
                 workload: report.workload.clone(),
                 config: report.config.clone(),
-                cost_estimate: costs[local],
-                elements: sweep.workloads[sweep.points[owned[local]].0].elements() as u64,
+                cost_estimate: costs[point],
+                elements: sweep.workloads[sweep.points[point].0].elements() as u64,
                 wall_ns,
                 worker,
                 from_store,
@@ -887,7 +805,7 @@ impl<'a> SweepRunner<'a> {
             store_misses,
             threads: workers,
             steals: 0,
-            shard: self.shard,
+            shard: None,
             wall_ns: sweep_start.elapsed().as_nanos() as u64,
         }
     }
@@ -1249,7 +1167,7 @@ mod tests {
         assert!(json.contains("\"cache\":{\"hits\":"));
         assert!(json.contains("\"store\":{\"hits\":0,\"misses\":0}"));
         assert!(json.contains("\"steals\":"));
-        assert!(json.contains("\"shard\":null"), "unsharded runs emit null");
+        assert!(json.contains("\"shard\":null"));
         assert!(json.contains("\"cost_estimate\":"));
         assert!(json.contains("\"from_store\":false"));
         assert!(json.contains("\"report\":{\"config\":\"NATIVE X1\""));

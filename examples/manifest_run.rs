@@ -1,7 +1,7 @@
 //! Experiment-manifest quickstart: author a manifest as a JSON string,
 //! parse it into an [`ExperimentSpec`], scale it to smoke size and execute
-//! it through the same driver the `experiments` binary (and the figure
-//! shims) use. The equivalent file-based invocation is
+//! it through the same driver the `experiments` binary uses. The
+//! equivalent file-based invocation is
 //! `cargo run --release -p ava-bench --bin experiments -- --spec
 //! experiments/sensitivity_vvr.json --scale-down`.
 //!

@@ -1,8 +1,8 @@
 //! The declarative experiment manifests, exercised end to end: the
 //! committed `experiments/` files parse and round-trip, schema errors are
-//! byte-offset diagnostics (never panics), a spec-driven run is
-//! byte-identical to the legacy flag invocation of the same experiment,
-//! and a store-attached manifest run resumes from its checkpoints.
+//! byte-offset diagnostics (never panics), a store-attached manifest run
+//! resumes from its checkpoints, and a scaled-down run covers the reduced
+//! grids.
 
 use std::path::PathBuf;
 
@@ -18,7 +18,7 @@ fn plain_args() -> BenchArgs {
 /// The deterministic per-point payloads of a driver document: the nested
 /// simulation reports, without the scheduling metadata (`wall_ns`,
 /// `worker`, `cost_estimate`) that naturally moves run to run. This is the
-/// same convention the CI store/shard gates compare under.
+/// same convention the CI result-store gate compares under.
 fn point_reports(doc: &Json) -> Vec<String> {
     doc.get("sweep")
         .and_then(|s| s.get("points"))
@@ -97,6 +97,14 @@ fn schema_errors_name_the_token_and_its_byte_offset() {
             r#"{"artefact": "fig3", "execution": {"program_cache": "p"}}"#,
             "program_cache",
         ),
+        (
+            r#"{"artefact": "fig3", "execution": {"store": "d", "shard": "0/2"}}"#,
+            "shard",
+        ),
+        (
+            r#"{"artefact": "fig3", "execution": {"store": "d", "store_gc_mib": 64}}"#,
+            "store_gc_mib",
+        ),
     ] {
         let err = ExperimentSpec::parse("t", text).unwrap_err();
         let offset = text.find(&format!("\"{token}\"")).unwrap();
@@ -108,79 +116,6 @@ fn schema_errors_name_the_token_and_its_byte_offset() {
     // Malformed JSON surfaces the parser's own byte-offset diagnostic.
     let err = ExperimentSpec::parse("t", r#"{"artefact": "fig3","#).unwrap_err();
     assert!(err.contains("byte"), "{err}");
-}
-
-/// The committed fig3 manifest reproduces the fig3 binary's output byte
-/// for byte: same chart text, same energy JSON, same per-point reports.
-/// (Both the binary and the manifest path run through the same driver, so
-/// this pins the flag translation — and the committed file — against it.)
-#[test]
-fn fig3_manifest_matches_the_legacy_flag_invocation() {
-    let text = std::fs::read_to_string("experiments/fig3_extrapolation.json").unwrap();
-    let mut from_manifest =
-        ExperimentSpec::parse("experiments/fig3_extrapolation.json", &text).unwrap();
-    // The full six-workload figure is CI territory; the axpy column pins
-    // the whole path at test speed.
-    from_manifest.app = Some("axpy".to_string());
-    let from_flags =
-        ExperimentSpec::fig3(Some("axpy".to_string()), "all", "independent", None).unwrap();
-
-    let a = driver::execute(&from_manifest, &plain_args()).unwrap();
-    let b = driver::execute(&from_flags, &plain_args()).unwrap();
-    assert!(!a.stdout.is_empty());
-    assert_eq!(a.stdout, b.stdout, "chart text must be byte-identical");
-    assert_eq!(
-        a.document.get("energy").unwrap().to_string(),
-        b.document.get("energy").unwrap().to_string(),
-        "energy JSON must be byte-identical"
-    );
-    assert_eq!(point_reports(&a.document), point_reports(&b.document));
-}
-
-/// A hand-written sensitivity manifest (axes, chart kind, app filter)
-/// matches the equivalent legacy flag invocation byte for byte — including
-/// the energy matrix, which both paths render through the same formatter.
-#[test]
-fn sensitivity_manifest_matches_the_legacy_flag_invocation() {
-    let text = r#"{
-        "artefact": "sensitivity",
-        "workloads": [
-            {"name": "axpy", "n": 32768},
-            {"name": "blackscholes", "n": 8192},
-            {"name": "somier", "n": 16384},
-            {"name": "composite", "n": 16384}
-        ],
-        "app": "axpy",
-        "axes": {"mvl": [128, 256], "l2_kib": [512]},
-        "output": {"kind": "all"}
-    }"#;
-    let from_manifest = ExperimentSpec::parse("inline", text).unwrap();
-
-    let axes = ava_bench::spec::AxesSpec {
-        mvl: vec![128, 256],
-        l2_kib: vec![512],
-        ..Default::default()
-    };
-    let from_flags =
-        ExperimentSpec::sensitivity(axes, "independent", None, Some("axpy".to_string()), "all")
-            .unwrap();
-
-    let a = driver::execute(&from_manifest, &plain_args()).unwrap();
-    let b = driver::execute(&from_flags, &plain_args()).unwrap();
-    assert_eq!(
-        a.stdout, b.stdout,
-        "table + energy text must be byte-identical"
-    );
-    assert!(
-        a.stdout
-            .contains("total energy (mJ) by MVL and L2 capacity"),
-        "kind \"all\" renders the energy matrix"
-    );
-    assert_eq!(point_reports(&a.document), point_reports(&b.document));
-    assert_eq!(
-        a.document.get("axes").unwrap().to_string(),
-        b.document.get("axes").unwrap().to_string()
-    );
 }
 
 /// A manifest whose `execution` block attaches a store checkpoints its

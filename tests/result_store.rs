@@ -1,13 +1,19 @@
 //! The result store's core guarantees, exercised end to end through the
 //! sweep engine: a killed sweep resumes bit-identically, a warm rerun
 //! simulates nothing, invalidation is scoped to the workload that changed,
-//! and a damaged store entry degrades to a miss instead of a crash.
+//! a damaged store entry degrades to a miss instead of a crash, and a point
+//! that failed validation is never checkpointed.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use ava::isa::VectorContext;
+use ava::memory::MemoryHierarchy;
 use ava::sim::{ResultStore, ScenarioConfig, Sweep, SweepReport};
-use ava::workloads::{Axpy, SharedWorkload, Somier};
+use ava::workloads::{
+    Axpy, BufferBindings, DataLayout, PlannedLayout, SharedWorkload, Somier, Workload,
+    WorkloadSetup,
+};
 
 fn store_dir(tag: &str) -> PathBuf {
     let dir =
@@ -130,6 +136,85 @@ fn workload_change_invalidates_only_its_points() {
     // And the fresh points agree with a store-free run of the new grid.
     let fresh = grid(512).runner().threads(1).run();
     assert_reports_identical(&fresh, &report, "after invalidation");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Axpy with one golden check corrupted: the kernel and its simulation are
+/// untouched, but validation must fail on every configuration.
+struct CorruptedAxpy(Axpy);
+
+impl Workload for CorruptedAxpy {
+    fn name(&self) -> &'static str {
+        "corrupted-axpy"
+    }
+    fn domain(&self) -> &'static str {
+        "test"
+    }
+    fn elements(&self) -> usize {
+        self.0.elements()
+    }
+    fn data_layout(&self) -> DataLayout {
+        self.0.data_layout()
+    }
+    fn build_with_bindings(
+        &self,
+        mem: &mut MemoryHierarchy,
+        ctx: &VectorContext,
+        plan: &PlannedLayout,
+        bindings: &BufferBindings,
+    ) -> WorkloadSetup {
+        let mut setup = self.0.build_with_bindings(mem, ctx, plan, bindings);
+        let check = &mut setup.checks[0];
+        check.expected += 1.0 + check.expected.abs();
+        setup
+    }
+}
+
+/// A point that fails validation is reported but never checkpointed: the
+/// good points of the same grid are stored, the bad ones leave no entry,
+/// and a rerun misses on them and simulates them again instead of serving
+/// the wrong result from disk.
+#[test]
+fn failed_points_are_never_checkpointed() {
+    let dir = store_dir("failed");
+    let store = ResultStore::open(&dir).unwrap();
+    let workloads: Vec<SharedWorkload> = vec![
+        Arc::new(Axpy::new(256)),
+        Arc::new(CorruptedAxpy(Axpy::new(256))),
+    ];
+    let sweep = Sweep::grid(workloads, scenarios());
+    let good = scenarios().len();
+
+    let cold = sweep.runner().threads(2).store(&store).run();
+    assert_eq!(cold.store_misses, sweep.len() as u64);
+    for r in &cold.reports[..good] {
+        assert!(
+            r.validated,
+            "{} on {}: {:?}",
+            r.workload, r.config, r.validation_error
+        );
+    }
+    for r in &cold.reports[good..] {
+        assert!(
+            !r.validated,
+            "{} on {} must fail its checks",
+            r.workload, r.config
+        );
+    }
+    assert_eq!(store.len(), good, "only the validated points are stored");
+
+    let rerun = sweep.runner().threads(2).store(&store).run();
+    assert_eq!(rerun.store_hits, good as u64);
+    assert_eq!(rerun.store_misses, (sweep.len() - good) as u64);
+    assert!(rerun.points[..good].iter().all(|p| p.from_store));
+    assert!(
+        rerun.points[good..].iter().all(|p| !p.from_store),
+        "the failed points are simulated again"
+    );
+    assert!(rerun.reports[good..].iter().all(|r| !r.validated));
+    assert_eq!(store.len(), good);
+    assert_reports_identical(&cold, &rerun, "rerun vs cold");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

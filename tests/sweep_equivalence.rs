@@ -700,3 +700,44 @@ fn composite_points_match_the_plain_runner() {
     assert_eq!(format!("{:?}", from_sweep[0]), format!("{direct:?}"));
     assert!(direct.validated, "{:?}", direct.validation_error);
 }
+
+/// The bit-identity guarantee at scale: a 2048-point synthetic grid (256
+/// axpy instances at distinct working-set sizes × 8 configurations) run at
+/// 8 workers must match the serial run on every point and come back in
+/// grid order. On this grid the claim cursor is contended for far longer
+/// than on the 42-point acceptance grid.
+#[test]
+fn eight_workers_are_bit_identical_to_serial_on_a_two_thousand_point_grid() {
+    let workloads: Vec<SharedWorkload> = (0..256)
+        .map(|i| Arc::new(Axpy::new(64 + i * 2)) as SharedWorkload)
+        .collect();
+    let systems = vec![
+        ScenarioConfig::native_x(1),
+        ScenarioConfig::native_x(4),
+        ScenarioConfig::ava_x(1),
+        ScenarioConfig::ava_x(2),
+        ScenarioConfig::ava_x(4),
+        ScenarioConfig::ava_x(8),
+        ScenarioConfig::rg_lmul(Lmul::M2),
+        ScenarioConfig::rg_lmul(Lmul::M8),
+    ];
+    let sweep = Sweep::grid(workloads, systems);
+    assert_eq!(sweep.len(), 2048);
+
+    let serial = sweep.runner().threads(1).run();
+    let parallel = sweep.runner().threads(8).run();
+    assert_eq!(serial.reports.len(), parallel.reports.len());
+    for (s, p) in serial.reports.iter().zip(&parallel.reports) {
+        assert_eq!(
+            format!("{s:?}"),
+            format!("{p:?}"),
+            "{} on {}: 8-worker run must match serial",
+            s.workload,
+            s.config
+        );
+    }
+    // Results come back in grid order regardless of execution order.
+    for (i, r) in parallel.reports.iter().enumerate() {
+        assert_eq!(r.workload, sweep.workloads()[i / 8].name());
+    }
+}
