@@ -103,7 +103,9 @@ fn fig4_area(run: &mut Runner<'_>) {
 }
 
 /// Unit-stride and strided vector accesses through the L2/DRAM timing
-/// model, and the scalar L1 hit path.
+/// model, the scalar L1 hit path, and word reads and writes of the
+/// functional memory (the data path of every vector element, swap and
+/// spill).
 fn memory_hierarchy(run: &mut Runner<'_>) {
     let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
     let base = mem.allocate(128 * 8);
@@ -123,6 +125,15 @@ fn memory_hierarchy(run: &mut Runner<'_>) {
     mem.scalar_access(base, false);
     run("memory/scalar_l1_hit", &mut || {
         mem.scalar_access(base, false)
+    });
+
+    let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
+    let base = mem.allocate(128 * 8);
+    run("memory/functional_rw_128_words", &mut || {
+        for i in 0..128u64 {
+            mem.write_u64(base + 8 * i, i);
+        }
+        (0..128u64).fold(0, |acc, i| acc ^ mem.read_u64(base + 8 * i))
     });
 }
 

@@ -2,8 +2,10 @@
 //!
 //! The cache is a *timing* model only: data always lives in the functional
 //! [`crate::MainMemory`]; the cache tracks which lines would be resident to
-//! decide hit/miss latencies and to count dirty write-backs (which consume
-//! DRAM bandwidth in the hierarchy model).
+//! decide hit/miss latencies and to count dirty write-backs. Write-backs are
+//! only counted, in [`CacheStats::writebacks`]: the hierarchy charges DRAM
+//! time, `dram_bytes` and energy for misses alone, so an evicted dirty line
+//! costs nothing (whether to charge it is open item 6 of `ROADMAP.md`).
 
 use crate::stats::CacheStats;
 

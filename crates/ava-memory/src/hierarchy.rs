@@ -248,25 +248,18 @@ impl MemoryHierarchy {
     /// with warm caches, as the paper's gem5 runs do; data sets larger than
     /// the L2 naturally still miss during the measured run.
     pub fn warm_caches(&mut self) {
-        let (start, end) = self.memory.allocated_range();
-        self.warm_caches_range(start, end);
-    }
-
-    /// Warms only `[start, end)` (and clears statistics), for callers whose
-    /// allocation mixes measured data with auxiliary arenas that must stay
-    /// cold — e.g. the simulator's spill arena, which is MVL-wide per slot
-    /// and would otherwise evict the application's working set from small
-    /// L2 configurations before the run even starts.
-    pub fn warm_caches_range(&mut self, start: u64, end: u64) {
-        self.warm_caches_ranges(&[(start, end)]);
+        let range = self.memory.allocated_range();
+        self.warm_caches_ranges(&[range]);
     }
 
     /// Warms every `[start, end)` range of `ranges`, in order, then clears
     /// all statistics once. This is the planner-driven warm-up path: the
     /// simulator derives the ranges from the workload's planned data layout
-    /// (every buffer the run touches), so auxiliary regions — the spill
-    /// arena, dead placeholder buffers of pipelined composites — stay cold
-    /// without any hand-maintained address bookkeeping.
+    /// (every buffer the run touches), so auxiliary regions stay cold. The
+    /// spill arena is one: it is MVL-wide per slot, and warming it would
+    /// evict the application's working set from small L2 configurations
+    /// before the run starts. Dead placeholder buffers of pipelined
+    /// composites are another.
     pub fn warm_caches_ranges(&mut self, ranges: &[(u64, u64)]) {
         let line = self.config.l2.line_bytes as u64;
         for &(start, end) in ranges {

@@ -1,6 +1,10 @@
 //! Functional, byte-addressable main memory with a bump allocator.
-
-use std::collections::HashMap;
+//!
+//! Storage is a page table indexed directly by page number: a `Vec` of
+//! optional 4 KiB pages, grown to the highest page ever written. A word
+//! that lies inside one page is read or written with one table index and
+//! one 8-byte slice access; only a word that straddles two pages takes the
+//! byte-at-a-time path.
 
 /// Size of an internal storage page in bytes. Pages are allocated lazily so
 /// the simulated address space can be large and sparse.
@@ -13,10 +17,14 @@ const ALLOC_BASE: u64 = 0x1_0000;
 /// A sparse, byte-addressable functional memory.
 ///
 /// All values default to zero. Reads and writes may touch any address; pages
-/// are materialised on demand. An embedded bump allocator hands out
+/// are materialised on the first write to them. The page table is a `Vec`
+/// indexed by `addr / 4096` and grown to the highest written page, so a
+/// read of a page never written (or above the table) costs one bounds check
+/// and returns 0. The table holds one 8-byte slot per 4 KiB of address span
+/// below the highest write. An embedded bump allocator hands out
 /// non-overlapping, 64-byte-aligned buffers for workloads and for the AVA
 /// M-VRF (the paper's `set_virtual_vrf` intrinsic performs the equivalent
-/// `malloc`).
+/// `malloc`); allocating materialises no page.
 ///
 /// ```
 /// use ava_memory::MainMemory;
@@ -28,9 +36,16 @@ const ALLOC_BASE: u64 = 0x1_0000;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MainMemory {
-    pages: HashMap<u64, Vec<u8>>,
+    pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
     next_alloc: u64,
     allocated_bytes: u64,
+}
+
+/// Splits an address into its page-table index and the offset in the page.
+fn split(addr: u64) -> (usize, usize) {
+    let page = usize::try_from(addr / PAGE_SIZE as u64)
+        .expect("page number exceeds the host's address width");
+    (page, (addr % PAGE_SIZE as u64) as usize)
 }
 
 impl MainMemory {
@@ -38,7 +53,7 @@ impl MainMemory {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            pages: HashMap::new(),
+            pages: Vec::new(),
             next_alloc: ALLOC_BASE,
             allocated_bytes: 0,
         }
@@ -66,24 +81,41 @@ impl MainMemory {
         (ALLOC_BASE, self.next_alloc)
     }
 
+    /// The page at table index `page`, if it has ever been written.
+    fn page(&self, page: usize) -> Option<&[u8; PAGE_SIZE]> {
+        self.pages.get(page)?.as_deref()
+    }
+
+    /// The page at table index `page`, materialised (zeroed) on first use.
+    fn page_mut(&mut self, page: usize) -> &mut [u8; PAGE_SIZE] {
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, || None);
+        }
+        self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_SIZE]))
+    }
+
     /// Reads one byte.
     #[must_use]
     pub fn read_u8(&self, addr: u64) -> u8 {
-        let page = addr / PAGE_SIZE as u64;
-        let off = (addr % PAGE_SIZE as u64) as usize;
-        self.pages.get(&page).map_or(0, |p| p[off])
+        let (page, off) = split(addr);
+        self.page(page).map_or(0, |p| p[off])
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = addr / PAGE_SIZE as u64;
-        let off = (addr % PAGE_SIZE as u64) as usize;
-        self.pages.entry(page).or_insert_with(|| vec![0; PAGE_SIZE])[off] = value;
+        let (page, off) = split(addr);
+        self.page_mut(page)[off] = value;
     }
 
     /// Reads a little-endian 64-bit word (need not be aligned).
     #[must_use]
     pub fn read_u64(&self, addr: u64) -> u64 {
+        let (page, off) = split(addr);
+        if off + 8 <= PAGE_SIZE {
+            return self.page(page).map_or(0, |p| {
+                u64::from_le_bytes(p[off..off + 8].try_into().expect("8-byte slice"))
+            });
+        }
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = self.read_u8(addr + i as u64);
@@ -93,6 +125,11 @@ impl MainMemory {
 
     /// Writes a little-endian 64-bit word (need not be aligned).
     pub fn write_u64(&mut self, addr: u64, value: u64) {
+        let (page, off) = split(addr);
+        if off + 8 <= PAGE_SIZE {
+            self.page_mut(page)[off..off + 8].copy_from_slice(&value.to_le_bytes());
+            return;
+        }
         for (i, b) in value.to_le_bytes().iter().enumerate() {
             self.write_u8(addr + i as u64, *b);
         }
@@ -133,11 +170,11 @@ impl MainMemory {
         (0..n).map(|i| self.read_f64(addr + 8 * i as u64)).collect()
     }
 
-    /// Number of distinct pages that have been touched (for memory-footprint
+    /// Number of distinct pages that have been written (for memory-footprint
     /// assertions in tests).
     #[must_use]
     pub fn touched_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.iter().filter(|p| p.is_some()).count()
     }
 }
 

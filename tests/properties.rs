@@ -1,7 +1,8 @@
 //! Property-based tests over the whole stack: randomly generated vector
 //! kernels must produce identical results no matter which register-file
 //! organisation executes them, the register allocator must always respect
-//! its budget, and the cache hierarchy must never change functional values.
+//! its budget, the cache hierarchy must never change functional values, and
+//! the functional memory must agree with a plain byte-map model.
 //!
 //! The container has no access to crates.io, so instead of proptest these
 //! tests drive a deterministic SplitMix64 case generator: every run explores
@@ -9,10 +10,11 @@
 
 use ava::compiler::{compile, CompileOptions, KernelBuilder, VirtReg};
 use ava::isa::Lmul;
-use ava::memory::MemoryHierarchy;
+use ava::memory::{MainMemory, MemoryHierarchy};
 use ava::sim::ScenarioConfig;
 use ava::vpu::Vpu;
 use ava::workloads::data::DataGen;
+use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: u64 = 24;
 
@@ -186,6 +188,130 @@ fn timing_accesses_never_corrupt_functional_state() {
                 mem.read_f64(base + 8 * i as u64),
                 *v,
                 "case {case}, value {i}"
+            );
+        }
+    }
+}
+
+/// The functional memory's storage page (words straddling it take the
+/// memory's byte path).
+const PAGE: u64 = 4096;
+
+/// The little-endian word the byte model holds at `addr` (absent bytes
+/// read as zero).
+fn model_u64(model: &BTreeMap<u64, u8>, addr: u64) -> u64 {
+    let mut bytes = [0u8; 8];
+    for (i, b) in bytes.iter_mut().enumerate() {
+        *b = model.get(&(addr + i as u64)).copied().unwrap_or(0);
+    }
+    u64::from_le_bytes(bytes)
+}
+
+/// Stores `value` little-endian at `addr` in the byte model.
+fn model_write_u64(model: &mut BTreeMap<u64, u8>, addr: u64, value: u64) {
+    for (i, b) in value.to_le_bytes().into_iter().enumerate() {
+        model.insert(addr + i as u64, b);
+    }
+}
+
+/// Checks every byte the model holds, and the word starting at it, against
+/// `mem`, and that `mem` materialised exactly the pages the model wrote.
+fn assert_memory_matches(mem: &MainMemory, model: &BTreeMap<u64, u8>, what: &str) {
+    for (&addr, &byte) in model {
+        assert_eq!(mem.read_u8(addr), byte, "{what}: byte at {addr:#x}");
+        assert_eq!(
+            mem.read_u64(addr),
+            model_u64(model, addr),
+            "{what}: word at {addr:#x}"
+        );
+    }
+    let pages: BTreeSet<u64> = model.keys().map(|a| a / PAGE).collect();
+    assert_eq!(mem.touched_pages(), pages.len(), "{what}: written pages");
+}
+
+/// Differential test of the functional memory against a `BTreeMap` byte
+/// model. Each case mixes byte, word and `f64` accesses, aligned and not,
+/// over: the allocated buffers, words straddling a page boundary, stores
+/// above `allocated_range().1` (a VPU store past a clamped vector length
+/// does this), pages never written, and addresses above the highest page.
+/// Halfway through, a clone is taken; later writes to the original must
+/// not reach it.
+#[test]
+fn main_memory_matches_a_byte_model() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let mut mem = MainMemory::new();
+        let mut model = BTreeMap::new();
+        let base = mem.alloc(in_range(&mut rng, 1, 4) * PAGE + in_range(&mut rng, 0, 63));
+        let _ = mem.alloc(in_range(&mut rng, 1, 512));
+        let (_, end) = mem.allocated_range();
+        let mut snapshot = None;
+
+        for step in 0..512u64 {
+            if step == 256 {
+                snapshot = Some((mem.clone(), model.clone()));
+            }
+            let highest = model.keys().next_back().copied().unwrap_or(end);
+            let addr = match in_range(&mut rng, 0, 6) {
+                // Anywhere in the allocations, any alignment.
+                0 => in_range(&mut rng, base, end - 8),
+                // Aligned words in the allocations.
+                1 => base + 8 * in_range(&mut rng, 0, (end - base) / 8 - 1),
+                // A word straddling a page boundary inside the allocations.
+                2 => {
+                    let page = in_range(&mut rng, base / PAGE + 1, (end - 1) / PAGE);
+                    page * PAGE - in_range(&mut rng, 1, 7)
+                }
+                // Above the allocator's cursor.
+                3 => end + in_range(&mut rng, 0, 3 * PAGE),
+                // Above the highest byte ever written.
+                4 => highest + in_range(&mut rng, 1, 64 * PAGE),
+                // Below the first allocation (the null page included).
+                5 => in_range(&mut rng, 0, base - 8),
+                // A straddling word on an arbitrary, likely unwritten page.
+                _ => in_range(&mut rng, 1, 256) * PAGE - in_range(&mut rng, 1, 7),
+            };
+            let what = format!("case {case}, step {step}, addr {addr:#x}");
+            match in_range(&mut rng, 0, 5) {
+                0 => {
+                    let v = rng.next_u64() as u8;
+                    mem.write_u8(addr, v);
+                    model.insert(addr, v);
+                }
+                1 => {
+                    let v = rng.next_u64();
+                    mem.write_u64(addr, v);
+                    model_write_u64(&mut model, addr, v);
+                }
+                2 => {
+                    let v = rng.uniform(-1e6, 1e6);
+                    mem.write_f64(addr, v);
+                    model_write_u64(&mut model, addr, v.to_bits());
+                }
+                3 => {
+                    let expected = model.get(&addr).copied().unwrap_or(0);
+                    assert_eq!(mem.read_u8(addr), expected, "{what}");
+                }
+                4 => assert_eq!(mem.read_u64(addr), model_u64(&model, addr), "{what}"),
+                _ => assert_eq!(
+                    mem.read_f64(addr).to_bits(),
+                    model_u64(&model, addr),
+                    "{what}"
+                ),
+            }
+        }
+
+        assert_memory_matches(&mem, &model, &format!("case {case}"));
+        let (clone, clone_model) = snapshot.expect("a clone was taken");
+        assert_memory_matches(&clone, &clone_model, &format!("case {case}, clone"));
+        // Bytes the original wrote after the clone read as the clone's
+        // model says (zero where the clone never wrote).
+        for &addr in model.keys() {
+            let expected = clone_model.get(&addr).copied().unwrap_or(0);
+            assert_eq!(
+                clone.read_u8(addr),
+                expected,
+                "case {case}, clone at {addr:#x}"
             );
         }
     }
