@@ -9,7 +9,8 @@
 //!   bump allocator, used both as the simulation's backing store and as the
 //!   home of the AVA Memory Vector Register File (M-VRF). Its storage is a
 //!   page table indexed directly by page number, so a 64-bit word within
-//!   one 4 KiB page costs one table index and one slice access.
+//!   one 4 KiB page costs one table index and one slice access. Writes
+//!   must stay below 16 GiB; a wilder address panics.
 //! * [`Cache`] — a set-associative, write-back/write-allocate cache model
 //!   with LRU replacement and hit/miss statistics.
 //! * [`Dram`] — a fixed-latency, bandwidth-limited main-memory timing model.

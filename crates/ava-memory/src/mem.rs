@@ -6,9 +6,16 @@
 //! one 8-byte slice access; only a word that straddles two pages takes the
 //! byte-at-a-time path.
 
-/// Size of an internal storage page in bytes. Pages are allocated lazily so
-/// the simulated address space can be large and sparse.
+/// Size of an internal storage page in bytes. Pages are allocated lazily,
+/// but the page table costs 8 bytes per 4 KiB of address span below the
+/// highest write.
 const PAGE_SIZE: usize = 4096;
+
+/// Writes must stay below this address (16 GiB), which caps the page table
+/// at 32 MiB. Simulated workloads use a few MiB above [`ALLOC_BASE`]; a
+/// write beyond the cap is a wild address (say, a scatter with a negative
+/// index) and panics instead of growing the table without bound.
+const WRITE_LIMIT: u64 = 1 << 34;
 
 /// Base address handed out by the allocator. Address 0 is left unmapped so
 /// that an accidental null-based access is easy to spot in tests.
@@ -16,8 +23,9 @@ const ALLOC_BASE: u64 = 0x1_0000;
 
 /// A sparse, byte-addressable functional memory.
 ///
-/// All values default to zero. Reads and writes may touch any address; pages
-/// are materialised on the first write to them. The page table is a `Vec`
+/// All values default to zero. Reads may touch any address; writes may
+/// touch any address below 16 GiB and panic above it. Pages are
+/// materialised on the first write to them. The page table is a `Vec`
 /// indexed by `addr / 4096` and grown to the highest written page, so a
 /// read of a page never written (or above the table) costs one bounds check
 /// and returns 0. The table holds one 8-byte slot per 4 KiB of address span
@@ -87,11 +95,28 @@ impl MainMemory {
     }
 
     /// The page at table index `page`, materialised (zeroed) on first use.
+    ///
+    /// # Panics
+    ///
+    /// If the page lies at or above [`WRITE_LIMIT`].
     fn page_mut(&mut self, page: usize) -> &mut [u8; PAGE_SIZE] {
         if page >= self.pages.len() {
-            self.pages.resize_with(page + 1, || None);
+            self.grow_to(page);
         }
         self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_SIZE]))
+    }
+
+    /// Grows the table to hold `page`; kept out of line so the write path
+    /// stays small.
+    #[cold]
+    #[inline(never)]
+    fn grow_to(&mut self, page: usize) {
+        assert!(
+            (page as u64) < WRITE_LIMIT / PAGE_SIZE as u64,
+            "write to {:#x} is beyond the {WRITE_LIMIT:#x}-byte simulated address space",
+            page as u64 * PAGE_SIZE as u64
+        );
+        self.pages.resize_with(page + 1, || None);
     }
 
     /// Reads one byte.
@@ -236,6 +261,20 @@ mod tests {
         let vals = [1.0, 2.5, -3.0, 0.0, 1e30];
         m.write_f64_slice(a, &vals);
         assert_eq!(m.read_f64_slice(a, 5), vals.to_vec());
+    }
+
+    #[test]
+    fn reads_far_above_the_table_return_zero() {
+        let m = MainMemory::new();
+        assert_eq!(m.read_u64(u64::MAX - 7), 0);
+        assert_eq!(m.read_u8(u64::MAX), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 0x400000000-byte simulated address space")]
+    fn a_write_near_the_top_of_the_address_space_panics() {
+        let mut m = MainMemory::new();
+        m.write_u64(u64::MAX - 7, 1);
     }
 
     #[test]
