@@ -152,7 +152,7 @@ fn fig3(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Jso
 
 fn fig4(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Json, String> {
     let workloads = build_workloads(spec, "no workload matches the manifest's workload list")?;
-    let data = figure4_data_with(&workloads, args.threads, args.store.as_ref());
+    let data = figure4_data_with(&workloads, args);
     out.push_str(&format_figure4_from(&data));
 
     Ok(object()
@@ -255,7 +255,6 @@ fn sensitivity(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Res
 }
 
 fn ablation(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Json {
-    let repeat = spec.repeat;
     // Scale-down shrinks the fixed study workloads; the variant list is the
     // experiment itself and stays whole.
     let (axpy_n, blackscholes_n) = if spec.reduced {
@@ -268,7 +267,6 @@ fn ablation(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Json {
             "swap-free baseline",
             &ScenarioConfig::native_x(1),
             Arc::new(Axpy::new(axpy_n)),
-            repeat,
             args,
             out,
         ),
@@ -276,7 +274,6 @@ fn ablation(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Json {
             "swap-heavy AVA",
             &ScenarioConfig::ava_x(8),
             Arc::new(Blackscholes::new(blackscholes_n)),
-            repeat,
             args,
             out,
         ),
@@ -319,7 +316,6 @@ fn study(
     label: &str,
     base: &ScenarioConfig,
     workload: SharedWorkload,
-    repeat: usize,
     args: &BenchArgs,
     out: &mut String,
 ) -> Json {
@@ -329,13 +325,8 @@ fn study(
         base.label()
     ));
     let (names, systems) = variants(base);
-    // First pass is ordered by the static heuristic; every further pass
-    // reorders its queue by the previous pass's measured per-point time.
     let grid = Sweep::grid(vec![workload.clone()], systems);
-    let mut sweep = args.configure(grid.runner()).run();
-    for _ in 1..repeat.max(1) {
-        sweep = args.configure(grid.runner().recorded_costs(&sweep)).run();
-    }
+    let sweep = args.configure(grid.runner()).run();
     for r in &sweep.reports {
         assert!(r.validated, "{}: {:?}", r.config, r.validation_error);
     }

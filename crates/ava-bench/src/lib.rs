@@ -50,13 +50,14 @@ use ava_energy::{
 };
 use ava_sim::json::object;
 use ava_sim::{
-    geometric_mean, speedup_vs, Json, ResultStore, RunReport, ScenarioConfig, Sweep, SweepReport,
-    SystemConfig,
+    geometric_mean, speedup_vs, Json, RunReport, ScenarioConfig, Sweep, SweepReport, SystemConfig,
 };
 use ava_vpu::{preg_count_for_mvl, VpuConfig};
 use ava_workloads::{
     Axpy, Blackscholes, Composite, LavaMd2, ParticleFilter, SharedWorkload, Somier, Swaptions,
 };
+
+use crate::cli::BenchArgs;
 
 /// The six applications of Table IV at the problem sizes used for the
 /// reproduction (scaled to keep a full Figure 3 sweep fast; see
@@ -91,19 +92,6 @@ pub fn bench_workloads() -> Vec<SharedWorkload> {
 #[must_use]
 pub fn evaluated_systems() -> Vec<ScenarioConfig> {
     ScenarioConfig::all_evaluated()
-}
-
-/// The Figure 3 grid: every given workload on every evaluated configuration.
-/// Reports come back workload-major (chunk by [`evaluated_systems`] length).
-#[must_use]
-pub fn figure3_sweep(workloads: Vec<SharedWorkload>) -> Sweep {
-    Sweep::grid(workloads, evaluated_systems())
-}
-
-/// Runs one workload across every evaluated configuration, in parallel.
-#[must_use]
-pub fn run_figure3_for(workload: SharedWorkload) -> Vec<RunReport> {
-    figure3_sweep(vec![workload]).runner().run().into_reports()
 }
 
 /// Formats the Figure 3 column-1 chart: vector memory instruction counts
@@ -344,21 +332,10 @@ pub struct Figure4Data {
 /// Runs the Figure 4 evaluation: the area breakdown of every configuration
 /// and the average performance/mm² over the six applications. The whole
 /// evaluation is a single declarative sweep: `workloads` × (the six area
-/// columns plus the remaining AVA configurations), run across all cores.
+/// columns plus the remaining AVA configurations), run with the execution
+/// options of `args` (worker-thread cap, result store).
 #[must_use]
-pub fn figure4_data(workloads: &[SharedWorkload]) -> Figure4Data {
-    figure4_data_with(workloads, None, None)
-}
-
-/// [`figure4_data`] with the execution knobs of a `fig4` manifest run: an
-/// optional worker-thread cap and an optional result store serving
-/// already-computed points.
-#[must_use]
-pub fn figure4_data_with(
-    workloads: &[SharedWorkload],
-    threads: Option<usize>,
-    store: Option<&ResultStore>,
-) -> Figure4Data {
+pub fn figure4_data_with(workloads: &[SharedWorkload], args: &BenchArgs) -> Figure4Data {
     // Area side: one column per configuration of Figure 4. NATIVE X1 first
     // (it doubles as the speedup baseline) and AVA X1 second (its area row
     // represents every AVA configuration).
@@ -376,14 +353,7 @@ pub fn figure4_data_with(
     systems.extend([2, 3, 4, 8].iter().map(|&n| ScenarioConfig::ava_x(n)));
     let n_systems = systems.len();
     let grid = Sweep::grid(workloads.to_vec(), systems);
-    let mut runner = grid.runner();
-    if let Some(n) = threads {
-        runner = runner.threads(n);
-    }
-    if let Some(store) = store {
-        runner = runner.store(store);
-    }
-    let sweep = runner.run();
+    let sweep = args.configure(grid.runner()).run();
     let by_workload: Vec<&[RunReport]> = sweep.reports.chunks(n_systems).collect();
 
     let mut rows = Vec::with_capacity(columns.len() + 1);
@@ -461,12 +431,6 @@ pub fn format_figure4_from(data: &Figure4Data) -> String {
     }
     out.push_str("\nAVA occupies the same ~1.13 mm^2 VPU for every MVL configuration; the\n\"AVA (recfg)\" row reconfigures the MVL per application (the paper's usage\nmodel) and therefore shows the best performance/mm^2 of the comparison.\n");
     out
-}
-
-/// Regenerates Figure 4 end to end (run the sweep, format the chart).
-#[must_use]
-pub fn format_figure4(workloads: &[SharedWorkload]) -> String {
-    format_figure4_from(&figure4_data(workloads))
 }
 
 /// The Table V rows: `(label, VPU configuration)` for the two designs the

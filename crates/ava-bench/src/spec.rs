@@ -276,8 +276,6 @@ pub struct ExperimentSpec {
     pub app: Option<String>,
     /// Scenario-grid axes (sensitivity only).
     pub axes: AxesSpec,
-    /// Grid repetitions with profile-guided reordering (ablation only).
-    pub repeat: usize,
     /// Execution options.
     pub execution: ExecutionSpec,
     /// Output artefacts.
@@ -337,7 +335,6 @@ impl ExperimentSpec {
             },
             app: None,
             axes: AxesSpec::default(),
-            repeat: 1,
             execution: ExecutionSpec::default(),
             output: OutputSpec::default(),
             reduced: false,
@@ -422,18 +419,6 @@ impl ExperimentSpec {
                     }
                     spec.axes = parse_axes(&ctx, value)?;
                 }
-                "repeat" => {
-                    if artefact != ArtefactKind::Ablation {
-                        return Err(ctx.fail(
-                            key,
-                            format!(
-                                "\"repeat\" does not apply to the {} artefact",
-                                artefact.as_str()
-                            ),
-                        ));
-                    }
-                    spec.repeat = positive_usize(&ctx, value, "repeat")?;
-                }
                 "execution" => {
                     spec.execution = parse_execution(&ctx, value)?;
                 }
@@ -445,7 +430,7 @@ impl ExperimentSpec {
                         other,
                         format!(
                             "unknown field {other:?} (expected name, artefact, workloads, app, \
-                             axes, repeat, execution or output)"
+                             axes, execution or output)"
                         ),
                     ));
                 }
@@ -565,9 +550,6 @@ impl ExperimentSpec {
             axes = arr_field(axes, "vvrs", &self.axes.extra.vvrs);
             o = o.field("axes", axes.finish());
         }
-        if self.artefact == ArtefactKind::Ablation && self.repeat != 1 {
-            o = o.field("repeat", self.repeat);
-        }
         if self.execution != ExecutionSpec::default() {
             let mut e = object();
             if let Some(threads) = self.execution.threads {
@@ -595,10 +577,10 @@ impl ExperimentSpec {
     }
 
     /// Shrinks the experiment to CI-smoke size: the workload list drops to
-    /// its first entry, every driven axis to its first value, and the
-    /// ablation repeat count to 1. The driver additionally truncates the
-    /// dimensions a manifest cannot express (the fig3 evaluated-system
-    /// list, the ablation study problem sizes) when this flag is set.
+    /// its first entry and every driven axis to its first value. The
+    /// driver additionally truncates the dimensions a manifest cannot
+    /// express (the fig3 evaluated-system list, the ablation study problem
+    /// sizes) when this flag is set.
     pub fn scale_down(&mut self) {
         self.workloads.truncate(1);
         self.axes.mvl.truncate(1);
@@ -607,7 +589,6 @@ impl ExperimentSpec {
         self.axes.extra.dram_bw.truncate(1);
         self.axes.extra.vmu_bus.truncate(1);
         self.axes.extra.vvrs.truncate(1);
-        self.repeat = 1;
         self.reduced = true;
     }
 
@@ -865,7 +846,6 @@ mod tests {
         assert_eq!(spec.chart(), "tables");
         let spec = ExperimentSpec::parse("t", r#"{"artefact": "ablation"}"#).unwrap();
         assert!(spec.workloads.is_empty());
-        assert_eq!(spec.repeat, 1);
     }
 
     #[test]
@@ -900,7 +880,6 @@ mod tests {
     fn artefact_scoped_fields_are_rejected_elsewhere() {
         for (text, needle) in [
             (r#"{"artefact": "fig3", "axes": {"mvl": [128]}}"#, "axes"),
-            (r#"{"artefact": "fig3", "repeat": 2}"#, "repeat"),
             (
                 r#"{"artefact": "ablation", "workloads": ["axpy"]}"#,
                 "workloads",
@@ -987,7 +966,7 @@ mod tests {
             r#"{"name": "vvr", "artefact": "sensitivity",
                 "axes": {"mvl": [128], "l2_kib": [512], "vvrs": [32, 64]},
                 "execution": {"threads": 1}}"#,
-            r#"{"artefact": "ablation", "repeat": 3}"#,
+            r#"{"artefact": "ablation"}"#,
             r#"{"artefact": "fig4"}"#,
         ];
         for text in texts {

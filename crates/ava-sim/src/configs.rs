@@ -564,7 +564,7 @@ pub(crate) fn axes_to_json(axes: &[Axis]) -> Json {
 }
 
 /// The canonical configuration identity string used as the per-point key by
-/// recorded-cost replay, duplicate-point rejection and the result store:
+/// duplicate-point rejection and the result store's wall-time scan:
 /// the display label extended with every recorded axis. The label alone is
 /// *not* an identity — metadata axes like `iters` deliberately stay out of
 /// it (solver sweeps at different depths keep comparable config names), yet
@@ -587,7 +587,7 @@ pub(crate) fn config_axes_key(label: &str, axes: &[Axis]) -> String {
 /// in the per-point key: the workload name extended with its element count.
 /// The name alone is *not* an identity — one sweep may legitimately run the
 /// same kernel at several problem sizes (the skewed-scheduling grids do),
-/// and those points neither duplicate each other nor share a recorded cost.
+/// and those points do not duplicate each other.
 pub(crate) fn workload_identity(name: &str, elements: u64) -> String {
     format!("{name}#{elements}")
 }

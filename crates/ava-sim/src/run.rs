@@ -521,8 +521,8 @@ pub(crate) fn run_workload_stored(
 
     // 7. Checkpoint: the fresh result lands in the store the moment this
     //    point finishes, so a killed sweep loses at most the points in
-    //    flight. The recorded wall time seeds cost-sorted scheduling of
-    //    future sweeps. A write failure degrades to an uncached run. A
+    //    flight. The entry also records the point's wall time, which no
+    //    sweep reads back. A write failure degrades to an uncached run. A
     //    point that failed validation is never stored: a wrong result must
     //    be simulated (and reported) again, not served on every rerun.
     if let (true, Some(store), Some(key)) = (report.validated, store, &key) {
@@ -532,16 +532,6 @@ pub(crate) fn run_workload_stored(
         }
     }
     (report, false)
-}
-
-/// Convenience wrapper: runs every provided scenario on the same workload
-/// and returns the reports in the same order.
-#[must_use]
-pub fn run_workload_sized(workload: &dyn Workload, scenarios: &[ScenarioConfig]) -> Vec<RunReport> {
-    scenarios
-        .iter()
-        .map(|s| run_workload(workload, s))
-        .collect()
 }
 
 #[cfg(test)]

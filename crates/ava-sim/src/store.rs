@@ -19,10 +19,9 @@
 //! checkpoints itself as workers finish, resumes where it was killed, and
 //! re-simulates only the points whose fingerprints changed.
 //!
-//! Entries also record the wall-clock time of the original run; a sweep
-//! consults [`ResultStore::recorded_costs`] to start its historically
-//! slowest points first (the recorded-cost rescaling of the scheduler
-//! absorbs the ns-vs-heuristic unit mixing).
+//! Entries also record the wall-clock time of the original run. No sweep
+//! reads it back: the claim order is the static cost heuristic of
+//! [`crate::Sweep::point_cost`], with or without a store.
 //!
 //! ```no_run
 //! use ava_sim::{ResultStore, ScenarioConfig, Sweep};
@@ -66,9 +65,9 @@ pub const CODE_VERSION: &str = concat!("ava-", env!("CARGO_PKG_VERSION"), "+stor
 pub struct StoreKey {
     /// Workload name ("axpy", "pipelined", ...).
     pub workload: String,
-    /// Workload element count — together with the name this is the sweep
-    /// scheduler's workload identity, so the recorded timings of one kernel
-    /// run at several problem sizes stay separate.
+    /// Workload element count — together with the name this is the sweep's
+    /// workload identity, so the entries of one kernel run at several
+    /// problem sizes stay separate.
     pub elements: u64,
     /// Resolved scenario display label ("AVA X4", ...).
     pub config: String,
@@ -233,13 +232,12 @@ impl ResultStore {
     }
 
     /// The recorded wall time of every readable entry of the current code
-    /// version, keyed like the sweep scheduler's recorded-cost map: the
-    /// workload identity (name plus element count) and the canonical
-    /// config-plus-axes identity. Entries from other versions or with
-    /// unreadable metadata are skipped; where several entries land on one
-    /// key (e.g. a re-simulated point whose fingerprint changed), the
-    /// largest time wins — pessimistic ordering starts the potentially
-    /// slowest point first.
+    /// version. Kept only for the `perfbench` trace, which times this scan;
+    /// no sweep calls it. Keyed by the workload identity (name plus element
+    /// count) and the canonical config-plus-axes identity. Entries from
+    /// other versions or with unreadable metadata are skipped; where several
+    /// entries land on one key (e.g. a re-simulated point whose fingerprint
+    /// changed), the largest time wins.
     #[must_use]
     pub fn recorded_costs(&self) -> HashMap<(String, String), u64> {
         let mut costs = HashMap::new();
@@ -370,7 +368,7 @@ mod tests {
         assert_eq!(costs[&("axpy#512".to_string(), identity)], 900);
 
         // The same kernel at a different problem size is a separate
-        // scheduling identity, not a max-merge victim.
+        // workload identity, not a max-merge victim.
         let mut resized = key.clone();
         resized.elements = 1024;
         resized.fingerprint ^= 0xabc;

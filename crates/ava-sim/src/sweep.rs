@@ -15,9 +15,9 @@
 //! * results are written into per-point slots, so the returned `Vec` is in
 //!   grid order regardless of which thread finished first.
 //!
-//! Execution goes through the builder-style [`SweepRunner`] — thread count,
-//! profile-guided scheduling and the on-disk [`ResultStore`] are
-//! independent knobs on one `run()` path.
+//! Execution goes through the builder-style [`SweepRunner`] — the thread
+//! count and the on-disk [`ResultStore`] are its two knobs on one `run()`
+//! path.
 //!
 //! # Scheduling
 //!
@@ -25,17 +25,13 @@
 //! point can cost more than a dozen Axpy points — so claiming points in
 //! grid order lets an expensive point picked up last tail the whole sweep.
 //! The runner claims longest-processing-time-first instead. Every point
-//! gets one **cost estimate** when the sweep starts: its recorded
-//! wall-clock from a previous sweep or an attached store where one exists,
-//! otherwise [`Workload::elements`] over the configuration's effective
-//! width `MVL / LMUL` (narrower width means more strips, hence more dynamic
-//! instructions to simulate), rescaled by the median
-//! nanoseconds-per-heuristic-unit of the recorded points so the two kinds
-//! sort commensurably. The points are sorted once by descending estimate,
-//! grid order breaking ties, and the workers claim them in that order
-//! through one atomic cursor. The estimate only orders work; results are
-//! still reported in grid order and are bit-identical at any thread count
-//! and under any estimate.
+//! gets one **cost estimate** when the sweep starts: [`Workload::elements`]
+//! over the configuration's effective width `MVL / LMUL` (narrower width
+//! means more strips, hence more dynamic instructions to simulate). The
+//! points are sorted once by descending estimate, grid order breaking ties,
+//! and the workers claim them in that order through one atomic cursor. The
+//! estimate only orders work; results are still reported in grid order and
+//! are bit-identical at any thread count.
 //!
 //! [`Workload::elements`]: ava_workloads::Workload::elements
 //!
@@ -46,8 +42,8 @@
 //! a warm rerun performs zero simulations, a killed sweep resumes where it
 //! stopped, and a change to one workload invalidates only that workload's
 //! points (the store is keyed by a content fingerprint of the compiled
-//! program, planned layout and golden reference). Recorded per-point wall
-//! times in the store seed the claim order automatically.
+//! program, planned layout and golden reference). The store never changes
+//! the claim order: a hit costs about a millisecond wherever it is claimed.
 //!
 //! Compilations are memoised per sweep only. A store hit still plans and
 //! compiles its point (the store key covers the compiled program), so the
@@ -187,13 +183,10 @@ pub struct PointStats {
     pub workload: String,
     /// Configuration label of the point ("AVA X4", ...).
     pub config: String,
-    /// The point's cost estimate, fixed when the sweep started: the
-    /// recorded wall-clock of a previous sweep under
-    /// [`SweepRunner::recorded_costs`] / an attached store where one
-    /// exists, otherwise workload element operations over the
-    /// configuration's effective width, rescaled by the median
-    /// nanoseconds-per-heuristic-unit of the recorded points. Orders
-    /// execution only.
+    /// The point's cost estimate, fixed when the sweep started:
+    /// [`Sweep::point_cost`], the workload's element operations over the
+    /// configuration's effective width. The same with or without a store.
+    /// Orders execution only.
     pub cost_estimate: u64,
     /// The workload's element-operation count ([`Workload::elements`]) —
     /// the denominator of derived per-element metrics such as
@@ -351,7 +344,7 @@ impl SweepReport {
 /// Scenarios are resolved once, at construction, so the per-point cost is
 /// one compile + simulate pass — and construction rejects two points with
 /// the same `(workload name + size, configuration)` identity, which would
-/// make recorded-cost replay and the store's timing metadata ambiguous.
+/// make the reports and the result-store keys ambiguous.
 pub struct Sweep {
     workloads: Vec<SharedWorkload>,
     scenarios: Vec<ScenarioConfig>,
@@ -405,12 +398,11 @@ impl Sweep {
     ) -> Self {
         let resolved: Vec<SystemConfig> = scenarios.iter().map(ScenarioConfig::resolve).collect();
         // Every point must have a unique (workload ⊕ size, config ⊕ axes)
-        // identity: it is the key of recorded-cost replay and of the result
-        // store's timing metadata, so a duplicate would make one point's
-        // schedule speak for another. Neither half is a display string —
-        // metadata axes like `iters` stay out of the config label by
-        // design, and one kernel legitimately appears at several problem
-        // sizes in skewed grids — hence the canonical keys.
+        // identity: a duplicate would make two reports indistinguishable
+        // and give two points one result-store key. Neither half is a
+        // display string — metadata axes like `iters` stay out of the
+        // config label by design, and one kernel legitimately appears at
+        // several problem sizes in skewed grids — hence the canonical keys.
         let mut seen: HashMap<(String, String), usize> = HashMap::new();
         for (i, &(w, s)) in points.iter().enumerate() {
             let identity = (
@@ -465,86 +457,34 @@ impl Sweep {
         &self.workloads
     }
 
-    /// Starts configuring an execution of this sweep: thread count,
-    /// profile-guided scheduling and the result store are independent
-    /// builder knobs, finished with [`SweepRunner::run`].
+    /// Starts configuring an execution of this sweep: the thread count and
+    /// the result store are independent builder knobs, finished with
+    /// [`SweepRunner::run`].
     #[must_use]
     pub fn runner(&self) -> SweepRunner<'_> {
         SweepRunner {
             sweep: self,
             threads: None,
-            recorded: HashMap::new(),
             store: None,
         }
     }
 
-    /// The static cost heuristic for one point — the workload's
-    /// element-operation count divided by the configuration's effective
-    /// register width (`MVL / LMUL`, normalised to the 16-element
+    /// The cost estimate of one point, the sweep's only claim order: the
+    /// workload's element-operation count divided by the configuration's
+    /// effective register width (`MVL / LMUL`, normalised to the 16-element
     /// baseline). A narrower effective width means more strips and
     /// therefore more dynamic instructions to simulate for the same element
     /// count, so narrow-width points (NATIVE X1, the spill-heavy RG-LMUL8)
-    /// rank as expensive — matching recorded per-point wall-clock. A
+    /// rank as expensive — matching measured per-point wall-clock. A
     /// heuristic — it orders execution so skewed points start early, and
-    /// can never change a result. Recorded costs fed through
-    /// [`SweepRunner::recorded_costs`] or an attached store replace it
-    /// point by point.
+    /// can never change a result.
     #[must_use]
     pub fn point_cost(&self, point: usize) -> u64 {
-        self.heuristic_cost(point)
-    }
-
-    /// The scheduling identity of one point: the workload name plus element
-    /// count, and the canonical config-plus-axes key.
-    fn point_identity(&self, point: usize) -> (String, String) {
-        let (w, s) = self.points[point];
-        (
-            workload_identity(
-                self.workloads[w].name(),
-                self.workloads[w].elements() as u64,
-            ),
-            config_axes_key(self.resolved[s].label(), &self.resolved[s].axes),
-        )
-    }
-
-    /// The recorded wall-clock for one point's identity, if `recorded`
-    /// has seen it.
-    fn recorded_cost_in(
-        &self,
-        point: usize,
-        recorded: &HashMap<(String, String), u64>,
-    ) -> Option<u64> {
-        // Guarded so the common no-feedback path stays allocation-free.
-        if recorded.is_empty() {
-            return None;
-        }
-        recorded.get(&self.point_identity(point)).copied()
-    }
-
-    /// The static cost heuristic for one point (element operations over the
-    /// effective width).
-    fn heuristic_cost(&self, point: usize) -> u64 {
         let (w, s) = self.points[point];
         let system = &self.resolved[s];
         let elements = self.workloads[w].elements() as u64;
         let width = (system.mvl() / system.compiler_lmul.factor()) as u64;
         heuristic_points_cost(elements, width)
-    }
-
-    /// The cost estimates of every point, computed once per sweep
-    /// execution: recorded wall-clock where `recorded` has the point's
-    /// identity, the static heuristic rescaled into nanoseconds otherwise
-    /// ([`cost_estimates`]). [`Workload::elements`] can be arbitrarily
-    /// expensive (composite workloads sum their phases), so the estimates
-    /// are computed once, not per claim.
-    ///
-    /// [`Workload::elements`]: ava_workloads::Workload::elements
-    fn point_costs(&self, recorded: &HashMap<(String, String), u64>) -> Vec<u64> {
-        let points = 0..self.points.len();
-        let heuristic: Vec<u64> = points.clone().map(|i| self.heuristic_cost(i)).collect();
-        let recorded: Vec<Option<u64>> =
-            points.map(|i| self.recorded_cost_in(i, recorded)).collect();
-        cost_estimates(&heuristic, &recorded)
     }
 
     #[cfg(test)]
@@ -582,46 +522,6 @@ impl Sweep {
     }
 }
 
-/// The median of a sorted slice of observations, or 1.0 when empty (the
-/// heuristic is then internally consistent without rescaling).
-fn sorted_median(ratios: &[f64]) -> f64 {
-    if ratios.is_empty() {
-        return 1.0;
-    }
-    let mid = ratios.len() / 2;
-    if ratios.len() % 2 == 1 {
-        ratios[mid]
-    } else {
-        f64::midpoint(ratios[mid - 1], ratios[mid])
-    }
-}
-
-/// Per-point cost estimates from the static `heuristic` costs and the
-/// `recorded` wall-clock times covering part (or none) of the grid.
-///
-/// A recorded point keeps its nanoseconds. An unrecorded point's heuristic
-/// is rescaled by the median nanoseconds-per-heuristic-unit of the recorded
-/// points: raw element counts and wall-clock nanoseconds are not
-/// commensurable, and without the rescale one new grid point would sort
-/// arbitrarily against every measured point. The zero-width max-cost
-/// sentinel is not a real unit count, so it never feeds the median; `f64 as
-/// u64` saturates, so it stays the maximum after rescaling.
-fn cost_estimates(heuristic: &[u64], recorded: &[Option<u64>]) -> Vec<u64> {
-    let mut ratios: Vec<f64> = heuristic
-        .iter()
-        .zip(recorded)
-        .filter(|&(&h, _)| h != u64::MAX)
-        .filter_map(|(&h, &ns)| Some(ns? as f64 / h.max(1) as f64))
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    let scale = sorted_median(&ratios);
-    heuristic
-        .iter()
-        .zip(recorded)
-        .map(|(&h, &ns)| ns.unwrap_or_else(|| ((h as f64 * scale).round() as u64).max(1)))
-        .collect()
-}
-
 /// Indices into `costs` in claim order: descending cost, index order
 /// breaking ties (longest processing time first).
 fn execution_order(costs: &[u64]) -> Vec<usize> {
@@ -631,8 +531,7 @@ fn execution_order(costs: &[u64]) -> Vec<usize> {
 }
 
 /// Builder-style execution of one [`Sweep`]: configure the thread count
-/// ([`SweepRunner::threads`]), profile-guided scheduling
-/// ([`SweepRunner::recorded_costs`]) and the on-disk result store
+/// ([`SweepRunner::threads`]) and the on-disk result store
 /// ([`SweepRunner::store`]) independently, then [`SweepRunner::run`].
 ///
 /// ```no_run
@@ -644,18 +543,14 @@ fn execution_order(costs: &[u64]) -> Vec<usize> {
 /// # );
 /// let store = ResultStore::open("results").unwrap();
 /// let first = sweep.runner().threads(4).store(&store).run();
-/// // Later sweeps reuse both the stored results and the recorded timings.
-/// let again = sweep
-///     .runner()
-///     .recorded_costs(&first)
-///     .store(&store)
-///     .run();
+/// assert_eq!(first.store_misses, first.points.len() as u64);
+/// // A later sweep over the same grid is served from the store.
+/// let again = sweep.runner().store(&store).run();
 /// assert_eq!(again.store_hits, again.points.len() as u64);
 /// ```
 pub struct SweepRunner<'a> {
     sweep: &'a Sweep,
     threads: Option<usize>,
-    recorded: HashMap<(String, String), u64>,
     store: Option<&'a ResultStore>,
 }
 
@@ -669,67 +564,18 @@ impl<'a> SweepRunner<'a> {
         self
     }
 
-    /// Profile-guided scheduling: feeds a previous sweep's measured
-    /// per-point wall-clock back into this run's execution order. Points
-    /// whose `(workload, configuration)` identity appears in `report` are
-    /// ordered by the recorded nanoseconds instead of the static
-    /// [`Workload::elements`] heuristic; unseen points fall back to the
-    /// heuristic, *rescaled into the recorded unit* so a new grid point
-    /// sorts commensurably against the measured ones rather than
-    /// arbitrarily. Calling this several times (or combining it with an
-    /// attached store, whose recorded wall times join the same map) keeps
-    /// the *largest* recorded time per identity, so an ambiguous point is
-    /// scheduled early rather than risking it tailing the sweep. Like the
-    /// heuristic, recorded costs only order execution and can never change
-    /// a result.
-    ///
-    /// [`Workload::elements`]: ava_workloads::Workload::elements
-    #[must_use]
-    pub fn recorded_costs(mut self, report: &SweepReport) -> Self {
-        for (p, r) in report.points.iter().zip(&report.reports) {
-            let key = (
-                workload_identity(&p.workload, p.elements),
-                config_axes_key(&p.config, &r.axes),
-            );
-            let entry = self.recorded.entry(key).or_insert(0);
-            *entry = (*entry).max(p.wall_ns.max(1));
-        }
-        self
-    }
-
     /// Attaches the on-disk result store: points with a usable entry are
-    /// served from it instead of being simulated, every freshly simulated
-    /// point is checkpointed into it as it finishes, and the store's
-    /// recorded wall times seed the execution order (largest time wins when
-    /// they overlap with [`SweepRunner::recorded_costs`]).
+    /// served from it instead of being simulated, and every freshly
+    /// simulated point is checkpointed into it as it finishes. The store is
+    /// read per point only; it never changes the claim order.
     #[must_use]
     pub fn store(mut self, store: &'a ResultStore) -> Self {
         self.store = Some(store);
         self
     }
 
-    /// Explicit recorded costs and the store's recorded wall times,
-    /// max-merged into one scheduling map.
-    fn merged_recorded(&self) -> HashMap<(String, String), u64> {
-        let mut recorded = self.recorded.clone();
-        if let Some(store) = self.store {
-            for (key, wall_ns) in store.recorded_costs() {
-                let entry = recorded.entry(key).or_insert(0);
-                *entry = (*entry).max(wall_ns);
-            }
-        }
-        recorded
-    }
-
-    /// The whole grid's cost estimates as this run would order it.
-    #[cfg(test)]
-    fn effective_costs(&self) -> Vec<u64> {
-        self.sweep.point_costs(&self.merged_recorded())
-    }
-
     /// Executes the sweep. Results come back in point order and are
-    /// bit-identical at any thread count, with or without a store, and
-    /// under any cost estimates.
+    /// bit-identical at any thread count and with or without a store.
     #[must_use]
     pub fn run(self) -> SweepReport {
         let sweep = self.sweep;
@@ -739,7 +585,9 @@ impl<'a> SweepRunner<'a> {
         });
         let workers = requested.clamp(1, n.max(1));
         let cache = ProgramCache::default();
-        let costs = sweep.point_costs(&self.merged_recorded());
+        // Computed once, not per claim: `Workload::elements` can be
+        // arbitrarily expensive (composite workloads sum their phases).
+        let costs: Vec<u64> = (0..n).map(|i| sweep.point_cost(i)).collect();
         let order = execution_order(&costs);
         let cursor = AtomicUsize::new(0);
         let store = self.store;
@@ -831,6 +679,11 @@ mod tests {
         (workloads, small_scenarios())
     }
 
+    /// Every point's [`Sweep::point_cost`], in grid order.
+    fn point_costs(sweep: &Sweep) -> Vec<u64> {
+        (0..sweep.len()).map(|i| sweep.point_cost(i)).collect()
+    }
+
     #[test]
     fn grid_is_workload_major_and_complete() {
         let (w, s) = small_axes();
@@ -863,7 +716,7 @@ mod tests {
     #[should_panic(expected = "duplicate sweep point")]
     fn duplicate_point_identities_are_rejected_at_construction() {
         // Two workloads with the same name() crossed with one scenario are
-        // indistinguishable to recorded-cost replay and the result store.
+        // indistinguishable in the reports and share one result-store key.
         let workloads: Vec<SharedWorkload> =
             vec![Arc::new(Axpy::new(256)), Arc::new(Axpy::new(256))];
         let _ = Sweep::grid(workloads, vec![ScenarioConfig::native_x(1)]);
@@ -873,15 +726,14 @@ mod tests {
     fn metadata_axes_disambiguate_identical_labels() {
         // with_iters stays out of the config label by design, so these two
         // scenarios *display* identically — but the axes make their point
-        // identities distinct, so the grid is accepted.
+        // identities distinct, so the grid constructs.
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(256))];
         let scenarios = vec![
             ScenarioConfig::ava_x(2).with_iters(2),
             ScenarioConfig::ava_x(2).with_iters(4),
         ];
         assert_eq!(scenarios[0].label(), scenarios[1].label());
-        let sweep = Sweep::grid(workloads, scenarios);
-        assert_ne!(sweep.point_identity(0), sweep.point_identity(1));
+        assert_eq!(Sweep::grid(workloads, scenarios).len(), 2);
     }
 
     #[test]
@@ -893,7 +745,7 @@ mod tests {
         ];
         let systems = vec![ScenarioConfig::native_x(1)];
         let sweep = Sweep::grid(workloads, systems);
-        let order = execution_order(&sweep.runner().effective_costs());
+        let order = execution_order(&point_costs(&sweep));
         assert_eq!(order[0], 1, "the huge Blackscholes point must start first");
         assert_eq!(
             sweep.point_cost(1),
@@ -901,59 +753,6 @@ mod tests {
                 .point_cost(1)
                 .max(sweep.point_cost(0))
                 .max(sweep.point_cost(2))
-        );
-    }
-
-    #[test]
-    fn recorded_costs_reorder_execution_without_changing_results() {
-        // The static heuristic ranks the big Blackscholes first; recorded
-        // wall-clock claiming Axpy is the slow point must flip the order —
-        // and the reports must stay bit-identical either way.
-        let workloads: Vec<SharedWorkload> =
-            vec![Arc::new(Axpy::new(128)), Arc::new(Blackscholes::new(1024))];
-        let systems = vec![ScenarioConfig::native_x(1)];
-        let sweep = Sweep::grid(workloads, systems);
-        let baseline = sweep.runner().threads(1).run();
-        assert_eq!(
-            execution_order(&sweep.runner().effective_costs()),
-            vec![1, 0]
-        );
-
-        // Forge a report claiming the Axpy point took far longer.
-        let mut forged = baseline.clone();
-        forged.points[0].wall_ns = 1_000_000_000;
-        forged.points[1].wall_ns = 1_000;
-        let tuned = sweep.runner().recorded_costs(&forged);
-        let costs = tuned.effective_costs();
-        assert_eq!(costs, vec![1_000_000_000, 1_000]);
-        assert_eq!(execution_order(&costs), vec![0, 1]);
-
-        let retimed = tuned.threads(2).run();
-        for (a, b) in baseline.reports.iter().zip(&retimed.reports) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "results must not move");
-        }
-        // The recorded costs surface as the new points' cost estimates.
-        assert_eq!(retimed.points[0].cost_estimate, 1_000_000_000);
-    }
-
-    #[test]
-    fn recorded_costs_key_on_axes_not_just_labels() {
-        // Two scenarios sharing one display label (the iters metadata axis
-        // stays out of it) must not alias in recorded-cost replay.
-        let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(128))];
-        let scenarios = vec![
-            ScenarioConfig::ava_x(2).with_iters(2),
-            ScenarioConfig::ava_x(2).with_iters(4),
-        ];
-        let sweep = Sweep::grid(workloads, scenarios);
-        let mut forged = sweep.runner().threads(1).run();
-        forged.points[0].wall_ns = 9_000;
-        forged.points[1].wall_ns = 70;
-        let costs = sweep.runner().recorded_costs(&forged).effective_costs();
-        assert_eq!(
-            costs,
-            vec![9_000, 70],
-            "label-only keying would have max-merged both points to 9000"
         );
     }
 
@@ -968,62 +767,6 @@ mod tests {
         assert_eq!(heuristic_points_cost(0, 64), 1);
         // Huge element counts saturate instead of overflowing.
         assert_eq!(heuristic_points_cost(u64::MAX, 1), u64::MAX);
-    }
-
-    #[test]
-    fn unseen_labels_are_rescaled_into_the_recorded_unit() {
-        // One recorded point (wall-clock nanoseconds) and one unseen point
-        // (element-count heuristic): the raw units are not commensurable.
-        // NATIVE X1 is heuristically the *more* expensive point (narrower
-        // effective width), so after rescaling it must still sort first —
-        // comparing the raw heuristic against the raw nanoseconds would
-        // have flipped the order.
-        let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(4096))];
-        let recorded_grid = Sweep::grid(workloads.clone(), vec![ScenarioConfig::native_x(1)]);
-        let mut forged = recorded_grid.runner().threads(1).run();
-        forged.points[0].wall_ns = 50;
-
-        let sweep = Sweep::grid(
-            workloads,
-            vec![ScenarioConfig::native_x(1), ScenarioConfig::ava_x(2)],
-        );
-        let runner = sweep.runner().recorded_costs(&forged);
-        // Heuristics: X1 = 4096*4*16/16 = 16384, X2 (width 32) = 8192.
-        assert_eq!(sweep.heuristic_cost(0), 16384);
-        assert_eq!(sweep.heuristic_cost(1), 8192);
-        let costs = runner.effective_costs();
-        // The recorded point keeps its nanoseconds; the unseen point's
-        // heuristic is scaled by 50 ns / 16384 units ≈ 0.00305..., i.e.
-        // 8192 * 50 / 16384 = 25 ns.
-        assert_eq!(costs, vec![50, 25]);
-        assert_eq!(
-            execution_order(&costs),
-            vec![0, 1],
-            "the heuristically-narrower X1 point must still be scheduled \
-             first; raw unit mixing would have ranked the unseen point's \
-             8192 'elements' above 50 ns"
-        );
-        // And, like every cost, the rescale cannot move a result.
-        let reports = runner.threads(2).run().into_reports();
-        assert!(reports.iter().all(|r| r.validated));
-        assert_eq!(reports[0].config, "NATIVE X1");
-        assert_eq!(reports[1].config, "AVA X2");
-    }
-
-    #[test]
-    fn recorded_costs_fall_back_to_the_heuristic_for_unseen_labels() {
-        let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(128))];
-        let sweep = Sweep::grid(workloads.clone(), vec![ScenarioConfig::native_x(1)]);
-        let report = sweep.runner().threads(1).run();
-        // A different grid (new config label) keeps the heuristic.
-        let other = Sweep::grid(workloads, vec![ScenarioConfig::ava_x(2)]);
-        let costs = other.runner().recorded_costs(&report).effective_costs();
-        assert_eq!(other.point_cost(0), costs[0]);
-        assert_eq!(
-            other.point_cost(0),
-            (Axpy::new(128).elements() as u64 * 16 / 32).max(1),
-            "unseen label must use elements() over the effective width"
-        );
     }
 
     #[test]
@@ -1043,7 +786,7 @@ mod tests {
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(256))];
         let scenarios = vec![ScenarioConfig::native_x(2), ScenarioConfig::ava_x(2)];
         let sweep = Sweep::grid(workloads, scenarios);
-        let costs = sweep.runner().effective_costs();
+        let costs = point_costs(&sweep);
         assert_eq!(costs[0], costs[1], "the tie this test is about");
         assert_eq!(execution_order(&costs), vec![0, 1]);
     }
@@ -1200,37 +943,10 @@ mod tests {
     }
 
     #[test]
-    fn unrecorded_points_are_rescaled_by_the_recorded_median() {
-        // Recorded ratios 10 and 500 ns/unit: the median is 255 ns/unit.
-        let costs = cost_estimates(
-            &[1000, 100, 10, 100],
-            &[Some(10_000), None, None, Some(50_000)],
-        );
-        assert_eq!(costs, vec![10_000, 25_500, 2_550, 50_000]);
-        // With nothing recorded the heuristic is the estimate.
-        assert_eq!(cost_estimates(&[7, 3], &[None, None]), vec![7, 3]);
-    }
-
-    #[test]
-    fn the_zero_width_sentinel_never_feeds_the_median() {
-        // The sentinel's "heuristic units" are not a real count: its
-        // recording would otherwise set a 5e-19 ns/unit median and rank
-        // the unrecorded point at the 1 ns floor.
-        assert_eq!(
-            cost_estimates(&[u64::MAX, 10], &[Some(5), None]),
-            vec![5, 10]
-        );
-        assert_eq!(
-            cost_estimates(&[u64::MAX, 10], &[None, None]),
-            vec![u64::MAX, 10]
-        );
-    }
-
-    #[test]
     fn cost_estimates_are_fixed_at_sweep_start() {
         let (w, s) = small_axes();
         let sweep = Sweep::grid(w, s);
-        let expected = sweep.runner().effective_costs();
+        let expected = point_costs(&sweep);
         for threads in [1, 2, 3] {
             let report = sweep.runner().threads(threads).run();
             let costs: Vec<u64> = report.points.iter().map(|p| p.cost_estimate).collect();

@@ -105,6 +105,7 @@ fn schema_errors_name_the_token_and_its_byte_offset() {
             r#"{"artefact": "fig3", "execution": {"store": "d", "store_gc_mib": 64}}"#,
             "store_gc_mib",
         ),
+        (r#"{"artefact": "ablation", "repeat": 2}"#, "repeat"),
     ] {
         let err = ExperimentSpec::parse("t", text).unwrap_err();
         let offset = text.find(&format!("\"{token}\"")).unwrap();

@@ -100,8 +100,8 @@ fn warm_rerun_simulates_zero_points() {
         sweep.len()
     )));
 
-    // Stored wall times seed the next run's scheduler: every recorded cost
-    // is a positive nanosecond figure keyed by (workload, config).
+    // Every entry records its wall time, a positive nanosecond figure keyed
+    // by (workload, config); no sweep reads it back.
     let costs = store.recorded_costs();
     assert_eq!(costs.len(), sweep.len());
     assert!(costs.values().all(|&ns| ns > 0));
@@ -256,9 +256,9 @@ fn damaged_entries_degrade_to_misses() {
 }
 
 /// Store-served points go through the JSON round-trip; attaching a store
-/// must therefore not perturb a single counter relative to a plain sweep,
-/// and profile-guided scheduling from the store's recorded wall times must
-/// not either.
+/// must therefore not perturb a single counter relative to a plain sweep.
+/// Nor may the store's recorded wall times steer the claim order: a warm
+/// run's cost estimates are the static heuristic, point for point.
 #[test]
 fn store_round_trip_never_perturbs_results() {
     let dir = store_dir("identity");
@@ -269,10 +269,22 @@ fn store_round_trip_never_perturbs_results() {
     let stored_warm = sweep.runner().threads(3).store(&store).run();
     assert_reports_identical(&plain, &stored_cold, "cold store run");
     assert_reports_identical(&plain, &stored_warm, "warm store run");
-    // Warm scheduling used the recorded costs; results stayed in grid order.
-    for (p, r) in stored_warm.points.iter().zip(&stored_warm.reports) {
+    // Results stayed in grid order, and the claim order ignored the store.
+    for (i, (p, r)) in stored_warm
+        .points
+        .iter()
+        .zip(&stored_warm.reports)
+        .enumerate()
+    {
         assert_eq!(p.workload, r.workload);
         assert_eq!(p.config, r.config);
+        assert_eq!(
+            p.cost_estimate,
+            sweep.point_cost(i),
+            "{} on {}",
+            r.workload,
+            r.config
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
