@@ -16,7 +16,7 @@ use ava_sim::{run_workload, ScenarioConfig};
 use ava_vpu::exec::{execute_into, OperandValue};
 use ava_vpu::rac::Rac;
 use ava_vpu::rename::{RenameCheckpoint, RenameUnit};
-use ava_vpu::swap::{SwapDecision, SwapLogic};
+use ava_vpu::swap::{plan_free_register, SwapDecision};
 use ava_vpu::vrf_mapping::VrfMapping;
 
 use crate::bench_workloads;
@@ -104,8 +104,8 @@ fn fig4_area(run: &mut Runner<'_>) {
 
 /// Unit-stride and strided vector accesses through the L2/DRAM timing
 /// model, the scalar L1 hit path, and word reads and writes of the
-/// functional memory (the data path of every vector element, swap and
-/// spill).
+/// functional memory, one word at a time and as page runs (the data path of
+/// every vector element, swap and spill).
 fn memory_hierarchy(run: &mut Runner<'_>) {
     let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
     let base = mem.allocate(128 * 8);
@@ -135,10 +135,22 @@ fn memory_hierarchy(run: &mut Runner<'_>) {
         }
         (0..128u64).fold(0, |acc, i| acc ^ mem.read_u64(base + 8 * i))
     });
+
+    // The page-run path of unit-stride loads/stores and M-VRF swaps: one
+    // MVL-512 register written and read back, crossing a page boundary.
+    let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
+    let _ = mem.allocate(64);
+    let base = mem.allocate(512 * 8);
+    run("memory/functional_word_run_512", &mut || {
+        mem.write_words(base, (0..512u32).map(u64::from));
+        let mut acc = 0;
+        mem.read_words(base, 512, |w| acc ^= w);
+        acc
+    });
 }
 
 /// The renaming unit, the Register Access Counters, the Swap Logic victim
-/// selection, and the register allocator that produces spill code — the
+/// selection (the policy the VPU runs, timing tie-breaks included), and the register allocator that produces spill code — the
 /// structures the paper adds to the VPU, so their cost in the simulator is
 /// tracked explicitly.
 fn microarch(run: &mut Runner<'_>) {
@@ -166,10 +178,11 @@ fn microarch(run: &mut Runner<'_>) {
             rac.increment(v);
         }
     }
-    let logic = SwapLogic::new();
+    let value_ready: Vec<u64> = (0..64).map(|v| 100 - v).collect();
+    let readers_done = [50u64; 8];
     run(
         "microarch/swap_victim_selection",
-        &mut || match logic.plan_free_register(&mapping, &rac, &[0, 1]) {
+        &mut || match plan_free_register(&mapping, &rac, &[0, 1], &value_ready, &readers_done) {
             None => 0,
             Some(SwapDecision::AlreadyFree) => 1,
             Some(SwapDecision::Reclaim(_)) => 2,

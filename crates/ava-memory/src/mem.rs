@@ -132,7 +132,8 @@ impl MainMemory {
         self.page_mut(page)[off] = value;
     }
 
-    /// Reads a little-endian 64-bit word (need not be aligned).
+    /// Reads a little-endian 64-bit word (need not be aligned). A word that
+    /// passes the top of the address space wraps to address 0.
     #[must_use]
     pub fn read_u64(&self, addr: u64) -> u64 {
         let (page, off) = split(addr);
@@ -143,7 +144,7 @@ impl MainMemory {
         }
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
+            *b = self.read_u8(addr.wrapping_add(i as u64));
         }
         u64::from_le_bytes(bytes)
     }
@@ -157,6 +158,56 @@ impl MainMemory {
         }
         for (i, b) in value.to_le_bytes().iter().enumerate() {
             self.write_u8(addr + i as u64, *b);
+        }
+    }
+
+    /// Reads the `n` consecutive words starting at `addr`, passing each to
+    /// `each` in address order; the same values as `n` calls of
+    /// [`MainMemory::read_u64`]. A run that passes the top of the address
+    /// space wraps to address 0. An 8-byte-aligned run does one page-table
+    /// lookup per page it touches; an unaligned one takes the per-word path.
+    pub fn read_words(&self, addr: u64, n: usize, mut each: impl FnMut(u64)) {
+        if !addr.is_multiple_of(8) {
+            (0..n).for_each(|i| each(self.read_u64(addr.wrapping_add(8 * i as u64))));
+            return;
+        }
+        let (mut addr, mut left) = (addr, n);
+        while left > 0 {
+            let (page, off) = split(addr);
+            let run = left.min((PAGE_SIZE - off) / 8);
+            match self.page(page) {
+                Some(p) => p[off..off + 8 * run]
+                    .chunks_exact(8)
+                    .for_each(|w| each(u64::from_le_bytes(w.try_into().expect("8-byte chunk")))),
+                None => (0..run).for_each(|_| each(0)),
+            }
+            addr = addr.wrapping_add(8 * run as u64);
+            left -= run;
+        }
+    }
+
+    /// Writes `words` to consecutive words starting at `addr`; the same
+    /// effect as one [`MainMemory::write_u64`] per word. An 8-byte-aligned
+    /// run does one page-table lookup per page it touches; an unaligned one
+    /// takes the per-word path. A run of no words materialises no page.
+    pub fn write_words(&mut self, addr: u64, words: impl ExactSizeIterator<Item = u64>) {
+        let mut words = words;
+        if !addr.is_multiple_of(8) {
+            for (i, w) in words.enumerate() {
+                self.write_u64(addr.wrapping_add(8 * i as u64), w);
+            }
+            return;
+        }
+        let (mut addr, mut left) = (addr, words.len());
+        while left > 0 {
+            let (page, off) = split(addr);
+            let run = left.min((PAGE_SIZE - off) / 8);
+            let bytes = &mut self.page_mut(page)[off..off + 8 * run];
+            for (dst, w) in bytes.chunks_exact_mut(8).zip(&mut words) {
+                dst.copy_from_slice(&w.to_le_bytes());
+            }
+            addr = addr.wrapping_add(8 * run as u64);
+            left -= run;
         }
     }
 

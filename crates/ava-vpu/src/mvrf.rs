@@ -69,10 +69,7 @@ impl MemoryVrf {
     /// Writes a VVR's contents to its slot (the data movement of a
     /// Swap-Store).
     pub fn store(&self, mem: &mut MemoryHierarchy, vvr: u16, values: &[Element]) {
-        let addr = self.slot_addr(vvr);
-        for (i, v) in values.iter().enumerate() {
-            mem.write_u64(addr + 8 * i as u64, v.bits());
-        }
+        mem.write_words(self.slot_addr(vvr), values.iter().map(|v| v.bits()));
     }
 
     /// Reads `vl` elements of a VVR's slot (the data movement of a
@@ -88,9 +85,8 @@ impl MemoryVrf {
     /// reusing the buffer's capacity; the Swap-Load hot path stages through
     /// one such buffer instead of allocating per swap.
     pub fn load_into(&self, mem: &MemoryHierarchy, vvr: u16, vl: usize, out: &mut Vec<Element>) {
-        let addr = self.slot_addr(vvr);
         out.clear();
-        out.extend((0..vl).map(|i| Element::from_bits(mem.read_u64(addr + 8 * i as u64))));
+        mem.read_words(self.slot_addr(vvr), vl, |w| out.push(Element::from_bits(w)));
     }
 }
 

@@ -78,22 +78,6 @@ impl Rac {
     pub fn is_reclaimable(&self, vvr: u16) -> bool {
         self.counts[vvr as usize] == 0
     }
-
-    /// Among `candidates`, returns the VVR with the lowest count that is not
-    /// in `excluded`, preferring lower VVR ids on ties. Returns `None` when
-    /// every candidate is excluded.
-    #[must_use]
-    pub fn lowest_count_among<'a>(
-        &self,
-        candidates: impl IntoIterator<Item = &'a u16>,
-        excluded: &[u16],
-    ) -> Option<u16> {
-        candidates
-            .into_iter()
-            .copied()
-            .filter(|v| !excluded.contains(v))
-            .min_by_key(|v| (self.counts[*v as usize], *v))
-    }
 }
 
 #[cfg(test)]
@@ -138,21 +122,5 @@ mod tests {
         rac.increment(2);
         rac.clear(2);
         assert!(rac.is_reclaimable(2));
-    }
-
-    #[test]
-    fn lowest_count_selection_respects_exclusions() {
-        let mut rac = Rac::new(8);
-        rac.increment(0); // count 1
-        rac.increment(1);
-        rac.increment(1); // count 2
-        rac.increment(2); // count 1
-        let candidates = [0u16, 1, 2];
-        // 0 and 2 tie at count 1; the lower id wins.
-        assert_eq!(rac.lowest_count_among(&candidates, &[]), Some(0));
-        // Excluding 0 picks 2.
-        assert_eq!(rac.lowest_count_among(&candidates, &[0]), Some(2));
-        // Excluding everything yields None.
-        assert_eq!(rac.lowest_count_among(&candidates, &[0, 1, 2]), None);
     }
 }

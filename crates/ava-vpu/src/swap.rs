@@ -1,11 +1,14 @@
 //! The Swap Logic: victim selection for P-VRF ↔ M-VRF transfers.
 //!
 //! When the pre-issue stage needs a physical register but none is free, the
-//! Swap Logic selects the resident VVR with the lowest Register Access
-//! Counter value that is not a source (or the destination) of the current
-//! instruction, and creates a Swap-Store to push its contents to the M-VRF
-//! (paper §III.C). Values whose RAC already reached zero are reclaimed
-//! *without* a Swap-Store (aggressive register reclamation).
+//! Swap Logic picks a resident VVR that is not a source (or the destination)
+//! of the current instruction (paper §III.C). A VVR whose RAC already
+//! reached zero is reclaimed *without* a Swap-Store (aggressive register
+//! reclamation). Otherwise the victim is the one with the lowest RAC count,
+//! and its contents go to the M-VRF with a Swap-Store. Both choices break
+//! ties on timing: the value whose producer and readers finish first frees
+//! its register soonest. The last tie-break is the VVR id, so the choice
+//! never depends on the order the resident VVRs are visited in.
 
 use crate::rac::Rac;
 use crate::rename::RenamedReg;
@@ -24,43 +27,39 @@ pub enum SwapDecision {
     SwapStore(RenamedReg),
 }
 
-/// Stateless victim-selection logic (the state lives in the RAC and the
-/// VRF-Mapping engine).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SwapLogic;
-
-impl SwapLogic {
-    /// Creates the swap logic.
-    #[must_use]
-    pub fn new() -> Self {
-        Self
+/// Decides how to obtain one free physical register. `protected` lists the
+/// VVRs that must not be evicted (the current instruction's sources and
+/// destination, to avoid deadlock). `value_ready` is the cycle each VVR's
+/// value is available, indexed by VVR; `preg_readers_done` is the cycle the
+/// last reader of each physical register completes, indexed by register.
+///
+/// Returns `None` when no physical register can be freed (every resident
+/// VVR is protected).
+#[must_use]
+pub fn plan_free_register(
+    mapping: &VrfMapping,
+    rac: &Rac,
+    protected: &[RenamedReg],
+    value_ready: &[u64],
+    preg_readers_done: &[u64],
+) -> Option<SwapDecision> {
+    if mapping.has_free_physical() {
+        return Some(SwapDecision::AlreadyFree);
     }
-
-    /// Decides how to obtain one free physical register, given the current
-    /// mapping state and RAC counters. `protected` lists the VVRs that must
-    /// not be evicted (the current instruction's sources and destination, to
-    /// avoid deadlock).
-    ///
-    /// Returns `None` when no physical register can be freed (every resident
-    /// VVR is protected) — the caller must stall.
-    #[must_use]
-    pub fn plan_free_register(
-        &self,
-        mapping: &VrfMapping,
-        rac: &Rac,
-        protected: &[RenamedReg],
-    ) -> Option<SwapDecision> {
-        if mapping.has_free_physical() {
-            return Some(SwapDecision::AlreadyFree);
-        }
-        let resident = mapping.resident_vvrs();
-        let victim = rac.lowest_count_among(resident.iter(), protected)?;
-        if rac.is_reclaimable(victim) {
-            Some(SwapDecision::Reclaim(victim))
-        } else {
-            Some(SwapDecision::SwapStore(victim))
-        }
+    let candidates = || mapping.resident().filter(|(v, _)| !protected.contains(v));
+    // When the victim's register is next writable: its value produced and
+    // every reader of it done.
+    let blocking =
+        |v: RenamedReg, preg: usize| preg_readers_done[preg].max(value_ready[v as usize]);
+    let reclaim = candidates()
+        .filter(|&(v, _)| rac.is_reclaimable(v))
+        .min_by_key(|&(v, preg)| (blocking(v, preg), v));
+    if let Some((v, _)) = reclaim {
+        return Some(SwapDecision::Reclaim(v));
     }
+    candidates()
+        .min_by_key(|&(v, preg)| (rac.count(v), blocking(v, preg), v))
+        .map(|(v, _)| SwapDecision::SwapStore(v))
 }
 
 #[cfg(test)]
@@ -71,11 +70,16 @@ mod tests {
         (VrfMapping::new(64, num_physical), Rac::new(64))
     }
 
+    /// Plans with every value ready and every reader done at cycle 0, so
+    /// only the RAC and the VVR id decide.
+    fn plan(mapping: &VrfMapping, rac: &Rac, protected: &[RenamedReg]) -> Option<SwapDecision> {
+        plan_free_register(mapping, rac, protected, &[0; 64], &[0; 64])
+    }
+
     #[test]
     fn free_register_needs_no_swap() {
         let (mapping, rac) = setup(4);
-        let d = SwapLogic::new().plan_free_register(&mapping, &rac, &[]);
-        assert_eq!(d, Some(SwapDecision::AlreadyFree));
+        assert_eq!(plan(&mapping, &rac, &[]), Some(SwapDecision::AlreadyFree));
     }
 
     #[test]
@@ -84,8 +88,7 @@ mod tests {
         mapping.allocate_physical(1).unwrap();
         mapping.allocate_physical(2).unwrap();
         rac.increment(2); // VVR 2 still has readers; VVR 1 does not.
-        let d = SwapLogic::new().plan_free_register(&mapping, &rac, &[]);
-        assert_eq!(d, Some(SwapDecision::Reclaim(1)));
+        assert_eq!(plan(&mapping, &rac, &[]), Some(SwapDecision::Reclaim(1)));
     }
 
     #[test]
@@ -97,8 +100,7 @@ mod tests {
         rac.increment(1);
         rac.increment(2);
         // Both live; VVR 2 has the lower count so it is the victim.
-        let d = SwapLogic::new().plan_free_register(&mapping, &rac, &[]);
-        assert_eq!(d, Some(SwapDecision::SwapStore(2)));
+        assert_eq!(plan(&mapping, &rac, &[]), Some(SwapDecision::SwapStore(2)));
     }
 
     #[test]
@@ -111,8 +113,7 @@ mod tests {
         rac.increment(2);
         // VVR 1 would normally be the victim (lower count), but it is a
         // source of the current instruction.
-        let d = SwapLogic::new().plan_free_register(&mapping, &rac, &[1]);
-        assert_eq!(d, Some(SwapDecision::SwapStore(2)));
+        assert_eq!(plan(&mapping, &rac, &[1]), Some(SwapDecision::SwapStore(2)));
     }
 
     #[test]
@@ -122,7 +123,34 @@ mod tests {
         mapping.allocate_physical(2).unwrap();
         rac.increment(1);
         rac.increment(2);
-        let d = SwapLogic::new().plan_free_register(&mapping, &rac, &[1, 2]);
-        assert_eq!(d, None);
+        assert_eq!(plan(&mapping, &rac, &[1, 2]), None);
+    }
+
+    #[test]
+    fn timing_breaks_count_ties_and_the_vvr_id_breaks_timing_ties() {
+        let (mut mapping, mut rac) = setup(3);
+        // Allocated out of id order, so physical registers 0, 1, 2 hold
+        // VVRs 5, 3, 4: the choice follows the keys, not the registers.
+        for v in [5, 3, 4] {
+            mapping.allocate_physical(v).unwrap();
+            rac.increment(v);
+        }
+        let mut value_ready = [0u64; 64];
+        value_ready[3] = 40;
+        // Equal counts: VVR 3 blocks until cycle 40, so 4 and 5 tie at 0
+        // and the lower id wins.
+        let swap = plan_free_register(&mapping, &rac, &[], &value_ready, &[0; 64]);
+        assert_eq!(swap, Some(SwapDecision::SwapStore(4)));
+        // A physical register whose readers drain late blocks its VVR too.
+        let preg4 = mapping.physical_of(4).unwrap();
+        let mut readers_done = [0u64; 64];
+        readers_done[preg4] = 50;
+        let swap = plan_free_register(&mapping, &rac, &[], &value_ready, &readers_done);
+        assert_eq!(swap, Some(SwapDecision::SwapStore(5)));
+        // Among dead values the earliest-drained one is reclaimed.
+        rac.clear(3);
+        rac.clear(4);
+        let reclaim = plan_free_register(&mapping, &rac, &[], &value_ready, &readers_done);
+        assert_eq!(reclaim, Some(SwapDecision::Reclaim(3)));
     }
 }

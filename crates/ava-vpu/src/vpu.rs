@@ -24,6 +24,7 @@ use crate::rac::Rac;
 use crate::rename::{RenameUnit, RenamedReg};
 use crate::rob::ReorderBuffer;
 use crate::stats::VpuStats;
+use crate::swap::{plan_free_register, SwapDecision};
 use crate::vrf::PhysicalVrf;
 use crate::vrf_mapping::{Location, VrfMapping};
 
@@ -453,64 +454,39 @@ impl Vpu {
         preissue_time: u64,
         mem: &mut MemoryHierarchy,
     ) -> u64 {
-        if self.mapping.has_free_physical() {
-            return preissue_time;
-        }
-        // Reclaimable victim (RAC == 0): free the register with no memory
-        // traffic at all (aggressive register reclamation). Among the dead
-        // values, prefer one whose consumers have already drained from the
-        // execution pipeline so the recycled register is usable immediately.
-        let reclaim = self
-            .mapping
-            .resident_vvrs()
-            .into_iter()
-            .filter(|v| !protected.contains(v) && self.rac.is_reclaimable(*v))
-            .min_by_key(|&v| {
+        // A dead value (RAC == 0) is reclaimed with no memory traffic at all
+        // (aggressive register reclamation); otherwise the least-referenced
+        // value is swapped out. Both prefer the value whose consumers have
+        // drained, so the recycled register (or the Swap-Store) stalls the
+        // pipeline as little as possible.
+        let decision = plan_free_register(
+            &self.mapping,
+            &self.rac,
+            protected,
+            &self.value_ready,
+            &self.preg_readers_done,
+        );
+        let victim = match decision {
+            Some(SwapDecision::AlreadyFree) => return preissue_time,
+            Some(SwapDecision::Reclaim(victim)) => {
                 let preg = self
                     .mapping
-                    .physical_of(v)
-                    .expect("resident VVR has a register");
-                (
-                    self.preg_readers_done[preg].max(self.value_ready[v as usize]),
-                    v,
-                )
-            });
-        if let Some(victim) = reclaim {
-            let preg = self
-                .mapping
-                .physical_of(victim)
-                .expect("reclaim victim is resident");
-            self.mapping.release(victim);
-            self.stats.aggressive_reclaims += 1;
-            self.preg_writable[preg] = self.preg_writable[preg].max(self.preg_readers_done[preg]);
-            return self.preg_writable[preg];
-        }
-
-        // Otherwise a swap is needed. The RAC identifies the least-referenced
-        // candidates; among those, prefer a victim whose value already exists
-        // and whose consumers have drained, so the Swap-Store (and the new
-        // owner's write) stall the memory queue as little as possible.
-        let victim = self
-            .mapping
-            .resident_vvrs()
-            .into_iter()
-            .filter(|v| !protected.contains(v))
-            .min_by_key(|&v| {
-                let preg = self
-                    .mapping
-                    .physical_of(v)
-                    .expect("resident VVR has a register");
-                let blocking = self.value_ready[v as usize].max(self.preg_readers_done[preg]);
-                (u64::from(self.rac.count(v)), blocking, v)
-            })
-            .unwrap_or_else(|| {
-                panic!(
-                    "swap deadlock: every resident VVR is a source of the current instruction \
-                     (physical registers: {}, protected: {})",
-                    self.mapping.num_physical(),
-                    protected.len()
-                )
-            });
+                    .physical_of(victim)
+                    .expect("reclaim victim is resident");
+                self.mapping.release(victim);
+                self.stats.aggressive_reclaims += 1;
+                self.preg_writable[preg] =
+                    self.preg_writable[preg].max(self.preg_readers_done[preg]);
+                return self.preg_writable[preg];
+            }
+            Some(SwapDecision::SwapStore(victim)) => victim,
+            None => panic!(
+                "swap deadlock: every resident VVR is a source of the current instruction \
+                 (physical registers: {}, protected: {})",
+                self.mapping.num_physical(),
+                protected.len()
+            ),
+        };
 
         let preg = self
             .mapping
@@ -644,9 +620,8 @@ impl Vpu {
             }
             Opcode::VLoadStrided | Opcode::VStoreStrided => {
                 self.addr_buf.clear();
-                self.addr_buf.extend(
-                    (0..vl).map(|i| (access.base as i64 + access.stride * i as i64) as u64),
-                );
+                self.addr_buf
+                    .extend((0..vl).map(|i| element_addr(&access, i)));
                 mem.vector_access_elements(&self.addr_buf, is_write)
             }
             Opcode::VLoadIndexed | Opcode::VStoreIndexed => {
@@ -702,11 +677,15 @@ impl Vpu {
         match instr.opcode {
             Opcode::VLoad | Opcode::VLoadStrided => {
                 let m = instr.mem.expect("load carries an address");
-                self.strip_buf.clear();
-                self.strip_buf.extend((0..vl).map(|i| {
-                    let addr = (m.base as i64 + effective_stride(&m) * i as i64) as u64;
-                    Element::from_bits(mem.read_u64(addr))
-                }));
+                let strip = &mut self.strip_buf;
+                strip.clear();
+                if m.stride == 8 {
+                    mem.read_words(m.base, vl, |w| strip.push(Element::from_bits(w)));
+                } else {
+                    strip.extend(
+                        (0..vl).map(|i| Element::from_bits(mem.read_u64(element_addr(&m, i)))),
+                    );
+                }
                 FunctionalResult::DST
             }
             Opcode::VLoadIndexed => {
@@ -728,9 +707,11 @@ impl Vpu {
             Opcode::VStore | Opcode::VStoreStrided => {
                 let m = instr.mem.expect("store carries an address");
                 let data = &self.operand_bufs[0];
-                for i in 0..vl {
-                    let addr = (m.base as i64 + effective_stride(&m) * i as i64) as u64;
-                    mem.write_u64(addr, data.get(i).copied().unwrap_or(Element::ZERO).bits());
+                let word = |i: usize| data.get(i).copied().unwrap_or(Element::ZERO).bits();
+                if m.stride == 8 {
+                    mem.write_words(m.base, (0..vl).map(word));
+                } else {
+                    (0..vl).for_each(|i| mem.write_u64(element_addr(&m, i), word(i)));
                 }
                 FunctionalResult::NONE
             }
@@ -795,13 +776,11 @@ impl Vpu {
     }
 }
 
-/// Effective per-element stride of a memory descriptor (unit stride = 8).
-fn effective_stride(m: &MemAccess) -> i64 {
-    if m.stride == 0 {
-        8
-    } else {
-        m.stride
-    }
+/// Address of element `i` of a strided access. A stride of 0 puts every
+/// element at `base`, as the timing model and the compiler's bounds check
+/// assume.
+fn element_addr(m: &MemAccess, i: usize) -> u64 {
+    (m.base as i64 + m.stride * i as i64) as u64
 }
 
 /// Outcome of functionally executing one instruction. The data itself lives
@@ -1075,6 +1054,30 @@ mod tests {
         let _ = vpu.run(&p, &mut mem);
         for i in 0..16u64 {
             assert_eq!(mem.read_f64(dst + 8 * i), (15 - i) as f64);
+        }
+    }
+
+    #[test]
+    fn stride_zero_broadcasts_one_element_and_touches_one_line() {
+        let mut mem = MemoryHierarchy::default();
+        let src = mem.allocate(64 * 8);
+        let dst = mem.allocate(16 * 8);
+        for i in 0..64u64 {
+            mem.write_f64(src + 8 * i, i as f64 + 1.0);
+        }
+        let mut p = Program::new("broadcast");
+        p.push(VecInstr::setvl(16));
+        p.push(VecInstr::vload_strided(VReg::new(1), src + 8 * 3, 0));
+        p.push(VecInstr::vstore(VReg::new(1), dst));
+        let mut vpu = Vpu::new(VpuConfig::native_x(1), &mut mem);
+        let before = mem.stats();
+        let _ = vpu.run_range(&p, 0..2, &mut mem);
+        let load = mem.stats().delta_since(&before);
+        assert_eq!(load.vector_requests, 1);
+        assert_eq!(load.l2.accesses(), 1, "every element is in one line");
+        let _ = vpu.run_range(&p, 2..3, &mut mem);
+        for i in 0..16u64 {
+            assert_eq!(mem.read_f64(dst + 8 * i), 4.0, "element {i} is mem[base]");
         }
     }
 

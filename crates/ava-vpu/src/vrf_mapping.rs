@@ -7,6 +7,9 @@
 //! * **VRLT** — Vector Register Location Table, one bit per VVR saying
 //!   whether the VVR currently lives in the P-VRF or in the M-VRF;
 //! * **PFRL** — Physical Free Register List, the free physical registers.
+//!
+//! The model also keeps the reverse of the PRMT, physical register → VVR,
+//! so the Swap Logic walks the few physical registers, not every VVR.
 
 use std::collections::VecDeque;
 
@@ -42,6 +45,8 @@ pub struct VrfMapping {
     vrlt: Vec<bool>,
     /// PFRL: free physical registers.
     pfrl: VecDeque<usize>,
+    /// Reverse PRMT: the VVR each physical register holds, if any.
+    owner: Vec<Option<RenamedReg>>,
     /// Whether the VVR has ever been given a home (distinguishes `Memory`
     /// from `Unmapped` when the VRLT bit is clear).
     mapped: Vec<bool>,
@@ -61,6 +66,7 @@ impl VrfMapping {
             prmt: vec![None; num_vvrs],
             vrlt: vec![false; num_vvrs],
             pfrl: (0..num_physical).collect(),
+            owner: vec![None; num_physical],
             mapped: vec![false; num_vvrs],
             num_physical,
         }
@@ -97,13 +103,14 @@ impl VrfMapping {
         }
     }
 
-    /// VVRs currently resident in the P-VRF.
-    #[must_use]
-    pub fn resident_vvrs(&self) -> Vec<RenamedReg> {
-        (0..self.vrlt.len())
-            .filter(|&i| self.vrlt[i])
-            .map(|i| i as RenamedReg)
-            .collect()
+    /// Every VVR resident in the P-VRF with its physical register, in
+    /// physical-register order; walks the physical registers, not the VVRs,
+    /// and allocates nothing.
+    pub fn resident(&self) -> impl Iterator<Item = (RenamedReg, usize)> + '_ {
+        self.owner
+            .iter()
+            .enumerate()
+            .filter_map(|(preg, vvr)| vvr.map(|v| (v, preg)))
     }
 
     /// Allocates a free physical register for `vvr`, recording the mapping.
@@ -115,6 +122,7 @@ impl VrfMapping {
         self.prmt[i] = Some(preg);
         self.vrlt[i] = true;
         self.mapped[i] = true;
+        self.owner[preg] = Some(vvr);
         Some(preg)
     }
 
@@ -127,12 +135,7 @@ impl VrfMapping {
     pub fn move_to_memory(&mut self, vvr: RenamedReg) -> usize {
         let i = vvr as usize;
         assert!(self.vrlt[i], "VVR {vvr} is not resident in the P-VRF");
-        let preg = self.prmt[i]
-            .take()
-            .expect("resident VVR must have a physical register");
-        self.vrlt[i] = false;
-        self.pfrl.push_back(preg);
-        preg
+        self.vacate(i)
     }
 
     /// Releases the physical register of `vvr` without an M-VRF copy
@@ -141,14 +144,22 @@ impl VrfMapping {
     pub fn release(&mut self, vvr: RenamedReg) {
         let i = vvr as usize;
         if self.vrlt[i] {
-            let preg = self.prmt[i]
-                .take()
-                .expect("resident VVR must have a physical register");
-            self.pfrl.push_back(preg);
-            self.vrlt[i] = false;
+            self.vacate(i);
         }
         self.mapped[i] = false;
         self.prmt[i] = None;
+    }
+
+    /// Frees the physical register of resident VVR `i` in every table
+    /// (PRMT, VRLT, reverse map, PFRL) and returns it.
+    fn vacate(&mut self, i: usize) -> usize {
+        let preg = self.prmt[i]
+            .take()
+            .expect("resident VVR must have a physical register");
+        self.vrlt[i] = false;
+        self.owner[preg] = None;
+        self.pfrl.push_back(preg);
+        preg
     }
 
     /// Physical register currently backing `vvr`, if it is resident.
@@ -210,7 +221,10 @@ mod tests {
         m.allocate_physical(5).unwrap();
         m.allocate_physical(9).unwrap();
         m.move_to_memory(5);
-        assert_eq!(m.resident_vvrs(), vec![1, 9]);
+        let mut resident: Vec<_> = m.resident().map(|(v, _)| v).collect();
+        resident.sort_unstable();
+        assert_eq!(resident, vec![1, 9]);
+        assert!(m.resident().all(|(v, p)| m.physical_of(v) == Some(p)));
         assert_eq!(m.physical_of(5), None);
         assert!(m.physical_of(1).is_some());
     }
@@ -246,7 +260,9 @@ mod tests {
             assert_eq!(m.free_physical() + resident.len(), 4);
             let mut expect = resident.clone();
             expect.sort_unstable();
-            assert_eq!(m.resident_vvrs(), expect);
+            let mut listed: Vec<_> = m.resident().map(|(v, _)| v).collect();
+            listed.sort_unstable();
+            assert_eq!(listed, expect);
         }
     }
 }

@@ -1,17 +1,22 @@
 //! Property-based tests over the whole stack: randomly generated vector
 //! kernels must produce identical results no matter which register-file
 //! organisation executes them, the register allocator must always respect
-//! its budget, the cache hierarchy must never change functional values, and
-//! the functional memory must agree with a plain byte-map model.
+//! its budget, the cache hierarchy must never change functional values, the
+//! functional memory (word by word and in page runs) must agree with a plain
+//! byte-map model, `execute_into` must match the per-element definition of
+//! every arithmetic opcode bit for bit, and the VRF mapping's resident walk
+//! must match its location table.
 //!
 //! The container has no access to crates.io, so instead of proptest these
 //! tests drive a deterministic SplitMix64 case generator: every run explores
 //! the same cases, and a failing case is reproducible from its index alone.
 
 use ava::compiler::{compile, CompileOptions, KernelBuilder, VirtReg};
-use ava::isa::Lmul;
+use ava::isa::{Element, Lmul, Opcode};
 use ava::memory::{MainMemory, MemoryHierarchy};
 use ava::sim::ScenarioConfig;
+use ava::vpu::exec::{execute_into, OperandValue};
+use ava::vpu::vrf_mapping::{Location, VrfMapping};
 use ava::vpu::Vpu;
 use ava::workloads::data::DataGen;
 use std::collections::{BTreeMap, BTreeSet};
@@ -202,7 +207,10 @@ const PAGE: u64 = 4096;
 fn model_u64(model: &BTreeMap<u64, u8>, addr: u64) -> u64 {
     let mut bytes = [0u8; 8];
     for (i, b) in bytes.iter_mut().enumerate() {
-        *b = model.get(&(addr + i as u64)).copied().unwrap_or(0);
+        *b = model
+            .get(&addr.wrapping_add(i as u64))
+            .copied()
+            .unwrap_or(0);
     }
     u64::from_le_bytes(bytes)
 }
@@ -312,6 +320,278 @@ fn main_memory_matches_a_byte_model() {
                 clone.read_u8(addr),
                 expected,
                 "case {case}, clone at {addr:#x}"
+            );
+        }
+    }
+}
+
+/// Differential test of the page-run accessors against the byte model:
+/// `write_words` must store what one `write_u64` per word stores, and
+/// `read_words` must yield what one `read_u64` per word reads. Runs cross
+/// page boundaries, start unaligned, land on pages never written and above
+/// the highest written page, and have lengths from 0 to over one page. A
+/// run of 0 words must materialise no page.
+#[test]
+fn word_runs_match_the_byte_model() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let mut mem = MainMemory::new();
+        let mut model = BTreeMap::new();
+        let base = mem.alloc(3 * PAGE);
+        let end = base + 3 * PAGE;
+
+        for step in 0..48u64 {
+            let n = match in_range(&mut rng, 0, 3) {
+                0 => 0,
+                3 => in_range(&mut rng, 9, PAGE / 8 + 64),
+                _ => in_range(&mut rng, 1, 8),
+            } as usize;
+            let highest = model.keys().next_back().copied().unwrap_or(end);
+            let addr = match in_range(&mut rng, 0, 4) {
+                // Aligned, inside the allocation; long runs cross pages.
+                0 => base + 8 * in_range(&mut rng, 0, 3 * PAGE / 8),
+                // Unaligned: every word of the run straddles or not at random.
+                1 => base + 8 * in_range(&mut rng, 0, 3 * PAGE / 8) + in_range(&mut rng, 1, 7),
+                // Just below a page boundary far from the allocation, so the
+                // run continues onto a page likely never written.
+                2 => in_range(&mut rng, 1, 512) * PAGE - 8 * in_range(&mut rng, 1, 16),
+                // Above the highest byte ever written (above the table).
+                3 => (highest + 8 * in_range(&mut rng, 1, 64 * PAGE / 8)) & !7,
+                // Below the first allocation (the null page included).
+                _ => 8 * in_range(&mut rng, 0, (base - 8) / 8),
+            };
+            let what = format!("case {case}, step {step}, {n} words at {addr:#x}");
+            if rng.next_u64().is_multiple_of(2) {
+                let words: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+                mem.write_words(addr, words.iter().copied());
+                for (i, &w) in words.iter().enumerate() {
+                    model_write_u64(&mut model, addr + 8 * i as u64, w);
+                }
+            } else {
+                let mut read = Vec::new();
+                mem.read_words(addr, n, |w| read.push(w));
+                let expected: Vec<u64> = (0..n)
+                    .map(|i| model_u64(&model, addr + 8 * i as u64))
+                    .collect();
+                assert_eq!(read, expected, "{what}");
+                let per_word: Vec<u64> =
+                    (0..n).map(|i| mem.read_u64(addr + 8 * i as u64)).collect();
+                assert_eq!(read, per_word, "{what}: against read_u64");
+            }
+        }
+        // Runs that pass the top of the address space wrap to address 0.
+        for (addr, n) in [(!7u64, 1), (!7, 2), (u64::MAX - 3, 2)] {
+            let mut read = Vec::new();
+            mem.read_words(addr, n, |w| read.push(w));
+            let expected: Vec<u64> = (0..n)
+                .map(|i| model_u64(&model, addr.wrapping_add(8 * i as u64)))
+                .collect();
+            assert_eq!(read, expected, "case {case}: {n} words at {addr:#x}");
+        }
+        assert_memory_matches(&mem, &model, &format!("case {case}"));
+    }
+}
+
+/// Element values that stress bit-exactness: signed zeros, infinities,
+/// subnormals, quiet and signalling NaNs with distinct payloads and signs,
+/// integers and random bit patterns.
+fn edge_element(rng: &mut DataGen) -> Element {
+    const SPECIAL: [u64; 12] = [
+        0x0000_0000_0000_0000,
+        0x8000_0000_0000_0000,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x7ff8_0000_0000_0000,
+        0x7ff8_0000_dead_beef,
+        0xfff8_0000_0000_1234,
+        0x7ff0_0000_0000_0001,
+        0xfff4_0000_0000_0abc,
+        0x3ff0_0000_0000_0000,
+        0xbff8_0000_0000_0000,
+    ];
+    match in_range(rng, 0, 3) {
+        0 => Element::from_bits(SPECIAL[in_range(rng, 0, 11) as usize]),
+        1 => Element::from_f64(rng.uniform(-100.0, 100.0)),
+        2 => Element::from_i64(in_range(rng, 0, 130) as i64 - 65),
+        _ => Element::from_bits(rng.next_u64()),
+    }
+}
+
+/// The per-element definition of every arithmetic opcode, written against
+/// `OperandValue::elem` alone: the reference the batched moves and splats
+/// must match bit for bit.
+fn reference_execute(op: Opcode, srcs: &[OperandValue<'_>], vl: usize) -> Vec<Element> {
+    use Opcode::*;
+    let e = |k: usize, i: usize| srcs[k].elem(i);
+    let f = |k: usize, i: usize| e(k, i).as_f64();
+    let x = |k: usize, i: usize| e(k, i).as_i64();
+    let lanes = |g: &dyn Fn(usize) -> Element| (0..vl).map(g).collect::<Vec<_>>();
+    let fp = |g: &dyn Fn(usize) -> f64| lanes(&|i| Element::from_f64(g(i)));
+    let int = |g: &dyn Fn(usize) -> i64| lanes(&|i| Element::from_i64(g(i)));
+    let mask = |g: &dyn Fn(usize) -> bool| lanes(&|i| Element::from_bool(g(i)));
+    let edge = || srcs.get(1).map_or(Element::ZERO, |o| o.elem(0));
+    let reduce = |init: f64, g: fn(f64, f64) -> f64| {
+        let mut out = vec![Element::ZERO; vl.max(1)];
+        out[0] = Element::from_f64((0..vl).fold(init, |acc, i| g(acc, f(0, i))));
+        out
+    };
+    match op {
+        VFAdd => fp(&|i| f(0, i) + f(1, i)),
+        VFSub => fp(&|i| f(0, i) - f(1, i)),
+        VFMul => fp(&|i| f(0, i) * f(1, i)),
+        VFDiv => fp(&|i| f(0, i) / f(1, i)),
+        VFSqrt => fp(&|i| f(0, i).sqrt()),
+        VFMacc => fp(&|i| f(0, i).mul_add(f(1, i), f(2, i))),
+        VFMsac => fp(&|i| f(0, i).mul_add(f(1, i), -f(2, i))),
+        VFMin => fp(&|i| f(0, i).min(f(1, i))),
+        VFMax => fp(&|i| f(0, i).max(f(1, i))),
+        VFNeg => fp(&|i| -f(0, i)),
+        VFAbs => fp(&|i| f(0, i).abs()),
+        VFExp => fp(&|i| f(0, i).exp()),
+        VFLn => fp(&|i| f(0, i).ln()),
+        VAdd => int(&|i| x(0, i).wrapping_add(x(1, i))),
+        VSub => int(&|i| x(0, i).wrapping_sub(x(1, i))),
+        VMul => int(&|i| x(0, i).wrapping_mul(x(1, i))),
+        VAnd => int(&|i| x(0, i) & x(1, i)),
+        VOr => int(&|i| x(0, i) | x(1, i)),
+        VXor => int(&|i| x(0, i) ^ x(1, i)),
+        VSll => int(&|i| x(0, i).wrapping_shl(x(1, i) as u32 & 63)),
+        VSrl => int(&|i| ((x(0, i) as u64) >> (x(1, i) as u32 & 63)) as i64),
+        VMin => int(&|i| x(0, i).min(x(1, i))),
+        VMax => int(&|i| x(0, i).max(x(1, i))),
+        VMFLt => mask(&|i| f(0, i) < f(1, i)),
+        VMFLe => mask(&|i| f(0, i) <= f(1, i)),
+        VMFGt => mask(&|i| f(0, i) > f(1, i)),
+        VMFGe => mask(&|i| f(0, i) >= f(1, i)),
+        VMFEq => mask(&|i| f(0, i) == f(1, i)),
+        VMSLt => mask(&|i| x(0, i) < x(1, i)),
+        VMSEq => mask(&|i| x(0, i) == x(1, i)),
+        VMv | VMvSplat => lanes(&|i| e(0, i)),
+        VId => int(&|i| i as i64),
+        VMerge => lanes(&|i| if e(2, i).as_bool() { e(0, i) } else { e(1, i) }),
+        VSlide1Up => lanes(&|i| if i == 0 { edge() } else { e(0, i - 1) }),
+        VSlide1Down => lanes(&|i| if i + 1 == vl { edge() } else { e(0, i + 1) }),
+        VFRedSum => reduce(0.0, |a, v| a + v),
+        VFRedMax => reduce(f64::NEG_INFINITY, f64::max),
+        VFRedMin => reduce(f64::INFINITY, f64::min),
+        _ => unreachable!("{op} is not an arithmetic opcode"),
+    }
+}
+
+/// Number of source operands each arithmetic opcode reads.
+fn operand_count(op: Opcode) -> usize {
+    use Opcode::*;
+    match op {
+        VId => 0,
+        VFSqrt | VFNeg | VFAbs | VFExp | VFLn | VMv | VMvSplat | VFRedSum | VFRedMax | VFRedMin => {
+            1
+        }
+        VFMacc | VFMsac | VMerge => 3,
+        _ => 2,
+    }
+}
+
+/// Every arithmetic opcode, over every combination of full (at least `vl`
+/// elements), short (fewer than `vl`, read as zero past the end) and
+/// scalar operands, at several vector lengths: `execute_into` into one
+/// reused buffer must equal the per-element reference bit for bit, NaN
+/// payloads and signed zeros included.
+#[test]
+fn execute_into_matches_the_per_element_reference() {
+    let mut rng = case_rng(0xE1E);
+    let mut out = Vec::new();
+    let arithmetic = Opcode::ALL
+        .iter()
+        .filter(|op| op.kind() == ava::isa::InstrKind::Arithmetic);
+    for &op in arithmetic {
+        let k = operand_count(op);
+        let reduction = matches!(op, Opcode::VFRedSum | Opcode::VFRedMax | Opcode::VFRedMin);
+        for vl in [0usize, 1, 7, 16, 33] {
+            // Shape digit per operand: 0 full, 1 short, 2 scalar.
+            for shapes in 0..3usize.pow(k as u32) {
+                let data: Vec<(usize, Vec<Element>)> = (0..k)
+                    .map(|j| {
+                        let shape = shapes / 3usize.pow(j as u32) % 3;
+                        let len = match shape {
+                            0 => vl + in_range(&mut rng, 0, 3) as usize,
+                            1 => in_range(&mut rng, 0, vl.saturating_sub(1) as u64) as usize,
+                            _ => 1,
+                        };
+                        (shape, (0..len).map(|_| edge_element(&mut rng)).collect())
+                    })
+                    .collect();
+                let srcs: Vec<OperandValue<'_>> = data
+                    .iter()
+                    .map(|(shape, v)| match shape {
+                        2 => OperandValue::Scalar(v[0]),
+                        _ => OperandValue::Vector(v),
+                    })
+                    .collect();
+                execute_into(op, &srcs, vl, &mut out);
+                let expected = reference_execute(op, &srcs, vl);
+                assert_eq!(out.len(), expected.len(), "{op}, vl {vl}, shapes {shapes}");
+                for (i, (got, want)) in out.iter().zip(&expected).enumerate() {
+                    // Rust leaves open which payload an operation on two
+                    // NaNs returns, and LLVM may commute `+` and `*`
+                    // differently in differently shaped loops (and builds);
+                    // only there may two NaN results differ. A reduction's
+                    // lane 0 reads every element of its source.
+                    let is_nan = |j: usize, lane: usize| srcs[j].elem(lane).as_f64().is_nan();
+                    let nan_inputs = if reduction {
+                        (0..vl).filter(|&lane| is_nan(0, lane)).count()
+                    } else {
+                        (0..k).filter(|&j| is_nan(j, i)).count()
+                    };
+                    let both_nan = got.as_f64().is_nan() && want.as_f64().is_nan();
+                    assert!(
+                        got == want || (both_nan && nan_inputs >= 2),
+                        "{op}, vl {vl}, shapes {shapes}, lane {i}: {:#x} != {:#x}",
+                        got.bits(),
+                        want.bits()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The mapping's resident walk (physical register → VVR) always agrees
+/// with its location table: after random allocate, evict and release
+/// sequences, `resident()` sorted by VVR lists exactly the VVRs whose
+/// `location()` is `Physical`, each with that register.
+#[test]
+fn resident_walk_matches_the_location_table() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let vvrs = in_range(&mut rng, 8, 64) as usize;
+        let pregs = in_range(&mut rng, 1, 12) as usize;
+        let mut m = VrfMapping::new(vvrs, pregs);
+        for step in 0..400 {
+            let vvr = in_range(&mut rng, 0, vvrs as u64 - 1) as u16;
+            match (m.location(vvr), in_range(&mut rng, 0, 2)) {
+                (Location::Physical(_), 0) => {
+                    m.move_to_memory(vvr);
+                }
+                (_, 1) => m.release(vvr),
+                (Location::Memory | Location::Unmapped, _) => {
+                    let _ = m.allocate_physical(vvr);
+                }
+                (Location::Physical(_), _) => {}
+            }
+            let mut walked: Vec<(u16, usize)> = m.resident().collect();
+            walked.sort_unstable();
+            let table: Vec<(u16, usize)> = (0..vvrs as u16)
+                .filter_map(|v| match m.location(v) {
+                    Location::Physical(p) => Some((v, p)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(walked, table, "case {case}, step {step}");
+            assert_eq!(
+                walked.len() + m.free_physical(),
+                pregs,
+                "case {case}, step {step}"
             );
         }
     }
