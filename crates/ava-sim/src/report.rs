@@ -80,20 +80,22 @@ pub fn format_runs_table(reports: &[RunReport], baseline: &str) -> String {
 }
 
 /// One-line execution summary of a sweep: points, threads, wall/busy time,
-/// compile-cache traffic and (when a store was attached) how many points
-/// the result store served. Printed by the experiment driver after every
+/// how many prepared (workload, MVL, LMUL) keys the points shared and
+/// (when a store was attached) how many points the result store served. Printed by the experiment driver after every
 /// sweep so incremental runs show what they skipped.
 #[must_use]
 pub fn format_sweep_summary(report: &SweepReport) -> String {
     let mut out = format!(
-        "{} points on {} thread{} in {:.1} ms (busy {:.1} ms); compile cache {} hit / {} miss",
+        "{} points on {} thread{} in {:.1} ms (busy {:.1} ms); prepared {} key{} for {} point{}",
         report.points.len(),
         report.threads,
         if report.threads == 1 { "" } else { "s" },
         report.wall_ns as f64 / 1e6,
         report.busy_ns() as f64 / 1e6,
-        report.cache_hits,
         report.cache_misses,
+        if report.cache_misses == 1 { "" } else { "s" },
+        report.points.len(),
+        if report.points.len() == 1 { "" } else { "s" },
     );
     if report.store_hits + report.store_misses > 0 {
         out.push_str(&format!(
@@ -152,10 +154,12 @@ mod tests {
     #[test]
     fn sweep_summary_mentions_the_store_only_when_attached() {
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(128))];
-        let sweep = Sweep::grid(workloads, vec![ScenarioConfig::native_x(1)]);
+        // NATIVE X2 and AVA X2 share one prepared key.
+        let scenarios = vec![ScenarioConfig::native_x(2), ScenarioConfig::ava_x(2)];
+        let sweep = Sweep::grid(workloads, scenarios);
         let summary = format_sweep_summary(&sweep.runner().threads(1).run());
-        assert!(summary.contains("1 point"));
-        assert!(summary.contains("compile cache"));
+        assert!(summary.starts_with("2 points on 1 thread"), "{summary}");
+        assert!(summary.contains("prepared 1 key for 2 points"), "{summary}");
         assert!(!summary.contains("store served"));
 
         let mut with_store = sweep.runner().threads(1).run();

@@ -1,14 +1,16 @@
 //! Running one workload on one system configuration.
 
-use std::sync::Arc;
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use ava_compiler::{compile, CompileOptions, CompiledKernel, IrKernel};
-use ava_isa::VectorContext;
-use ava_memory::{CacheStats, MemoryHierarchy, MemoryStats};
+use ava_compiler::{compile, CompileOptions, CompiledKernel};
+use ava_isa::{Lmul, VectorContext};
+use ava_memory::{CacheStats, HierarchyConfig, MainMemory, MemoryHierarchy, MemoryStats};
 use ava_scalar::{ScalarCore, ScalarCost};
 use ava_vpu::{Vpu, VpuStats};
-use ava_workloads::{validate, ArenaPlanner, BufferBindings, Fingerprint, Workload};
+use ava_workloads::{
+    validate, ArenaPlanner, BufferBindings, Fingerprint, PlannedLayout, Workload, WorkloadSetup,
+};
 
 use crate::configs::{axes_from_json, axes_to_json, Axis, ScenarioConfig, SystemConfig};
 use crate::json::{object, Json};
@@ -337,46 +339,76 @@ pub fn run_workload(workload: &dyn Workload, scenario: &ScenarioConfig) -> RunRe
 }
 
 /// Runs `workload` on an already-resolved [`SystemConfig`] (what
-/// [`run_workload`] does after resolution; useful when the caller keeps
-/// resolved systems around, as the sweep engine does).
+/// [`run_workload`] does after resolution). This is the sweep's pipeline
+/// for a single point: the preparation, then one timing run that takes
+/// the prepared image itself.
 #[must_use]
 pub fn run_system(workload: &dyn Workload, system: &SystemConfig) -> RunReport {
-    run_workload_via(workload, system, &|kernel, opts| {
-        Arc::new(compile(kernel, opts))
-    })
+    run_prepared_owned(prepare(workload, system), system, None).0
 }
 
-/// The compilation hook used by the sweep engine: given the kernel IR and
-/// options, return the compiled kernel (freshly built or from a cache).
-pub(crate) type CompileFn<'a> =
-    &'a (dyn Fn(&IrKernel, &CompileOptions) -> Arc<CompiledKernel> + Sync);
-
-/// The full run pipeline with an injectable compilation step. `run_workload`
-/// passes a plain [`compile`]; [`crate::sweep`] passes a shared program
-/// cache. Because [`compile`] is deterministic, both paths produce
-/// bit-identical reports.
-pub(crate) fn run_workload_via(
-    workload: &dyn Workload,
-    system: &SystemConfig,
-    compile_fn: CompileFn<'_>,
-) -> RunReport {
-    run_workload_stored(workload, system, compile_fn, None).0
+/// The half of a point that does not depend on the scenario's timing
+/// model: the workload's functional memory image, its golden reference and
+/// its compiled program, for one (workload, MVL, compiler LMUL) key.
+///
+/// [`prepare`] reads nothing else of the system, so every scenario that
+/// agrees on those three — NATIVE Xn and AVA Xn, or one MVL across all L2,
+/// DRAM and bus variants — can time the same prepared point through
+/// [`run_prepared`]. Each timing run works on its own copy of the image.
+#[derive(Debug)]
+pub(crate) struct PreparedPoint {
+    workload: &'static str,
+    elements: u64,
+    /// The key half of the system the point was prepared for.
+    mvl: usize,
+    lmul: Lmul,
+    /// The functional memory after planning, data generation and the spill
+    /// arena: the allocation cursor sits at the end of the arena.
+    image: MainMemory,
+    plan: PlannedLayout,
+    /// Output checks, strip count, phase marks and warm ranges.
+    setup: WorkloadSetup,
+    compiled: CompiledKernel,
+    spill_base: u64,
+    arena_end: u64,
+    /// The result-store content fingerprint, computed on first use: a
+    /// sweep without a store never formats the program.
+    fingerprint: OnceLock<u64>,
+    #[cfg(test)]
+    _live: tests::LiveImage,
 }
 
-/// [`run_workload_via`] with an optional result store consulted between
-/// compilation and simulation. Returns the report and whether it was served
-/// from the store. Planning and compilation always run — they are what
-/// produce the content fingerprint the store is keyed by — but on a hit the
-/// simulation itself (VPU setup, cache warming, cycle-level execution,
-/// validation) is skipped entirely.
-pub(crate) fn run_workload_stored(
-    workload: &dyn Workload,
-    system: &SystemConfig,
-    compile_fn: CompileFn<'_>,
-    store: Option<&ResultStore>,
-) -> (RunReport, bool) {
-    let run_start = Instant::now();
-    let mut mem = MemoryHierarchy::new(system.memory);
+impl PreparedPoint {
+    /// The content half of the point's result-store key: the planned
+    /// layout, the golden reference, the spill arena and the compiled
+    /// program bytes (via their exhaustive Debug form).
+    fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = Fingerprint::new();
+            h.write_str(self.workload);
+            h.write_u64(self.elements);
+            self.plan.fingerprint(&mut h);
+            self.setup.fingerprint(&mut h);
+            h.write_u64(self.spill_base);
+            h.write_u64((self.mvl * 8) as u64);
+            h.write_str(&format!("{:?}", self.compiled.program));
+            h.write_u64(self.compiled.spill_stores as u64);
+            h.write_u64(self.compiled.spill_loads as u64);
+            h.write_u64(self.compiled.max_pressure as u64);
+            h.finish()
+        })
+    }
+}
+
+/// Plans, builds and compiles `workload` for `system`'s MVL and compiler
+/// LMUL — steps 1 and 2 of the point pipeline. Nothing else of `system` is
+/// read.
+#[must_use]
+pub(crate) fn prepare(workload: &dyn Workload, system: &SystemConfig) -> PreparedPoint {
+    // The image is built outside any scenario's hierarchy: the workloads
+    // only allocate and write functional memory, so the caches it is built
+    // beside never matter.
+    let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
 
     // 1. Planning step of the two-step workload protocol: the application
     //    declares its named input/output buffers and the shared planner
@@ -391,40 +423,91 @@ pub(crate) fn run_workload_stored(
     // 2. Register allocation against the architectural budget (32 registers,
     //    or 32/LMUL under register grouping); spill slots live on the stack
     //    and are one full MVL wide. The arena is allocated directly above
-    //    the application data so `spill_base` — a compile input and part of
-    //    the sweep's compile-cache key — depends only on the workload and
-    //    the MVL, letting NATIVE/AVA configurations of equal MVL share one
-    //    compilation.
+    //    the application data, so it too depends only on the workload and
+    //    the MVL.
     let spill_slot_bytes = (system.mvl() * 8) as u64;
     let spill_base = mem.allocate(64 * spill_slot_bytes);
     let (_, arena_end) = mem.memory().allocated_range();
-    let compiled = compile_fn(
+    let compiled = compile(
         &setup.kernel,
         &CompileOptions::new(system.compiler_lmul, spill_base, spill_slot_bytes),
     );
 
-    // 2b. Result-store consultation. The key covers everything the
-    //     simulation below reads: the compiled program bytes (via their
-    //     exhaustive Debug form), the planned layout and spill arena, the
-    //     golden reference and the resolved scenario identity. A hit
-    //     replaces steps 3-6 wholesale with the stored report.
+    PreparedPoint {
+        workload: workload.name(),
+        elements: workload.elements() as u64,
+        mvl: system.mvl(),
+        lmul: system.compiler_lmul,
+        image: std::mem::take(mem.memory_mut()),
+        plan,
+        setup,
+        compiled,
+        spill_base,
+        arena_end,
+        fingerprint: OnceLock::new(),
+        #[cfg(test)]
+        _live: tests::LiveImage::new(),
+    }
+}
+
+/// Times `prepared` on `system` — steps 3–7 of the point pipeline — on a
+/// copy of the prepared image, consulting `store` when attached. Returns
+/// the report and whether it was served from the store; on a hit the image
+/// is never copied and nothing is simulated.
+///
+/// # Panics
+///
+/// Panics if `system`'s MVL or compiler LMUL differs from those of the
+/// system `prepared` was built for.
+#[must_use]
+pub(crate) fn run_prepared(
+    prepared: &PreparedPoint,
+    system: &SystemConfig,
+    store: Option<&ResultStore>,
+) -> (RunReport, bool) {
+    run_on_image(prepared, system, store, || prepared.image.clone())
+}
+
+/// [`run_prepared`] for the image's last user: the timing run takes the
+/// image itself instead of a copy.
+pub(crate) fn run_prepared_owned(
+    mut prepared: PreparedPoint,
+    system: &SystemConfig,
+    store: Option<&ResultStore>,
+) -> (RunReport, bool) {
+    let image = std::mem::take(&mut prepared.image);
+    run_on_image(&prepared, system, store, move || image)
+}
+
+/// Steps 3–7 on the image `image` returns, which is asked for only after a
+/// store miss.
+fn run_on_image(
+    prepared: &PreparedPoint,
+    system: &SystemConfig,
+    store: Option<&ResultStore>,
+    image: impl FnOnce() -> MainMemory,
+) -> (RunReport, bool) {
+    let run_start = Instant::now();
+    assert_eq!(
+        (prepared.mvl, prepared.lmul),
+        (system.mvl(), system.compiler_lmul),
+        "{} on {}: the point was prepared for another MVL or compiler LMUL",
+        prepared.workload,
+        system.label()
+    );
+    let PreparedPoint {
+        setup, compiled, ..
+    } = prepared;
+
+    // 2b. Result-store consultation. The key is the prepared content
+    //     fingerprint plus the resolved scenario identity. A hit replaces
+    //     steps 3-6 wholesale with the stored report.
     let key = store.map(|_| {
-        let mut h = Fingerprint::new();
-        h.write_str(workload.name());
-        h.write_u64(workload.elements() as u64);
-        plan.fingerprint(&mut h);
-        setup.fingerprint(&mut h);
-        h.write_u64(spill_base);
-        h.write_u64(spill_slot_bytes);
-        h.write_str(&format!("{:?}", compiled.program));
-        h.write_u64(compiled.spill_stores as u64);
-        h.write_u64(compiled.spill_loads as u64);
-        h.write_u64(compiled.max_pressure as u64);
         StoreKey::new(
-            workload.name(),
-            workload.elements() as u64,
+            prepared.workload,
+            prepared.elements,
             system,
-            h.finish(),
+            prepared.fingerprint(),
         )
     });
     if let (Some(store), Some(key)) = (store, &key) {
@@ -433,9 +516,11 @@ pub(crate) fn run_workload_stored(
         }
     }
 
-    // 3. The VPU reserves its M-VRF backing store above the arena (AVA
-    //    only); like the application data it belongs to the measured
-    //    working set.
+    // 3. A fresh hierarchy for the scenario over the prepared image. The
+    //    VPU reserves its M-VRF backing store above the arena (AVA only);
+    //    like the application data it belongs to the measured working set.
+    let mut mem = MemoryHierarchy::new(system.memory);
+    *mem.memory_mut() = image();
     let mut vpu = Vpu::new(system.vpu.clone(), &mut mem);
     let (_, mvrf_end) = mem.memory().allocated_range();
 
@@ -447,7 +532,7 @@ pub(crate) fn run_workload_stored(
     //    8 B) warming it would evict the real working set from small L2
     //    configurations before the run starts.
     let mut warm = setup.warm_ranges.clone();
-    warm.push((arena_end, mvrf_end));
+    warm.push((prepared.arena_end, mvrf_end));
     mem.warm_caches_ranges(&warm);
 
     // Multi-kernel setups run the compiled program as per-phase segments on
@@ -505,7 +590,7 @@ pub(crate) fn run_workload_stored(
     let report = RunReport {
         config: system.label().to_string(),
         axes: system.axes.clone(),
-        workload: workload.name().to_string(),
+        workload: prepared.workload.to_string(),
         vpu_cycles: result.cycles,
         cycles,
         vpu: result.stats,
@@ -521,8 +606,8 @@ pub(crate) fn run_workload_stored(
 
     // 7. Checkpoint: the fresh result lands in the store the moment this
     //    point finishes, so a killed sweep loses at most the points in
-    //    flight. The entry also records the point's wall time, which no
-    //    sweep reads back. A write failure degrades to an uncached run. A
+    //    flight. The entry also records the timing run's wall time, which
+    //    no sweep reads back. A write failure degrades to an uncached run. A
     //    point that failed validation is never stored: a wrong result must
     //    be simulated (and reported) again, not served on every rerun.
     if let (true, Some(store), Some(key)) = (report.validated, store, &key) {
@@ -535,12 +620,81 @@ pub(crate) fn run_workload_stored(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use ava_isa::Lmul;
     use ava_workloads::{Axpy, Blackscholes, Somier};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     use crate::configs::ScenarioConfig;
+
+    /// Prepared points made on one thread: alive now, and most alive at
+    /// once.
+    #[derive(Debug, Default)]
+    struct LiveCounts {
+        now: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    thread_local! {
+        static LIVE: Arc<LiveCounts> = Arc::default();
+    }
+
+    /// Counts the prepared points made on one thread, wherever they are
+    /// dropped. A one-thread sweep prepares on the calling thread, so a
+    /// test reading the counts sees only its own sweep.
+    #[derive(Debug)]
+    pub(crate) struct LiveImage(Arc<LiveCounts>);
+
+    impl LiveImage {
+        pub(crate) fn new() -> Self {
+            let counts = LIVE.with(Arc::clone);
+            let now = counts.now.fetch_add(1, Ordering::Relaxed) + 1;
+            counts.peak.fetch_max(now, Ordering::Relaxed);
+            Self(counts)
+        }
+
+        /// (alive now, most alive at once) for points made on this thread,
+        /// then restarts the peak from the current count.
+        pub(crate) fn take_counts() -> (usize, usize) {
+            LIVE.with(|counts| {
+                let now = counts.now.load(Ordering::Relaxed);
+                (now, counts.peak.swap(now, Ordering::Relaxed))
+            })
+        }
+    }
+
+    impl Drop for LiveImage {
+        fn drop(&mut self) {
+            self.0.now.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn one_prepared_point_times_every_scenario_of_its_key() {
+        // NATIVE X2 and AVA X2 share MVL 32 and LMUL 1; each timing run
+        // works on its own copy, so the order of the runs cannot matter.
+        let w = Blackscholes::new(128);
+        let native = ScenarioConfig::native_x(2).resolve();
+        let ava = ScenarioConfig::ava_x(2).with_l2_kib(256).resolve();
+        let prepared = prepare(&w, &native);
+        for system in [&ava, &native, &ava] {
+            let (report, from_store) = run_prepared(&prepared, system, None);
+            assert!(!from_store);
+            assert_eq!(
+                format!("{report:?}"),
+                format!("{:?}", run_system(&w, system))
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prepared for another MVL or compiler LMUL")]
+    fn a_prepared_point_refuses_a_system_of_another_key() {
+        let w = Axpy::new(256);
+        let prepared = prepare(&w, &ScenarioConfig::native_x(2).resolve());
+        let _ = run_prepared(&prepared, &ScenarioConfig::native_x(4).resolve(), None);
+    }
 
     #[test]
     fn axpy_runs_validated_on_every_organisation() {

@@ -8,10 +8,11 @@
 //!
 //! * every point gets a fresh [`MemoryHierarchy`], so no simulation state is
 //!   shared;
-//! * the only shared structure is the sweep's compile memo, which
-//!   compiles each (workload, MVL, register-allocation inputs) key exactly
-//!   once — and because [`ava_compiler::compile`] is a pure function of its
-//!   inputs, reusing its output cannot change any report;
+//! * the only shared structure is the sweep's prepared-point memo (see
+//!   below), whose entries are read-only once prepared — and because
+//!   planning, data generation and [`ava_compiler::compile`] are pure
+//!   functions of the workload, the MVL and the compiler LMUL, reusing them
+//!   cannot change any report;
 //! * results are written into per-point slots, so the returned `Vec` is in
 //!   grid order regardless of which thread finished first.
 //!
@@ -45,23 +46,37 @@
 //! program, planned layout and golden reference). The store never changes
 //! the claim order: a hit costs about a millisecond wherever it is claimed.
 //!
-//! Compilations are memoised per sweep only. A store hit still plans and
-//! compiles its point (the store key covers the compiled program), so the
-//! compile counters of a warm rerun equal those of the cold run.
+//! # Prepare once, time many
+//!
+//! A point splits into `run::prepare` — plan the layout, generate the
+//! data and golden reference, compile — and `run::run_prepared` — the
+//! timing run on a fresh hierarchy over a copy of the prepared memory
+//! image, then validation and checkpoint. Only the second half depends on the
+//! scenario's timing model, so the sweep prepares each (workload, MVL,
+//! compiler LMUL) key once and times it on every scenario of that key: the
+//! 972-point hierarchy sensitivity grid prepares 12 keys. Validation stays
+//! per point, because swap and rename decisions depend on timing.
+//!
+//! A key's entry leaves the memo when its last point is claimed, and that
+//! point takes the image itself rather than a copy, so at most a few
+//! images are alive at a time, not one per key. The memo is per sweep; a
+//! store hit still uses its key's prepared point, whose content
+//! fingerprint is half the store key, so the prepare counters of a warm
+//! rerun equal those of the cold run.
 //!
 //! # Instrumentation
 //!
 //! [`SweepRunner::run`] returns a [`SweepReport`] that wraps the
 //! [`RunReport`]s with per-point wall-clock timing, the cost estimate,
-//! store provenance and claiming worker of every point, compile-memo and
-//! result-store hit/miss counters and the sweep's total wall-clock — the
-//! raw material for the `--json` report pipeline and CI wall-clock
-//! baselines.
+//! store provenance and claiming worker of every point, prepared-point
+//! memo and result-store hit/miss counters and the sweep's total
+//! wall-clock — the raw material for the `--json` report pipeline and CI
+//! wall-clock baselines.
 //!
 //! The memo also makes the sweep cheaper than the sum of its points: on the
-//! full Figure 3 grid, NATIVE Xn, AVA Xn and RG-LMUL1 all compile the same
-//! (kernel, LMUL, MVL) combination, so 14 configurations need only 8
-//! compilations per workload.
+//! full Figure 3 grid, NATIVE Xn, AVA Xn and RG-LMUL1 all share one
+//! (kernel, LMUL, MVL) key, so 14 configurations need only 8 preparations
+//! per workload.
 //!
 //! ```
 //! use ava_sim::{ScenarioConfig, Sweep};
@@ -86,17 +101,16 @@
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::Instant;
 
-use ava_compiler::{compile, CompileOptions, CompiledKernel};
 use ava_workloads::SharedWorkload;
 
 use crate::configs::{config_axes_key, workload_identity, ScenarioConfig, SystemConfig};
 use crate::json::{object, Json};
-use crate::run::{run_workload_stored, RunReport};
+use crate::run::{prepare, run_prepared, run_prepared_owned, PreparedPoint, RunReport};
 use crate::store::ResultStore;
 
 /// The static per-point cost heuristic: `elements * 16 / width` (element
@@ -115,63 +129,54 @@ fn heuristic_points_cost(elements: u64, width: u64) -> u64 {
     }
 }
 
-/// Key identifying one compilation in a sweep: the workload (by grid index —
-/// the kernel IR is a function of the workload and the MVL), the MVL the
-/// kernel was stripmined for, and the register-allocation inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey {
-    workload: usize,
-    mvl: usize,
-    lmul_factor: usize,
-    spill_base: u64,
-    spill_slot_bytes: u64,
-}
+/// The prepared-point memo key: everything [`prepare`] reads — the
+/// workload (by grid index), the MVL and the compiler LMUL factor.
+type PrepareKey = (usize, usize, usize);
 
-/// The compile memo shared by every point of a sweep: one slot per key, so
-/// each key compiles exactly once however many workers ask for it.
+/// One key's prepared point, filled by the first worker that needs it.
+type Slot = Arc<OnceLock<PreparedPoint>>;
+
+/// The sweep's prepared points, one slot per key, each prepared exactly
+/// once however many workers ask for it.
 ///
-/// Keyed on everything that feeds [`ava_compiler::compile`], so a hit is
-/// guaranteed to return exactly the bytes a fresh compilation would
-/// produce. The first request for a key is its one miss; every later
-/// request is a hit, including one that waits on the in-flight compile, so
-/// both counters are the same at any thread count.
-#[derive(Debug, Default)]
-struct ProgramCache {
-    entries: Mutex<HashMap<CacheKey, Arc<OnceLock<Arc<CompiledKernel>>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+/// An entry also counts its key's points not yet claimed. The claim that
+/// takes the count to zero removes the entry, so a prepared point — its
+/// memory image above all — lives only until its key's last point is done
+/// with it, not until the sweep ends. The points of one key share a cost
+/// estimate, so they are usually adjacent in the claim order.
+struct PrepareMemo {
+    entries: Mutex<HashMap<PrepareKey, (Slot, usize)>>,
 }
 
-impl ProgramCache {
-    /// Returns the memoised kernel for `key`, compiling it on first use.
-    fn get_or_compile(
-        &self,
-        key: CacheKey,
-        kernel: &ava_compiler::IrKernel,
-        opts: &CompileOptions,
-    ) -> Arc<CompiledKernel> {
-        let (slot, first) = {
-            let mut entries = self.entries.lock().expect("cache poisoned");
-            let first = !entries.contains_key(&key);
-            (Arc::clone(entries.entry(key).or_default()), first)
-        };
-        let counter = if first { &self.misses } else { &self.hits };
-        counter.fetch_add(1, Ordering::Relaxed);
-        // The compile runs outside the map lock: distinct keys never
-        // serialise on one long compilation, and a second request for this
-        // key blocks on the slot until the first one fills it.
-        Arc::clone(slot.get_or_init(|| Arc::new(compile(kernel, opts))))
+impl PrepareMemo {
+    /// A memo for points with the given keys, one key per point.
+    fn new(keys: impl IntoIterator<Item = PrepareKey>) -> Self {
+        let mut entries: HashMap<PrepareKey, (Slot, usize)> = HashMap::new();
+        for key in keys {
+            entries.entry(key).or_default().1 += 1;
+        }
+        Self {
+            entries: Mutex::new(entries),
+        }
     }
 
-    /// Number of compile requests served from the memo.
-    fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+    /// Number of keys whose last point is not yet claimed.
+    fn len(&self) -> usize {
+        self.entries.lock().expect("memo poisoned").len()
     }
 
-    /// Number of distinct keys compiled (`hits() + misses()` is the number
-    /// of compile requests).
-    fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    /// Claims one point of `key` and returns the key's slot. The claim of
+    /// the key's last point removes the entry.
+    fn claim(&self, key: PrepareKey) -> Slot {
+        let mut entries = self.entries.lock().expect("memo poisoned");
+        let (slot, remaining) = entries
+            .get_mut(&key)
+            .expect("every claimed point's key is in the memo");
+        *remaining -= 1;
+        if *remaining > 0 {
+            return Arc::clone(slot);
+        }
+        entries.remove(&key).expect("present above").0
     }
 }
 
@@ -194,9 +199,12 @@ pub struct PointStats {
     ///
     /// [`Workload::elements`]: ava_workloads::Workload::elements
     pub elements: u64,
-    /// Wall-clock time of the compile + simulate + validate pass, in
-    /// nanoseconds. For a point served from the result store this is the
-    /// plan + compile + lookup time — the simulation itself never ran.
+    /// Wall-clock time of the point, in nanoseconds: the timing run,
+    /// validation and checkpoint. Only the first point of a key pays for
+    /// preparing it (a point that waits on another worker's preparation
+    /// pays the wait). For a point served from the result store this is
+    /// the key lookup, plus the preparation if it was the key's first
+    /// point — the simulation itself never ran.
     pub wall_ns: u64,
     /// Index of the worker thread that executed the point (`0` for a serial
     /// run).
@@ -215,18 +223,19 @@ pub struct SweepReport {
     pub reports: Vec<RunReport>,
     /// Per-point scheduling/timing metadata, parallel to `reports`.
     pub points: Vec<PointStats>,
-    /// Compile requests served from the sweep's compile memo.
+    /// Points that reused a prepared point of the sweep's memo (one
+    /// request per point).
     pub cache_hits: u64,
-    /// Distinct compilations the memo performed (`cache_hits +
-    /// cache_misses` is the total number of requests). The same at any
-    /// thread count.
+    /// Distinct (workload, MVL, compiler LMUL) keys the memo prepared and
+    /// compiled (`cache_hits + cache_misses` is the number of points). The
+    /// same at any thread count.
     pub cache_misses: u64,
     /// Always 0: there is no on-disk compile tier. Kept so the report's
     /// field set and JSON keys stay stable.
     pub cache_disk_hits: u64,
     /// Always 0, like [`SweepReport::cache_disk_hits`].
     pub cache_disk_misses: u64,
-    /// Compilations performed; always equal to
+    /// Compilations performed: one per prepared key, always equal to
     /// [`SweepReport::cache_misses`].
     pub compiles: u64,
     /// Points served from the attached result store (0 without a store).
@@ -342,9 +351,10 @@ impl SweepReport {
 /// [`Sweep::runner`] builder. All execution paths return per-point results
 /// in point order and are guaranteed to produce identical reports.
 /// Scenarios are resolved once, at construction, so the per-point cost is
-/// one compile + simulate pass — and construction rejects two points with
-/// the same `(workload name + size, configuration)` identity, which would
-/// make the reports and the result-store keys ambiguous.
+/// one timing run (plus one preparation per key) — and construction
+/// rejects two points with the same `(workload name + size, configuration)`
+/// identity, which would make the reports and the result-store keys
+/// ambiguous.
 pub struct Sweep {
     workloads: Vec<SharedWorkload>,
     scenarios: Vec<ScenarioConfig>,
@@ -487,38 +497,38 @@ impl Sweep {
         heuristic_points_cost(elements, width)
     }
 
-    #[cfg(test)]
-    fn run_point(&self, point: usize, cache: &ProgramCache) -> RunReport {
-        self.run_point_stored(point, cache, None).0
+    /// The key of `point`'s prepared point.
+    fn prepare_key(&self, point: usize) -> PrepareKey {
+        let (w, s) = self.points[point];
+        let system = &self.resolved[s];
+        (w, system.mvl(), system.compiler_lmul.factor())
     }
 
-    /// Runs one point through the shared compile memo, consulting `store`
-    /// when attached. Returns the report and whether it came from the
-    /// store.
-    fn run_point_stored(
+    /// Runs one point on its key's prepared point, preparing it if no
+    /// other point has, and consulting `store` when attached. Returns the
+    /// report and whether it came from the store.
+    fn run_point(
         &self,
         point: usize,
-        cache: &ProgramCache,
+        memo: &PrepareMemo,
         store: Option<&ResultStore>,
     ) -> (RunReport, bool) {
         let (w, s) = self.points[point];
-        let workload = &self.workloads[w];
         let system = &self.resolved[s];
-        run_workload_stored(
-            workload.as_ref(),
-            system,
-            &|kernel, opts| {
-                let key = CacheKey {
-                    workload: w,
-                    mvl: system.mvl(),
-                    lmul_factor: opts.lmul.factor(),
-                    spill_base: opts.spill_base,
-                    spill_slot_bytes: opts.spill_slot_bytes,
-                };
-                cache.get_or_compile(key, kernel, opts)
-            },
-            store,
-        )
+        let slot = memo.claim(self.prepare_key(point));
+        // A second worker on this key blocks here until the first one has
+        // prepared it.
+        slot.get_or_init(|| prepare(self.workloads[w].as_ref(), system));
+        // Once the key's last point is claimed the memo lets go of the
+        // slot, so the last holder takes the image itself instead of a
+        // copy — unless an earlier point of the key is still running on it.
+        match Arc::try_unwrap(slot) {
+            Ok(lock) => {
+                let prepared = lock.into_inner().expect("prepared above");
+                run_prepared_owned(prepared, system, store)
+            }
+            Err(shared) => run_prepared(shared.get().expect("prepared above"), system, store),
+        }
     }
 }
 
@@ -584,10 +594,13 @@ impl<'a> SweepRunner<'a> {
             thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
         let workers = requested.clamp(1, n.max(1));
-        let cache = ProgramCache::default();
         // Computed once, not per claim: `Workload::elements` can be
         // arbitrarily expensive (composite workloads sum their phases).
         let costs: Vec<u64> = (0..n).map(|i| sweep.point_cost(i)).collect();
+        let memo = PrepareMemo::new((0..n).map(|i| sweep.prepare_key(i)));
+        // Every point asks the memo once; the first ask of a key prepares
+        // it, whichever worker makes it.
+        let prepared_keys = memo.len() as u64;
         let order = execution_order(&costs);
         let cursor = AtomicUsize::new(0);
         let store = self.store;
@@ -601,7 +614,7 @@ impl<'a> SweepRunner<'a> {
             // so a relaxed counter suffices.
             while let Some(&point) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                 let point_start = Instant::now();
-                let (report, from_store) = sweep.run_point_stored(point, &cache, store);
+                let (report, from_store) = sweep.run_point(point, &memo, store);
                 let wall_ns = point_start.elapsed().as_nanos() as u64;
                 slots[point]
                     .set((report, from_store, wall_ns, worker))
@@ -618,6 +631,8 @@ impl<'a> SweepRunner<'a> {
                 }
             });
         }
+
+        debug_assert_eq!(memo.len(), 0, "every key's last point removed it");
 
         let mut reports = Vec::with_capacity(n);
         let mut points = Vec::with_capacity(n);
@@ -644,11 +659,11 @@ impl<'a> SweepRunner<'a> {
         SweepReport {
             reports,
             points,
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
+            cache_hits: n as u64 - prepared_keys,
+            cache_misses: prepared_keys,
             cache_disk_hits: 0,
             cache_disk_misses: 0,
-            compiles: cache.misses(),
+            compiles: prepared_keys,
             store_hits,
             store_misses,
             threads: workers,
@@ -811,12 +826,12 @@ mod tests {
         // No store attached: store counters stay at zero.
         assert_eq!(report.store_hits, 0);
         assert_eq!(report.store_misses, 0);
-        // The shared cache was exercised: every compile is a hit or a miss.
+        // The shared memo was exercised: every point is a hit or a miss.
         assert!(report.cache_misses > 0);
         assert_eq!(
             report.cache_hits + report.cache_misses,
             6,
-            "one compile request per point"
+            "one memo request per point"
         );
     }
 
@@ -836,21 +851,16 @@ mod tests {
     #[test]
     fn equivalent_configurations_share_one_compilation() {
         // NATIVE X2 and AVA X2 expose the same MVL and LMUL, so the second
-        // run of the same workload must hit the cache.
+        // point must reuse the first one's prepared point.
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(256))];
         let systems = vec![ScenarioConfig::native_x(2), ScenarioConfig::ava_x(2)];
         let sweep = Sweep::grid(workloads, systems);
-        let cache = ProgramCache::default();
-        let a = sweep.run_point(0, &cache);
-        let b = sweep.run_point(1, &cache);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
-        // And the cached compile feeds a report identical to a fresh one.
-        assert_eq!(
-            b.cycles,
-            crate::run::run_workload(sweep.workloads[0].as_ref(), &sweep.scenarios[1]).cycles
-        );
-        assert!(a.validated && b.validated);
+        let report = sweep.runner().threads(1).run();
+        assert_eq!((report.cache_hits, report.cache_misses), (1, 1));
+        // And the shared preparation feeds a report identical to a fresh one.
+        let fresh = crate::run::run_workload(sweep.workloads[0].as_ref(), &sweep.scenarios[1]);
+        assert_eq!(format!("{:?}", report.reports[1]), format!("{fresh:?}"));
+        assert!(report.reports.iter().all(|r| r.validated));
     }
 
     #[test]
@@ -860,15 +870,48 @@ mod tests {
             ScenarioConfig::native_x(8),
             ScenarioConfig::rg_lmul(Lmul::M8),
         ];
-        let sweep = Sweep::grid(workloads, systems);
-        let cache = ProgramCache::default();
-        let _ = sweep.run_point(0, &cache);
-        let _ = sweep.run_point(1, &cache);
+        let report = Sweep::grid(workloads, systems).runner().threads(1).run();
         assert_eq!(
-            cache.misses(),
-            2,
+            report.cache_misses, 2,
             "LMUL=1 and LMUL=8 need different spill code"
         );
+    }
+
+    #[test]
+    fn the_memo_removes_a_key_when_its_last_point_is_claimed() {
+        let memo = PrepareMemo::new([(0, 16, 1), (0, 32, 1), (0, 16, 1)]);
+        assert_eq!(memo.len(), 2);
+        let first = memo.claim((0, 16, 1));
+        assert_eq!(Arc::strong_count(&first), 2, "the memo still holds it");
+        let only = memo.claim((0, 32, 1));
+        assert_eq!(memo.len(), 1, "a one-point key leaves at its first claim");
+        assert_eq!(Arc::strong_count(&only), 1);
+        let second = memo.claim((0, 16, 1));
+        assert_eq!(memo.len(), 0);
+        assert!(Arc::ptr_eq(&first, &second), "one slot per key");
+        assert_eq!(Arc::strong_count(&second), 2, "only the two claims hold it");
+    }
+
+    #[test]
+    fn a_one_thread_sweep_keeps_one_prepared_image_alive_at_a_time() {
+        // Two workloads x two MVLs x three L2 sizes: four keys of three
+        // points each, adjacent in the claim order.
+        let workloads: Vec<SharedWorkload> =
+            vec![Arc::new(Axpy::new(256)), Arc::new(Blackscholes::new(64))];
+        let scenarios = ScenarioConfig::axis_l2_kib(
+            &[
+                ScenarioConfig::ava_x(2).with_mvl(32),
+                ScenarioConfig::ava_x(2).with_mvl(64),
+            ],
+            &[256, 512, 1024],
+        );
+        let sweep = Sweep::grid(workloads, scenarios);
+        let _ = crate::run::tests::LiveImage::take_counts();
+        let report = sweep.runner().threads(1).run();
+        assert_eq!(report.cache_misses, 4);
+        let (alive, peak) = crate::run::tests::LiveImage::take_counts();
+        assert_eq!(alive, 0, "no prepared point outlives the sweep");
+        assert_eq!(peak, 1, "each key's image is dropped after its last point");
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn main() {
         reports[0].cycles as f64 / reports[1].cycles as f64
     );
     println!(
-        "sweep: {} points in {:.1} ms on {} threads ({} compiles, {} cache hits)",
+        "sweep: {} points in {:.1} ms on {} threads ({} prepared keys, {} reuses)",
         reports.len(),
         sweep.wall_ns as f64 / 1e6,
         sweep.threads,

@@ -1,9 +1,9 @@
 //! The sweep engine's core guarantee: a parallel sweep is observably
 //! indistinguishable from running the same grid serially. Every counter in
 //! every report — cycles, instruction counts, memory traffic, validation —
-//! must match bit-for-bit, at any thread count, with the shared program
-//! cache enabled (its hits must not perturb results either) and with the
-//! cost-sorted scheduler reordering execution under the hood.
+//! must match bit-for-bit, at any thread count, with the shared
+//! prepared-point memo enabled (its reuse must not perturb results either)
+//! and with the cost-sorted scheduler reordering execution under the hood.
 
 use std::sync::Arc;
 
@@ -685,8 +685,8 @@ fn store_backed_sweep_is_bit_identical_to_serial() {
 }
 
 /// A composite point must agree exactly with the plain runner on the same
-/// scenario — the concatenated phases go through the shared compile cache
-/// like any other kernel.
+/// scenario — the concatenated phases go through the shared
+/// prepared-point memo like any other kernel.
 #[test]
 fn composite_points_match_the_plain_runner() {
     let mix: SharedWorkload = Arc::new(Composite::new(vec![
