@@ -78,7 +78,7 @@ fn run() -> Result<ExitCode, String> {
     // static analysis only depends on the vector length, not on cache
     // sizes or queue depths.
     let mut configs = ScenarioConfig::all_evaluated();
-    configs.push(ScenarioConfig::ava_x(8).with_mvl(512));
+    configs.extend(ScenarioConfig::axis_mvl(&[512]));
     let mut mvls: Vec<(usize, Vec<String>)> = Vec::new();
     for c in &configs {
         match mvls.iter_mut().find(|(m, _)| *m == c.mvl()) {

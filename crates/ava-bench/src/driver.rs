@@ -15,16 +15,16 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use ava_sim::json::{object, Json};
-use ava_sim::{format_sweep_summary, ScenarioConfig, Sweep};
+use ava_sim::{format_sweep_summary, Knob, ScenarioConfig, Sweep};
 use ava_workloads::{Axpy, Blackscholes, SharedWorkload};
 
 use crate::cli::{emit_json, BenchArgs};
-use crate::spec::{ArtefactKind, ExperimentSpec, MixRegistry};
+use crate::spec::{ArtefactKind, AxesSpec, ExperimentSpec, MixRegistry};
 use crate::{
     evaluated_systems, figure4_data_with, format_cache_sensitivity, format_energy,
     format_energy_sensitivity, format_figure4_from, format_instruction_mix,
-    format_memory_breakdown, format_mvl_extrapolation, format_performance, sensitivity_grid_with,
-    sensitivity_json, sweep_energy_json,
+    format_memory_breakdown, format_mvl_extrapolation, format_performance, manifest_key,
+    sensitivity_grid_with, sensitivity_json, sweep_energy_json,
 };
 
 /// The artefacts of one executed experiment.
@@ -109,7 +109,7 @@ fn fig3(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Jso
     if let Some(iters) = solver_iters(spec) {
         // Solver sweeps record the unroll depth as a first-class scenario
         // axis so every emitted report carries `"axes":{"iters":n}`.
-        systems = systems.into_iter().map(|c| c.with_iters(iters)).collect();
+        systems = ScenarioConfig::axis(&systems, Knob::ITERS, &[iters as u64]);
     }
 
     let per_workload = systems.len();
@@ -182,9 +182,7 @@ fn fig4(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Jso
 
 fn sensitivity(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Json, String> {
     let chart = spec.chart();
-    let mvls = &spec.axes.mvl;
-    let l2_kib = &spec.axes.l2_kib;
-    let extra = &spec.axes.extra;
+    let axes = &spec.axes;
     let workloads = build_workloads(
         spec,
         "no workload matches --app filter (the default pool builds axpy, blackscholes, \
@@ -192,32 +190,21 @@ fn sensitivity(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Res
          entry builds iterated)",
     )?;
 
-    let mut scenarios = sensitivity_grid_with(mvls, l2_kib, extra);
+    let mut scenarios = sensitivity_grid_with(&axes.mvl, &axes.l2_kib, &axes.extra);
     if let Some(iters) = solver_iters(spec) {
         // Record the unroll depth as a first-class scenario axis so every
         // emitted report carries `"axes":{"iters":n}` — rerunning with a
         // different depth then sweeps that axis like any other.
-        scenarios = scenarios.into_iter().map(|c| c.with_iters(iters)).collect();
+        scenarios = ScenarioConfig::axis(&scenarios, Knob::ITERS, &[iters as u64]);
     }
     let per_workload = scenarios.len();
     let sweep = Sweep::grid(workloads.clone(), scenarios);
     eprintln!(
-        "sweeping {} points ({} workloads x {} scenarios: {} MVLs x {} L2 sizes{})...",
+        "sweeping {} points ({} workloads x {} scenarios: {})...",
         sweep.len(),
         workloads.len(),
         per_workload,
-        mvls.len(),
-        l2_kib.len(),
-        if extra.is_empty() {
-            String::new()
-        } else {
-            format!(
-                " x {} L1 x {} DRAM-bw x {} bus",
-                extra.l1_kib.len().max(1),
-                extra.dram_bw.len().max(1),
-                extra.vmu_bus.len().max(1)
-            )
-        },
+        grid_factors(axes)
     );
     let report = args.configure(sweep.runner()).run();
     for r in &report.reports {
@@ -246,12 +233,23 @@ fn sensitivity(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Res
     eprintln!("{}", format_sweep_summary(&report));
 
     Ok(sensitivity_json(
-        mvls,
-        l2_kib,
-        extra,
+        &axes.mvl,
+        &axes.l2_kib,
+        &axes.extra,
         sweep.resolved_systems(),
         &report,
     ))
+}
+
+/// The sensitivity grid's shape for the progress line: one `<count>
+/// <manifest key>` factor per axis, outermost first (`3 mvl x 3 l2_kib x
+/// 4 vvrs`). The factors multiply to the scenario count.
+fn grid_factors(axes: &AxesSpec) -> String {
+    axes.driven()
+        .iter()
+        .map(|(knob, values)| format!("{} {}", values.len(), manifest_key(*knob)))
+        .collect::<Vec<_>>()
+        .join(" x ")
 }
 
 fn ablation(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Json {
@@ -297,17 +295,15 @@ fn ablation(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Json {
 fn variants(base: &ScenarioConfig) -> (Vec<String>, Vec<ScenarioConfig>) {
     let mut names = vec!["reference".to_string()];
     let mut systems = vec![base.clone()];
-    for entries in [8usize, 16, 64] {
-        names.push(format!("issue queues = {entries}"));
-        systems.push(base.clone().with_issue_queues(entries));
-    }
-    for rob in [16usize, 32, 128] {
-        names.push(format!("reorder buffer = {rob}"));
-        systems.push(base.clone().with_rob_entries(rob));
-    }
-    for overhead in [0u64, 8, 16] {
-        names.push(format!("mem-op overhead = {overhead}"));
-        systems.push(base.clone().with_mem_op_overhead(overhead));
+    for (knob, title, values) in [
+        (Knob::ISSUE_QUEUES, "issue queues", [8, 16, 64]),
+        (Knob::ROB, "reorder buffer", [16, 32, 128]),
+        (Knob::MEM_OP_OVERHEAD, "mem-op overhead", [0, 8, 16]),
+    ] {
+        for value in values {
+            names.push(format!("{title} = {value}"));
+            systems.push(base.clone().with(knob, value));
+        }
     }
     (names, systems)
 }
@@ -372,4 +368,37 @@ fn study(
 fn push_line(out: &mut String, text: &str) {
     out.push_str(text);
     out.push('\n');
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed(manifest: &str) -> ExperimentSpec {
+        let path = format!(
+            "{}/../../experiments/{manifest}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        ExperimentSpec::parse(&path, &std::fs::read_to_string(&path).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn the_grid_line_names_one_factor_per_axis_and_multiplies_to_the_scenarios() {
+        for (manifest, factors) in [
+            ("sensitivity_vvr", "2 mvl x 1 l2_kib x 4 vvrs"),
+            (
+                "sensitivity_hierarchy",
+                "3 mvl x 3 l2_kib x 3 l1_kib x 3 dram_bw x 3 vmu_bus",
+            ),
+        ] {
+            let axes = committed(manifest).axes;
+            assert_eq!(grid_factors(&axes), factors, "{manifest}");
+            let product: usize = factors
+                .split(" x ")
+                .map(|f| f.split(' ').next().unwrap().parse::<usize>().unwrap())
+                .product();
+            let grid = sensitivity_grid_with(&axes.mvl, &axes.l2_kib, &axes.extra);
+            assert_eq!(product, grid.len(), "{manifest}");
+        }
+    }
 }

@@ -50,7 +50,8 @@ use ava_energy::{
 };
 use ava_sim::json::object;
 use ava_sim::{
-    geometric_mean, speedup_vs, Json, RunReport, ScenarioConfig, Sweep, SweepReport, SystemConfig,
+    geometric_mean, speedup_vs, Json, Knob, RunReport, ScenarioConfig, Sweep, SweepReport,
+    SystemConfig,
 };
 use ava_vpu::{preg_count_for_mvl, VpuConfig};
 use ava_workloads::{
@@ -58,20 +59,17 @@ use ava_workloads::{
 };
 
 use crate::cli::BenchArgs;
+use crate::spec::{paper_workload_specs, MixRegistry};
 
 /// The six applications of Table IV at the problem sizes used for the
-/// reproduction (scaled to keep a full Figure 3 sweep fast; see
-/// EXPERIMENTS.md for the sizes and the reasoning).
+/// reproduction ([`spec::paper_workload_specs`], the Figure 3 / Figure 4
+/// manifest pool).
 #[must_use]
 pub fn paper_workloads() -> Vec<SharedWorkload> {
-    vec![
-        Arc::new(Axpy::new(4096)),
-        Arc::new(Blackscholes::new(1024)),
-        Arc::new(LavaMd2::new(48, 2)),
-        Arc::new(ParticleFilter::new(2048, 64)),
-        Arc::new(Somier::new(4096)),
-        Arc::new(Swaptions::new(1024)),
-    ]
+    paper_workload_specs()
+        .iter()
+        .map(|w| MixRegistry::build(w).expect("the paper pool builds"))
+        .collect()
 }
 
 /// Smaller versions of the same workloads, used by the wall-clock benches so
@@ -483,88 +481,80 @@ pub const SENSITIVITY_MVLS: [usize; 3] = [128, 256, 512];
 pub const SENSITIVITY_L2_KIB: [usize; 3] = [256, 1024, 4096];
 
 /// The optional extra axes of the sensitivity study, driven by a
-/// manifest's `axes` block (`l1_kib`, `dram_bw`, `vmu_bus`, `vvrs`). An
-/// empty vector leaves the corresponding dimension at its Table II default
-/// (and out of the grid).
+/// manifest's `axes` block (`l1_kib`, `dram_bw`, `vmu_bus`, `vvrs`): the
+/// driven [`Knob`]s with their values, in axis-table order. A knob left
+/// out stays at its Table II default (and out of the grid).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HierarchyAxes {
-    /// L1 data-cache capacities in KiB (`axis_l1_kib`).
-    pub l1_kib: Vec<usize>,
-    /// Sustained DRAM bandwidths in bytes per cycle (`axis_dram_bw`).
-    pub dram_bw: Vec<u64>,
-    /// VMU-to-L2 bus widths in bytes (`axis_vmu_bus`).
-    pub vmu_bus: Vec<u64>,
-    /// AVA VVR-pool sizes (`axis_vvr`; at least the 32 architectural
-    /// registers — the sensitivity grid's bases are all AVA scenarios, so
-    /// the axis is always applicable).
-    pub vvrs: Vec<usize>,
-}
+pub struct HierarchyAxes(Vec<(Knob, Vec<u64>)>);
 
 impl HierarchyAxes {
-    /// Whether any extra axis carries values.
+    /// Drives `knob` with `values` in place of any earlier values; an
+    /// empty `values` leaves it undriven.
+    pub fn set(&mut self, knob: Knob, values: Vec<u64>) {
+        self.0.retain(|(k, _)| *k != knob);
+        if !values.is_empty() {
+            self.0.push((knob, values));
+            self.0
+                .sort_by_key(|(k, _)| Knob::ALL.iter().position(|t| t == k));
+        }
+    }
+
+    /// The values `knob` is driven with (empty when it is not driven).
     #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.l1_kib.is_empty()
-            && self.dram_bw.is_empty()
-            && self.vmu_bus.is_empty()
-            && self.vvrs.is_empty()
+    pub fn values(&self, knob: Knob) -> &[u64] {
+        self.0
+            .iter()
+            .find(|(k, _)| *k == knob)
+            .map_or(&[], |(_, v)| v.as_slice())
+    }
+
+    /// Keeps the first `len` values of every axis.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for (_, values) in &mut self.0 {
+            values.truncate(len);
+        }
     }
 }
 
-/// The scenario grid of the sensitivity study: the AVA MVL-extrapolation
-/// axis crossed with the L2-capacity axis, L2-minor (matching the loops of
-/// [`format_cache_sensitivity`]).
-#[must_use]
-pub fn sensitivity_grid(mvls: &[usize], l2_kib: &[usize]) -> Vec<ScenarioConfig> {
-    sensitivity_grid_with(mvls, l2_kib, &HierarchyAxes::default())
+/// Every axis of a sensitivity grid with its values, outermost first: the
+/// MVL and L2-capacity axes, then the driven extra axes.
+pub(crate) fn sensitivity_axes(
+    mvls: &[usize],
+    l2_kib: &[usize],
+    extra: &HierarchyAxes,
+) -> Vec<(Knob, Vec<u64>)> {
+    let widen = |values: &[usize]| values.iter().map(|&v| v as u64).collect();
+    let mut axes = vec![(Knob::MVL, widen(mvls)), (Knob::L2_KIB, widen(l2_kib))];
+    axes.extend(extra.0.iter().cloned());
+    axes
 }
 
-/// [`sensitivity_grid`] cross-expanded along the optional extra axes:
+/// The manifest key of a knob a sensitivity manifest drives.
+pub(crate) fn manifest_key(knob: Knob) -> &'static str {
+    knob.manifest_key
+        .expect("sensitivity axes are knobs with a manifest key")
+}
+
+/// The scenario grid of the sensitivity study: the AVA MVL-extrapolation
+/// axis crossed with the L2-capacity axis and the optional extra axes,
 /// MVL × L2 × L1 × DRAM-bandwidth × VMU-bus-width × VVR-pool, innermost
-/// last. Empty axes do not expand the grid.
+/// last. Undriven extra axes do not expand the grid.
 #[must_use]
 pub fn sensitivity_grid_with(
     mvls: &[usize],
     l2_kib: &[usize],
     extra: &HierarchyAxes,
 ) -> Vec<ScenarioConfig> {
-    let mut grid = ScenarioConfig::axis_l2_kib(&ScenarioConfig::axis_mvl(mvls), l2_kib);
-    if !extra.l1_kib.is_empty() {
-        grid = ScenarioConfig::axis_l1_kib(&grid, &extra.l1_kib);
-    }
-    if !extra.dram_bw.is_empty() {
-        grid = ScenarioConfig::axis_dram_bw(&grid, &extra.dram_bw);
-    }
-    if !extra.vmu_bus.is_empty() {
-        grid = ScenarioConfig::axis_vmu_bus(&grid, &extra.vmu_bus);
-    }
-    if !extra.vvrs.is_empty() {
-        grid = ScenarioConfig::axis_vvr(&grid, &extra.vvrs);
-    }
-    grid
+    sensitivity_axes(mvls, l2_kib, extra)
+        .iter()
+        .filter(|(knob, _)| *knob != Knob::MVL)
+        .fold(ScenarioConfig::axis_mvl(mvls), |grid, (knob, values)| {
+            ScenarioConfig::axis(&grid, *knob, values)
+        })
 }
 
-/// The workloads of the sensitivity study: the two DLP extremes (Axpy
-/// streams, Blackscholes is register-hungry), the memory-bound Somier, and
-/// a multi-kernel [`Composite`] mix of all three sharing one cache-warm
-/// hierarchy. Problem sizes are chosen so the working sets (0.4–1 MiB)
-/// straddle the L2-capacity axis — small L2 configurations actually miss.
-#[must_use]
-pub fn sensitivity_workloads() -> Vec<SharedWorkload> {
-    vec![
-        Arc::new(Axpy::new(32768)),
-        Arc::new(Blackscholes::new(8192)),
-        Arc::new(Somier::new(16384)),
-        Arc::new(Composite::new(vec![
-            Arc::new(Axpy::new(16384)),
-            Arc::new(Blackscholes::new(4096)),
-            Arc::new(Somier::new(8192)),
-        ])),
-    ]
-}
-
-fn axis_value(r: &RunReport, name: &str) -> Option<u64> {
-    r.axes.iter().find(|a| a.name == name).map(|a| a.value)
+fn axis_value(r: &RunReport, knob: Knob) -> Option<u64> {
+    r.axes.iter().find(|a| a.name == knob.name).map(|a| a.value)
 }
 
 /// Formats the MVL-extrapolation table for one workload: Table I continued
@@ -579,11 +569,14 @@ pub fn format_mvl_extrapolation(
     systems: &[SystemConfig],
     reports: &[RunReport],
 ) -> String {
-    let ref_l2 = reports.iter().filter_map(|r| axis_value(r, "l2_kib")).min();
+    let ref_l2 = reports
+        .iter()
+        .filter_map(|r| axis_value(r, Knob::L2_KIB))
+        .min();
     let mut rows: Vec<(&SystemConfig, &RunReport)> = systems
         .iter()
         .zip(reports)
-        .filter(|(_, r)| axis_value(r, "l2_kib") == ref_l2)
+        .filter(|(_, r)| axis_value(r, Knob::L2_KIB) == ref_l2)
         .collect();
     // Rows ascend along the MVL axis regardless of `--mvl` input order, so
     // the speedup baseline is always the shortest vector length (matching
@@ -616,18 +609,20 @@ pub fn format_mvl_extrapolation(
 }
 
 /// Formats the cache-sensitivity matrix for one workload: one row per MVL,
-/// one cycles column per L2 capacity on the grid.
+/// one cycles column per L2 capacity on the grid. With extra axes on the
+/// grid, each (MVL, L2) cell shows the cycles of the first grid point of
+/// that pair ([`format_energy_sensitivity`] sums them instead).
 #[must_use]
 pub fn format_cache_sensitivity(workload: &str, reports: &[RunReport]) -> String {
     let mut mvls: Vec<u64> = reports
         .iter()
-        .filter_map(|r| axis_value(r, "mvl"))
+        .filter_map(|r| axis_value(r, Knob::MVL))
         .collect();
     mvls.sort_unstable();
     mvls.dedup();
     let mut l2s: Vec<u64> = reports
         .iter()
-        .filter_map(|r| axis_value(r, "l2_kib"))
+        .filter_map(|r| axis_value(r, Knob::L2_KIB))
         .collect();
     l2s.sort_unstable();
     l2s.dedup();
@@ -642,7 +637,7 @@ pub fn format_cache_sensitivity(workload: &str, reports: &[RunReport]) -> String
         out.push_str(&format!("{mvl:>5}"));
         for l2 in &l2s {
             let cell = reports.iter().find(|r| {
-                axis_value(r, "mvl") == Some(*mvl) && axis_value(r, "l2_kib") == Some(*l2)
+                axis_value(r, Knob::MVL) == Some(*mvl) && axis_value(r, Knob::L2_KIB) == Some(*l2)
             });
             match cell {
                 Some(r) => out.push_str(&format!(" {:>13}", r.cycles)),
@@ -666,48 +661,11 @@ pub fn sensitivity_json(
     systems: &[SystemConfig],
     report: &SweepReport,
 ) -> Json {
-    let mut axes = object()
-        .field("mvl", mvls.iter().map(|&m| Json::from(m)).collect::<Json>())
-        .field(
-            "l2_kib",
-            l2_kib.iter().map(|&k| Json::from(k)).collect::<Json>(),
-        );
-    if !extra.l1_kib.is_empty() {
-        axes = axes.field(
-            "l1_kib",
-            extra
-                .l1_kib
-                .iter()
-                .map(|&k| Json::from(k))
-                .collect::<Json>(),
-        );
-    }
-    if !extra.dram_bw.is_empty() {
-        axes = axes.field(
-            "dram_bpc",
-            extra
-                .dram_bw
-                .iter()
-                .map(|&b| Json::from(b))
-                .collect::<Json>(),
-        );
-    }
-    if !extra.vmu_bus.is_empty() {
-        axes = axes.field(
-            "vmu_bus",
-            extra
-                .vmu_bus
-                .iter()
-                .map(|&b| Json::from(b))
-                .collect::<Json>(),
-        );
-    }
-    if !extra.vvrs.is_empty() {
-        axes = axes.field(
-            "vvrs",
-            extra.vvrs.iter().map(|&v| Json::from(v)).collect::<Json>(),
-        );
-    }
+    let axes = sensitivity_axes(mvls, l2_kib, extra)
+        .into_iter()
+        .fold(object(), |axes, (knob, values)| {
+            axes.field(knob.name, values.into_iter().collect::<Json>())
+        });
     object()
         .field("artefact", "sensitivity")
         .field("axes", axes.finish())
@@ -832,13 +790,13 @@ pub fn format_energy_sensitivity(
         systems.iter().map(|sys| (sys.label(), sys)).collect();
     let mut mvls: Vec<u64> = reports
         .iter()
-        .filter_map(|r| axis_value(r, "mvl"))
+        .filter_map(|r| axis_value(r, Knob::MVL))
         .collect();
     mvls.sort_unstable();
     mvls.dedup();
     let mut l2s: Vec<u64> = reports
         .iter()
-        .filter_map(|r| axis_value(r, "l2_kib"))
+        .filter_map(|r| axis_value(r, Knob::L2_KIB))
         .collect();
     l2s.sort_unstable();
     l2s.dedup();
@@ -855,7 +813,8 @@ pub fn format_energy_sensitivity(
             let cell: Vec<&RunReport> = reports
                 .iter()
                 .filter(|r| {
-                    axis_value(r, "mvl") == Some(*mvl) && axis_value(r, "l2_kib") == Some(*l2)
+                    axis_value(r, Knob::MVL) == Some(*mvl)
+                        && axis_value(r, Knob::L2_KIB) == Some(*l2)
                 })
                 .collect();
             if cell.is_empty() {
@@ -932,7 +891,7 @@ mod tests {
     fn sensitivity_grid_crosses_both_axes_and_formats_every_cell() {
         let mvls = [128usize, 256];
         let l2s = [512usize, 1024];
-        let scenarios = sensitivity_grid(&mvls, &l2s);
+        let scenarios = sensitivity_grid_with(&mvls, &l2s, &HierarchyAxes::default());
         assert_eq!(scenarios.len(), 4);
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(512))];
         let sweep = Sweep::grid(workloads, scenarios);
@@ -971,12 +930,12 @@ mod tests {
 
     #[test]
     fn hierarchy_axes_cross_expand_the_sensitivity_grid() {
-        let extra = HierarchyAxes {
-            l1_kib: vec![16, 64],
-            dram_bw: vec![6, 12],
-            vmu_bus: vec![32],
-            vvrs: vec![],
-        };
+        let mut extra = HierarchyAxes::default();
+        // Set out of table order: the grid still nests L1 outside DRAM.
+        extra.set(Knob::VMU_BUS, vec![32]);
+        extra.set(Knob::DRAM_BW, vec![6, 12]);
+        extra.set(Knob::L1_KIB, vec![16, 64]);
+        extra.set(Knob::VVRS, vec![]);
         let grid = sensitivity_grid_with(&[128], &[1024], &extra);
         assert_eq!(grid.len(), 4);
         assert_eq!(
@@ -1000,10 +959,8 @@ mod tests {
 
     #[test]
     fn vvr_axis_expands_the_grid_and_surfaces_in_the_json() {
-        let extra = HierarchyAxes {
-            vvrs: vec![32, 64],
-            ..HierarchyAxes::default()
-        };
+        let mut extra = HierarchyAxes::default();
+        extra.set(Knob::VVRS, vec![32, 64]);
         let grid = sensitivity_grid_with(&[128], &[512], &extra);
         assert_eq!(grid.len(), 2);
         assert_eq!(grid[0].label(), "AVA MVL=128 l2=512KiB vvrs=32");
@@ -1018,7 +975,7 @@ mod tests {
 
     #[test]
     fn energy_matrix_has_one_priced_cell_per_mvl_l2_pair() {
-        let scenarios = sensitivity_grid(&[128, 256], &[512, 1024]);
+        let scenarios = sensitivity_grid_with(&[128, 256], &[512, 1024], &HierarchyAxes::default());
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(512))];
         let sweep = Sweep::grid(workloads, scenarios);
         let report = sweep.runner().threads(1).run();
@@ -1097,7 +1054,8 @@ mod tests {
         // A quarter-size L2 must leak less than the 4 MiB one: the energy
         // pipeline prices each point against its own resolved hierarchy.
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(256))];
-        let scenarios = ScenarioConfig::axis_l2_kib(&[ScenarioConfig::ava_x(1)], &[256, 4096]);
+        let scenarios =
+            ScenarioConfig::axis(&[ScenarioConfig::ava_x(1)], Knob::L2_KIB, &[256, 4096]);
         let report = Sweep::grid(workloads, scenarios.clone())
             .runner()
             .threads(1)
@@ -1124,7 +1082,7 @@ mod tests {
 
     #[test]
     fn mvl_extrapolation_rows_sort_by_mvl_regardless_of_input_order() {
-        let scenarios = sensitivity_grid(&[512, 128], &[512]);
+        let scenarios = sensitivity_grid_with(&[512, 128], &[512], &HierarchyAxes::default());
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(512))];
         let sweep = Sweep::grid(workloads, scenarios);
         let report = sweep.runner().threads(1).run();
@@ -1138,7 +1096,11 @@ mod tests {
 
     #[test]
     fn sensitivity_workloads_include_the_composite_mix() {
-        let names: Vec<&str> = sensitivity_workloads().iter().map(|w| w.name()).collect();
+        let pool: Vec<SharedWorkload> = spec::sensitivity_workload_specs()
+            .iter()
+            .map(|w| MixRegistry::build(w).unwrap())
+            .collect();
+        let names: Vec<&str> = pool.iter().map(|w| w.name()).collect();
         assert_eq!(names, vec!["axpy", "blackscholes", "somier", "composite"]);
     }
 

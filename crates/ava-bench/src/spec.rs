@@ -32,11 +32,14 @@
 //!     .contains("byte"));
 //! ```
 
-use ava_isa::{MAX_MVL_ELEMS, MIN_MVL_ELEMS};
-use ava_sim::json::{object, parse, Json, ObjectBuilder};
+use ava_sim::json::{object, parse, Json};
+use ava_sim::{Knob, SystemKind};
 use ava_workloads::{kernel_defaults, SharedWorkload, KERNEL_NAMES};
 
-use crate::{pipelined_mix, solver_mix, HierarchyAxes, SENSITIVITY_L2_KIB, SENSITIVITY_MVLS};
+use crate::{
+    manifest_key, pipelined_mix, sensitivity_axes, solver_mix, HierarchyAxes, SENSITIVITY_L2_KIB,
+    SENSITIVITY_MVLS,
+};
 
 /// Which paper artefact a manifest regenerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,20 +215,25 @@ impl MixRegistry {
     }
 }
 
-/// The scenario-grid axes of a sensitivity manifest, resolved onto the
-/// [`ScenarioConfig`] axis builders by the driver. `mvl` and `l2_kib`
-/// default to the study's standard axes; the extra axes default to empty
-/// (not driven).
-///
-/// [`ScenarioConfig`]: ava_sim::ScenarioConfig
+/// The scenario-grid axes of a sensitivity manifest: the values of every
+/// [`Knob`] with a manifest key, expanded into a grid by
+/// [`crate::sensitivity_grid_with`]. `mvl` and `l2_kib` default to the
+/// study's standard axes; the extra axes default to empty (not driven).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AxesSpec {
-    /// Maximum vector lengths (`axis_mvl`).
+    /// Maximum vector lengths ([`Knob::MVL`]).
     pub mvl: Vec<usize>,
-    /// L2 capacities in KiB (`axis_l2_kib`).
+    /// L2 capacities in KiB ([`Knob::L2_KIB`]).
     pub l2_kib: Vec<usize>,
     /// The optional extra axes (L1, DRAM bandwidth, VMU bus, VVR pool).
     pub extra: HierarchyAxes,
+}
+
+impl AxesSpec {
+    /// Every axis with its values, in grid order (outermost first).
+    pub(crate) fn driven(&self) -> Vec<(Knob, Vec<u64>)> {
+        sensitivity_axes(&self.mvl, &self.l2_kib, &self.extra)
+    }
 }
 
 impl Default for AxesSpec {
@@ -287,7 +295,7 @@ pub struct ExperimentSpec {
 }
 
 /// The paper pool of Figure 3 / Figure 4 as explicit manifest entries (the
-/// sizes of [`crate::paper_workloads`]).
+/// registry defaults of every kernel but `composite`).
 #[must_use]
 pub fn paper_workload_specs() -> Vec<WorkloadSpec> {
     vec![
@@ -306,8 +314,12 @@ pub fn paper_workload_specs() -> Vec<WorkloadSpec> {
     ]
 }
 
-/// The sensitivity-study pool as explicit manifest entries (the sizes of
-/// [`crate::sensitivity_workloads`]).
+/// The sensitivity-study pool as explicit manifest entries: the two DLP
+/// extremes (Axpy streams, Blackscholes is register-hungry), the
+/// memory-bound Somier, and the `composite` mix of all three sharing one
+/// cache-warm hierarchy. Problem sizes are chosen so the working sets
+/// (0.4–1 MiB) straddle the L2-capacity axis — small L2 configurations
+/// actually miss.
 #[must_use]
 pub fn sensitivity_workload_specs() -> Vec<WorkloadSpec> {
     vec![
@@ -471,28 +483,23 @@ impl ExperimentSpec {
         if self.artefact == ArtefactKind::Sensitivity {
             if self.axes.mvl.is_empty() || self.axes.l2_kib.is_empty() {
                 return Err(format!(
-                    "manifest {}: axes \"mvl\" and \"l2_kib\" need at least one value each",
-                    ctx.label
+                    "manifest {}: axes \"{}\" and \"{}\" need at least one value each",
+                    ctx.label,
+                    manifest_key(Knob::MVL),
+                    manifest_key(Knob::L2_KIB)
                 ));
             }
-            if let Some(&bad) =
-                self.axes.mvl.iter().find(|&&m| {
-                    m % MIN_MVL_ELEMS != 0 || !(MIN_MVL_ELEMS..=MAX_MVL_ELEMS).contains(&m)
-                })
-            {
-                return Err(ctx.fail(
-                    &bad.to_string(),
-                    format!(
-                        "\"mvl\" values must be multiples of {MIN_MVL_ELEMS} in \
-                         {MIN_MVL_ELEMS}..={MAX_MVL_ELEMS}, got {bad}"
-                    ),
-                ));
-            }
-            if let Some(&bad) = self.axes.extra.vvrs.iter().find(|&&v| v < 32) {
-                return Err(ctx.fail(
-                    &bad.to_string(),
-                    format!("\"vvrs\" values must be at least the 32 architectural registers, got {bad}"),
-                ));
+            // Every point of the grid is an AVA scenario (the MVL axis's
+            // preset), so each value is checked on an AVA base.
+            for (knob, values) in self.axes.driven() {
+                for value in values {
+                    if let Err(e) = knob.check(SystemKind::Ava(8), value) {
+                        return Err(ctx.fail(
+                            &value.to_string(),
+                            format!("\"{}\" {e}", manifest_key(knob)),
+                        ));
+                    }
+                }
             }
         }
         if self.execution.resume && self.execution.store.is_none() {
@@ -527,27 +534,13 @@ impl ExperimentSpec {
             o = o.field("app", app.as_str());
         }
         if self.artefact == ArtefactKind::Sensitivity {
-            let mut axes = object()
-                .field(
-                    "mvl",
-                    self.axes
-                        .mvl
-                        .iter()
-                        .map(|&v| Json::from(v))
-                        .collect::<Json>(),
-                )
-                .field(
-                    "l2_kib",
-                    self.axes
-                        .l2_kib
-                        .iter()
-                        .map(|&v| Json::from(v))
-                        .collect::<Json>(),
-                );
-            axes = arr_field(axes, "l1_kib", &self.axes.extra.l1_kib);
-            axes = arr_field(axes, "dram_bw", &self.axes.extra.dram_bw);
-            axes = arr_field(axes, "vmu_bus", &self.axes.extra.vmu_bus);
-            axes = arr_field(axes, "vvrs", &self.axes.extra.vvrs);
+            let axes = self
+                .axes
+                .driven()
+                .into_iter()
+                .fold(object(), |axes, (knob, values)| {
+                    axes.field(manifest_key(knob), values.into_iter().collect::<Json>())
+                });
             o = o.field("axes", axes.finish());
         }
         if self.execution != ExecutionSpec::default() {
@@ -585,10 +578,7 @@ impl ExperimentSpec {
         self.workloads.truncate(1);
         self.axes.mvl.truncate(1);
         self.axes.l2_kib.truncate(1);
-        self.axes.extra.l1_kib.truncate(1);
-        self.axes.extra.dram_bw.truncate(1);
-        self.axes.extra.vmu_bus.truncate(1);
-        self.axes.extra.vvrs.truncate(1);
+        self.axes.extra.truncate(1);
         self.reduced = true;
     }
 
@@ -620,14 +610,6 @@ impl Ctx<'_> {
             Some(pos) => format!("manifest {}: {msg} at byte {pos}", self.label),
             None => format!("manifest {}: {msg}", self.label),
         }
-    }
-}
-
-fn arr_field<T: Copy + Into<Json>>(o: ObjectBuilder, key: &str, values: &[T]) -> ObjectBuilder {
-    if values.is_empty() {
-        o
-    } else {
-        o.field(key, values.iter().map(|&v| v.into()).collect::<Json>())
     }
 }
 
@@ -713,32 +695,28 @@ fn parse_axes(ctx: &Ctx<'_>, value: &Json) -> Result<AxesSpec, String> {
     };
     let mut axes = AxesSpec::default();
     for (key, v) in fields {
-        match key.as_str() {
-            "mvl" => axes.mvl = usize_list(ctx, v, "mvl")?,
-            "l2_kib" => axes.l2_kib = usize_list(ctx, v, "l2_kib")?,
-            "l1_kib" => axes.extra.l1_kib = usize_list(ctx, v, "l1_kib")?,
-            "dram_bw" => {
-                axes.extra.dram_bw = usize_list(ctx, v, "dram_bw")?
-                    .into_iter()
-                    .map(|x| x as u64)
-                    .collect();
-            }
-            "vmu_bus" => {
-                axes.extra.vmu_bus = usize_list(ctx, v, "vmu_bus")?
-                    .into_iter()
-                    .map(|x| x as u64)
-                    .collect();
-            }
-            "vvrs" => axes.extra.vvrs = usize_list(ctx, v, "vvrs")?,
-            other => {
-                return Err(ctx.fail(
-                    other,
-                    format!(
-                        "unknown axis {other:?} (expected mvl, l2_kib, l1_kib, dram_bw, \
-                         vmu_bus or vvrs)"
-                    ),
-                ))
-            }
+        let Some(knob) = Knob::ALL
+            .into_iter()
+            .find(|k| k.manifest_key == Some(key.as_str()))
+        else {
+            let keys: Vec<&str> = Knob::ALL.iter().filter_map(|k| k.manifest_key).collect();
+            let (last, rest) = keys.split_last().expect("the knob table has manifest keys");
+            return Err(ctx.fail(
+                key,
+                format!(
+                    "unknown axis {key:?} (expected {} or {last})",
+                    rest.join(", ")
+                ),
+            ));
+        };
+        let values = usize_list(ctx, v, key)?;
+        if knob == Knob::MVL {
+            axes.mvl = values;
+        } else if knob == Knob::L2_KIB {
+            axes.l2_kib = values;
+        } else {
+            axes.extra
+                .set(knob, values.into_iter().map(|x| x as u64).collect());
         }
     }
     Ok(axes)
@@ -990,7 +968,7 @@ mod tests {
         assert_eq!(spec.workloads.len(), 1);
         assert_eq!(spec.axes.mvl, vec![128]);
         assert_eq!(spec.axes.l2_kib, vec![256]);
-        assert_eq!(spec.axes.extra.l1_kib, vec![16]);
+        assert_eq!(spec.axes.extra.values(Knob::L1_KIB), [16]);
     }
 
     #[test]

@@ -4,24 +4,28 @@
 //! MVL ≤ 128 on one memory hierarchy (Tables II and III). This module keeps
 //! those presets but opens every dimension as an independent axis:
 //!
+//! * [`Knob`] is the axis table: one row per scenario knob — MVL (up to
+//!   512), L2 and L1 capacity, DRAM bandwidth, VMU bus width, the AVA VVR
+//!   pool, issue queues, ROB depth, VMU mem-op overhead and the solver's
+//!   iteration count — holding its report name, manifest key, label
+//!   suffix, range check and effect on the resolved system.
 //! * [`ScenarioConfig`] is the *declarative* layer — a base organisation
-//!   (NATIVE / AVA / RG) plus orthogonal overrides over the VPU (MVL up to
-//!   512, P-VRF capacity, VVR pool, issue queues, ROB, VMU overhead) and the
-//!   memory hierarchy (L1/L2 size and latency, DRAM bandwidth, VMU bus
-//!   width). Every override records axis metadata that flows into
-//!   [`RunReport`](crate::RunReport)s and the `--json` pipeline.
+//!   (NATIVE / AVA / RG) plus the knobs set on it, each recorded as axis
+//!   metadata that flows into [`RunReport`](crate::RunReport)s and the
+//!   `--json` pipeline.
 //! * [`SystemConfig`] is the *resolved* layer — the fully materialised
 //!   scalar-core + VPU + hierarchy description the simulator executes. It is
 //!   only produced by [`ScenarioConfig::resolve`].
 //!
-//! Axis-builder constructors expand into sweep grids:
+//! [`ScenarioConfig::axis`] expands a knob into a sweep grid:
 //!
 //! ```
-//! use ava_sim::ScenarioConfig;
+//! use ava_sim::{Knob, ScenarioConfig};
 //!
 //! // MVL extrapolation axis × L2-size axis = a 6-scenario grid.
-//! let grid = ScenarioConfig::axis_l2_kib(
+//! let grid = ScenarioConfig::axis(
 //!     &ScenarioConfig::axis_mvl(&[128, 256, 512]),
+//!     Knob::L2_KIB,
 //!     &[512, 4096],
 //! );
 //! assert_eq!(grid.len(), 6);
@@ -55,10 +59,16 @@ pub enum SystemKind {
 /// Sizes are in KiB, latencies in cycles, bandwidths in bytes per cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Axis {
-    /// Axis name ("mvl", "l2_kib", "vmu_bus", ...).
+    /// Axis name: the report name of its [`Knob`].
     pub name: &'static str,
     /// Axis value in the axis's natural unit.
     pub value: u64,
+}
+
+impl Axis {
+    fn knob(&self) -> Knob {
+        Knob::named(self.name).expect("recorded axes come from the knob table")
+    }
 }
 
 /// The physical-register floor the MVL-extrapolation axis maintains: the
@@ -68,72 +78,273 @@ pub struct Axis {
 /// registers cannot even keep the sources of a fused multiply-add resident).
 pub const AVA_EXTRAPOLATION_PREG_FLOOR: usize = 8;
 
-/// VPU-side overrides of a scenario (all optional).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct VpuOverrides {
-    mvl: Option<usize>,
-    pvrf_bytes: Option<usize>,
-    vvr_count: Option<usize>,
-    issue_queue_entries: Option<usize>,
-    rob_entries: Option<usize>,
-    mem_op_overhead: Option<u64>,
+/// One scenario knob: a row of the axis table [`Knob::ALL`]. Its report
+/// name, manifest key, label suffix, range check and effect on the
+/// resolved [`SystemConfig`] are written here once; the scenario layer,
+/// the result store and the manifest schema all read them from the table.
+#[derive(Debug, Clone, Copy)]
+pub struct Knob {
+    /// Report name: the [`Axis::name`] every report and store entry carries.
+    pub name: &'static str,
+    /// Key in a sensitivity manifest's `axes` block (`None`: a manifest
+    /// cannot drive the knob).
+    pub manifest_key: Option<&'static str>,
+    /// Label text before and after the value; `None` keeps the knob out
+    /// of the label.
+    suffix: Option<(&'static str, &'static str)>,
+    /// Range check of one value over a base organisation.
+    range: fn(SystemKind, u64) -> Result<(), String>,
+    /// Effect on the resolved system.
+    effect: fn(&mut SystemConfig, u64),
 }
 
-/// Memory-hierarchy overrides of a scenario (all optional).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct HierarchyOverrides {
-    l1_kib: Option<usize>,
-    l1_hit_latency: Option<u64>,
-    l2_kib: Option<usize>,
-    l2_hit_latency: Option<u64>,
-    dram_bytes_per_cycle: Option<u64>,
-    vmu_bus_bytes: Option<u64>,
+impl Knob {
+    /// Maximum vector length, a multiple of 16 up to 512. On an AVA base
+    /// the P-VRF follows the Table I extrapolation (see
+    /// [`ScenarioConfig::axis_mvl`]); on a NATIVE base the VRF scales
+    /// proportionally as in Table II. RG bases reject it — their MVL is the
+    /// LMUL grouping itself. Its label part replaces the preset's `Xn`.
+    pub const MVL: Knob = Knob {
+        name: "mvl",
+        manifest_key: Some("mvl"),
+        suffix: None,
+        range: mvl_range,
+        effect: mvl_effect,
+    };
+    /// Shared-L2 capacity in KiB.
+    pub const L2_KIB: Knob = Knob {
+        name: "l2_kib",
+        manifest_key: Some("l2_kib"),
+        suffix: Some(("l2=", "KiB")),
+        range: positive,
+        effect: |sys, kib| sys.memory.l2.size_bytes = kib as usize * 1024,
+    };
+    /// L1 data-cache capacity in KiB.
+    pub const L1_KIB: Knob = Knob {
+        name: "l1_kib",
+        manifest_key: Some("l1_kib"),
+        suffix: Some(("l1=", "KiB")),
+        range: positive,
+        effect: |sys, kib| sys.memory.l1d.size_bytes = kib as usize * 1024,
+    };
+    /// Sustained DRAM streaming bandwidth in bytes per cycle (the paper's
+    /// DDR3 sustains ~12 B/cycle).
+    pub const DRAM_BW: Knob = Knob {
+        name: "dram_bpc",
+        manifest_key: Some("dram_bw"),
+        suffix: Some(("dram=", "B/c")),
+        range: positive,
+        effect: |sys, bpc| sys.memory.dram.bytes_per_cycle = bpc,
+    };
+    /// VMU-to-L2 bus width in bytes per cycle (the paper uses 64 B = 512
+    /// bits).
+    pub const VMU_BUS: Knob = Knob {
+        name: "vmu_bus",
+        manifest_key: Some("vmu_bus"),
+        suffix: Some(("bus=", "B")),
+        range: positive,
+        effect: |sys, bytes| sys.memory.vmu_bus_bytes = bytes,
+    };
+    /// The AVA first-level renaming pool (number of VVRs; the paper uses
+    /// 64), at least the 32 architectural registers. AVA bases only:
+    /// NATIVE/RG rename from the physical registers, so the knob would do
+    /// nothing there while still advertising a `vvrs` axis in every report.
+    pub const VVRS: Knob = Knob {
+        name: "vvrs",
+        manifest_key: Some("vvrs"),
+        suffix: Some(("vvrs=", "")),
+        range: vvrs_range,
+        effect: |sys, vvrs| sys.vpu.vvr_count = vvrs as usize,
+    };
+    /// Both issue-queue depths (arithmetic and memory).
+    pub const ISSUE_QUEUES: Knob = Knob {
+        name: "iq",
+        manifest_key: None,
+        suffix: Some(("iq=", "")),
+        range: positive,
+        effect: |sys, entries| {
+            sys.vpu.arith_queue_entries = entries as usize;
+            sys.vpu.mem_queue_entries = entries as usize;
+        },
+    };
+    /// Reorder-buffer depth.
+    pub const ROB: Knob = Knob {
+        name: "rob",
+        manifest_key: None,
+        suffix: Some(("rob=", "")),
+        range: positive,
+        effect: |sys, entries| sys.vpu.rob_entries = entries as usize,
+    };
+    /// Fixed per-vector-memory-instruction overhead in cycles.
+    pub const MEM_OP_OVERHEAD: Knob = Knob {
+        name: "mem_op_overhead",
+        manifest_key: None,
+        suffix: Some(("memop=", "")),
+        range: |_, _| Ok(()),
+        effect: |sys, cycles| sys.vpu.mem_op_overhead = cycles,
+    };
+    /// The solver iteration count: pure report metadata, so runs over an
+    /// iterated composite carry `"axes":{"iters":n}`. The unroll depth is
+    /// baked into the `Composite::iterated` workload itself, so it changes
+    /// no hardware parameter and stays out of the label (solver sweeps at
+    /// different depths keep comparable config names).
+    pub const ITERS: Knob = Knob {
+        name: "iters",
+        manifest_key: None,
+        suffix: None,
+        range: |_, iters| match iters {
+            0 => Err("needs at least one iteration, got 0".to_string()),
+            _ => Ok(()),
+        },
+        effect: |_, _| {},
+    };
+
+    /// The axis table. The knobs a manifest can drive come first, in
+    /// sensitivity-grid order (outermost first).
+    pub const ALL: [Knob; 10] = [
+        Knob::MVL,
+        Knob::L2_KIB,
+        Knob::L1_KIB,
+        Knob::DRAM_BW,
+        Knob::VMU_BUS,
+        Knob::VVRS,
+        Knob::ISSUE_QUEUES,
+        Knob::ROB,
+        Knob::MEM_OP_OVERHEAD,
+        Knob::ITERS,
+    ];
+
+    /// The knob whose report name is `name`.
+    fn named(name: &str) -> Option<Knob> {
+        Self::ALL.into_iter().find(|k| k.name == name)
+    }
+
+    /// The range check of `value` on a scenario over `base`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the diagnostic without the knob's name in front, e.g.
+    /// `values must be multiples of 16 in 16..=512, got 100`.
+    pub fn check(&self, base: SystemKind, value: u64) -> Result<(), String> {
+        (self.range)(base, value)
+    }
+
+    /// The label suffix of `value` (`dram=24B/c`), or `None` for the
+    /// knobs that stay out of the label.
+    fn label(&self, value: u64) -> Option<String> {
+        self.suffix
+            .map(|(before, after)| format!("{before}{value}{after}"))
+    }
 }
 
-/// A composable system scenario: a base organisation layered with
-/// orthogonal VPU and memory-hierarchy overrides.
+/// Knobs are identified by their report name.
+impl PartialEq for Knob {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+    }
+}
+
+impl Eq for Knob {}
+
+fn positive(_: SystemKind, value: u64) -> Result<(), String> {
+    match value {
+        0 => Err("values must be positive, got 0".to_string()),
+        _ => Ok(()),
+    }
+}
+
+fn mvl_range(base: SystemKind, mvl: u64) -> Result<(), String> {
+    let (min, max) = (MIN_MVL_ELEMS as u64, MAX_MVL_ELEMS as u64);
+    if !mvl.is_multiple_of(min) || !(min..=max).contains(&mvl) {
+        return Err(format!(
+            "values must be multiples of {min} in {min}..={max}, got {mvl}"
+        ));
+    }
+    match base {
+        SystemKind::Rg(_) => Err(
+            "is fixed by its LMUL grouping on an RG base; use an AVA or NATIVE base".to_string(),
+        ),
+        _ => Ok(()),
+    }
+}
+
+fn mvl_effect(sys: &mut SystemConfig, mvl: u64) {
+    let mvl = mvl as usize;
+    match sys.kind {
+        SystemKind::Ava(_) => {
+            sys.vpu = VpuConfig::ava_with_mvl(mvl);
+            // Table I extrapolation: hold the X8 physical-register floor,
+            // growing the P-VRF minimally past MVL = 128.
+            sys.vpu.pvrf_bytes = (8 * 1024).max(mvl * 8 * AVA_EXTRAPOLATION_PREG_FLOOR);
+            sys.kind = SystemKind::Ava(mvl / MIN_MVL_ELEMS);
+        }
+        SystemKind::Native(_) => {
+            // Table II rule: the VRF scales with the MVL, keeping 64
+            // physical registers.
+            sys.vpu.mvl = mvl;
+            sys.vpu.pvrf_bytes = 64 * mvl * 8;
+            sys.vpu.name = format!("NATIVE MVL={mvl}");
+            sys.kind = SystemKind::Native(mvl / MIN_MVL_ELEMS);
+        }
+        SystemKind::Rg(_) => unreachable!("the MVL range check rejects RG bases"),
+    }
+}
+
+fn vvrs_range(base: SystemKind, vvrs: u64) -> Result<(), String> {
+    if vvrs < 32 {
+        return Err(format!(
+            "values must be at least the 32 architectural registers, got {vvrs}"
+        ));
+    }
+    match base {
+        SystemKind::Ava(_) => Ok(()),
+        _ => Err("is an AVA knob; NATIVE/RG rename from the physical registers".to_string()),
+    }
+}
+
+/// A composable system scenario: a base organisation plus the [`Knob`]s
+/// set on it, in the order they were set.
 ///
 /// Construct a preset with [`ScenarioConfig::native_x`] /
-/// [`ScenarioConfig::ava_x`] / [`ScenarioConfig::rg_lmul`], refine it with
-/// the fluent `with_*` methods (each records an [`Axis`] and extends the
-/// label), or expand whole grids with the `axis_*` builders. Resolve to the
+/// [`ScenarioConfig::ava_x`] / [`ScenarioConfig::rg_lmul`], set a knob with
+/// [`ScenarioConfig::with`] (it records an [`Axis`] and extends the label),
+/// or expand whole grids with [`ScenarioConfig::axis`]. Resolve to the
 /// executable [`SystemConfig`] with [`ScenarioConfig::resolve`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     base: SystemKind,
-    vpu: VpuOverrides,
-    memory: HierarchyOverrides,
-    label: String,
     axes: Vec<Axis>,
+    /// Derived from `base` and `axes`; rebuilt by every setter.
+    label: String,
 }
 
 impl ScenarioConfig {
-    fn preset(base: SystemKind, label: String) -> Self {
-        Self {
+    fn preset(base: SystemKind) -> Self {
+        let mut preset = Self {
             base,
-            vpu: VpuOverrides::default(),
-            memory: HierarchyOverrides::default(),
-            label,
             axes: Vec::new(),
-        }
+            label: String::new(),
+        };
+        preset.label = preset.build_label();
+        preset
     }
 
     /// NATIVE Xn (n in {1, 2, 3, 4, 8}).
     #[must_use]
     pub fn native_x(n: usize) -> Self {
-        Self::preset(SystemKind::Native(n), format!("NATIVE X{n}"))
+        Self::preset(SystemKind::Native(n))
     }
 
     /// AVA Xn (n in {1, 2, 3, 4, 8}).
     #[must_use]
     pub fn ava_x(n: usize) -> Self {
-        Self::preset(SystemKind::Ava(n), format!("AVA X{n}"))
+        Self::preset(SystemKind::Ava(n))
     }
 
     /// RG-LMULn (n in {1, 2, 4, 8}).
     #[must_use]
     pub fn rg_lmul(lmul: Lmul) -> Self {
-        Self::preset(SystemKind::Rg(lmul), format!("RG-LMUL{}", lmul.factor()))
+        Self::preset(SystemKind::Rg(lmul))
     }
 
     /// The five NATIVE configurations of Table II.
@@ -164,10 +375,6 @@ impl ScenarioConfig {
         v
     }
 
-    // ------------------------------------------------------------------
-    // Axis builders: whole sweep axes in one call
-    // ------------------------------------------------------------------
-
     /// The MVL-extrapolation axis: one AVA scenario per requested MVL, sized
     /// by the Table I path (`preg_count_for_mvl` over the P-VRF). Up to
     /// MVL = 128 this reproduces Table I exactly on the 8 KB P-VRF; beyond
@@ -175,73 +382,59 @@ impl ScenarioConfig {
     /// [`AVA_EXTRAPOLATION_PREG_FLOOR`] (16 KiB at 256, 32 KiB at 512).
     #[must_use]
     pub fn axis_mvl(mvls: &[usize]) -> Vec<Self> {
-        mvls.iter().map(|&m| Self::ava_x(8).with_mvl(m)).collect()
-    }
-
-    /// Expands every base scenario along the L2-capacity axis (KiB).
-    #[must_use]
-    pub fn axis_l2_kib(bases: &[Self], kib: &[usize]) -> Vec<Self> {
-        Self::expand(bases, kib, |s, &k| s.with_l2_kib(k))
-    }
-
-    /// Expands every base scenario along the L1-capacity axis (KiB).
-    #[must_use]
-    pub fn axis_l1_kib(bases: &[Self], kib: &[usize]) -> Vec<Self> {
-        Self::expand(bases, kib, |s, &k| s.with_l1_kib(k))
-    }
-
-    /// Expands every base scenario along the VMU bus-width axis (bytes per
-    /// cycle on the VPU-to-L2 interface; the paper uses 64 B = 512 bits).
-    #[must_use]
-    pub fn axis_vmu_bus(bases: &[Self], bytes: &[u64]) -> Vec<Self> {
-        Self::expand(bases, bytes, |s, &b| s.with_vmu_bus_bytes(b))
-    }
-
-    /// Expands every base scenario along the DRAM-bandwidth axis (bytes per
-    /// cycle of sustained streaming; the paper's DDR3 sustains ~12 B/cycle).
-    #[must_use]
-    pub fn axis_dram_bw(bases: &[Self], bytes_per_cycle: &[u64]) -> Vec<Self> {
-        Self::expand(bases, bytes_per_cycle, |s, &b| s.with_dram_bandwidth(b))
-    }
-
-    /// Expands every base scenario along the VVR-pool axis (number of
-    /// virtual vector registers the AVA renamer draws from; see
-    /// [`ScenarioConfig::with_vvr_count`]). The bases must all be AVA
-    /// scenarios — the pool is the AVA renamer's knob, NATIVE/RG rename
-    /// from the physical registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics (via `with_vvr_count`) on a non-AVA base or a count below the
-    /// 32 architectural registers; callers translating manifests or flags
-    /// validate first so their errors stay diagnosable.
-    #[must_use]
-    pub fn axis_vvr(bases: &[Self], counts: &[usize]) -> Vec<Self> {
-        Self::expand(bases, counts, |s, &c| s.with_vvr_count(c))
-    }
-
-    fn expand<T>(bases: &[Self], values: &[T], apply: impl Fn(Self, &T) -> Self) -> Vec<Self> {
-        bases
-            .iter()
-            .flat_map(|base| values.iter().map(|v| apply(base.clone(), v)))
+        mvls.iter()
+            .map(|&m| Self::ava_x(8).with(Knob::MVL, m as u64))
             .collect()
     }
 
-    // ------------------------------------------------------------------
-    // Fluent single-knob overrides
-    // ------------------------------------------------------------------
+    /// Expands every base scenario along `knob`: one scenario per value,
+    /// base-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`ScenarioConfig::with`] does, if the knob's range check
+    /// rejects a value on a base.
+    #[must_use]
+    pub fn axis(bases: &[Self], knob: Knob, values: &[u64]) -> Vec<Self> {
+        bases
+            .iter()
+            .flat_map(|base| values.iter().map(|&v| base.clone().with(knob, v)))
+            .collect()
+    }
 
-    fn set_axis(mut self, name: &'static str, value: u64) -> Self {
-        match self.axes.iter_mut().find(|a| a.name == name) {
-            Some(a) => a.value = value,
-            None => self.axes.push(Axis { name, value }),
+    /// Sets `knob` to `value`: records it as an [`Axis`] (setting a knob
+    /// again replaces its value in place) and rebuilds the label.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the knob's range check rejects the value on this base;
+    /// callers translating manifests run [`Knob::check`] first so their
+    /// errors stay diagnosable.
+    #[must_use]
+    pub fn with(mut self, knob: Knob, value: u64) -> Self {
+        if let Err(e) = knob.check(self.base, value) {
+            panic!("{}: {} {e}", self.label, knob.name);
         }
-        self.rebuild_label();
+        match self.axes.iter_mut().find(|a| a.name == knob.name) {
+            Some(a) => a.value = value,
+            None => self.axes.push(Axis {
+                name: knob.name,
+                value,
+            }),
+        }
+        self.label = self.build_label();
         self
     }
 
-    fn rebuild_label(&mut self) {
-        let mut label = match (self.base, self.vpu.mvl) {
+    fn value_of(&self, knob: Knob) -> Option<u64> {
+        self.axes
+            .iter()
+            .find(|a| a.name == knob.name)
+            .map(|a| a.value)
+    }
+
+    fn build_label(&self) -> String {
+        let mut label = match (self.base, self.value_of(Knob::MVL)) {
             (SystemKind::Native(n), None) => format!("NATIVE X{n}"),
             (SystemKind::Ava(n), None) => format!("AVA X{n}"),
             (SystemKind::Rg(l), _) => format!("RG-LMUL{}", l.factor()),
@@ -249,159 +442,12 @@ impl ScenarioConfig {
             (SystemKind::Ava(_), Some(m)) => format!("AVA MVL={m}"),
         };
         for axis in &self.axes {
-            let suffix = match axis.name {
-                "mvl" => continue,   // folded into the base part above
-                "iters" => continue, // workload shape, not a hardware knob
-                "pvrf_kib" => format!("pvrf={}KiB", axis.value),
-                "vvrs" => format!("vvrs={}", axis.value),
-                "iq" => format!("iq={}", axis.value),
-                "rob" => format!("rob={}", axis.value),
-                "mem_op_overhead" => format!("memop={}", axis.value),
-                "l1_kib" => format!("l1={}KiB", axis.value),
-                "l1_lat" => format!("l1lat={}", axis.value),
-                "l2_kib" => format!("l2={}KiB", axis.value),
-                "l2_lat" => format!("l2lat={}", axis.value),
-                "dram_bpc" => format!("dram={}B/c", axis.value),
-                "vmu_bus" => format!("bus={}B", axis.value),
-                other => format!("{}={}", other, axis.value),
-            };
-            label.push(' ');
-            label.push_str(&suffix);
+            if let Some(suffix) = axis.knob().label(axis.value) {
+                label.push(' ');
+                label.push_str(&suffix);
+            }
         }
-        self.label = label;
-    }
-
-    /// Overrides the maximum vector length (a multiple of 16 up to 512).
-    /// On an AVA base the P-VRF follows the Table I extrapolation (see
-    /// [`ScenarioConfig::axis_mvl`]); on a NATIVE base the VRF scales
-    /// proportionally as in Table II. RG bases reject the override — their
-    /// MVL is the LMUL grouping itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an RG base or an unsupported MVL.
-    #[must_use]
-    pub fn with_mvl(mut self, mvl: usize) -> Self {
-        assert!(
-            mvl.is_multiple_of(MIN_MVL_ELEMS) && (MIN_MVL_ELEMS..=MAX_MVL_ELEMS).contains(&mvl),
-            "MVL must be a multiple of 16 in 16..=512, got {mvl}"
-        );
-        assert!(
-            !matches!(self.base, SystemKind::Rg(_)),
-            "RG's MVL is fixed by its LMUL grouping; use an AVA or NATIVE base"
-        );
-        self.vpu.mvl = Some(mvl);
-        self.set_axis("mvl", mvl as u64)
-    }
-
-    /// Overrides the physical VRF capacity in KiB (otherwise derived from
-    /// the base and the MVL override).
-    #[must_use]
-    pub fn with_pvrf_kib(mut self, kib: usize) -> Self {
-        assert!(kib > 0, "P-VRF capacity must be non-zero");
-        self.vpu.pvrf_bytes = Some(kib * 1024);
-        self.set_axis("pvrf_kib", kib as u64)
-    }
-
-    /// Overrides the AVA first-level renaming pool (number of VVRs; the
-    /// paper uses 64).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a NATIVE/RG base — their rename pool is the physical
-    /// register count, so the knob would silently do nothing while still
-    /// advertising a "vvrs" axis in every report.
-    #[must_use]
-    pub fn with_vvr_count(mut self, vvrs: usize) -> Self {
-        assert!(vvrs >= 32, "fewer VVRs than architectural registers");
-        assert!(
-            matches!(self.base, SystemKind::Ava(_)),
-            "the VVR pool is an AVA knob; NATIVE/RG rename from the physical registers"
-        );
-        self.vpu.vvr_count = Some(vvrs);
-        self.set_axis("vvrs", vvrs as u64)
-    }
-
-    /// Overrides both issue-queue depths (arithmetic and memory).
-    #[must_use]
-    pub fn with_issue_queues(mut self, entries: usize) -> Self {
-        assert!(entries > 0, "issue queues need at least one entry");
-        self.vpu.issue_queue_entries = Some(entries);
-        self.set_axis("iq", entries as u64)
-    }
-
-    /// Overrides the reorder-buffer depth.
-    #[must_use]
-    pub fn with_rob_entries(mut self, entries: usize) -> Self {
-        assert!(entries > 0, "the reorder buffer needs at least one entry");
-        self.vpu.rob_entries = Some(entries);
-        self.set_axis("rob", entries as u64)
-    }
-
-    /// Overrides the fixed per-vector-memory-instruction overhead (cycles).
-    #[must_use]
-    pub fn with_mem_op_overhead(mut self, cycles: u64) -> Self {
-        self.vpu.mem_op_overhead = Some(cycles);
-        self.set_axis("mem_op_overhead", cycles)
-    }
-
-    /// Overrides the L1 data-cache capacity in KiB.
-    #[must_use]
-    pub fn with_l1_kib(mut self, kib: usize) -> Self {
-        assert!(kib > 0, "L1 capacity must be non-zero");
-        self.memory.l1_kib = Some(kib);
-        self.set_axis("l1_kib", kib as u64)
-    }
-
-    /// Overrides the L1 hit latency in cycles.
-    #[must_use]
-    pub fn with_l1_latency(mut self, cycles: u64) -> Self {
-        self.memory.l1_hit_latency = Some(cycles);
-        self.set_axis("l1_lat", cycles)
-    }
-
-    /// Overrides the shared-L2 capacity in KiB.
-    #[must_use]
-    pub fn with_l2_kib(mut self, kib: usize) -> Self {
-        assert!(kib > 0, "L2 capacity must be non-zero");
-        self.memory.l2_kib = Some(kib);
-        self.set_axis("l2_kib", kib as u64)
-    }
-
-    /// Overrides the L2 hit latency in cycles.
-    #[must_use]
-    pub fn with_l2_latency(mut self, cycles: u64) -> Self {
-        self.memory.l2_hit_latency = Some(cycles);
-        self.set_axis("l2_lat", cycles)
-    }
-
-    /// Overrides the sustained DRAM streaming bandwidth (bytes per cycle).
-    #[must_use]
-    pub fn with_dram_bandwidth(mut self, bytes_per_cycle: u64) -> Self {
-        assert!(bytes_per_cycle > 0, "DRAM bandwidth must be non-zero");
-        self.memory.dram_bytes_per_cycle = Some(bytes_per_cycle);
-        self.set_axis("dram_bpc", bytes_per_cycle)
-    }
-
-    /// Overrides the VMU-to-L2 bus width (bytes per cycle).
-    #[must_use]
-    pub fn with_vmu_bus_bytes(mut self, bytes: u64) -> Self {
-        assert!(bytes > 0, "bus width must be non-zero");
-        self.memory.vmu_bus_bytes = Some(bytes);
-        self.set_axis("vmu_bus", bytes)
-    }
-
-    /// Records the solver iteration count as a first-class sweep axis, so
-    /// runs over an iterated composite carry `"axes":{"iters":n}` in their
-    /// JSON reports alongside the hardware knobs. Unlike the other
-    /// overrides this is pure metadata — the unroll depth is baked into
-    /// the `Composite::iterated` workload itself — so it changes no
-    /// hardware parameter and stays out of the config label (solver sweeps
-    /// at different depths keep comparable config names).
-    #[must_use]
-    pub fn with_iters(self, iters: usize) -> Self {
-        assert!(iters >= 1, "an iterated solve needs at least one iteration");
-        self.set_axis("iters", iters as u64)
+        label
     }
 
     // ------------------------------------------------------------------
@@ -429,10 +475,11 @@ impl ScenarioConfig {
     /// Maximum vector length this scenario resolves to.
     #[must_use]
     pub fn mvl(&self) -> usize {
-        self.vpu.mvl.unwrap_or(match self.base {
-            SystemKind::Native(n) | SystemKind::Ava(n) => MIN_MVL_ELEMS * n,
-            SystemKind::Rg(l) => MIN_MVL_ELEMS * l.factor(),
-        })
+        match (self.value_of(Knob::MVL), self.base) {
+            (Some(mvl), _) => mvl as usize,
+            (None, SystemKind::Native(n) | SystemKind::Ava(n)) => MIN_MVL_ELEMS * n,
+            (None, SystemKind::Rg(l)) => MIN_MVL_ELEMS * l.factor(),
+        }
     }
 
     /// Register-grouping factor the compiler targets (LMUL > 1 only for RG).
@@ -451,83 +498,35 @@ impl ScenarioConfig {
         self.resolve().vpu
     }
 
-    /// Materialises the scenario into the executable [`SystemConfig`].
+    /// Materialises the scenario into the executable [`SystemConfig`]: the
+    /// base preset with every recorded knob's effect applied. The MVL
+    /// replaces the whole VPU preset, so it goes first whatever order the
+    /// knobs were set in.
     ///
     /// # Panics
     ///
-    /// Panics if an override combination is inconsistent (e.g. a cache
-    /// capacity smaller than one way set).
+    /// Panics if a cache capacity is smaller than one way set.
     #[must_use]
     pub fn resolve(&self) -> SystemConfig {
-        let mut vpu = match self.base {
-            SystemKind::Native(n) => VpuConfig::native_x(n),
-            SystemKind::Ava(n) => VpuConfig::ava_x(n),
-            SystemKind::Rg(l) => VpuConfig::rg_lmul(l),
+        let mut sys = SystemConfig {
+            kind: self.base,
+            label: self.label.clone(),
+            axes: self.axes.clone(),
+            vpu: match self.base {
+                SystemKind::Native(n) => VpuConfig::native_x(n),
+                SystemKind::Ava(n) => VpuConfig::ava_x(n),
+                SystemKind::Rg(l) => VpuConfig::rg_lmul(l),
+            },
+            scalar: ScalarConfig::default(),
+            memory: HierarchyConfig::default(),
+            compiler_lmul: self.compiler_lmul(),
         };
-        let mut kind = self.base;
-        if let Some(mvl) = self.vpu.mvl {
-            match self.base {
-                SystemKind::Ava(_) => {
-                    vpu = VpuConfig::ava_with_mvl(mvl);
-                    // Table I extrapolation: hold the X8 physical-register
-                    // floor, growing the P-VRF minimally past MVL = 128.
-                    vpu.pvrf_bytes = (8 * 1024).max(mvl * 8 * AVA_EXTRAPOLATION_PREG_FLOOR);
-                    kind = SystemKind::Ava(mvl / MIN_MVL_ELEMS);
-                }
-                SystemKind::Native(_) => {
-                    // Table II rule: the VRF scales with the MVL, keeping 64
-                    // physical registers.
-                    vpu.mvl = mvl;
-                    vpu.pvrf_bytes = 64 * mvl * 8;
-                    vpu.name = format!("NATIVE MVL={mvl}");
-                    kind = SystemKind::Native(mvl / MIN_MVL_ELEMS);
-                }
-                SystemKind::Rg(_) => unreachable!("with_mvl rejects RG bases"),
-            }
+        let is_mvl = |a: &&Axis| a.name == Knob::MVL.name;
+        let mvl_first = self.axes.iter().filter(is_mvl);
+        for axis in mvl_first.chain(self.axes.iter().filter(|a| !is_mvl(a))) {
+            (axis.knob().effect)(&mut sys, axis.value);
         }
-        if let Some(pvrf) = self.vpu.pvrf_bytes {
-            vpu.pvrf_bytes = pvrf;
-        }
-        assert!(
-            vpu.physical_regs() >= 1,
-            "{}: the P-VRF must hold at least one register of {} elements",
-            self.label,
-            vpu.mvl
-        );
-        if let Some(vvrs) = self.vpu.vvr_count {
-            vpu.vvr_count = vvrs;
-        }
-        if let Some(iq) = self.vpu.issue_queue_entries {
-            vpu.arith_queue_entries = iq;
-            vpu.mem_queue_entries = iq;
-        }
-        if let Some(rob) = self.vpu.rob_entries {
-            vpu.rob_entries = rob;
-        }
-        if let Some(overhead) = self.vpu.mem_op_overhead {
-            vpu.mem_op_overhead = overhead;
-        }
-
-        let mut memory = HierarchyConfig::default();
-        if let Some(kib) = self.memory.l1_kib {
-            memory.l1d.size_bytes = kib * 1024;
-        }
-        if let Some(lat) = self.memory.l1_hit_latency {
-            memory.l1d.hit_latency = lat;
-        }
-        if let Some(kib) = self.memory.l2_kib {
-            memory.l2.size_bytes = kib * 1024;
-        }
-        if let Some(lat) = self.memory.l2_hit_latency {
-            memory.l2.hit_latency = lat;
-        }
-        if let Some(bpc) = self.memory.dram_bytes_per_cycle {
-            memory.dram.bytes_per_cycle = bpc;
-        }
-        if let Some(bus) = self.memory.vmu_bus_bytes {
-            memory.vmu_bus_bytes = bus;
-        }
-        for (cache, name) in [(&memory.l1d, "L1"), (&memory.l2, "L2")] {
+        for (cache, name) in [(&sys.memory.l1d, "L1"), (&sys.memory.l2, "L2")] {
             assert!(
                 cache.size_bytes >= cache.line_bytes * cache.ways,
                 "{}: {} capacity smaller than one full set",
@@ -535,16 +534,7 @@ impl ScenarioConfig {
                 name
             );
         }
-
-        SystemConfig {
-            kind,
-            label: self.label.clone(),
-            axes: self.axes.clone(),
-            vpu,
-            scalar: ScalarConfig::default(),
-            memory,
-            compiler_lmul: self.compiler_lmul(),
-        }
+        sys
     }
 
     /// The axis metadata as an ordered JSON object (`{"mvl":256,...}`).
@@ -592,36 +582,14 @@ pub(crate) fn workload_identity(name: &str, elements: u64) -> String {
     format!("{name}#{elements}")
 }
 
-/// Maps an axis name parsed back from JSON onto the `&'static str` the
-/// in-memory [`Axis`] carries. Returns `None` for names no `with_*` override
-/// produces — a store entry carrying one was written by different code and
-/// must be treated as a miss.
-pub(crate) fn axis_static_name(name: &str) -> Option<&'static str> {
-    const KNOWN: &[&str] = &[
-        "mvl",
-        "pvrf_kib",
-        "vvrs",
-        "iq",
-        "rob",
-        "mem_op_overhead",
-        "l1_kib",
-        "l1_lat",
-        "l2_kib",
-        "l2_lat",
-        "dram_bpc",
-        "vmu_bus",
-        "iters",
-    ];
-    KNOWN.iter().find(|&&k| k == name).copied()
-}
-
 /// Parses an axes object (`{"mvl":256,...}`, as written by [`axes_to_json`])
 /// back into the in-memory representation, preserving order.
 ///
 /// # Errors
 ///
-/// Returns `Err` on a non-object, an unknown axis name or a non-integer
-/// value.
+/// Returns `Err` on a non-object, a name that is not in the knob table (a
+/// store entry carrying one was written by different code and must be
+/// treated as a miss) or a non-integer value.
 pub(crate) fn axes_from_json(json: &Json) -> Result<Vec<Axis>, String> {
     let entries = match json {
         Json::Obj(entries) => entries,
@@ -630,8 +598,9 @@ pub(crate) fn axes_from_json(json: &Json) -> Result<Vec<Axis>, String> {
     entries
         .iter()
         .map(|(name, value)| {
-            let name = axis_static_name(name)
-                .ok_or_else(|| format!("unknown axis name {name:?} in stored axes"))?;
+            let name = Knob::named(name)
+                .ok_or_else(|| format!("unknown axis name {name:?} in stored axes"))?
+                .name;
             let value = value
                 .as_u64()
                 .ok_or_else(|| format!("axis {name} has a non-integer value"))?;
@@ -767,9 +736,43 @@ mod tests {
     }
 
     #[test]
+    fn the_knob_table_pins_report_names_manifest_keys_and_label_suffixes() {
+        // Report names key every stored result and every report's `axes`
+        // object, manifest keys are the `axes` block's schema, and label
+        // suffixes are part of every config name: none may drift.
+        let pinned: Vec<(&str, Option<&str>, Option<String>)> = Knob::ALL
+            .iter()
+            .map(|k| (k.name, k.manifest_key, k.label(24)))
+            .collect();
+        let label = |s: &str| Some(s.to_string());
+        assert_eq!(
+            pinned,
+            vec![
+                ("mvl", Some("mvl"), None),
+                ("l2_kib", Some("l2_kib"), label("l2=24KiB")),
+                ("l1_kib", Some("l1_kib"), label("l1=24KiB")),
+                ("dram_bpc", Some("dram_bw"), label("dram=24B/c")),
+                ("vmu_bus", Some("vmu_bus"), label("bus=24B")),
+                ("vvrs", Some("vvrs"), label("vvrs=24")),
+                ("iq", None, label("iq=24")),
+                ("rob", None, label("rob=24")),
+                ("mem_op_overhead", None, label("memop=24")),
+                ("iters", None, None),
+            ]
+        );
+        for knob in Knob::ALL {
+            assert_eq!(Knob::named(knob.name), Some(knob));
+        }
+        assert_eq!(Knob::named("pvrf_kib"), None);
+    }
+
+    #[test]
     fn axis_builders_cross_every_base_with_every_value() {
-        let grid =
-            ScenarioConfig::axis_l2_kib(&ScenarioConfig::axis_mvl(&[128, 256]), &[512, 1024, 4096]);
+        let grid = ScenarioConfig::axis(
+            &ScenarioConfig::axis_mvl(&[128, 256]),
+            Knob::L2_KIB,
+            &[512, 1024, 4096],
+        );
         assert_eq!(grid.len(), 6);
         assert_eq!(grid[0].label(), "AVA MVL=128 l2=512KiB");
         assert_eq!(grid[5].label(), "AVA MVL=256 l2=4096KiB");
@@ -788,7 +791,11 @@ mod tests {
 
     #[test]
     fn axis_vvr_sweeps_the_rename_pool_across_ava_bases() {
-        let grid = ScenarioConfig::axis_vvr(&ScenarioConfig::axis_mvl(&[128, 256]), &[32, 64]);
+        let grid = ScenarioConfig::axis(
+            &ScenarioConfig::axis_mvl(&[128, 256]),
+            Knob::VVRS,
+            &[32, 64],
+        );
         assert_eq!(grid.len(), 4);
         assert_eq!(grid[0].label(), "AVA MVL=128 vvrs=32");
         assert_eq!(grid[3].label(), "AVA MVL=256 vvrs=64");
@@ -805,30 +812,23 @@ mod tests {
     #[test]
     fn hierarchy_overrides_resolve_into_the_config() {
         let s = ScenarioConfig::native_x(1)
-            .with_l1_kib(64)
-            .with_l1_latency(2)
-            .with_l2_latency(20)
-            .with_dram_bandwidth(24)
-            .with_vmu_bus_bytes(128)
+            .with(Knob::L1_KIB, 64)
+            .with(Knob::DRAM_BW, 24)
+            .with(Knob::VMU_BUS, 128)
             .resolve();
         assert_eq!(s.memory.l1d.size_bytes, 64 * 1024);
-        assert_eq!(s.memory.l1d.hit_latency, 2);
-        assert_eq!(s.memory.l2.hit_latency, 20);
         assert_eq!(s.memory.dram.bytes_per_cycle, 24);
         assert_eq!(s.memory.vmu_bus_bytes, 128);
-        assert_eq!(
-            s.label(),
-            "NATIVE X1 l1=64KiB l1lat=2 l2lat=20 dram=24B/c bus=128B"
-        );
+        assert_eq!(s.label(), "NATIVE X1 l1=64KiB dram=24B/c bus=128B");
     }
 
     #[test]
     fn vpu_knob_overrides_resolve_into_the_config() {
         let s = ScenarioConfig::ava_x(8)
-            .with_issue_queues(16)
-            .with_rob_entries(128)
-            .with_mem_op_overhead(0)
-            .with_vvr_count(96)
+            .with(Knob::ISSUE_QUEUES, 16)
+            .with(Knob::ROB, 128)
+            .with(Knob::MEM_OP_OVERHEAD, 0)
+            .with(Knob::VVRS, 96)
             .resolve();
         assert_eq!(s.vpu.arith_queue_entries, 16);
         assert_eq!(s.vpu.mem_queue_entries, 16);
@@ -840,35 +840,47 @@ mod tests {
 
     #[test]
     fn repeated_overrides_replace_the_axis_instead_of_duplicating() {
-        let s = ScenarioConfig::ava_x(2).with_l2_kib(512).with_l2_kib(2048);
+        let s = ScenarioConfig::ava_x(2)
+            .with(Knob::L2_KIB, 512)
+            .with(Knob::L2_KIB, 2048);
         assert_eq!(s.axes().len(), 1);
         assert_eq!(s.axes()[0].value, 2048);
         assert_eq!(s.label(), "AVA X2 l2=2048KiB");
     }
 
     #[test]
-    fn explicit_pvrf_override_beats_the_extrapolation_rule() {
-        let s = ScenarioConfig::ava_x(8).with_mvl(256).with_pvrf_kib(64);
-        assert_eq!(s.resolve().vpu.physical_regs(), 32);
+    fn the_mvl_resolves_first_whatever_order_the_knobs_were_set_in() {
+        let late = ScenarioConfig::ava_x(8)
+            .with(Knob::VVRS, 96)
+            .with(Knob::MVL, 256);
+        let early = ScenarioConfig::ava_x(8)
+            .with(Knob::MVL, 256)
+            .with(Knob::VVRS, 96);
+        assert_eq!(late.label(), "AVA MVL=256 vvrs=96");
+        assert_eq!(late.resolve().vpu, early.resolve().vpu);
+        assert_eq!(late.resolve().vpu.rename_pool(), 96);
+        assert_eq!(late.resolve().kind, SystemKind::Ava(16));
     }
 
     #[test]
     fn axes_json_is_an_ordered_object() {
-        let s = ScenarioConfig::ava_x(8).with_mvl(256).with_l2_kib(512);
+        let s = ScenarioConfig::ava_x(8)
+            .with(Knob::MVL, 256)
+            .with(Knob::L2_KIB, 512);
         assert_eq!(s.axes_json().to_string(), r#"{"mvl":256,"l2_kib":512}"#);
     }
 
     #[test]
     fn iters_axis_is_report_metadata_with_a_stable_label() {
-        let base = ScenarioConfig::ava_x(8).with_mvl(256);
-        let s = base.clone().with_iters(8);
+        let base = ScenarioConfig::ava_x(8).with(Knob::MVL, 256);
+        let s = base.clone().with(Knob::ITERS, 8);
         // Pure metadata: the label stays comparable across solver depths
         // and no hardware parameter moves...
         assert_eq!(s.label(), base.label());
         assert_eq!(s.resolve().vpu, base.resolve().vpu);
         // ...but the axis lands in the report JSON like any other knob.
         assert_eq!(s.axes_json().to_string(), r#"{"mvl":256,"iters":8}"#);
-        let replaced = s.with_iters(16);
+        let replaced = s.with(Knob::ITERS, 16);
         assert_eq!(
             replaced
                 .axes()
@@ -883,26 +895,32 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one iteration")]
     fn zero_iters_is_rejected_early() {
-        let _ = ScenarioConfig::ava_x(8).with_iters(0);
+        let _ = ScenarioConfig::ava_x(8).with(Knob::ITERS, 0);
     }
 
     #[test]
     #[should_panic(expected = "fixed by its LMUL")]
     fn rg_bases_reject_the_mvl_override() {
-        let _ = ScenarioConfig::rg_lmul(Lmul::M4).with_mvl(256);
+        let _ = ScenarioConfig::rg_lmul(Lmul::M4).with(Knob::MVL, 256);
     }
 
     #[test]
-    #[should_panic(expected = "multiple of 16")]
+    #[should_panic(expected = "vvrs is an AVA knob")]
+    fn non_ava_bases_reject_the_vvr_pool() {
+        let _ = ScenarioConfig::native_x(8).with(Knob::VVRS, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiples of 16")]
     fn unsupported_mvl_is_rejected_early() {
-        let _ = ScenarioConfig::ava_x(1).with_mvl(100);
+        let _ = ScenarioConfig::ava_x(1).with(Knob::MVL, 100);
     }
 
     #[test]
     fn minimum_cache_sizes_still_resolve() {
         // 1 KiB is exactly one 16-way set of 64 B lines — the smallest L2
         // the KiB-granular API can express resolves to a valid cache.
-        let s = ScenarioConfig::native_x(1).with_l2_kib(1).resolve();
+        let s = ScenarioConfig::native_x(1).with(Knob::L2_KIB, 1).resolve();
         assert_eq!(s.memory.l2.sets(), 1);
     }
 }

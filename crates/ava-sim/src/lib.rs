@@ -10,7 +10,7 @@
 //! material for every figure and table in the evaluation.
 //!
 //! ```
-//! use ava_sim::{run_workload, ScenarioConfig};
+//! use ava_sim::{run_workload, Knob, ScenarioConfig};
 //! use ava_workloads::Axpy;
 //!
 //! let report = run_workload(&Axpy::new(256), &ScenarioConfig::native_x(1));
@@ -18,7 +18,7 @@
 //! assert!(report.cycles > 0);
 //!
 //! // Scenarios compose: the same preset with a quarter-size L2.
-//! let small_l2 = ScenarioConfig::native_x(1).with_l2_kib(256);
+//! let small_l2 = ScenarioConfig::native_x(1).with(Knob::L2_KIB, 256);
 //! assert!(run_workload(&Axpy::new(256), &small_l2).validated);
 //! ```
 
@@ -32,7 +32,9 @@ pub mod run;
 pub mod store;
 pub mod sweep;
 
-pub use configs::{Axis, ScenarioConfig, SystemConfig, SystemKind, AVA_EXTRAPOLATION_PREG_FLOOR};
+pub use configs::{
+    Axis, Knob, ScenarioConfig, SystemConfig, SystemKind, AVA_EXTRAPOLATION_PREG_FLOOR,
+};
 pub use json::Json;
 pub use report::{format_runs_table, format_sweep_summary, geometric_mean, speedup_vs};
 pub use run::{run_system, run_workload, PhaseBreakdown, RunReport};

@@ -626,7 +626,7 @@ pub(crate) mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    use crate::configs::ScenarioConfig;
+    use crate::configs::{Knob, ScenarioConfig};
 
     /// Prepared points made on one thread: alive now, and most alive at
     /// once.
@@ -676,7 +676,7 @@ pub(crate) mod tests {
         // works on its own copy, so the order of the runs cannot matter.
         let w = Blackscholes::new(128);
         let native = ScenarioConfig::native_x(2).resolve();
-        let ava = ScenarioConfig::ava_x(2).with_l2_kib(256).resolve();
+        let ava = ScenarioConfig::ava_x(2).with(Knob::L2_KIB, 256).resolve();
         let prepared = prepare(&w, &native);
         for system in [&ava, &native, &ava] {
             let (report, from_store) = run_prepared(&prepared, system, None);
@@ -756,7 +756,12 @@ pub(crate) mod tests {
     #[test]
     fn reports_round_trip_through_json_bit_identically() {
         let w = Axpy::new(256);
-        let mut r = run_workload(&w, &ScenarioConfig::ava_x(8).with_mvl(64).with_iters(2));
+        let mut r = run_workload(
+            &w,
+            &ScenarioConfig::ava_x(8)
+                .with(Knob::MVL, 64)
+                .with(Knob::ITERS, 2),
+        );
         // Graft synthetic phases (with and without an iteration index) and a
         // validation failure so every optional field of the schema is
         // exercised by one document.

@@ -276,7 +276,7 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::configs::ScenarioConfig;
+    use crate::configs::{Knob, ScenarioConfig};
     use crate::run::run_workload;
     use ava_workloads::Axpy;
 
@@ -292,7 +292,7 @@ mod tests {
     }
 
     fn sample() -> (StoreKey, RunReport) {
-        let scenario = ScenarioConfig::ava_x(2).with_iters(3);
+        let scenario = ScenarioConfig::ava_x(2).with(Knob::ITERS, 3);
         let report = run_workload(&Axpy::new(256), &scenario);
         let key = StoreKey::new("axpy", 512, &scenario.resolve(), 0xfeed_face);
         (key, report)
@@ -379,7 +379,7 @@ mod tests {
 
     #[test]
     fn file_names_are_sanitized_and_key_dependent() {
-        let scenario = ScenarioConfig::ava_x(8).with_mvl(256);
+        let scenario = ScenarioConfig::ava_x(8).with(Knob::MVL, 256);
         let key = StoreKey::new("pipelined/mix", 64, &scenario.resolve(), 7);
         let name = key.file_name();
         assert!(name.starts_with("pipelined-mix-"));

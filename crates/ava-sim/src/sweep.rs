@@ -677,6 +677,7 @@ impl<'a> SweepRunner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::configs::Knob;
     use ava_isa::Lmul;
     use ava_workloads::{Axpy, Blackscholes, Workload};
 
@@ -739,13 +740,13 @@ mod tests {
 
     #[test]
     fn metadata_axes_disambiguate_identical_labels() {
-        // with_iters stays out of the config label by design, so these two
+        // The iters knob stays out of the config label by design, so these two
         // scenarios *display* identically — but the axes make their point
         // identities distinct, so the grid constructs.
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(256))];
         let scenarios = vec![
-            ScenarioConfig::ava_x(2).with_iters(2),
-            ScenarioConfig::ava_x(2).with_iters(4),
+            ScenarioConfig::ava_x(2).with(Knob::ITERS, 2),
+            ScenarioConfig::ava_x(2).with(Knob::ITERS, 4),
         ];
         assert_eq!(scenarios[0].label(), scenarios[1].label());
         assert_eq!(Sweep::grid(workloads, scenarios).len(), 2);
@@ -898,11 +899,12 @@ mod tests {
         // points each, adjacent in the claim order.
         let workloads: Vec<SharedWorkload> =
             vec![Arc::new(Axpy::new(256)), Arc::new(Blackscholes::new(64))];
-        let scenarios = ScenarioConfig::axis_l2_kib(
+        let scenarios = ScenarioConfig::axis(
             &[
-                ScenarioConfig::ava_x(2).with_mvl(32),
-                ScenarioConfig::ava_x(2).with_mvl(64),
+                ScenarioConfig::ava_x(2).with(Knob::MVL, 32),
+                ScenarioConfig::ava_x(2).with(Knob::MVL, 64),
             ],
+            Knob::L2_KIB,
             &[256, 512, 1024],
         );
         let sweep = Sweep::grid(workloads, scenarios);
@@ -962,8 +964,9 @@ mod tests {
     #[test]
     fn scenario_axes_flow_into_reports_and_json() {
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(128))];
-        let scenarios = ScenarioConfig::axis_l2_kib(
+        let scenarios = ScenarioConfig::axis(
             &[ScenarioConfig::native_x(1), ScenarioConfig::ava_x(2)],
+            Knob::L2_KIB,
             &[512, 1024],
         );
         let sweep = Sweep::grid(workloads, scenarios);

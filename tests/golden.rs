@@ -10,15 +10,21 @@
 //! stdout digest. A mismatch names the point that moved.
 //!
 //! The tier-1 tests run each manifest at `scale_down()` and require every
-//! line they produce to be in the file. The `#[ignore]`d full-grid test
-//! (`cargo test --release --test golden -- --ignored`) requires the full
-//! grid to match line for line, stdout included. Setting
-//! `AVA_BLESS_GOLDEN=1` on that run rewrites the files instead; a change to
-//! any golden line is a change to what the simulator computes.
+//! line they produce to be in the file. Six of the seven also run their
+//! full grid, which must match line for line, stdout included: a model
+//! change can move a full-grid point and no scaled-down one. The 972-point
+//! `sensitivity_hierarchy` grid is too slow for a debug build, so its
+//! tier-1 test instead runs the slice at the last value of every axis,
+//! whose points must be full-grid lines. The `#[ignore]`d test
+//! (`cargo test --release --test golden -- --ignored`) checks every full
+//! grid. Setting `AVA_BLESS_GOLDEN=1` on that run rewrites the files
+//! instead; a change to any golden line is a change to what the simulator
+//! computes.
 
 use std::path::PathBuf;
 
 use ava::sim::json::Json;
+use ava::sim::Knob;
 use ava::workloads::Fingerprint;
 use ava_bench::cli::BenchArgs;
 use ava_bench::driver;
@@ -84,13 +90,12 @@ fn point_line(point: &Json) -> String {
     )
 }
 
-fn run(manifest: &str, scaled: bool) -> Digests {
+/// Runs the manifest after `shape` has cut its grid.
+fn run(manifest: &str, shape: impl FnOnce(&mut ExperimentSpec)) -> Digests {
     let label = format!("experiments/{manifest}.json");
     let text = std::fs::read_to_string(&label).unwrap();
     let mut spec = ExperimentSpec::parse(&label, &text).unwrap();
-    if scaled {
-        spec.scale_down();
-    }
+    shape(&mut spec);
     // Default thread count: the digests must not depend on it. No `--json`
     // and no manifest `output.json` write: `execute` only returns the text.
     let args = BenchArgs::from_args(Vec::new()).unwrap();
@@ -143,11 +148,32 @@ fn render(manifest: &str, full: &Digests, scaled: &Digests) -> String {
     out
 }
 
+/// The full grid's lines match the file's, line for line, stdout included.
+fn check_full_grid(manifest: &str, full: &Digests) {
+    let golden = golden_lines(manifest);
+    let expected: Vec<&String> = golden
+        .iter()
+        .filter(|l| !l.starts_with(SCALE_DOWN))
+        .collect();
+    let actual: Vec<&String> = full.points.iter().chain([&full.stdout]).collect();
+    for (i, (want, got)) in expected.iter().zip(&actual).enumerate() {
+        assert_eq!(
+            want, got,
+            "experiments/{manifest}.json line {i} of the full grid moved"
+        );
+    }
+    assert_eq!(
+        expected.len(),
+        actual.len(),
+        "experiments/{manifest}.json: golden and simulated line counts differ"
+    );
+}
+
 /// Every line of the scaled-down run is a full-grid line or a
 /// `scale-down` line of the file.
 fn check_scaled_down(manifest: &str) {
     let golden = golden_lines(manifest);
-    let scaled = run(manifest, true);
+    let scaled = run(manifest, ExperimentSpec::scale_down);
     for line in scaled.points.iter().chain([&scaled.stdout]) {
         let plain = !line.starts_with("stdout ") && golden.contains(line);
         assert!(
@@ -158,39 +184,68 @@ fn check_scaled_down(manifest: &str) {
     }
 }
 
+/// The full grid line for line, then the scaled-down run.
+fn check(manifest: &str) {
+    check_full_grid(manifest, &run(manifest, |_| {}));
+    check_scaled_down(manifest);
+}
+
+/// Cuts every axis of a sensitivity grid to its last value: the corner of
+/// the grid farthest from the scaled-down run's first values.
+fn last_value_of_every_axis(spec: &mut ExperimentSpec) {
+    let axes = &mut spec.axes;
+    axes.mvl.drain(..axes.mvl.len() - 1);
+    axes.l2_kib.drain(..axes.l2_kib.len() - 1);
+    for knob in Knob::ALL {
+        if let Some(&last) = axes.extra.values(knob).last() {
+            axes.extra.set(knob, vec![last]);
+        }
+    }
+}
+
 #[test]
 fn ablation_microarch_matches_its_golden_digests() {
-    check_scaled_down("ablation_microarch");
+    check("ablation_microarch");
 }
 
 #[test]
 fn fig3_extrapolation_matches_its_golden_digests() {
-    check_scaled_down("fig3_extrapolation");
+    check("fig3_extrapolation");
 }
 
 #[test]
 fn fig4_area_matches_its_golden_digests() {
-    check_scaled_down("fig4_area");
+    check("fig4_area");
 }
 
 #[test]
 fn sensitivity_energy_matches_its_golden_digests() {
-    check_scaled_down("sensitivity_energy");
+    check("sensitivity_energy");
 }
 
 #[test]
 fn sensitivity_hierarchy_matches_its_golden_digests() {
     check_scaled_down("sensitivity_hierarchy");
+    let golden = golden_lines("sensitivity_hierarchy");
+    let corner = run("sensitivity_hierarchy", last_value_of_every_axis);
+    assert_eq!(corner.points.len(), 4, "one scenario per workload");
+    for line in &corner.points {
+        assert!(
+            golden.contains(line),
+            "experiments/sensitivity_hierarchy.json last-value slice: `{line}` is not a \
+             full-grid line"
+        );
+    }
 }
 
 #[test]
 fn sensitivity_vvr_matches_its_golden_digests() {
-    check_scaled_down("sensitivity_vvr");
+    check("sensitivity_vvr");
 }
 
 #[test]
 fn solver_mix_matches_its_golden_digests() {
-    check_scaled_down("solver_mix");
+    check("solver_mix");
 }
 
 /// The full grids, line for line (or, with `AVA_BLESS_GOLDEN=1`, rewrites
@@ -200,30 +255,14 @@ fn solver_mix_matches_its_golden_digests() {
 fn full_grids_match_their_golden_digests_exactly() {
     let bless = std::env::var_os("AVA_BLESS_GOLDEN").is_some_and(|v| v == "1");
     for manifest in MANIFESTS {
-        let full = run(manifest, false);
-        let scaled = run(manifest, true);
+        let full = run(manifest, |_| {});
         if bless {
+            let scaled = run(manifest, ExperimentSpec::scale_down);
             std::fs::create_dir_all("experiments/golden").unwrap();
             std::fs::write(golden_path(manifest), render(manifest, &full, &scaled)).unwrap();
             continue;
         }
-        let golden = golden_lines(manifest);
-        let expected: Vec<&String> = golden
-            .iter()
-            .filter(|l| !l.starts_with(SCALE_DOWN))
-            .collect();
-        let actual: Vec<&String> = full.points.iter().chain([&full.stdout]).collect();
-        for (i, (want, got)) in expected.iter().zip(&actual).enumerate() {
-            assert_eq!(
-                want, got,
-                "experiments/{manifest}.json line {i} of the full grid moved"
-            );
-        }
-        assert_eq!(
-            expected.len(),
-            actual.len(),
-            "experiments/{manifest}.json: golden and simulated line counts differ"
-        );
+        check_full_grid(manifest, &full);
         // The scaled-down run is pinned too, as the tier-1 tests pin it.
         check_scaled_down(manifest);
     }

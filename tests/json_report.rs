@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use ava::sim::json::{object, parse, Json};
-use ava::sim::{run_workload, ScenarioConfig, Sweep};
+use ava::sim::{run_workload, Knob, ScenarioConfig, Sweep};
 use ava::workloads::{composite, Axpy, Blackscholes, Composite, SharedWorkload, Somier};
 
 /// Panicking accessors over the library [`Json`] — the `Option`-returning
@@ -243,7 +243,8 @@ fn per_iteration_breakdowns_round_trip_with_iter_and_phase_labels() {
 #[test]
 fn scenario_axis_metadata_round_trips_through_the_json_pipeline() {
     let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(256))];
-    let scenarios = ScenarioConfig::axis_l2_kib(&ScenarioConfig::axis_mvl(&[128, 256]), &[512]);
+    let scenarios =
+        ScenarioConfig::axis(&ScenarioConfig::axis_mvl(&[128, 256]), Knob::L2_KIB, &[512]);
     let report = Sweep::grid(workloads, scenarios).runner().threads(1).run();
     let parsed = parse(&report.to_json().to_string()).unwrap();
 

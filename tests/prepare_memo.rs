@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use ava::isa::{Lmul, VectorContext};
 use ava::memory::MemoryHierarchy;
-use ava::sim::{run_system, ScenarioConfig, Sweep};
+use ava::sim::{run_system, Knob, ScenarioConfig, Sweep};
 use ava::workloads::analysis::Arena;
 use ava::workloads::{
     composite, Axpy, BufferBindings, Composite, DataLayout, PlannedLayout, SharedWorkload, Somier,
@@ -74,8 +74,11 @@ fn inner_workloads() -> Vec<SharedWorkload> {
 }
 
 fn scenarios() -> Vec<ScenarioConfig> {
-    let mut scenarios =
-        ScenarioConfig::axis_l2_kib(&ScenarioConfig::axis_mvl(&[64, 128]), &[256, 512, 1024]);
+    let mut scenarios = ScenarioConfig::axis(
+        &ScenarioConfig::axis_mvl(&[64, 128]),
+        Knob::L2_KIB,
+        &[256, 512, 1024],
+    );
     scenarios.push(ScenarioConfig::rg_lmul(Lmul::M4));
     scenarios
 }

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use ava::isa::Lmul;
-use ava::sim::{run_workload, ScenarioConfig, Sweep};
+use ava::sim::{run_workload, Knob, ScenarioConfig, Sweep};
 use ava::workloads::{
     composite, Axpy, Blackscholes, Composite, LavaMd2, ParticleFilter, SharedWorkload, Somier,
     Swaptions,
@@ -185,8 +185,11 @@ fn skewed_grid_stays_in_grid_order_and_identical_to_serial() {
 /// between serial and parallel execution.
 #[test]
 fn mvl_and_cache_axis_grid_is_bit_identical_and_validated() {
-    let scenarios =
-        ScenarioConfig::axis_l2_kib(&ScenarioConfig::axis_mvl(&[128, 256, 512]), &[256, 1024]);
+    let scenarios = ScenarioConfig::axis(
+        &ScenarioConfig::axis_mvl(&[128, 256, 512]),
+        Knob::L2_KIB,
+        &[256, 1024],
+    );
     assert_eq!(scenarios.len(), 6);
     let workloads: Vec<SharedWorkload> = vec![
         Arc::new(Axpy::new(2048)),
@@ -258,8 +261,11 @@ fn axpy_feeds_somier(n: usize) -> Composite {
 /// stay bit-identical between serial and parallel execution.
 #[test]
 fn pipelined_grid_is_bit_identical_validated_and_phase_attributed() {
-    let scenarios =
-        ScenarioConfig::axis_l2_kib(&ScenarioConfig::axis_mvl(&[128, 256]), &[256, 1024]);
+    let scenarios = ScenarioConfig::axis(
+        &ScenarioConfig::axis_mvl(&[128, 256]),
+        Knob::L2_KIB,
+        &[256, 1024],
+    );
     let workloads: Vec<SharedWorkload> = vec![
         Arc::new(axpy_feeds_somier(1024)),
         Arc::new(Composite::pipelined(
@@ -482,8 +488,11 @@ fn solver(n: usize, iters: usize) -> Composite {
 /// ping-pong parities.
 #[test]
 fn iterated_solver_grid_is_bit_identical_validated_and_iteration_attributed() {
-    let scenarios =
-        ScenarioConfig::axis_l2_kib(&ScenarioConfig::axis_mvl(&[128, 256]), &[256, 1024]);
+    let scenarios = ScenarioConfig::axis(
+        &ScenarioConfig::axis_mvl(&[128, 256]),
+        Knob::L2_KIB,
+        &[256, 1024],
+    );
     let iter_axis = [3usize, 4];
     let workloads: Vec<SharedWorkload> = iter_axis
         .iter()
@@ -693,7 +702,9 @@ fn composite_points_match_the_plain_runner() {
         Arc::new(Axpy::new(512)),
         Arc::new(Somier::new(256)),
     ]));
-    let scenario = ScenarioConfig::ava_x(8).with_mvl(256).with_l2_kib(512);
+    let scenario = ScenarioConfig::ava_x(8)
+        .with(Knob::MVL, 256)
+        .with(Knob::L2_KIB, 512);
     let sweep = Sweep::grid(vec![Arc::clone(&mix)], vec![scenario.clone()]);
     let from_sweep = sweep.runner().run().into_reports();
     let direct = run_workload(mix.as_ref(), &scenario);
