@@ -120,8 +120,9 @@ fn fig3(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Jso
         workloads.len(),
         per_workload
     );
-    let report = args.configure(sweep.runner()).run();
-    eprintln!("{}", format_sweep_summary(&report));
+    let run = args.configure(sweep.runner()).execute();
+    eprintln!("{}", format_sweep_summary(&run));
+    let report = &run.report;
 
     for (workload, runs) in workloads.iter().zip(report.reports.chunks(per_workload)) {
         let name = workload.name();
@@ -144,9 +145,9 @@ fn fig3(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Jso
         .field("chart", chart)
         .field(
             "energy",
-            sweep_energy_json(&report, sweep.resolved_systems()),
+            sweep_energy_json(report, sweep.resolved_systems()),
         )
-        .field("sweep", report.to_json())
+        .field("sweep", run.to_json())
         .finish())
 }
 
@@ -206,7 +207,8 @@ fn sensitivity(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Res
         per_workload,
         grid_factors(axes)
     );
-    let report = args.configure(sweep.runner()).run();
+    let run = args.configure(sweep.runner()).execute();
+    let report = &run.report;
     for r in &report.reports {
         assert!(
             r.validated,
@@ -230,14 +232,14 @@ fn sensitivity(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Res
             );
         }
     }
-    eprintln!("{}", format_sweep_summary(&report));
+    eprintln!("{}", format_sweep_summary(&run));
 
     Ok(sensitivity_json(
         &axes.mvl,
         &axes.l2_kib,
         &axes.extra,
         sweep.resolved_systems(),
-        &report,
+        &run,
     ))
 }
 
@@ -322,7 +324,8 @@ fn study(
     ));
     let (names, systems) = variants(base);
     let grid = Sweep::grid(vec![workload.clone()], systems);
-    let sweep = args.configure(grid.runner()).run();
+    let run = args.configure(grid.runner()).execute();
+    let sweep = &run.report;
     for r in &sweep.reports {
         assert!(r.validated, "{}: {:?}", r.config, r.validation_error);
     }
@@ -359,7 +362,7 @@ fn study(
                 })
                 .collect::<Json>(),
         )
-        .field("sweep", sweep.to_json())
+        .field("sweep", run.to_json())
         .finish()
 }
 

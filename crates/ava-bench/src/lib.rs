@@ -51,7 +51,7 @@ use ava_energy::{
 use ava_sim::json::object;
 use ava_sim::{
     geometric_mean, speedup_vs, Json, Knob, RunReport, ScenarioConfig, Sweep, SweepReport,
-    SystemConfig,
+    SweepRun, SystemConfig,
 };
 use ava_vpu::{preg_count_for_mvl, VpuConfig};
 use ava_workloads::{
@@ -322,7 +322,7 @@ pub struct Fig4Row {
 #[derive(Debug)]
 pub struct Figure4Data {
     /// The instrumented sweep over `workloads` × (area columns + AVA X2..X8).
-    pub sweep: ava_sim::SweepReport,
+    pub sweep: ava_sim::SweepRun,
     /// One row per chart column, NATIVE X1 first, "AVA (recfg)" last.
     pub rows: Vec<Fig4Row>,
 }
@@ -351,8 +351,8 @@ pub fn figure4_data_with(workloads: &[SharedWorkload], args: &BenchArgs) -> Figu
     systems.extend([2, 3, 4, 8].iter().map(|&n| ScenarioConfig::ava_x(n)));
     let n_systems = systems.len();
     let grid = Sweep::grid(workloads.to_vec(), systems);
-    let sweep = args.configure(grid.runner()).run();
-    let by_workload: Vec<&[RunReport]> = sweep.reports.chunks(n_systems).collect();
+    let sweep = args.configure(grid.runner()).execute();
+    let by_workload: Vec<&[RunReport]> = sweep.report.reports.chunks(n_systems).collect();
 
     let mut rows = Vec::with_capacity(columns.len() + 1);
     // Performance/mm²: average speedup of each configuration across the
@@ -659,7 +659,7 @@ pub fn sensitivity_json(
     l2_kib: &[usize],
     extra: &HierarchyAxes,
     systems: &[SystemConfig],
-    report: &SweepReport,
+    run: &SweepRun,
 ) -> Json {
     let axes = sensitivity_axes(mvls, l2_kib, extra)
         .into_iter()
@@ -669,8 +669,8 @@ pub fn sensitivity_json(
     object()
         .field("artefact", "sensitivity")
         .field("axes", axes.finish())
-        .field("energy", sweep_energy_json(report, systems))
-        .field("sweep", report.to_json())
+        .field("energy", sweep_energy_json(&run.report, systems))
+        .field("sweep", run.to_json())
         .finish()
 }
 
@@ -895,7 +895,8 @@ mod tests {
         assert_eq!(scenarios.len(), 4);
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(512))];
         let sweep = Sweep::grid(workloads, scenarios);
-        let report = sweep.runner().threads(1).run();
+        let run = sweep.runner().threads(1).execute();
+        let report = &run.report;
 
         let mvl_table = format_mvl_extrapolation("axpy", sweep.resolved_systems(), &report.reports);
         // The reference column is the smallest L2 on the axis, and the
@@ -918,7 +919,7 @@ mod tests {
             &l2s,
             &HierarchyAxes::default(),
             sweep.resolved_systems(),
-            &report,
+            &run,
         )
         .to_string();
         assert!(json.starts_with("{\"artefact\":\"sensitivity\""), "{json}");
@@ -949,9 +950,9 @@ mod tests {
         // The driven axes surface in the JSON axis block.
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(256))];
         let sweep = Sweep::grid(workloads, grid);
-        let report = sweep.runner().threads(1).run();
-        let json = sensitivity_json(&[128], &[1024], &extra, sweep.resolved_systems(), &report)
-            .to_string();
+        let run = sweep.runner().threads(1).execute();
+        let json =
+            sensitivity_json(&[128], &[1024], &extra, sweep.resolved_systems(), &run).to_string();
         assert!(json.contains("\"l1_kib\":[16,64]"), "{json}");
         assert!(json.contains("\"dram_bpc\":[6,12]"), "{json}");
         assert!(json.contains("\"vmu_bus\":[32]"), "{json}");
@@ -967,9 +968,9 @@ mod tests {
         assert_eq!(grid[1].resolve().vpu.rename_pool(), 64);
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(256))];
         let sweep = Sweep::grid(workloads, grid);
-        let report = sweep.runner().threads(1).run();
+        let run = sweep.runner().threads(1).execute();
         let json =
-            sensitivity_json(&[128], &[512], &extra, sweep.resolved_systems(), &report).to_string();
+            sensitivity_json(&[128], &[512], &extra, sweep.resolved_systems(), &run).to_string();
         assert!(json.contains("\"vvrs\":[32,64]"), "{json}");
     }
 

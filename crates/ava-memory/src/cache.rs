@@ -5,7 +5,7 @@
 //! decide hit/miss latencies and to count dirty write-backs. Write-backs are
 //! only counted, in [`CacheStats::writebacks`]: the hierarchy charges DRAM
 //! time, `dram_bytes` and energy for misses alone, so an evicted dirty line
-//! costs nothing (whether to charge it is open item 6 of `ROADMAP.md`).
+//! costs nothing (whether to charge it is open item 2 of `ROADMAP.md`).
 
 use crate::stats::CacheStats;
 

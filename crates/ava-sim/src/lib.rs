@@ -39,4 +39,4 @@ pub use json::Json;
 pub use report::{format_runs_table, format_sweep_summary, geometric_mean, speedup_vs};
 pub use run::{run_system, run_workload, PhaseBreakdown, RunReport};
 pub use store::{ResultStore, StoreKey, CODE_VERSION};
-pub use sweep::{PointStats, Sweep, SweepReport, SweepRunner};
+pub use sweep::{proves, PointStats, Sweep, SweepReport, SweepRun, SweepRunner};

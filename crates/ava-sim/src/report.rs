@@ -1,7 +1,7 @@
 //! Small reporting helpers shared by the benchmark binaries and examples.
 
 use crate::run::RunReport;
-use crate::sweep::SweepReport;
+use crate::sweep::SweepRun;
 
 /// Speedup of every run relative to the run whose configuration label is
 /// `baseline` (the paper normalises to NATIVE X1). Returns
@@ -80,22 +80,32 @@ pub fn format_runs_table(reports: &[RunReport], baseline: &str) -> String {
 }
 
 /// One-line execution summary of a sweep: points, threads, wall/busy time,
-/// how many prepared (workload, MVL, LMUL) keys the points shared and
-/// (when a store was attached) how many points the result store served. Printed by the experiment driver after every
-/// sweep so incremental runs show what they skipped.
+/// how many prepared (workload, MVL, LMUL) keys the points shared, how many
+/// points were simulated (the rest copied a sibling's report or came from
+/// the store), how many distinct reports the points hold and (when a store
+/// was attached) how many points the result store served. Printed by the
+/// experiment driver after every sweep so incremental runs show what they
+/// skipped.
 #[must_use]
-pub fn format_sweep_summary(report: &SweepReport) -> String {
+pub fn format_sweep_summary(run: &SweepRun) -> String {
+    let report = &run.report;
+    let n = report.points.len();
     let mut out = format!(
-        "{} points on {} thread{} in {:.1} ms (busy {:.1} ms); prepared {} key{} for {} point{}",
-        report.points.len(),
+        "{} points on {} thread{} in {:.1} ms (busy {:.1} ms); prepared {} key{} for {} point{}; \
+         simulated {} of {}; distinct {}/{}",
+        n,
         report.threads,
         if report.threads == 1 { "" } else { "s" },
         report.wall_ns as f64 / 1e6,
         report.busy_ns() as f64 / 1e6,
         report.cache_misses,
         if report.cache_misses == 1 { "" } else { "s" },
-        report.points.len(),
-        if report.points.len() == 1 { "" } else { "s" },
+        n,
+        if n == 1 { "" } else { "s" },
+        run.simulated(),
+        n,
+        run.distinct_reports,
+        n,
     );
     if report.store_hits + report.store_misses > 0 {
         out.push_str(&format!(
@@ -157,14 +167,16 @@ mod tests {
         // NATIVE X2 and AVA X2 share one prepared key.
         let scenarios = vec![ScenarioConfig::native_x(2), ScenarioConfig::ava_x(2)];
         let sweep = Sweep::grid(workloads, scenarios);
-        let summary = format_sweep_summary(&sweep.runner().threads(1).run());
+        let summary = format_sweep_summary(&sweep.runner().threads(1).execute());
         assert!(summary.starts_with("2 points on 1 thread"), "{summary}");
         assert!(summary.contains("prepared 1 key for 2 points"), "{summary}");
         assert!(!summary.contains("store served"));
 
-        let mut with_store = sweep.runner().threads(1).run();
-        with_store.store_hits = 1;
-        assert!(format_sweep_summary(&with_store).contains("store served 1 of 1"));
+        let mut with_store = sweep.runner().threads(1).execute();
+        with_store.report.store_hits = 1;
+        let summary = format_sweep_summary(&with_store);
+        assert!(summary.contains("store served 1 of 1"), "{summary}");
+        assert!(summary.contains("simulated 1 of 2"), "{summary}");
     }
 
     #[test]

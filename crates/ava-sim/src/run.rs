@@ -340,11 +340,13 @@ pub fn run_workload(workload: &dyn Workload, scenario: &ScenarioConfig) -> RunRe
 
 /// Runs `workload` on an already-resolved [`SystemConfig`] (what
 /// [`run_workload`] does after resolution). This is the sweep's pipeline
-/// for a single point: the preparation, then one timing run that takes
-/// the prepared image itself.
+/// for a single simulated point: the preparation, then one timing run that
+/// takes the prepared image itself.
 #[must_use]
 pub fn run_system(workload: &dyn Workload, system: &SystemConfig) -> RunReport {
-    run_prepared_owned(prepare(workload, system), system, None).0
+    let mut prepared = prepare(workload, system);
+    let image = prepared.take_image();
+    simulate(&prepared, system, image)
 }
 
 /// The half of a point that does not depend on the scenario's timing
@@ -354,7 +356,7 @@ pub fn run_system(workload: &dyn Workload, system: &SystemConfig) -> RunReport {
 /// [`prepare`] reads nothing else of the system, so every scenario that
 /// agrees on those three — NATIVE Xn and AVA Xn, or one MVL across all L2,
 /// DRAM and bus variants — can time the same prepared point through
-/// [`run_prepared`]. Each timing run works on its own copy of the image.
+/// [`simulate`]. Each timing run works on its own copy of the image.
 #[derive(Debug)]
 pub(crate) struct PreparedPoint {
     workload: &'static str,
@@ -397,6 +399,27 @@ impl PreparedPoint {
             h.write_u64(self.compiled.max_pressure as u64);
             h.finish()
         })
+    }
+
+    /// A copy of the prepared image, for one timing run.
+    pub(crate) fn image(&self) -> MainMemory {
+        self.image.clone()
+    }
+
+    /// The prepared image itself, for the last timing run of the point;
+    /// the point keeps an empty image.
+    pub(crate) fn take_image(&mut self) -> MainMemory {
+        std::mem::take(&mut self.image)
+    }
+
+    fn assert_prepared_for(&self, system: &SystemConfig) {
+        assert_eq!(
+            (self.mvl, self.lmul),
+            (system.mvl(), system.compiler_lmul),
+            "{} on {}: the point was prepared for another MVL or compiler LMUL",
+            self.workload,
+            system.label()
+        );
     }
 }
 
@@ -450,58 +473,27 @@ pub(crate) fn prepare(workload: &dyn Workload, system: &SystemConfig) -> Prepare
     }
 }
 
-/// Times `prepared` on `system` — steps 3–7 of the point pipeline — on a
-/// copy of the prepared image, consulting `store` when attached. Returns
-/// the report and whether it was served from the store; on a hit the image
-/// is never copied and nothing is simulated.
+/// Serves `system`'s report on `prepared` from `store` when it has a usable
+/// entry; otherwise takes it from `fresh` and checkpoints it. Returns the
+/// report and whether it came from the store. Without a store, `fresh`
+/// always runs.
 ///
 /// # Panics
 ///
 /// Panics if `system`'s MVL or compiler LMUL differs from those of the
 /// system `prepared` was built for.
-#[must_use]
-pub(crate) fn run_prepared(
+pub(crate) fn stored_or(
     prepared: &PreparedPoint,
     system: &SystemConfig,
     store: Option<&ResultStore>,
+    fresh: impl FnOnce() -> RunReport,
 ) -> (RunReport, bool) {
-    run_on_image(prepared, system, store, || prepared.image.clone())
-}
-
-/// [`run_prepared`] for the image's last user: the timing run takes the
-/// image itself instead of a copy.
-pub(crate) fn run_prepared_owned(
-    mut prepared: PreparedPoint,
-    system: &SystemConfig,
-    store: Option<&ResultStore>,
-) -> (RunReport, bool) {
-    let image = std::mem::take(&mut prepared.image);
-    run_on_image(&prepared, system, store, move || image)
-}
-
-/// Steps 3–7 on the image `image` returns, which is asked for only after a
-/// store miss.
-fn run_on_image(
-    prepared: &PreparedPoint,
-    system: &SystemConfig,
-    store: Option<&ResultStore>,
-    image: impl FnOnce() -> MainMemory,
-) -> (RunReport, bool) {
+    prepared.assert_prepared_for(system);
     let run_start = Instant::now();
-    assert_eq!(
-        (prepared.mvl, prepared.lmul),
-        (system.mvl(), system.compiler_lmul),
-        "{} on {}: the point was prepared for another MVL or compiler LMUL",
-        prepared.workload,
-        system.label()
-    );
-    let PreparedPoint {
-        setup, compiled, ..
-    } = prepared;
 
-    // 2b. Result-store consultation. The key is the prepared content
-    //     fingerprint plus the resolved scenario identity. A hit replaces
-    //     steps 3-6 wholesale with the stored report.
+    // Result-store consultation. The key is the prepared content
+    // fingerprint plus the resolved scenario identity. A hit replaces the
+    // fresh report wholesale.
     let key = store.map(|_| {
         StoreKey::new(
             prepared.workload,
@@ -515,12 +507,45 @@ fn run_on_image(
             return (report, true);
         }
     }
+    let report = fresh();
+
+    // Checkpoint: the fresh result lands in the store the moment this
+    // point finishes, so a killed sweep loses at most the points in
+    // flight. The entry also records the point's wall time, which no sweep
+    // reads back. A write failure degrades to an uncached run. A point
+    // that failed validation is never stored: a wrong result must be
+    // simulated (and reported) again, not served on every rerun.
+    if let (true, Some(store), Some(key)) = (report.validated, store, &key) {
+        let wall_ns = u64::try_from(run_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if let Err(e) = store.insert(key, &report, wall_ns.max(1)) {
+            eprintln!("warning: result store write failed: {e}");
+        }
+    }
+    (report, false)
+}
+
+/// Times `prepared` on `system` over `image`, one of the prepared image's
+/// copies — steps 3–6 of the point pipeline.
+///
+/// # Panics
+///
+/// Panics if `system`'s MVL or compiler LMUL differs from those of the
+/// system `prepared` was built for.
+pub(crate) fn simulate(
+    prepared: &PreparedPoint,
+    system: &SystemConfig,
+    image: MainMemory,
+) -> RunReport {
+    prepared.assert_prepared_for(system);
+    let PreparedPoint {
+        setup, compiled, ..
+    } = prepared;
 
     // 3. A fresh hierarchy for the scenario over the prepared image. The
     //    VPU reserves its M-VRF backing store above the arena (AVA only);
     //    like the application data it belongs to the measured working set.
     let mut mem = MemoryHierarchy::new(system.memory);
-    *mem.memory_mut() = image();
+    *mem.memory_mut() = image;
     let mut vpu = Vpu::new(system.vpu.clone(), &mut mem);
     let (_, mvrf_end) = mem.memory().allocated_range();
 
@@ -587,7 +612,7 @@ fn run_on_image(
     //    checked through the downstream phase's reference).
     let validation = validate(&mem, &setup.checks);
 
-    let report = RunReport {
+    RunReport {
         config: system.label().to_string(),
         axes: system.axes.clone(),
         workload: prepared.workload.to_string(),
@@ -602,21 +627,7 @@ fn run_on_image(
         scalar,
         validated: validation.is_ok(),
         validation_error: validation.err(),
-    };
-
-    // 7. Checkpoint: the fresh result lands in the store the moment this
-    //    point finishes, so a killed sweep loses at most the points in
-    //    flight. The entry also records the timing run's wall time, which
-    //    no sweep reads back. A write failure degrades to an uncached run. A
-    //    point that failed validation is never stored: a wrong result must
-    //    be simulated (and reported) again, not served on every rerun.
-    if let (true, Some(store), Some(key)) = (report.validated, store, &key) {
-        let wall_ns = u64::try_from(run_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if let Err(e) = store.insert(key, &report, wall_ns.max(1)) {
-            eprintln!("warning: result store write failed: {e}");
-        }
     }
-    (report, false)
 }
 
 #[cfg(test)]
@@ -679,8 +690,7 @@ pub(crate) mod tests {
         let ava = ScenarioConfig::ava_x(2).with(Knob::L2_KIB, 256).resolve();
         let prepared = prepare(&w, &native);
         for system in [&ava, &native, &ava] {
-            let (report, from_store) = run_prepared(&prepared, system, None);
-            assert!(!from_store);
+            let report = simulate(&prepared, system, prepared.image());
             assert_eq!(
                 format!("{report:?}"),
                 format!("{:?}", run_system(&w, system))
@@ -693,7 +703,8 @@ pub(crate) mod tests {
     fn a_prepared_point_refuses_a_system_of_another_key() {
         let w = Axpy::new(256);
         let prepared = prepare(&w, &ScenarioConfig::native_x(2).resolve());
-        let _ = run_prepared(&prepared, &ScenarioConfig::native_x(4).resolve(), None);
+        let native_x4 = ScenarioConfig::native_x(4).resolve();
+        let _ = simulate(&prepared, &native_x4, prepared.image());
     }
 
     #[test]

@@ -6,33 +6,41 @@
 //! pass. This module runs such grids across all available cores while
 //! guaranteeing **bit-identical results to a serial run**:
 //!
-//! * every point gets a fresh [`MemoryHierarchy`], so no simulation state is
-//!   shared;
+//! * every simulated point gets a fresh [`MemoryHierarchy`], so no
+//!   simulation state is shared;
 //! * the only shared structure is the sweep's prepared-point memo (see
 //!   below), whose entries are read-only once prepared — and because
 //!   planning, data generation and [`ava_compiler::compile`] are pure
 //!   functions of the workload, the MVL and the compiler LMUL, reusing them
 //!   cannot change any report;
+//! * a point copies a sibling's report only when that report proves the
+//!   two equal (see "Sibling reuse" below), and the sibling always runs
+//!   first on the same worker;
 //! * results are written into per-point slots, so the returned `Vec` is in
 //!   grid order regardless of which thread finished first.
 //!
 //! Execution goes through the builder-style [`SweepRunner`] — the thread
-//! count and the on-disk [`ResultStore`] are its two knobs on one `run()`
-//! path.
+//! count and the on-disk [`ResultStore`] are its two knobs on one path,
+//! [`SweepRunner::execute`] (of which [`SweepRunner::run`] keeps the
+//! report alone).
 //!
 //! # Scheduling
 //!
-//! Per-point simulation cost is heavily skewed — one large Blackscholes
-//! point can cost more than a dozen Axpy points — so claiming points in
-//! grid order lets an expensive point picked up last tail the whole sweep.
-//! The runner claims longest-processing-time-first instead. Every point
-//! gets one **cost estimate** when the sweep starts: [`Workload::elements`]
-//! over the configuration's effective width `MVL / LMUL` (narrower width
-//! means more strips, hence more dynamic instructions to simulate). The
-//! points are sorted once by descending estimate, grid order breaking ties,
-//! and the workers claim them in that order through one atomic cursor. The
-//! estimate only orders work; results are still reported in grid order and
-//! are bit-identical at any thread count.
+//! Workers claim **groups of sibling points** (see "Sibling reuse"), not
+//! single points: a claim is every point of one workload whose systems
+//! are equal apart from label, axes, L2 capacity, DRAM bandwidth and L1
+//! data cache. Per-claim simulation cost is heavily skewed — one large
+//! Blackscholes point can cost more than a dozen Axpy points — so claiming
+//! in grid order lets an expensive claim picked up last tail the whole
+//! sweep. The runner claims longest-processing-time-first instead. Every
+//! point gets one **cost estimate** when the sweep starts:
+//! [`Workload::elements`] over the configuration's effective width
+//! `MVL / LMUL` (narrower width means more strips, hence more dynamic
+//! instructions to simulate). The claims are sorted once by descending
+//! summed estimate, first grid index breaking ties, and the workers claim
+//! them in that order through one atomic cursor. The estimate only orders
+//! work; results are still reported in grid order and are bit-identical at
+//! any thread count.
 //!
 //! [`Workload::elements`]: ava_workloads::Workload::elements
 //!
@@ -49,29 +57,55 @@
 //! # Prepare once, time many
 //!
 //! A point splits into `run::prepare` — plan the layout, generate the
-//! data and golden reference, compile — and `run::run_prepared` — the
-//! timing run on a fresh hierarchy over a copy of the prepared memory
-//! image, then validation and checkpoint. Only the second half depends on the
-//! scenario's timing model, so the sweep prepares each (workload, MVL,
-//! compiler LMUL) key once and times it on every scenario of that key: the
-//! 972-point hierarchy sensitivity grid prepares 12 keys. Validation stays
-//! per point, because swap and rename decisions depend on timing.
+//! data and golden reference, compile — and `run::simulate` — the timing
+//! run on a fresh hierarchy over a copy of the prepared memory image, then
+//! validation. Only the second half depends on the scenario's timing
+//! model, so the sweep prepares each (workload, MVL, compiler LMUL) key
+//! once and times it on every scenario of that key: the 972-point
+//! hierarchy sensitivity grid prepares 12 keys. Validation stays per
+//! simulated point, because swap and rename decisions depend on timing.
 //!
-//! A key's entry leaves the memo when its last point is claimed, and that
+//! A claim's points share one key. The memo counts claims: a key's entry
+//! leaves the memo when its last claim is made, and that claim's last
 //! point takes the image itself rather than a copy, so at most a few
-//! images are alive at a time, not one per key. The memo is per sweep; a
-//! store hit still uses its key's prepared point, whose content
+//! images are alive at a time, not one per key. Only a simulation copies
+//! the image; a store hit or a sibling copy never does. The memo is per
+//! sweep; a store hit still uses its key's prepared point, whose content
 //! fingerprint is half the store key, so the prepare counters of a warm
 //! rerun equal those of the cold run.
+//!
+//! # Sibling reuse
+//!
+//! Much of a sensitivity grid repeats itself: a run that never misses in
+//! the L2 never reaches DRAM, so its DRAM bandwidth cannot matter, nor can
+//! a larger L2, and no run uses the L1 data cache at all. The sweep skips
+//! such repeats when it can prove them. Inside a claim, points run in
+//! ascending (L2, DRAM, L1) order. Each point first consults the store as
+//! usual; on a miss it copies the report of the first earlier point of
+//! its claim whose report [`proves`] it equal — with `config` and `axes`
+//! rewritten — and otherwise simulates. A store-served report serves as a
+//! proof like a simulated one. A copy is a store miss like a simulation
+//! and is checkpointed the same way, so a warm rerun serves every point.
+//! [`SweepRun::reused_from`] names each copy's source, and
+//! [`SweepReport::distinct_reports`] counts the distinct reports, proven
+//! or not (on the Figure 3 grid, AVA with no swaps equals NATIVE, which no
+//! proof covers).
+//!
+//! A copy is exact, not an estimate: [`proves`] holds only when every
+//! field in which the two systems differ is one the report shows the run
+//! never felt. On the full hierarchy sensitivity grid 144 of the 972
+//! points are simulated; the other 828 are copies.
 //!
 //! # Instrumentation
 //!
 //! [`SweepRunner::run`] returns a [`SweepReport`] that wraps the
 //! [`RunReport`]s with per-point wall-clock timing, the cost estimate,
 //! store provenance and claiming worker of every point, prepared-point
-//! memo and result-store hit/miss counters and the sweep's total
-//! wall-clock — the raw material for the `--json` report pipeline and CI
-//! wall-clock baselines.
+//! memo and result-store hit/miss counters, the number of distinct
+//! reports and the sweep's total wall-clock — the raw material for the
+//! `--json` report pipeline and CI wall-clock baselines.
+//! [`SweepRunner::execute`] returns it inside a [`SweepRun`] that adds
+//! each point's sibling-reuse source.
 //!
 //! The memo also makes the sweep cheaper than the sum of its points: on the
 //! full Figure 3 grid, NATIVE Xn, AVA Xn and RG-LMUL1 all share one
@@ -100,17 +134,18 @@
 //! [`MemoryHierarchy`]: ava_memory::MemoryHierarchy
 
 use std::cmp::Reverse;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::Instant;
 
-use ava_workloads::SharedWorkload;
+use ava_memory::{CacheConfig, CacheStats, DramConfig, HierarchyConfig};
+use ava_workloads::{Fingerprint, SharedWorkload};
 
 use crate::configs::{config_axes_key, workload_identity, ScenarioConfig, SystemConfig};
 use crate::json::{object, Json};
-use crate::run::{prepare, run_prepared, run_prepared_owned, PreparedPoint, RunReport};
+use crate::run::{prepare, simulate, stored_or, PreparedPoint, RunReport};
 use crate::store::ResultStore;
 
 /// The static per-point cost heuristic: `elements * 16 / width` (element
@@ -139,17 +174,18 @@ type Slot = Arc<OnceLock<PreparedPoint>>;
 /// The sweep's prepared points, one slot per key, each prepared exactly
 /// once however many workers ask for it.
 ///
-/// An entry also counts its key's points not yet claimed. The claim that
-/// takes the count to zero removes the entry, so a prepared point — its
-/// memory image above all — lives only until its key's last point is done
-/// with it, not until the sweep ends. The points of one key share a cost
-/// estimate, so they are usually adjacent in the claim order.
+/// An entry also counts its key's claims not yet made (a claim is a group
+/// of sibling points, see [`Sweep::claims`]). The claim that takes the
+/// count to zero removes the entry, so a prepared point — its memory image
+/// above all — lives only until its key's last claim is done with it, not
+/// until the sweep ends. The claims of one key share a per-point cost
+/// estimate, so they are usually close in the claim order.
 struct PrepareMemo {
     entries: Mutex<HashMap<PrepareKey, (Slot, usize)>>,
 }
 
 impl PrepareMemo {
-    /// A memo for points with the given keys, one key per point.
+    /// A memo for claims with the given keys, one key per claim.
     fn new(keys: impl IntoIterator<Item = PrepareKey>) -> Self {
         let mut entries: HashMap<PrepareKey, (Slot, usize)> = HashMap::new();
         for key in keys {
@@ -160,13 +196,13 @@ impl PrepareMemo {
         }
     }
 
-    /// Number of keys whose last point is not yet claimed.
+    /// Number of keys whose last claim is not yet made.
     fn len(&self) -> usize {
         self.entries.lock().expect("memo poisoned").len()
     }
 
-    /// Claims one point of `key` and returns the key's slot. The claim of
-    /// the key's last point removes the entry.
+    /// Makes one claim of `key` and returns the key's slot. The key's last
+    /// claim removes the entry.
     fn claim(&self, key: PrepareKey) -> Slot {
         let mut entries = self.entries.lock().expect("memo poisoned");
         let (slot, remaining) = entries
@@ -178,6 +214,102 @@ impl PrepareMemo {
         }
         entries.remove(&key).expect("present above").0
     }
+}
+
+/// Whether `a` and `b` are equal apart from their scenario metadata
+/// (`label`, `axes`) and the three hierarchy fields a report can show to
+/// be irrelevant: the L2 capacity, the DRAM bandwidth and the L1 data
+/// cache. A workload's points on such systems are siblings and form one
+/// claim.
+fn siblings(a: &SystemConfig, b: &SystemConfig) -> bool {
+    // Destructured in full, so that a new field must be placed on one side
+    // of the line or the other.
+    let SystemConfig {
+        kind,
+        label: _,
+        axes: _,
+        vpu,
+        scalar,
+        memory,
+        compiler_lmul,
+    } = a;
+    let HierarchyConfig {
+        l1d: _,
+        l2,
+        dram,
+        vmu_bus_bytes,
+    } = memory;
+    let unsized_cache = |c: &CacheConfig| CacheConfig {
+        size_bytes: 0,
+        ..*c
+    };
+    let unmetered = |d: &DramConfig| DramConfig {
+        bytes_per_cycle: 0,
+        ..*d
+    };
+    *kind == b.kind
+        && *vpu == b.vpu
+        && *scalar == b.scalar
+        && *compiler_lmul == b.compiler_lmul
+        && *vmu_bus_bytes == b.memory.vmu_bus_bytes
+        && unsized_cache(l2) == unsized_cache(&b.memory.l2)
+        && unmetered(dram) == unmetered(&b.memory.dram)
+}
+
+/// Whether `report`, the report of a point on `from`, is also the report of
+/// the same workload on `to`, apart from `config` and `axes`. A pure
+/// predicate over the report's counters: it holds only when `from` and `to`
+/// are equal apart from their labels, axes, L2 capacity, DRAM bandwidth
+/// and L1 data cache, and every one of those three that differs is shown
+/// irrelevant by the report:
+///
+/// * **DRAM bandwidth** — `report` reached DRAM zero times. DRAM is
+///   touched only on an L2 miss, and the warm-up never reaches it.
+/// * **A larger L2** — `to`'s L2 is larger with the same line, ways and
+///   latency, its set count is a multiple of `from`'s, and `report` shows
+///   no L2 read or write miss. Under LRU with nested set indexing every
+///   set at `k·S` sets sees a subsequence of the accesses of its set at
+///   `S`, so it holds a superset of the lines the smaller cache holds,
+///   warm-up included: every access that hit at `S` hits at `k·S`. No
+///   miss means no eviction, so no write-back and no DRAM access, and
+///   every access timing the VPU sees is the same (it reads nothing else
+///   of the hierarchy).
+/// * **The L1 data cache** — `report`'s `l1d` counters are all zero: the
+///   scalar access path is the L1's only entry, and the run never took it.
+///
+/// A smaller L2 is never proven, so a sweep tries its siblings in
+/// ascending L2 order.
+#[must_use]
+pub fn proves(report: &RunReport, from: &SystemConfig, to: &SystemConfig) -> bool {
+    let (f, t, mem) = (&from.memory, &to.memory, &report.mem);
+    siblings(from, to)
+        && (f.dram.bytes_per_cycle == t.dram.bytes_per_cycle || mem.dram_accesses == 0)
+        && (f.l1d == t.l1d || mem.l1d == CacheStats::default())
+        && (f.l2.size_bytes == t.l2.size_bytes
+            || (t.l2.size_bytes > f.l2.size_bytes
+                && f.l2.sets() > 0
+                && t.l2.sets() % f.l2.sets() == 0
+                && mem.l2.misses() == 0))
+}
+
+/// A point's report as a sibling on `system`: `source` with `config` and
+/// `axes` rewritten.
+fn copied(source: &RunReport, system: &SystemConfig) -> RunReport {
+    RunReport {
+        config: system.label().to_string(),
+        axes: system.axes.clone(),
+        ..source.clone()
+    }
+}
+
+/// One finished point, before the sweep splits it into report and stats.
+#[derive(Debug)]
+struct Done {
+    report: RunReport,
+    from_store: bool,
+    reused_from: Option<usize>,
+    wall_ns: u64,
+    worker: usize,
 }
 
 /// Scheduling and timing metadata for one executed sweep point. Parallel to
@@ -200,11 +332,13 @@ pub struct PointStats {
     /// [`Workload::elements`]: ava_workloads::Workload::elements
     pub elements: u64,
     /// Wall-clock time of the point, in nanoseconds: the timing run,
-    /// validation and checkpoint. Only the first point of a key pays for
-    /// preparing it (a point that waits on another worker's preparation
-    /// pays the wait). For a point served from the result store this is
-    /// the key lookup, plus the preparation if it was the key's first
-    /// point — the simulation itself never ran.
+    /// validation and checkpoint. Only the first point of a claim pays for
+    /// its key's preparation when the claim made it (a claim that waits on
+    /// another worker's preparation pays the wait). For a point served from
+    /// the result store this is the key lookup; for a point that copied a
+    /// sibling's report ([`SweepRun::reused_from`]) it is the lookup, the
+    /// proofs tried, the copy and its checkpoint. Neither ran a
+    /// simulation.
     pub wall_ns: u64,
     /// Index of the worker thread that executed the point (`0` for a serial
     /// run).
@@ -223,8 +357,8 @@ pub struct SweepReport {
     pub reports: Vec<RunReport>,
     /// Per-point scheduling/timing metadata, parallel to `reports`.
     pub points: Vec<PointStats>,
-    /// Points that reused a prepared point of the sweep's memo (one
-    /// request per point).
+    /// Points whose prepared point another point of the sweep prepared:
+    /// the number of points less [`SweepReport::cache_misses`].
     pub cache_hits: u64,
     /// Distinct (workload, MVL, compiler LMUL) keys the memo prepared and
     /// compiled (`cache_hits + cache_misses` is the number of points). The
@@ -284,13 +418,29 @@ impl SweepReport {
         names
     }
 
+    /// Number of distinct reports among the points: distinct FNV-1a
+    /// digests of each report's JSON less `config` and `axes`. Points of
+    /// one workload whose systems differ in a way the run never felt count
+    /// once, whether or not the sweep could prove it and skip them.
+    #[must_use]
+    pub fn distinct_reports(&self) -> u64 {
+        distinct_reports(&self.reports)
+    }
+
     /// The machine-readable form of the sweep consumed by CI and plotting:
     /// schema marker, the scenario axes in play, scheduling/cache/store
     /// instrumentation, and the full per-point reports (each carrying its
-    /// own axis values).
+    /// own axis values). [`SweepRun::to_json`] adds the sibling reuse and
+    /// the distinct-report count.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        object()
+        self.json(None)
+    }
+
+    /// The sweep's JSON, with the reuse record of `run` when given (whose
+    /// report is `self`).
+    fn json(&self, run: Option<&SweepRun>) -> Json {
+        let mut doc = object()
             .field("schema", "ava-sweep-report/v1")
             .field(
                 "axes",
@@ -320,27 +470,96 @@ impl SweepReport {
                     .field("hits", self.store_hits)
                     .field("misses", self.store_misses)
                     .finish(),
-            )
-            .field(
-                "points",
-                self.points
-                    .iter()
-                    .zip(&self.reports)
-                    .map(|(p, r)| {
-                        object()
-                            .field("workload", p.workload.as_str())
-                            .field("config", p.config.as_str())
-                            .field("cost_estimate", p.cost_estimate)
-                            .field("elements", p.elements)
-                            .field("wall_ns", p.wall_ns)
-                            .field("worker", p.worker)
-                            .field("from_store", p.from_store)
-                            .field("report", r.to_json())
-                            .finish()
-                    })
-                    .collect::<Json>(),
-            )
-            .finish()
+            );
+        if let Some(run) = run {
+            doc = doc
+                .field("reused", run.reused())
+                .field("distinct_reports", run.distinct_reports);
+        }
+        doc.field(
+            "points",
+            self.points
+                .iter()
+                .zip(&self.reports)
+                .enumerate()
+                .map(|(i, (p, r))| {
+                    let mut point = object()
+                        .field("workload", p.workload.as_str())
+                        .field("config", p.config.as_str())
+                        .field("cost_estimate", p.cost_estimate)
+                        .field("elements", p.elements)
+                        .field("wall_ns", p.wall_ns)
+                        .field("worker", p.worker)
+                        .field("from_store", p.from_store);
+                    if let Some(run) = run {
+                        point = point.field("reused_from", run.reused_from[i]);
+                    }
+                    point.field("report", r.to_json()).finish()
+                })
+                .collect::<Json>(),
+        )
+        .finish()
+    }
+}
+
+/// The number of distinct FNV-1a digests of `reports`' JSON less `config`
+/// and `axes` — the digest of the golden files, over those fields.
+fn distinct_reports<'a>(reports: impl IntoIterator<Item = &'a RunReport>) -> u64 {
+    let digests: HashSet<u64> = reports
+        .into_iter()
+        .map(|r| {
+            let Json::Obj(mut fields) = r.to_json() else {
+                unreachable!("a report is a JSON object")
+            };
+            fields.retain(|(key, _)| key != "config" && key != "axes");
+            let mut h = Fingerprint::new();
+            h.write_str(&Json::Obj(fields).to_string());
+            h.finish()
+        })
+        .collect();
+    digests.len() as u64
+}
+
+/// An executed sweep with its sibling reuse: the [`SweepReport`] plus, for
+/// every point, the sibling whose report it copied.
+///
+/// The reuse record sits beside the report rather than in [`PointStats`]
+/// because the benchmark under `perfbench/` builds `PointStats` and
+/// `SweepReport` values field by field, so their field sets stay as they
+/// are until that benchmark changes.
+#[derive(Debug, Clone)]
+pub struct SweepRun {
+    /// The reports and their instrumentation.
+    pub report: SweepReport,
+    /// Per point, in grid order: the grid index of the earlier sibling
+    /// whose report the point copied ([`proves`]), or `None` for a point
+    /// that was simulated or served from the result store.
+    pub reused_from: Vec<Option<usize>>,
+    /// [`SweepReport::distinct_reports`], counted once when the sweep
+    /// ends. A copy's report is its source's apart from `config` and
+    /// `axes`, so only the reports that are not copies are digested.
+    pub distinct_reports: u64,
+}
+
+impl SweepRun {
+    /// Points that copied a sibling's report instead of simulating.
+    #[must_use]
+    pub fn reused(&self) -> u64 {
+        self.reused_from.iter().flatten().count() as u64
+    }
+
+    /// Points that were simulated: neither served from the store nor
+    /// copied from a sibling.
+    #[must_use]
+    pub fn simulated(&self) -> u64 {
+        self.report.points.len() as u64 - self.report.store_hits - self.reused()
+    }
+
+    /// [`SweepReport::to_json`] plus the sweep's `reused` and
+    /// `distinct_reports` counts and each point's `reused_from`.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        self.report.json(Some(self))
     }
 }
 
@@ -351,7 +570,7 @@ impl SweepReport {
 /// [`Sweep::runner`] builder. All execution paths return per-point results
 /// in point order and are guaranteed to produce identical reports.
 /// Scenarios are resolved once, at construction, so the per-point cost is
-/// one timing run (plus one preparation per key) — and construction
+/// at most one timing run (plus one preparation per key) — and construction
 /// rejects two points with the same `(workload name + size, configuration)`
 /// identity, which would make the reports and the result-store keys
 /// ambiguous.
@@ -504,30 +723,125 @@ impl Sweep {
         (w, system.mvl(), system.compiler_lmul.factor())
     }
 
-    /// Runs one point on its key's prepared point, preparing it if no
-    /// other point has, and consulting `store` when attached. Returns the
-    /// report and whether it came from the store.
-    fn run_point(
+    /// The resolved system of `point`.
+    fn system(&self, point: usize) -> &SystemConfig {
+        &self.resolved[self.points[point].1]
+    }
+
+    /// The sweep's claims: each is the points of one workload on sibling
+    /// systems (equal apart from label, axes, L2 capacity, DRAM bandwidth
+    /// and L1 data cache), in ascending (L2, DRAM, L1) order, so that a
+    /// point meets every sibling that could prove it before it runs.
+    /// Claims are listed in order of their first point.
+    fn claims(&self) -> Vec<Vec<usize>> {
+        // One family per class of sibling scenarios, found against the
+        // first scenario of each family.
+        let mut firsts: Vec<usize> = Vec::new();
+        let family: Vec<usize> = (0..self.resolved.len())
+            .map(|s| {
+                firsts
+                    .iter()
+                    .position(|&f| siblings(&self.resolved[f], &self.resolved[s]))
+                    .unwrap_or_else(|| {
+                        firsts.push(s);
+                        firsts.len() - 1
+                    })
+            })
+            .collect();
+        let mut index: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut claims: Vec<Vec<usize>> = Vec::new();
+        for (point, &(w, s)) in self.points.iter().enumerate() {
+            let claim = *index.entry((w, family[s])).or_insert_with(|| {
+                claims.push(Vec::new());
+                claims.len() - 1
+            });
+            claims[claim].push(point);
+        }
+        for claim in &mut claims {
+            claim.sort_by_key(|&point| {
+                let memory = &self.system(point).memory;
+                (
+                    memory.l2.size_bytes,
+                    memory.dram.bytes_per_cycle,
+                    memory.l1d.size_bytes,
+                    point,
+                )
+            });
+        }
+        claims
+    }
+
+    /// Runs one claim into `done`: prepares its key (or waits for the
+    /// worker preparing it), then each point in order. A point is served
+    /// from `store` when it has a usable entry; otherwise it copies the
+    /// report of the first earlier point of the claim that [`proves`] it,
+    /// or else is simulated. Copies and simulations alike are checkpointed.
+    fn run_claim(
         &self,
-        point: usize,
+        claim: &[usize],
         memo: &PrepareMemo,
         store: Option<&ResultStore>,
-    ) -> (RunReport, bool) {
-        let (w, s) = self.points[point];
-        let system = &self.resolved[s];
-        let slot = memo.claim(self.prepare_key(point));
+        worker: usize,
+        done: &[OnceLock<Done>],
+    ) {
+        let mut start = Instant::now();
+        let first = claim[0];
+        let mut slot = memo.claim(self.prepare_key(first));
         // A second worker on this key blocks here until the first one has
         // prepared it.
-        slot.get_or_init(|| prepare(self.workloads[w].as_ref(), system));
-        // Once the key's last point is claimed the memo lets go of the
-        // slot, so the last holder takes the image itself instead of a
-        // copy — unless an earlier point of the key is still running on it.
-        match Arc::try_unwrap(slot) {
-            Ok(lock) => {
-                let prepared = lock.into_inner().expect("prepared above");
-                run_prepared_owned(prepared, system, store)
-            }
-            Err(shared) => run_prepared(shared.get().expect("prepared above"), system, store),
+        slot.get_or_init(|| {
+            prepare(
+                self.workloads[self.points[first].0].as_ref(),
+                self.system(first),
+            )
+        });
+        for (i, &point) in claim.iter().enumerate() {
+            let system = self.system(point);
+            // Once the key's last claim is made the memo lets go of the
+            // slot, so the claim's last point may take the image itself —
+            // unless another claim of the key still runs on it. A copy of
+            // the image is made only for a simulation, never for a store
+            // hit or a reuse.
+            let own_image = if i + 1 == claim.len() {
+                Arc::get_mut(&mut slot)
+                    .and_then(OnceLock::get_mut)
+                    .map(PreparedPoint::take_image)
+            } else {
+                None
+            };
+            let prepared = slot.get().expect("prepared above");
+            let mut reused_from = None;
+            let (report, from_store) = stored_or(prepared, system, store, || {
+                let source = claim[..i].iter().find_map(|&earlier| {
+                    let report = &done[earlier]
+                        .get()
+                        .expect("a claim's earlier points are done")
+                        .report;
+                    proves(report, self.system(earlier), system).then_some((earlier, report))
+                });
+                match source {
+                    Some((earlier, report)) => {
+                        reused_from = Some(earlier);
+                        copied(report, system)
+                    }
+                    None => simulate(
+                        prepared,
+                        system,
+                        own_image.unwrap_or_else(|| prepared.image()),
+                    ),
+                }
+            });
+            let finished = Done {
+                report,
+                from_store,
+                reused_from,
+                wall_ns: start.elapsed().as_nanos() as u64,
+                worker,
+            };
+            done[point]
+                .set(finished)
+                .expect("each point is claimed by one worker");
+            start = Instant::now();
         }
     }
 }
@@ -566,7 +880,7 @@ pub struct SweepRunner<'a> {
 
 impl<'a> SweepRunner<'a> {
     /// Caps the sweep at `threads` worker threads (further clamped to the
-    /// number of points; `0` behaves like `1`). Without this the runner
+    /// number of claims; `0` behaves like `1`). Without this the runner
     /// uses every available core.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
@@ -586,39 +900,45 @@ impl<'a> SweepRunner<'a> {
 
     /// Executes the sweep. Results come back in point order and are
     /// bit-identical at any thread count and with or without a store.
+    /// [`SweepRunner::execute`] also says which points copied a sibling.
     #[must_use]
     pub fn run(self) -> SweepReport {
+        self.execute().report
+    }
+
+    /// Executes the sweep, returning the report together with the sibling
+    /// reuse behind it ([`SweepRun::reused_from`]).
+    #[must_use]
+    pub fn execute(self) -> SweepRun {
         let sweep = self.sweep;
         let n = sweep.points.len();
-        let requested = self.threads.unwrap_or_else(|| {
-            thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-        let workers = requested.clamp(1, n.max(1));
         // Computed once, not per claim: `Workload::elements` can be
         // arbitrarily expensive (composite workloads sum their phases).
         let costs: Vec<u64> = (0..n).map(|i| sweep.point_cost(i)).collect();
-        let memo = PrepareMemo::new((0..n).map(|i| sweep.prepare_key(i)));
-        // Every point asks the memo once; the first ask of a key prepares
+        let claims = sweep.claims();
+        let claim_costs: Vec<u64> = claims
+            .iter()
+            .map(|claim| claim.iter().fold(0, |sum, &p| costs[p].saturating_add(sum)))
+            .collect();
+        let requested = self.threads.unwrap_or_else(|| {
+            thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        });
+        let workers = requested.clamp(1, claims.len().max(1));
+        let memo = PrepareMemo::new(claims.iter().map(|claim| sweep.prepare_key(claim[0])));
+        // Every claim asks the memo once; the first ask of a key prepares
         // it, whichever worker makes it.
         let prepared_keys = memo.len() as u64;
-        let order = execution_order(&costs);
+        let order = execution_order(&claim_costs);
         let cursor = AtomicUsize::new(0);
         let store = self.store;
         let sweep_start = Instant::now();
-        // (report, from_store, wall_ns, worker)
-        type PointSlot = (RunReport, bool, u64, usize);
-        let slots: Vec<OnceLock<PointSlot>> = (0..n).map(|_| OnceLock::new()).collect();
+        let done: Vec<OnceLock<Done>> = (0..n).map(|_| OnceLock::new()).collect();
         let work = |worker: usize| {
-            // Each claim takes the next slot of `order`. The cursor publishes
-            // no data (results travel through `slots` and the scope join),
-            // so a relaxed counter suffices.
-            while let Some(&point) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                let point_start = Instant::now();
-                let (report, from_store) = sweep.run_point(point, &memo, store);
-                let wall_ns = point_start.elapsed().as_nanos() as u64;
-                slots[point]
-                    .set((report, from_store, wall_ns, worker))
-                    .expect("each point is claimed by one worker");
+            // Each claim takes the next entry of `order`. The cursor
+            // publishes no data (results travel through `done` and the
+            // scope join), so a relaxed counter suffices.
+            while let Some(&claim) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                sweep.run_claim(&claims[claim], &memo, store, worker, &done);
             }
         };
         if workers == 1 {
@@ -632,23 +952,24 @@ impl<'a> SweepRunner<'a> {
             });
         }
 
-        debug_assert_eq!(memo.len(), 0, "every key's last point removed it");
+        debug_assert_eq!(memo.len(), 0, "every key's last claim removed it");
 
         let mut reports = Vec::with_capacity(n);
         let mut points = Vec::with_capacity(n);
-        for (point, slot) in slots.into_iter().enumerate() {
-            let (report, from_store, wall_ns, worker) =
-                slot.into_inner().expect("every point completed");
+        let mut reused_from = Vec::with_capacity(n);
+        for (point, slot) in done.into_iter().enumerate() {
+            let finished = slot.into_inner().expect("every point completed");
             points.push(PointStats {
-                workload: report.workload.clone(),
-                config: report.config.clone(),
+                workload: finished.report.workload.clone(),
+                config: finished.report.config.clone(),
                 cost_estimate: costs[point],
                 elements: sweep.workloads[sweep.points[point].0].elements() as u64,
-                wall_ns,
-                worker,
-                from_store,
+                wall_ns: finished.wall_ns,
+                worker: finished.worker,
+                from_store: finished.from_store,
             });
-            reports.push(report);
+            reused_from.push(finished.reused_from);
+            reports.push(finished.report);
         }
         let store_hits = points.iter().filter(|p| p.from_store).count() as u64;
         let store_misses = if store.is_some() {
@@ -656,7 +977,7 @@ impl<'a> SweepRunner<'a> {
         } else {
             0
         };
-        SweepReport {
+        let report = SweepReport {
             reports,
             points,
             cache_hits: n as u64 - prepared_keys,
@@ -670,6 +991,19 @@ impl<'a> SweepRunner<'a> {
             steals: 0,
             shard: None,
             wall_ns: sweep_start.elapsed().as_nanos() as u64,
+        };
+        let distinct_reports = distinct_reports(
+            report
+                .reports
+                .iter()
+                .zip(&reused_from)
+                .filter(|(_, source)| source.is_none())
+                .map(|(r, _)| r),
+        );
+        SweepRun {
+            report,
+            reused_from,
+            distinct_reports,
         }
     }
 }
@@ -999,6 +1333,104 @@ mod tests {
             assert_eq!(costs, expected, "{threads} workers");
             assert_eq!(report.steals, 0);
         }
+    }
+
+    #[test]
+    fn a_report_proves_only_what_its_counters_show_unused() {
+        let at = |l2: u64, dram: u64| {
+            ScenarioConfig::ava_x(2)
+                .with(Knob::L2_KIB, l2)
+                .with(Knob::DRAM_BW, dram)
+                .resolve()
+        };
+        let from = at(512, 6);
+        // 4 KiB of data: nothing misses and DRAM stays idle.
+        let mut report = crate::run::run_system(&Axpy::new(256), &from);
+        assert_eq!((report.mem.l2.misses(), report.mem.dram_accesses), (0, 0));
+        assert!(proves(&report, &from, &at(512, 24)), "DRAM bandwidth");
+        assert!(proves(&report, &from, &at(2048, 24)), "larger L2 and DRAM");
+        assert!(!proves(&report, &from, &at(256, 6)), "a smaller L2 never");
+        assert!(!proves(&report, &from, &at(768, 6)), "sets must nest");
+        let mut bigger_l1 = from.clone();
+        bigger_l1.memory.l1d.size_bytes *= 2;
+        assert!(proves(&report, &from, &bigger_l1), "the L1 is never used");
+        let other_bus = ScenarioConfig::ava_x(2)
+            .with(Knob::L2_KIB, 512)
+            .with(Knob::DRAM_BW, 6)
+            .with(Knob::VMU_BUS, 32)
+            .resolve();
+        assert!(!proves(&report, &from, &other_bus), "not a sibling");
+        assert!(!proves(
+            &report,
+            &from,
+            &ScenarioConfig::native_x(2).resolve()
+        ));
+
+        report.mem.l1d.read_hits = 1;
+        assert!(!proves(&report, &from, &bigger_l1), "an L1 access");
+        report.mem.l2.write_misses = 1;
+        assert!(!proves(&report, &from, &at(2048, 6)), "an L2 miss");
+        report.mem.dram_accesses = 1;
+        assert!(!proves(&report, &from, &at(512, 24)), "a DRAM access");
+        assert!(proves(&report, &from, &at(512, 6)), "nothing differs");
+    }
+
+    #[test]
+    fn claims_group_siblings_in_ascending_l2_dram_order() {
+        let workloads: Vec<SharedWorkload> =
+            vec![Arc::new(Axpy::new(256)), Arc::new(Blackscholes::new(64))];
+        // L2 descending on the axis, so the claim reorders it.
+        let scenarios = ScenarioConfig::axis(
+            &ScenarioConfig::axis(
+                &[ScenarioConfig::ava_x(2), ScenarioConfig::native_x(2)],
+                Knob::L2_KIB,
+                &[1024, 256],
+            ),
+            Knob::DRAM_BW,
+            &[24, 6],
+        );
+        let sweep = Sweep::grid(workloads, scenarios);
+        // Per workload: AVA x {1024, 256} x {24, 6}, then NATIVE likewise.
+        assert_eq!(
+            sweep.claims(),
+            vec![
+                vec![3, 2, 1, 0],
+                vec![7, 6, 5, 4],
+                vec![11, 10, 9, 8],
+                vec![15, 14, 13, 12]
+            ]
+        );
+        // Nothing misses at 256 KiB, so each claim simulates its first point
+        // and copies it three times.
+        let run = sweep.runner().threads(2).execute();
+        assert_eq!(run.reused(), 12);
+        assert_eq!(run.reused_from[0], Some(3));
+        assert_eq!(run.reused_from[3], None);
+        let json = run.to_json().to_string();
+        assert!(
+            json.contains("\"reused\":12,\"distinct_reports\":"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"from_store\":false,\"reused_from\":3,"),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn distinct_reports_ignore_config_and_axes() {
+        let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(256))];
+        let scenarios =
+            ScenarioConfig::axis(&[ScenarioConfig::ava_x(2)], Knob::L2_KIB, &[512, 1024]);
+        let run = Sweep::grid(workloads, scenarios)
+            .runner()
+            .threads(1)
+            .execute();
+        let report = &run.report;
+        assert_ne!(report.reports[0].config, report.reports[1].config);
+        assert_eq!(report.distinct_reports(), 1);
+        // The run digests only the simulated report; the copy is its twin.
+        assert_eq!((run.reused(), run.distinct_reports), (1, 1));
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! its budget, the cache hierarchy must never change functional values, the
 //! functional memory (word by word and in page runs) must agree with a plain
 //! byte-map model, `execute_into` must match the per-element definition of
-//! every arithmetic opcode bit for bit, and the VRF mapping's resident walk
-//! must match its location table.
+//! every arithmetic opcode bit for bit, the VRF mapping's resident walk
+//! must match its location table, and an L2 with more sets must hit
+//! wherever a smaller one of the same line and ways hits (the fact the
+//! sweep's sibling reuse rests on).
 //!
 //! The container has no access to crates.io, so instead of proptest these
 //! tests drive a deterministic SplitMix64 case generator: every run explores
@@ -13,7 +15,7 @@
 
 use ava::compiler::{compile, CompileOptions, KernelBuilder, VirtReg};
 use ava::isa::{Element, Lmul, Opcode};
-use ava::memory::{MainMemory, MemoryHierarchy};
+use ava::memory::{Cache, CacheConfig, CacheStats, MainMemory, MemoryHierarchy};
 use ava::sim::ScenarioConfig;
 use ava::vpu::exec::{execute_into, OperandValue};
 use ava::vpu::vrf_mapping::{Location, VrfMapping};
@@ -195,6 +197,83 @@ fn timing_accesses_never_corrupt_functional_state() {
                 "case {case}, value {i}"
             );
         }
+    }
+}
+
+/// A random read/write stream over `lines` cache lines of `line` bytes,
+/// addressed anywhere inside each line.
+fn random_stream(rng: &mut DataGen, len: usize, lines: u64, line: u64) -> Vec<(u64, bool)> {
+    (0..len)
+        .map(|_| {
+            let addr = in_range(rng, 0, lines - 1) * line + in_range(rng, 0, line - 1);
+            (addr, rng.next_u64().is_multiple_of(3))
+        })
+        .collect()
+}
+
+/// Under LRU with nested set indexing, a cache with `k` times the sets of
+/// another (same line and ways) holds a superset of its lines after any
+/// stream: every hit of the smaller cache is a hit of the larger one. So a
+/// stream that never misses the smaller cache after a warm prefix gives
+/// the larger one the same outcome, hit for hit and write-back for
+/// write-back — which is what lets a sweep copy a zero-miss report to a
+/// larger L2. A non-stack replacement policy breaks the first half.
+#[test]
+fn a_cache_with_k_times_the_sets_hits_wherever_the_smaller_one_hits() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let line = 1u64 << in_range(&mut rng, 4, 7);
+        let ways = in_range(&mut rng, 1, 4) as usize;
+        let sets = in_range(&mut rng, 1, 8) as usize;
+        let k = in_range(&mut rng, 2, 4) as usize;
+        let config = |sets: usize| CacheConfig {
+            size_bytes: sets * ways * line as usize,
+            line_bytes: line as usize,
+            ways,
+            hit_latency: 1,
+        };
+        let mut small = Cache::new(config(sets));
+        let mut large = Cache::new(config(k * sets));
+        let what = format!("case {case}: {sets} sets x {ways} ways of {line} B, k = {k}");
+
+        let lines = (k * sets * ways * 2) as u64;
+        for (i, &(addr, write)) in random_stream(&mut rng, 600, lines, line).iter().enumerate() {
+            let (s, l) = (small.access(addr, write), large.access(addr, write));
+            assert!(
+                !s.hit || l.hit,
+                "{what}: access {i} hit only the smaller cache"
+            );
+        }
+
+        // Hits never evict, so the smaller cache's resident lines stay put
+        // through a stream drawn from them alone.
+        let resident: Vec<u64> = (0..lines)
+            .map(|l| l * line)
+            .filter(|&addr| small.contains(addr))
+            .collect();
+        let (small_before, large_before) = (*small.stats(), *large.stats());
+        for i in 0..300 {
+            let addr = resident[in_range(&mut rng, 0, resident.len() as u64 - 1) as usize]
+                + in_range(&mut rng, 0, line - 1);
+            let write = rng.next_u64().is_multiple_of(2);
+            let (s, l) = (small.access(addr, write), large.access(addr, write));
+            assert!(s.hit, "{what}: warm access {i} missed the smaller cache");
+            assert_eq!(s, l, "{what}: warm access {i}");
+        }
+        let gained = |cache: &Cache, before: CacheStats| {
+            let now = cache.stats();
+            (
+                now.read_hits - before.read_hits,
+                now.write_hits - before.write_hits,
+                now.misses() - before.misses(),
+                now.writebacks - before.writebacks,
+            )
+        };
+        assert_eq!(
+            gained(&small, small_before),
+            gained(&large, large_before),
+            "{what}: warm counters"
+        );
     }
 }
 
