@@ -154,6 +154,7 @@ fn fig3(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Jso
 fn fig4(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Json, String> {
     let workloads = build_workloads(spec, "no workload matches the manifest's workload list")?;
     let data = figure4_data_with(&workloads, args);
+    eprintln!("{}", format_sweep_summary(&data.sweep));
     out.push_str(&format_figure4_from(&data));
 
     Ok(object()
@@ -325,6 +326,7 @@ fn study(
     let (names, systems) = variants(base);
     let grid = Sweep::grid(vec![workload.clone()], systems);
     let run = args.configure(grid.runner()).execute();
+    eprintln!("{}", format_sweep_summary(&run));
     let sweep = &run.report;
     for r in &sweep.reports {
         assert!(r.validated, "{}: {:?}", r.config, r.validation_error);

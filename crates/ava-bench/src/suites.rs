@@ -11,7 +11,7 @@
 
 use ava_compiler::{compile, CompileOptions, KernelBuilder};
 use ava_isa::{Element, Lmul, Opcode, VReg};
-use ava_memory::{HierarchyConfig, MemoryHierarchy};
+use ava_memory::{HierarchyConfig, MainMemory, MemoryHierarchy};
 use ava_sim::{run_workload, ScenarioConfig};
 use ava_vpu::exec::{execute_into, OperandValue};
 use ava_vpu::rac::Rac;
@@ -136,11 +136,12 @@ fn memory_hierarchy(run: &mut Runner<'_>) {
         (0..128u64).fold(0, |acc, i| acc ^ mem.read_u64(base + 8 * i))
     });
 
-    // The page-run path of unit-stride loads/stores and M-VRF swaps: one
-    // MVL-512 register written and read back, crossing a page boundary.
-    let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
-    let _ = mem.allocate(64);
-    let base = mem.allocate(512 * 8);
+    // The page-run path of the functional pass's unit-stride loads and
+    // stores: one MVL-512 register written and read back, crossing a page
+    // boundary.
+    let mut mem = MainMemory::new();
+    let _ = mem.alloc(64);
+    let base = mem.alloc(512 * 8);
     run("memory/functional_word_run_512", &mut || {
         mem.write_words(base, (0..512u32).map(u64::from));
         let mut acc = 0;

@@ -133,18 +133,6 @@ impl MemoryHierarchy {
         self.memory.write_u64(addr, value);
     }
 
-    /// Reads `n` consecutive words from the functional memory
-    /// ([`MainMemory::read_words`]).
-    pub fn read_words(&self, addr: u64, n: usize, each: impl FnMut(u64)) {
-        self.memory.read_words(addr, n, each);
-    }
-
-    /// Writes consecutive words to the functional memory
-    /// ([`MainMemory::write_words`]).
-    pub fn write_words(&mut self, addr: u64, words: impl ExactSizeIterator<Item = u64>) {
-        self.memory.write_words(addr, words);
-    }
-
     // ------------------------------------------------------------------
     // Timing accessors
     // ------------------------------------------------------------------

@@ -89,6 +89,18 @@ impl MainMemory {
         (ALLOC_BASE, self.next_alloc)
     }
 
+    /// A memory with this one's allocations and none of its data: the
+    /// next allocation lands where it would land here, and every address
+    /// reads 0.
+    #[must_use]
+    pub fn allocator_only(&self) -> Self {
+        Self {
+            pages: Vec::new(),
+            next_alloc: self.next_alloc,
+            allocated_bytes: self.allocated_bytes,
+        }
+    }
+
     /// The page at table index `page`, if it has ever been written.
     fn page(&self, page: usize) -> Option<&[u8; PAGE_SIZE]> {
         self.pages.get(page)?.as_deref()

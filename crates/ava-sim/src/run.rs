@@ -1,15 +1,17 @@
 //! Running one workload on one system configuration.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use ava_compiler::{compile, CompileOptions, CompiledKernel};
 use ava_isa::{Lmul, VectorContext};
 use ava_memory::{CacheStats, HierarchyConfig, MainMemory, MemoryHierarchy, MemoryStats};
 use ava_scalar::{ScalarCore, ScalarCost};
+use ava_vpu::exec::FunctionalState;
 use ava_vpu::{Vpu, VpuStats};
 use ava_workloads::{
-    validate, ArenaPlanner, BufferBindings, Fingerprint, PlannedLayout, Workload, WorkloadSetup,
+    validate_image, ArenaPlanner, BufferBindings, Fingerprint, PlannedLayout, Workload,
+    WorkloadSetup,
 };
 
 use crate::configs::{axes_from_json, axes_to_json, Axis, ScenarioConfig, SystemConfig};
@@ -340,13 +342,10 @@ pub fn run_workload(workload: &dyn Workload, scenario: &ScenarioConfig) -> RunRe
 
 /// Runs `workload` on an already-resolved [`SystemConfig`] (what
 /// [`run_workload`] does after resolution). This is the sweep's pipeline
-/// for a single simulated point: the preparation, then one timing run that
-/// takes the prepared image itself.
+/// for a single simulated point: the preparation, then one timing run.
 #[must_use]
 pub fn run_system(workload: &dyn Workload, system: &SystemConfig) -> RunReport {
-    let mut prepared = prepare(workload, system);
-    let image = prepared.take_image();
-    simulate(&prepared, system, image)
+    simulate(&prepare(workload, system), system)
 }
 
 /// The half of a point that does not depend on the scenario's timing
@@ -356,7 +355,10 @@ pub fn run_system(workload: &dyn Workload, system: &SystemConfig) -> RunReport {
 /// [`prepare`] reads nothing else of the system, so every scenario that
 /// agrees on those three — NATIVE Xn and AVA Xn, or one MVL across all L2,
 /// DRAM and bus variants — can time the same prepared point through
-/// [`simulate`]. Each timing run works on its own copy of the image.
+/// [`simulate`]. Values do not depend on the scenario either: the first
+/// [`simulate`] of the point runs the program functionally over the image,
+/// once, validates the result and drops the image. Every timing run then
+/// works on a memory that holds only the allocation cursor.
 #[derive(Debug)]
 pub(crate) struct PreparedPoint {
     workload: &'static str,
@@ -365,14 +367,18 @@ pub(crate) struct PreparedPoint {
     mvl: usize,
     lmul: Lmul,
     /// The functional memory after planning, data generation and the spill
-    /// arena: the allocation cursor sits at the end of the arena.
-    image: MainMemory,
+    /// arena, until the functional pass consumes it.
+    image: Mutex<MainMemory>,
+    /// The image's allocations without its data: the allocation cursor
+    /// sits at the end of the arena, where a timing run's M-VRF goes.
+    allocator: MainMemory,
+    /// The functional pass's outcome, from the point's first simulation.
+    functional: OnceLock<FunctionalRun>,
     plan: PlannedLayout,
     /// Output checks, strip count, phase marks and warm ranges.
     setup: WorkloadSetup,
     compiled: CompiledKernel,
     spill_base: u64,
-    arena_end: u64,
     /// The result-store content fingerprint, computed on first use: a
     /// sweep without a store never formats the program.
     fingerprint: OnceLock<u64>,
@@ -401,15 +407,31 @@ impl PreparedPoint {
         })
     }
 
-    /// A copy of the prepared image, for one timing run.
-    pub(crate) fn image(&self) -> MainMemory {
-        self.image.clone()
-    }
-
-    /// The prepared image itself, for the last timing run of the point;
-    /// the point keeps an empty image.
-    pub(crate) fn take_image(&mut self) -> MainMemory {
-        std::mem::take(&mut self.image)
+    /// The functional pass's outcome. The first call runs the compiled
+    /// program over the image in program order, validates the result
+    /// against the golden reference and drops the image; a concurrent
+    /// caller waits for it.
+    fn functional(&self) -> &FunctionalRun {
+        self.functional.get_or_init(|| {
+            // Held through the pass, so a pass that panics poisons the
+            // image instead of leaving a later caller a half-run one.
+            let mut image = self
+                .image
+                .lock()
+                .expect("an earlier functional pass of this point panicked");
+            let mut indexed_addrs = Vec::new();
+            FunctionalState::new(self.mvl).run(
+                self.compiled.program.instructions(),
+                &mut image,
+                &mut indexed_addrs,
+            );
+            let validation = validate_image(&image, &self.setup.checks);
+            *image = MainMemory::default();
+            FunctionalRun {
+                validation,
+                indexed_addrs,
+            }
+        })
     }
 
     fn assert_prepared_for(&self, system: &SystemConfig) {
@@ -421,6 +443,15 @@ impl PreparedPoint {
             system.label()
         );
     }
+}
+
+/// What the functional pass of a prepared point leaves for its timing runs.
+#[derive(Debug)]
+struct FunctionalRun {
+    /// The golden-reference check of the memory the program left.
+    validation: Result<(), String>,
+    /// The element addresses of every gather and scatter, in program order.
+    indexed_addrs: Vec<u64>,
 }
 
 /// Plans, builds and compiles `workload` for `system`'s MVL and compiler
@@ -450,7 +481,6 @@ pub(crate) fn prepare(workload: &dyn Workload, system: &SystemConfig) -> Prepare
     //    the MVL.
     let spill_slot_bytes = (system.mvl() * 8) as u64;
     let spill_base = mem.allocate(64 * spill_slot_bytes);
-    let (_, arena_end) = mem.memory().allocated_range();
     let compiled = compile(
         &setup.kernel,
         &CompileOptions::new(system.compiler_lmul, spill_base, spill_slot_bytes),
@@ -461,12 +491,13 @@ pub(crate) fn prepare(workload: &dyn Workload, system: &SystemConfig) -> Prepare
         elements: workload.elements() as u64,
         mvl: system.mvl(),
         lmul: system.compiler_lmul,
-        image: std::mem::take(mem.memory_mut()),
+        allocator: mem.memory().allocator_only(),
+        image: Mutex::new(std::mem::take(mem.memory_mut())),
+        functional: OnceLock::new(),
         plan,
         setup,
         compiled,
         spill_base,
-        arena_end,
         fingerprint: OnceLock::new(),
         #[cfg(test)]
         _live: tests::LiveImage::new(),
@@ -524,46 +555,47 @@ pub(crate) fn stored_or(
     (report, false)
 }
 
-/// Times `prepared` on `system` over `image`, one of the prepared image's
-/// copies — steps 3–6 of the point pipeline.
+/// Times `prepared` on `system` — steps 3–6 of the point pipeline. The
+/// point's first simulation runs the functional pass and validates it.
 ///
 /// # Panics
 ///
 /// Panics if `system`'s MVL or compiler LMUL differs from those of the
 /// system `prepared` was built for.
-pub(crate) fn simulate(
-    prepared: &PreparedPoint,
-    system: &SystemConfig,
-    image: MainMemory,
-) -> RunReport {
+pub(crate) fn simulate(prepared: &PreparedPoint, system: &SystemConfig) -> RunReport {
     prepared.assert_prepared_for(system);
+    let functional = prepared.functional();
     let PreparedPoint {
         setup, compiled, ..
     } = prepared;
 
-    // 3. A fresh hierarchy for the scenario over the prepared image. The
-    //    VPU reserves its M-VRF backing store above the arena (AVA only);
-    //    like the application data it belongs to the measured working set.
+    // 3. A fresh hierarchy for the scenario, whose memory holds no data but
+    //    continues the prepared allocations. The VPU reserves its M-VRF
+    //    backing store above the arena (AVA only); like the application
+    //    data it belongs to the measured working set.
     let mut mem = MemoryHierarchy::new(system.memory);
-    *mem.memory_mut() = image;
+    *mem.memory_mut() = prepared.allocator.clone();
+    let (_, arena_end) = mem.memory().allocated_range();
     let mut vpu = Vpu::new(system.vpu.clone(), &mut mem);
     let (_, mvrf_end) = mem.memory().allocated_range();
 
-    // 4. Cycle-level + functional simulation on the VPU. The caches are
-    //    warmed over the working set: the planner-derived buffer ranges the
-    //    run actually touches (dead placeholder inputs of pipelined
-    //    composites stay cold) and the M-VRF — but *not* the spill arena:
-    //    it is not application data, and at long MVLs (64 slots × MVL ×
-    //    8 B) warming it would evict the real working set from small L2
-    //    configurations before the run starts.
+    // 4. Cycle-level simulation on the VPU, fed the gather and scatter
+    //    addresses of the functional pass. The caches are warmed over the
+    //    working set: the planner-derived buffer ranges the run actually
+    //    touches (dead placeholder inputs of pipelined composites stay
+    //    cold) and the M-VRF — but *not* the spill arena: it is not
+    //    application data, and at long MVLs (64 slots × MVL × 8 B) warming
+    //    it would evict the real working set from small L2 configurations
+    //    before the run starts.
     let mut warm = setup.warm_ranges.clone();
-    warm.push((prepared.arena_end, mvrf_end));
+    warm.push((arena_end, mvrf_end));
     mem.warm_caches_ranges(&warm);
 
     // Multi-kernel setups run the compiled program as per-phase segments on
     // the same VPU instance — observationally identical to one continuous
     // run, but every phase's cycle/memory counters are recorded as a delta.
     let mut phases = Vec::new();
+    let mut indexed_addrs = functional.indexed_addrs.as_slice();
     let result = if setup.phase_marks.len() > 1 {
         let mut cycles = 0;
         let mut stats = ava_vpu::VpuStats::default();
@@ -578,7 +610,12 @@ pub(crate) fn simulate(
             } else {
                 compiled.program_split(mark.ir_end)
             };
-            let seg = vpu.run_range(&compiled.program, program_start..program_end, &mut mem);
+            let seg = vpu.time_range(
+                &compiled.program,
+                program_start..program_end,
+                &mut mem,
+                &mut indexed_addrs,
+            );
             let mem_now = mem.stats();
             phases.push(PhaseBreakdown {
                 name: mark.name.clone(),
@@ -599,7 +636,12 @@ pub(crate) fn simulate(
             stats,
         }
     } else {
-        vpu.run(&compiled.program, &mut mem)
+        vpu.time_range(
+            &compiled.program,
+            0..compiled.program.len(),
+            &mut mem,
+            &mut indexed_addrs,
+        )
     };
 
     // 5. Scalar-core floor for the stripmined loop.
@@ -607,10 +649,17 @@ pub(crate) fn simulate(
     let scalar = scalar_core.loop_cost(setup.strips, compiled.program.len() as u64);
     let cycles = scalar_core.combine(result.cycles, &scalar);
 
-    // 6. Validation against the golden reference — chained across phases
-    //    for pipelined composites (a consumed intermediate buffer is only
-    //    checked through the downstream phase's reference).
-    let validation = validate(&mem, &setup.checks);
+    // 6. Validation: the functional pass's check against the golden
+    //    reference (chained across phases for pipelined composites: a
+    //    consumed intermediate buffer is only checked through the
+    //    downstream phase's reference), then this run's register tags.
+    let validation = functional
+        .validation
+        .clone()
+        .and_then(|()| match vpu.tag_error() {
+            Some(e) => Err(e.to_string()),
+            None => Ok(()),
+        });
 
     RunReport {
         config: system.label().to_string(),
@@ -683,14 +732,15 @@ pub(crate) mod tests {
 
     #[test]
     fn one_prepared_point_times_every_scenario_of_its_key() {
-        // NATIVE X2 and AVA X2 share MVL 32 and LMUL 1; each timing run
-        // works on its own copy, so the order of the runs cannot matter.
+        // NATIVE X2 and AVA X2 share MVL 32 and LMUL 1; the first run
+        // makes the functional pass and every run reads it, so the order
+        // of the runs cannot matter.
         let w = Blackscholes::new(128);
         let native = ScenarioConfig::native_x(2).resolve();
         let ava = ScenarioConfig::ava_x(2).with(Knob::L2_KIB, 256).resolve();
         let prepared = prepare(&w, &native);
         for system in [&ava, &native, &ava] {
-            let report = simulate(&prepared, system, prepared.image());
+            let report = simulate(&prepared, system);
             assert_eq!(
                 format!("{report:?}"),
                 format!("{:?}", run_system(&w, system))
@@ -704,7 +754,7 @@ pub(crate) mod tests {
         let w = Axpy::new(256);
         let prepared = prepare(&w, &ScenarioConfig::native_x(2).resolve());
         let native_x4 = ScenarioConfig::native_x(4).resolve();
-        let _ = simulate(&prepared, &native_x4, prepared.image());
+        let _ = simulate(&prepared, &native_x4);
     }
 
     #[test]

@@ -58,21 +58,26 @@
 //!
 //! A point splits into `run::prepare` — plan the layout, generate the
 //! data and golden reference, compile — and `run::simulate` — the timing
-//! run on a fresh hierarchy over a copy of the prepared memory image, then
-//! validation. Only the second half depends on the scenario's timing
-//! model, so the sweep prepares each (workload, MVL, compiler LMUL) key
-//! once and times it on every scenario of that key: the 972-point
-//! hierarchy sensitivity grid prepares 12 keys. Validation stays per
-//! simulated point, because swap and rename decisions depend on timing.
+//! run on a fresh hierarchy, then validation. Only the second half depends
+//! on the scenario's timing model, so the sweep prepares each (workload,
+//! MVL, compiler LMUL) key once and times it on every scenario of that
+//! key: the 972-point hierarchy sensitivity grid prepares 12 keys.
+//!
+//! Values do not depend on the scenario either. The first simulation of a
+//! key runs its program functionally, once, over the prepared memory
+//! image; it validates the result against the golden reference, records
+//! the gather and scatter addresses and drops the image. A worker that
+//! needs the pass while another runs it waits. Every timing run reads the
+//! recorded addresses and moves no values. What stays per simulated point
+//! is the register-tag check, because swap and rename decisions depend on
+//! timing: it proves that every read met its last writer's value.
 //!
 //! A claim's points share one key. The memo counts claims: a key's entry
-//! leaves the memo when its last claim is made, and that claim's last
-//! point takes the image itself rather than a copy, so at most a few
-//! images are alive at a time, not one per key. Only a simulation copies
-//! the image; a store hit or a sibling copy never does. The memo is per
-//! sweep; a store hit still uses its key's prepared point, whose content
-//! fingerprint is half the store key, so the prepare counters of a warm
-//! rerun equal those of the cold run.
+//! leaves the memo when its last claim is made. A store hit or a sibling
+//! copy never runs the functional pass, so a key served entirely that way
+//! never does. The memo is per sweep; a store hit still uses its key's
+//! prepared point, whose content fingerprint is half the store key, so the
+//! prepare counters of a warm rerun equal those of the cold run.
 //!
 //! # Sibling reuse
 //!
@@ -176,9 +181,10 @@ type Slot = Arc<OnceLock<PreparedPoint>>;
 ///
 /// An entry also counts its key's claims not yet made (a claim is a group
 /// of sibling points, see [`Sweep::claims`]). The claim that takes the
-/// count to zero removes the entry, so a prepared point — its memory image
-/// above all — lives only until its key's last claim is done with it, not
-/// until the sweep ends. The claims of one key share a per-point cost
+/// count to zero removes the entry, so a prepared point — its program and
+/// recorded addresses, and its memory image if no point simulated — lives
+/// only until its key's last claim is done with it, not until the sweep
+/// ends. The claims of one key share a per-point cost
 /// estimate, so they are usually close in the claim order.
 struct PrepareMemo {
     entries: Mutex<HashMap<PrepareKey, (Slot, usize)>>,
@@ -786,7 +792,7 @@ impl Sweep {
     ) {
         let mut start = Instant::now();
         let first = claim[0];
-        let mut slot = memo.claim(self.prepare_key(first));
+        let slot = memo.claim(self.prepare_key(first));
         // A second worker on this key blocks here until the first one has
         // prepared it.
         slot.get_or_init(|| {
@@ -797,18 +803,6 @@ impl Sweep {
         });
         for (i, &point) in claim.iter().enumerate() {
             let system = self.system(point);
-            // Once the key's last claim is made the memo lets go of the
-            // slot, so the claim's last point may take the image itself —
-            // unless another claim of the key still runs on it. A copy of
-            // the image is made only for a simulation, never for a store
-            // hit or a reuse.
-            let own_image = if i + 1 == claim.len() {
-                Arc::get_mut(&mut slot)
-                    .and_then(OnceLock::get_mut)
-                    .map(PreparedPoint::take_image)
-            } else {
-                None
-            };
             let prepared = slot.get().expect("prepared above");
             let mut reused_from = None;
             let (report, from_store) = stored_or(prepared, system, store, || {
@@ -824,11 +818,7 @@ impl Sweep {
                         reused_from = Some(earlier);
                         copied(report, system)
                     }
-                    None => simulate(
-                        prepared,
-                        system,
-                        own_image.unwrap_or_else(|| prepared.image()),
-                    ),
+                    None => simulate(prepared, system),
                 }
             });
             let finished = Done {
@@ -1247,7 +1237,10 @@ mod tests {
         assert_eq!(report.cache_misses, 4);
         let (alive, peak) = crate::run::tests::LiveImage::take_counts();
         assert_eq!(alive, 0, "no prepared point outlives the sweep");
-        assert_eq!(peak, 1, "each key's image is dropped after its last point");
+        assert_eq!(
+            peak, 1,
+            "each key's prepared point is dropped after its last point"
+        );
     }
 
     #[test]

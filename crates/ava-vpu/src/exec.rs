@@ -1,11 +1,17 @@
-//! Functional execution of vector arithmetic operations.
+//! Functional execution: the arithmetic opcodes ([`execute_into`]) and the
+//! program-order pass over architectural registers ([`FunctionalState`]).
 //!
-//! Every run of the simulator computes real element values, so the renaming,
-//! mapping and swap machinery is validated for *correctness* against scalar
-//! golden references, not only timed. Memory and configuration opcodes are
-//! handled by the VPU/memory models, not here.
+//! A program's values do not depend on the register-file organisation that
+//! times it, and no timing decision reads a value, so the simulator runs a
+//! compiled program functionally once per prepared (workload, MVL, LMUL)
+//! key and validates the resulting memory against the scalar golden
+//! reference there. The one datum the timing model needs from the values
+//! is the element addresses of indexed accesses, which the pass records.
 
-use ava_isa::{Element, Opcode};
+use ava_isa::{Element, MemAccess, Opcode, Operand, VecInstr, VlMode, NUM_LOGICAL_VREGS};
+use ava_memory::MainMemory;
+
+use crate::rename::MAX_SRCS;
 
 /// A source operand value: a borrowed vector of elements or a scalar
 /// broadcast to every element.
@@ -41,7 +47,7 @@ fn x(op: &OperandValue<'_>, i: usize) -> i64 {
 /// Executes one arithmetic/move/reduction opcode over `vl` elements,
 /// returning a freshly allocated result.
 ///
-/// Convenience wrapper over [`execute_into`]; the VPU hot loop calls
+/// Convenience wrapper over [`execute_into`]; the functional pass calls
 /// [`execute_into`] with a reused strip buffer instead.
 ///
 /// # Panics
@@ -183,6 +189,173 @@ pub fn execute_into(opcode: Opcode, srcs: &[OperandValue<'_>], vl: usize, out: &
             panic!("{opcode} is not an arithmetic operation")
         }
     }
+}
+
+/// The architectural state of a functional run: the 32 logical registers,
+/// each `mvl` elements wide and zero at reset, and the current vector
+/// length. Instructions execute one after another in program order; a
+/// write of `n` elements leaves the register's tail as it was.
+///
+/// ```
+/// use ava_vpu::exec::FunctionalState;
+/// use ava_memory::MainMemory;
+/// use ava_isa::{Opcode, VecInstr, VReg};
+///
+/// let mut mem = MainMemory::new();
+/// let a = mem.alloc(16 * 8);
+/// for i in 0..16 {
+///     mem.write_f64(a + 8 * i, i as f64);
+/// }
+/// let program = [
+///     VecInstr::setvl(16),
+///     VecInstr::vload(VReg::new(1), a),
+///     VecInstr::binary(Opcode::VFAdd, VReg::new(2), VReg::new(1), VReg::new(1)),
+///     VecInstr::vstore(VReg::new(2), a),
+/// ];
+/// let mut indexed = Vec::new();
+/// FunctionalState::new(16).run(&program, &mut mem, &mut indexed);
+/// assert_eq!(mem.read_f64(a + 8 * 3), 6.0);
+/// assert!(indexed.is_empty(), "no gather or scatter ran");
+/// ```
+#[derive(Debug, Clone)]
+pub struct FunctionalState {
+    mvl: usize,
+    vl: usize,
+    regs: Vec<Vec<Element>>,
+    /// Result strip of the executing arithmetic instruction.
+    strip: Vec<Element>,
+}
+
+impl FunctionalState {
+    /// Registers of `mvl` elements, all zero, with the vector length at
+    /// `mvl`.
+    #[must_use]
+    pub fn new(mvl: usize) -> Self {
+        Self {
+            mvl,
+            vl: mvl,
+            regs: vec![vec![Element::ZERO; mvl]; NUM_LOGICAL_VREGS],
+            strip: Vec::new(),
+        }
+    }
+
+    /// Executes `instrs` in order over `mem`, appending to `indexed_addrs`
+    /// the element addresses of every gather and scatter, one per element,
+    /// in program order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a memory instruction carries no address, or if a write
+    /// lands beyond the simulated address space.
+    pub fn run(&mut self, instrs: &[VecInstr], mem: &mut MainMemory, indexed_addrs: &mut Vec<u64>) {
+        for instr in instrs {
+            self.step(instr, mem, indexed_addrs);
+        }
+    }
+
+    fn step(&mut self, instr: &VecInstr, mem: &mut MainMemory, indexed_addrs: &mut Vec<u64>) {
+        let vl = match instr.vl_mode {
+            VlMode::Current => self.vl,
+            VlMode::FullMvl => self.mvl,
+        };
+        let reg = |i: usize| match instr.srcs.get(i) {
+            Some(Operand::Reg(r)) => r.index(),
+            _ => panic!("`{instr}` needs a register operand {i}"),
+        };
+        let dst = || {
+            instr
+                .dst
+                .unwrap_or_else(|| panic!("`{instr}` needs a destination"))
+                .index()
+        };
+        let access = || {
+            instr
+                .mem
+                .unwrap_or_else(|| panic!("`{instr}` carries no address"))
+        };
+        match instr.opcode {
+            Opcode::SetVl => {
+                self.vl = instr.setvl_request.unwrap_or(self.mvl).min(self.mvl);
+            }
+            Opcode::VLoad | Opcode::VLoadStrided => {
+                let m = access();
+                let out = &mut self.regs[dst()][..vl];
+                if m.stride == 8 {
+                    let mut elems = out.iter_mut();
+                    mem.read_words(m.base, vl, |w| {
+                        *elems.next().expect("one word per element") = Element::from_bits(w);
+                    });
+                } else {
+                    for (i, e) in out.iter_mut().enumerate() {
+                        *e = Element::from_bits(mem.read_u64(element_addr(&m, i)));
+                    }
+                }
+            }
+            Opcode::VStore | Opcode::VStoreStrided => {
+                let m = access();
+                let data = &self.regs[reg(0)][..vl];
+                if m.stride == 8 {
+                    mem.write_words(m.base, data.iter().map(|e| e.bits()));
+                } else {
+                    for (i, e) in data.iter().enumerate() {
+                        mem.write_u64(element_addr(&m, i), e.bits());
+                    }
+                }
+            }
+            Opcode::VLoadIndexed => {
+                let start = indexed_addrs.len();
+                let base = access().base;
+                indexed_addrs.extend(
+                    self.regs[reg(0)][..vl]
+                        .iter()
+                        .map(|&i| indexed_addr(base, i)),
+                );
+                let out = &mut self.regs[dst()][..vl];
+                for (e, &a) in out.iter_mut().zip(&indexed_addrs[start..]) {
+                    *e = Element::from_bits(mem.read_u64(a));
+                }
+            }
+            Opcode::VStoreIndexed => {
+                let start = indexed_addrs.len();
+                let base = access().base;
+                indexed_addrs.extend(
+                    self.regs[reg(1)][..vl]
+                        .iter()
+                        .map(|&i| indexed_addr(base, i)),
+                );
+                let data = &self.regs[reg(0)][..vl];
+                for (&a, e) in indexed_addrs[start..].iter().zip(data) {
+                    mem.write_u64(a, e.bits());
+                }
+            }
+            _ => {
+                let mut ops = [OperandValue::Scalar(Element::ZERO); MAX_SRCS];
+                for (slot, op) in ops.iter_mut().zip(&instr.srcs) {
+                    *slot = match op {
+                        Operand::Reg(r) => OperandValue::Vector(&self.regs[r.index()][..vl]),
+                        Operand::Scalar(s) => OperandValue::Scalar(*s),
+                    };
+                }
+                execute_into(instr.opcode, &ops[..instr.srcs.len()], vl, &mut self.strip);
+                if let Some(d) = instr.dst {
+                    self.regs[d.index()][..self.strip.len()].copy_from_slice(&self.strip);
+                }
+            }
+        }
+    }
+}
+
+/// Address of element `i` of a strided access. A stride of 0 puts every
+/// element at `base`, as the timing model and the compiler's bounds check
+/// assume.
+pub(crate) fn element_addr(m: &MemAccess, i: usize) -> u64 {
+    (m.base as i64 + m.stride * i as i64) as u64
+}
+
+/// Address of a gathered or scattered element: `index` 8-byte words from
+/// `base`.
+fn indexed_addr(base: u64, index: Element) -> u64 {
+    base.wrapping_add((index.as_i64() as u64).wrapping_mul(8))
 }
 
 #[cfg(test)]

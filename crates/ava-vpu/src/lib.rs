@@ -18,12 +18,16 @@
 //! * [`issue`] — the two-stage vector issue unit: an in-order pre-issue
 //!   stage performing the VVR→physical mapping, feeding decoupled in-order
 //!   arithmetic and memory queues.
-//! * [`vrf`] / [`mvrf`] — the physical and memory vector register files.
-//! * [`exec`] — functional execution of every vector operation, so runs are
-//!   checked for *correctness*, not only timed.
+//! * [`mvrf`] — the memory-resident second level of the register file.
+//! * [`exec`] — the functional pass: a program executed once in program
+//!   order on architectural registers, so runs are checked for
+//!   *correctness* against scalar references, not only timed. It records
+//!   the element addresses of gathers and scatters for the timing model.
 //! * [`vpu`] — the cycle-level model tying everything together, usable in
 //!   AVA mode or in NATIVE mode (conventional single-level renaming with a
-//!   register file sized for the target MVL, the paper's baselines).
+//!   register file sized for the target MVL, the paper's baselines). It
+//!   moves no values; register tags check that every read meets the value
+//!   of its last writer through renaming and swaps.
 //!
 //! ```
 //! use ava_vpu::{Vpu, VpuConfig};
@@ -59,7 +63,6 @@ pub mod rob;
 pub mod stats;
 pub mod swap;
 pub mod vpu;
-pub mod vrf;
 pub mod vrf_mapping;
 
 pub use config::{preg_count_for_mvl, RenameMode, VpuConfig, NUM_VVRS};

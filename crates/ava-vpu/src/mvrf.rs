@@ -6,9 +6,10 @@
 //! VVRs that do not fit in the P-VRF live here; the Swap Mechanism moves
 //! them back and forth with Swap-Store / Swap-Load memory operations, which
 //! travel through the same vector memory unit as ordinary vector accesses
-//! and therefore consume real bandwidth and energy.
+//! and therefore consume real bandwidth and energy. The model moves no
+//! data through it: the timing model charges each slot access and carries
+//! the id of the instruction whose value a slot holds.
 
-use ava_isa::Element;
 use ava_memory::MemoryHierarchy;
 
 /// The memory-resident second level of the vector register file.
@@ -16,11 +17,9 @@ use ava_memory::MemoryHierarchy;
 /// ```
 /// use ava_vpu::mvrf::MemoryVrf;
 /// use ava_memory::MemoryHierarchy;
-/// use ava_isa::Element;
 /// let mut mem = MemoryHierarchy::default();
 /// let mvrf = MemoryVrf::allocate(&mut mem, 64, 32);
-/// mvrf.store(&mut mem, 7, &[Element::from_f64(2.5); 32]);
-/// assert_eq!(mvrf.load(&mem, 7, 32)[31].as_f64(), 2.5);
+/// assert_eq!(mvrf.slot_addr(7) - mvrf.base(), 7 * 32 * 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryVrf {
@@ -65,29 +64,6 @@ impl MemoryVrf {
         assert!((vvr as usize) < self.num_vvrs, "VVR {vvr} out of range");
         self.base + (vvr as u64) * (self.mvl as u64) * 8
     }
-
-    /// Writes a VVR's contents to its slot (the data movement of a
-    /// Swap-Store).
-    pub fn store(&self, mem: &mut MemoryHierarchy, vvr: u16, values: &[Element]) {
-        mem.write_words(self.slot_addr(vvr), values.iter().map(|v| v.bits()));
-    }
-
-    /// Reads `vl` elements of a VVR's slot (the data movement of a
-    /// Swap-Load).
-    #[must_use]
-    pub fn load(&self, mem: &MemoryHierarchy, vvr: u16, vl: usize) -> Vec<Element> {
-        let mut out = Vec::with_capacity(vl);
-        self.load_into(mem, vvr, vl, &mut out);
-        out
-    }
-
-    /// Reads `vl` elements of a VVR's slot into `out` (cleared first),
-    /// reusing the buffer's capacity; the Swap-Load hot path stages through
-    /// one such buffer instead of allocating per swap.
-    pub fn load_into(&self, mem: &MemoryHierarchy, vvr: u16, vl: usize, out: &mut Vec<Element>) {
-        out.clear();
-        mem.read_words(self.slot_addr(vvr), vl, |w| out.push(Element::from_bits(w)));
-    }
 }
 
 #[cfg(test)]
@@ -101,18 +77,6 @@ mod tests {
         assert_eq!(m.size_bytes(), 64 * 128 * 8);
         assert_eq!(m.slot_addr(1) - m.slot_addr(0), 128 * 8);
         assert_eq!(m.slot_addr(63) - m.base(), 63 * 128 * 8);
-    }
-
-    #[test]
-    fn store_then_load_roundtrips() {
-        let mut mem = MemoryHierarchy::default();
-        let m = MemoryVrf::allocate(&mut mem, 8, 16);
-        let vals: Vec<Element> = (0..16).map(|i| Element::from_f64(i as f64 * 1.5)).collect();
-        m.store(&mut mem, 3, &vals);
-        assert_eq!(m.load(&mem, 3, 16), vals);
-        // Neighbouring slots are untouched.
-        assert_eq!(m.load(&mem, 2, 16), vec![Element::ZERO; 16]);
-        assert_eq!(m.load(&mem, 4, 16), vec![Element::ZERO; 16]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The decoupled VPU model: functional + cycle-level simulation of a vector
-//! program on one configuration (AVA, NATIVE or RG).
+//! The decoupled VPU model: cycle-level timing of a vector program on one
+//! configuration (AVA, NATIVE or RG).
 //!
 //! The model processes the dynamic vector instruction stream in program
 //! order and computes, for every instruction, the cycle at which each
@@ -8,16 +8,28 @@
 //! pools (VVRs or physical registers), the physical-register file and its
 //! Swap Mechanism (AVA), the two decoupled in-order issue queues, the single
 //! arithmetic and single memory pipeline, the reorder buffer, and the shared
-//! memory hierarchy. Every instruction is also executed *functionally*, so
-//! workloads validate numerically against their scalar references.
+//! memory hierarchy.
+//!
+//! The timing core moves no element values. A program's values are the same
+//! on every organisation, so they are computed once, in program order on
+//! architectural registers ([`FunctionalState`]); the timing core takes only
+//! the element addresses of indexed accesses from that pass
+//! ([`Vpu::time_range`]). What the per-point run still proves is that the
+//! renaming and swap data path delivers the right value to every reader:
+//! each physical register and each M-VRF slot carries a tag, the id of the
+//! instruction whose value it holds. Write-back sets the tag, a Swap-Store
+//! copies it to the M-VRF slot, a Swap-Load copies it back, and every source
+//! read compares it with the program-order last writer of the architectural
+//! register ([`Vpu::tag_error`]). [`Vpu::run`] runs both halves, so it
+//! leaves the program's results in memory.
 
 use ava_isa::{
-    Element, InstrKind, InstrRole, MemAccess, Opcode, Operand, Program, VReg, VecInstr, VlMode,
+    ExecClass, InstrKind, InstrRole, Opcode, Program, VReg, VecInstr, VlMode, NUM_LOGICAL_VREGS,
 };
 use ava_memory::{AccessTiming, MemoryHierarchy};
 
 use crate::config::{RenameMode, VpuConfig};
-use crate::exec::{execute_into, OperandValue};
+use crate::exec::{element_addr, FunctionalState};
 use crate::issue::IssueQueue;
 use crate::mvrf::MemoryVrf;
 use crate::rac::Rac;
@@ -25,7 +37,6 @@ use crate::rename::{RenameUnit, RenamedReg};
 use crate::rob::ReorderBuffer;
 use crate::stats::VpuStats;
 use crate::swap::{plan_free_register, SwapDecision};
-use crate::vrf::PhysicalVrf;
 use crate::vrf_mapping::{Location, VrfMapping};
 
 /// Result of running one program on one VPU configuration.
@@ -57,7 +68,6 @@ pub struct Vpu {
     rename: RenameUnit,
     mapping: VrfMapping,
     rac: Rac,
-    pvrf: PhysicalVrf,
     mvrf: Option<MemoryVrf>,
     rob: ReorderBuffer,
     arith_q: IssueQueue,
@@ -79,6 +89,18 @@ pub struct Vpu {
     /// Whether the M-VRF slot of each VVR already holds the current value
     /// (a VVR is written once, so a second eviction needs no Swap-Store).
     mvrf_clean: Vec<bool>,
+    // -------- register tags (ids of the instructions whose values the
+    // registers hold; 0 is the reset value) --------
+    /// Id of the instruction being processed (the first is 1).
+    instr_id: u64,
+    /// Tag of each physical register.
+    preg_tag: Vec<u64>,
+    /// Tag of each VVR's M-VRF slot.
+    mvrf_tag: Vec<u64>,
+    /// Program-order last writer of each architectural register.
+    arch_writer: [u64; NUM_LOGICAL_VREGS],
+    /// The first source read whose tag was not its last writer's.
+    tag_error: Option<String>,
     // -------- scratch buffers (reused across instructions) --------
     /// This instruction's logical source registers.
     src_regs_buf: Vec<VReg>,
@@ -86,14 +108,11 @@ pub struct Vpu {
     protected_buf: Vec<RenamedReg>,
     /// Physical register of each register source, in operand order.
     src_pregs_buf: Vec<usize>,
-    /// Functional values of each source operand (register operands only).
-    operand_bufs: Vec<Vec<Element>>,
-    /// Functional result strip of the executing instruction.
-    strip_buf: Vec<Element>,
-    /// Per-element addresses of strided/indexed accesses.
+    /// Per-element addresses of strided accesses.
     addr_buf: Vec<u64>,
-    /// Swap-Load staging buffer (M-VRF -> P-VRF transfers).
-    swap_buf: Vec<Element>,
+    /// Architectural state of [`Vpu::run_range`]'s functional pass, made on
+    /// its first call.
+    functional: Option<FunctionalState>,
     // -------- architectural state --------
     vl: usize,
     stats: VpuStats,
@@ -116,7 +135,6 @@ impl Vpu {
             rename: RenameUnit::new(pool),
             mapping: VrfMapping::new(pool, pregs),
             rac: Rac::new(pool),
-            pvrf: PhysicalVrf::new(pregs, config.mvl, config.lanes),
             mvrf,
             rob: ReorderBuffer::new(config.rob_entries),
             arith_q: IssueQueue::new(config.arith_queue_entries),
@@ -129,13 +147,16 @@ impl Vpu {
             preg_writable: vec![0; pregs],
             preg_readers_done: vec![0; pregs],
             mvrf_clean: vec![false; pool],
+            instr_id: 0,
+            preg_tag: vec![0; pregs],
+            mvrf_tag: vec![0; pool],
+            arch_writer: [0; NUM_LOGICAL_VREGS],
+            tag_error: None,
             src_regs_buf: Vec::new(),
             protected_buf: Vec::new(),
             src_pregs_buf: Vec::new(),
-            operand_bufs: Vec::new(),
-            strip_buf: Vec::new(),
             addr_buf: Vec::new(),
-            swap_buf: Vec::new(),
+            functional: None,
             vl: config.mvl,
             stats: VpuStats::default(),
             finish_time: 0,
@@ -155,6 +176,15 @@ impl Vpu {
         &self.stats
     }
 
+    /// The first register-tag mismatch so far, naming the reading
+    /// instruction, the VVR and the physical register: a source read found
+    /// the value of another instruction than the program-order last writer
+    /// of its architectural register. `None` while every read was right.
+    #[must_use]
+    pub fn tag_error(&self) -> Option<&str> {
+        self.tag_error.as_deref()
+    }
+
     /// Runs a program to completion, returning cycle count and statistics.
     /// The VPU keeps its architectural state afterwards, so several programs
     /// can be run back to back on the same instance.
@@ -163,12 +193,12 @@ impl Vpu {
     }
 
     /// Runs the instructions `range` of `program`, returning the cycle count
-    /// and statistics of that segment alone. Because the VPU keeps all its
-    /// state between calls, running a program as consecutive segments is
+    /// and statistics of that segment alone: the functional pass over the
+    /// range, which leaves its results in `mem`, then [`Vpu::time_range`]
+    /// on the addresses it recorded. Because the VPU keeps all its state
+    /// between calls, running a program as consecutive segments is
     /// observationally identical to one [`Vpu::run`] over the whole program
-    /// — the per-segment results simply partition the totals. The simulator
-    /// uses this to report per-phase breakdowns of multi-kernel composites
-    /// without perturbing the single-program timing model.
+    /// — the per-segment results simply partition the totals.
     ///
     /// # Panics
     ///
@@ -179,10 +209,41 @@ impl Vpu {
         range: std::ops::Range<usize>,
         mem: &mut MemoryHierarchy,
     ) -> VpuRunResult {
+        let mvl = self.config.mvl;
+        let mut indexed = Vec::new();
+        self.functional
+            .get_or_insert_with(|| FunctionalState::new(mvl))
+            .run(
+                &program.instructions()[range.clone()],
+                mem.memory_mut(),
+                &mut indexed,
+            );
+        self.time_range(program, range, mem, &mut indexed.as_slice())
+    }
+
+    /// Times the instructions `range` of `program` without executing them,
+    /// returning the cycle count and statistics of that segment alone.
+    /// `indexed_addrs` holds the element addresses of the segment's gathers
+    /// and scatters in program order, as [`FunctionalState::run`] records
+    /// them; each indexed access consumes its addresses from the front.
+    /// Segments run back to back partition the totals of one run, which is
+    /// how the simulator reports per-phase breakdowns of multi-kernel
+    /// composites.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds or `indexed_addrs` runs out.
+    pub fn time_range(
+        &mut self,
+        program: &Program,
+        range: std::ops::Range<usize>,
+        mem: &mut MemoryHierarchy,
+        indexed_addrs: &mut &[u64],
+    ) -> VpuRunResult {
         let start_stats = self.stats;
         let start_time = self.finish_time;
         for instr in &program.instructions()[range] {
-            self.step(instr, mem);
+            self.step(instr, mem, indexed_addrs);
         }
         let mut stats = self.stats;
         subtract_stats(&mut stats, &start_stats);
@@ -197,7 +258,8 @@ impl Vpu {
     // Per-instruction processing
     // ------------------------------------------------------------------
 
-    fn step(&mut self, instr: &VecInstr, mem: &mut MemoryHierarchy) {
+    fn step(&mut self, instr: &VecInstr, mem: &mut MemoryHierarchy, indexed_addrs: &mut &[u64]) {
+        self.instr_id += 1;
         // Front end: one instruction per cycle, gated by ROB occupancy.
         let dispatch = self.rob.admit_time(self.frontend_free);
         self.frontend_free = dispatch + self.config.frontend_cycles_per_instr;
@@ -280,8 +342,18 @@ impl Vpu {
             }
         };
 
-        // ---------------- functional execution ----------------
-        let result = self.execute_functional(instr, &src_pregs, vl_eff, mem);
+        // ---------------- register-tag check ----------------
+        for (i, &preg) in src_pregs.iter().enumerate() {
+            let reg = self.src_regs_buf[i];
+            let writer = self.arch_writer[reg.index()];
+            if self.preg_tag[preg] != writer && self.tag_error.is_none() {
+                self.tag_error = Some(format!(
+                    "instruction {} `{instr}` read {reg} as VVR {} in physical register {preg}, \
+                     which holds the value of instruction {}, not of its last writer {writer}",
+                    self.instr_id, renamed.srcs[i], self.preg_tag[preg]
+                ));
+            }
+        }
 
         // ---------------- issue + execute timing ----------------
         let mut data_ready = preissue_time;
@@ -292,7 +364,7 @@ impl Vpu {
 
         let (_start, chain_ready, mut completion) = match instr.kind() {
             InstrKind::Memory => {
-                let timing = self.memory_timing(instr, &result, vl_eff, mem);
+                let timing = self.memory_timing(instr, vl_eff, mem, indexed_addrs);
                 // Stores issue as soon as their address is ready: the data is
                 // streamed from the register file while it is being produced
                 // (chaining through the store data path), so the issue gate
@@ -348,12 +420,18 @@ impl Vpu {
             }
         }
 
-        // Write back functional results (the strip buffer holds them).
-        if result.has_dst && renamed.dst.is_some() {
-            let preg = dst_preg.expect("destination must have a physical register");
-            self.pvrf.write(preg, &self.strip_buf);
-            let elems = self.strip_buf.len();
-            self.count_writeback(elems);
+        // Write-back: the destination register now holds this
+        // instruction's value, `vl` elements of it (a reduction writes at
+        // least its one result element).
+        if let (Some(preg), Some(reg)) = (dst_preg, instr.dst) {
+            self.preg_tag[preg] = self.instr_id;
+            self.arch_writer[reg.index()] = self.instr_id;
+            let elems = if instr.opcode.exec_class() == ExecClass::Reduction {
+                vl_eff.max(1)
+            } else {
+                vl_eff
+            };
+            self.stats.vrf_write_elems += elems as u64;
         }
 
         self.count_instruction(instr, vl_eff, &src_pregs);
@@ -385,14 +463,11 @@ impl Vpu {
                     .mapping
                     .allocate_physical(vvr)
                     .expect("a physical register was just freed");
-                // Swap-Load: M-VRF -> P-VRF, through the vector memory unit,
-                // staged through the reusable swap buffer.
+                // Swap-Load: M-VRF -> P-VRF, through the vector memory unit.
+                // The physical register now holds the slot's value.
                 let mvrf = self.mvrf.expect("AVA configurations have an M-VRF");
                 let slot = mvrf.slot_addr(vvr);
-                let mut values = std::mem::take(&mut self.swap_buf);
-                mvrf.load_into(mem, vvr, self.config.mvl, &mut values);
-                self.pvrf.write(preg, &values);
-                self.swap_buf = values;
+                self.preg_tag[preg] = self.mvrf_tag[vvr as usize];
                 let timing = mem.vector_access(slot, (self.config.mvl * 8) as u64, false);
                 // Rule 2 (§III.C): the Swap-Load data may not overwrite the
                 // physical register before the previous consumers have read
@@ -498,10 +573,10 @@ impl Vpu {
             // exactly once), so this eviction needs no Swap-Store.
             self.preg_readers_done[preg].max(preissue_time)
         } else {
-            // Functional move: P-VRF -> M-VRF, straight from the register
-            // file slice (no staging copy needed on the store side).
-            mvrf.store(mem, victim, self.pvrf.read(preg));
+            // Swap-Store: P-VRF -> M-VRF; the slot now holds the physical
+            // register's value.
             let slot = mvrf.slot_addr(victim);
+            self.mvrf_tag[victim as usize] = self.preg_tag[preg];
             let timing = mem.vector_access(slot, (self.config.mvl * 8) as u64, true);
             // The Swap-Store reads the victim's value; it cannot start
             // before the value exists.
@@ -606,9 +681,9 @@ impl Vpu {
     fn memory_timing(
         &mut self,
         instr: &VecInstr,
-        result: &FunctionalResult,
         vl: usize,
         mem: &mut MemoryHierarchy,
+        indexed_addrs: &mut &[u64],
     ) -> AccessTiming {
         let access = instr
             .mem
@@ -626,132 +701,20 @@ impl Vpu {
             }
             Opcode::VLoadIndexed | Opcode::VStoreIndexed => {
                 assert!(
-                    result.has_addrs,
-                    "indexed access computed element addresses"
+                    indexed_addrs.len() >= vl,
+                    "`{instr}`: the functional pass recorded no addresses for it"
                 );
-                mem.vector_access_elements(&self.addr_buf, is_write)
+                let (addrs, rest) = indexed_addrs.split_at(vl);
+                *indexed_addrs = rest;
+                mem.vector_access_elements(addrs, is_write)
             }
             _ => unreachable!("not a memory opcode"),
         }
     }
 
     // ------------------------------------------------------------------
-    // Functional execution
-    // ------------------------------------------------------------------
-
-    /// Reads the functional value of every register operand into the
-    /// per-slot scratch buffers (scalar slots are just cleared); the buffers
-    /// are reused across instructions.
-    fn read_operand_values(&mut self, instr: &VecInstr, src_pregs: &[usize], vl: usize) {
-        while self.operand_bufs.len() < instr.srcs.len() {
-            self.operand_bufs.push(Vec::new());
-        }
-        let mut preg_iter = src_pregs.iter();
-        for (i, op) in instr.srcs.iter().enumerate() {
-            match op {
-                Operand::Reg(_) => {
-                    let preg = *preg_iter
-                        .next()
-                        .expect("source register without a physical mapping");
-                    let values = self.pvrf.read_vl(preg, vl);
-                    self.operand_bufs[i].clear();
-                    self.operand_bufs[i].extend_from_slice(values);
-                }
-                Operand::Scalar(_) => self.operand_bufs[i].clear(),
-            }
-        }
-    }
-
-    /// Functionally executes one instruction. Result data lands in the
-    /// reusable scratch buffers: destination values in `strip_buf` (when
-    /// `has_dst`), per-element addresses in `addr_buf` (when `has_addrs`).
-    fn execute_functional(
-        &mut self,
-        instr: &VecInstr,
-        src_pregs: &[usize],
-        vl: usize,
-        mem: &mut MemoryHierarchy,
-    ) -> FunctionalResult {
-        self.read_operand_values(instr, src_pregs, vl);
-
-        match instr.opcode {
-            Opcode::VLoad | Opcode::VLoadStrided => {
-                let m = instr.mem.expect("load carries an address");
-                let strip = &mut self.strip_buf;
-                strip.clear();
-                if m.stride == 8 {
-                    mem.read_words(m.base, vl, |w| strip.push(Element::from_bits(w)));
-                } else {
-                    strip.extend(
-                        (0..vl).map(|i| Element::from_bits(mem.read_u64(element_addr(&m, i)))),
-                    );
-                }
-                FunctionalResult::DST
-            }
-            Opcode::VLoadIndexed => {
-                let m = instr.mem.expect("gather carries an address");
-                let idx = &self.operand_bufs[0];
-                self.addr_buf.clear();
-                self.addr_buf.extend((0..vl).map(|i| {
-                    m.base
-                        .wrapping_add((idx[i].as_i64() as u64).wrapping_mul(8))
-                }));
-                self.strip_buf.clear();
-                self.strip_buf.extend(
-                    self.addr_buf
-                        .iter()
-                        .map(|&a| Element::from_bits(mem.read_u64(a))),
-                );
-                FunctionalResult::DST_AND_ADDRS
-            }
-            Opcode::VStore | Opcode::VStoreStrided => {
-                let m = instr.mem.expect("store carries an address");
-                let data = &self.operand_bufs[0];
-                let word = |i: usize| data.get(i).copied().unwrap_or(Element::ZERO).bits();
-                if m.stride == 8 {
-                    mem.write_words(m.base, (0..vl).map(word));
-                } else {
-                    (0..vl).for_each(|i| mem.write_u64(element_addr(&m, i), word(i)));
-                }
-                FunctionalResult::NONE
-            }
-            Opcode::VStoreIndexed => {
-                let m = instr.mem.expect("scatter carries an address");
-                let idx = &self.operand_bufs[1];
-                self.addr_buf.clear();
-                self.addr_buf.extend((0..vl).map(|i| {
-                    m.base
-                        .wrapping_add((idx[i].as_i64() as u64).wrapping_mul(8))
-                }));
-                let data = &self.operand_bufs[0];
-                for (i, &a) in self.addr_buf.iter().enumerate() {
-                    mem.write_u64(a, data.get(i).copied().unwrap_or(Element::ZERO).bits());
-                }
-                FunctionalResult::ADDRS
-            }
-            Opcode::SetVl => FunctionalResult::NONE,
-            _ => {
-                let mut ops = [OperandValue::Scalar(Element::ZERO); crate::rename::MAX_SRCS];
-                let n = instr.srcs.len();
-                for (i, op) in instr.srcs.iter().enumerate() {
-                    ops[i] = match op {
-                        Operand::Reg(_) => OperandValue::Vector(&self.operand_bufs[i]),
-                        Operand::Scalar(s) => OperandValue::Scalar(*s),
-                    };
-                }
-                execute_into(instr.opcode, &ops[..n], vl, &mut self.strip_buf);
-                FunctionalResult::DST
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Statistics
     // ------------------------------------------------------------------
-
-    fn count_writeback(&mut self, elems: usize) {
-        self.stats.vrf_write_elems += elems as u64;
-    }
 
     fn count_instruction(&mut self, instr: &VecInstr, vl: usize, src_pregs: &[usize]) {
         self.stats.vrf_read_elems += (src_pregs.len() * vl) as u64;
@@ -774,41 +737,6 @@ impl Vpu {
             InstrKind::Config => self.stats.config_instrs += 1,
         }
     }
-}
-
-/// Address of element `i` of a strided access. A stride of 0 puts every
-/// element at `base`, as the timing model and the compiler's bounds check
-/// assume.
-fn element_addr(m: &MemAccess, i: usize) -> u64 {
-    (m.base as i64 + m.stride * i as i64) as u64
-}
-
-/// Outcome of functionally executing one instruction. The data itself lives
-/// in the VPU's reusable scratch buffers (`strip_buf` / `addr_buf`); these
-/// flags say which of them the instruction filled.
-#[derive(Clone, Copy)]
-struct FunctionalResult {
-    has_dst: bool,
-    has_addrs: bool,
-}
-
-impl FunctionalResult {
-    const NONE: Self = Self {
-        has_dst: false,
-        has_addrs: false,
-    };
-    const DST: Self = Self {
-        has_dst: true,
-        has_addrs: false,
-    };
-    const ADDRS: Self = Self {
-        has_dst: false,
-        has_addrs: true,
-    };
-    const DST_AND_ADDRS: Self = Self {
-        has_dst: true,
-        has_addrs: true,
-    };
 }
 
 fn subtract_stats(stats: &mut VpuStats, baseline: &VpuStats) {
@@ -834,7 +762,7 @@ fn subtract_stats(stats: &mut VpuStats, baseline: &VpuStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ava_isa::Program;
+    use ava_isa::{Operand, Program};
 
     /// Builds `a[i] = a[i] * 2 + b[i]` over `n` elements as a stripmined
     /// program for the given MVL, using two logical registers.
@@ -942,13 +870,32 @@ mod tests {
 
     #[test]
     fn ava_x8_is_functionally_correct_with_tiny_register_file() {
-        // MVL=128 leaves only 8 physical registers. Load 12 disjoint blocks
-        // of 128 elements into 12 logical registers, sum them, store the
-        // result: the Swap Mechanism must spill/refill VVRs, yet the result
-        // must match the scalar sum.
-        let regs = 12usize;
-        let vl = 128usize;
+        // MVL=128 leaves only 8 physical registers for 12 live values: the
+        // Swap Mechanism must spill/refill VVRs, yet the result must match
+        // the scalar sum.
+        let (regs, vl) = (12usize, 128usize);
         let mut mem = MemoryHierarchy::default();
+        let (p, out) = pressure(&mut mem, regs);
+        let mut vpu = Vpu::new(VpuConfig::ava_x(8), &mut mem);
+        let r = vpu.run(&p, &mut mem);
+        assert!(
+            r.stats.swap_ops() > 0,
+            "8 physical registers cannot hold 12 live values without swaps"
+        );
+        assert_eq!(vpu.tag_error(), None);
+        for i in 0..vl {
+            let expected: f64 = (0..regs)
+                .map(|reg| ((reg * vl + i) % 97) as f64 + 0.5)
+                .sum();
+            assert_eq!(mem.read_f64(out + 8 * i as u64), expected, "element {i}");
+        }
+    }
+
+    /// `regs` blocks of 128 elements loaded into `regs` logical registers,
+    /// summed into v1 and stored: on AVA X8 (8 physical registers) the
+    /// loads swap VVRs out and the sums swap them back in.
+    fn pressure(mem: &mut MemoryHierarchy, regs: usize) -> (Program, u64) {
+        let vl = 128usize;
         let input = mem.allocate((regs * vl * 8) as u64);
         let out = mem.allocate((vl * 8) as u64);
         for i in 0..regs * vl {
@@ -971,19 +918,71 @@ mod tests {
             ));
         }
         p.push(VecInstr::vstore(VReg::new(1), out));
+        (p, out)
+    }
 
+    #[test]
+    fn swapped_mvrf_slot_tags_fail_the_tag_check() {
+        let regs = 12;
+        let mut mem = MemoryHierarchy::default();
+        let (p, _) = pressure(&mut mem, regs);
+        let mut clean_mem = mem.clone();
+        let mut clean = Vpu::new(VpuConfig::ava_x(8), &mut clean_mem);
+        let r = clean.run(&p, &mut clean_mem);
+        assert!(r.stats.swap_ops() > 0);
+        assert_eq!(clean.tag_error(), None, "a correct swap path reads clean");
+
+        // After the loads, some VVRs live only in their M-VRF slots. Swap
+        // the tags of two of them, as a Swap-Store into the wrong slot
+        // would: reading them back must name the mismatch, not panic.
         let mut vpu = Vpu::new(VpuConfig::ava_x(8), &mut mem);
-        let r = vpu.run(&p, &mut mem);
+        let loads = 1 + regs;
+        let _ = vpu.run_range(&p, 0..loads, &mut mem);
+        assert_eq!(vpu.tag_error(), None);
+        let swapped: Vec<usize> = (0..vpu.mvrf_tag.len())
+            .filter(|&v| vpu.mapping.location(v as RenamedReg) == Location::Memory)
+            .collect();
         assert!(
-            r.stats.swap_ops() > 0,
-            "8 physical registers cannot hold 12 live values without swaps"
+            swapped.len() >= 2,
+            "the loads swapped VVRs out: {swapped:?}"
         );
-        for i in 0..vl {
-            let expected: f64 = (0..regs)
-                .map(|reg| ((reg * vl + i) % 97) as f64 + 0.5)
-                .sum();
-            assert_eq!(mem.read_f64(out + 8 * i as u64), expected, "element {i}");
-        }
+        let (a, b) = (swapped[0], swapped[1]);
+        assert_ne!(vpu.mvrf_tag[a], vpu.mvrf_tag[b]);
+        vpu.mvrf_tag.swap(a, b);
+        let _ = vpu.run_range(&p, loads..p.len(), &mut mem);
+        let error = vpu.tag_error().expect("the mixed-up slots are read back");
+        assert!(
+            error.contains("VVR") && error.contains("physical register"),
+            "{error}"
+        );
+    }
+
+    #[test]
+    fn write_back_and_read_counts_cover_reductions_and_short_strips() {
+        // NATIVE X1: MVL 16 over 8 lanes. A final strip of 5 elements
+        // (fewer than the lanes) loads, reduces and stores; then a
+        // zero-length reduction still writes its one result element.
+        let mut mem = MemoryHierarchy::default();
+        let buf = mem.allocate(16 * 8);
+        let mut p = Program::new("short");
+        p.push(VecInstr::setvl(5));
+        p.push(VecInstr::vload(VReg::new(1), buf));
+        p.push(VecInstr::vfredsum(VReg::new(2), VReg::new(1)));
+        p.push(VecInstr::vstore(VReg::new(2), buf));
+        let mut vpu = Vpu::new(VpuConfig::native_x(1), &mut mem);
+        let strip = vpu.run(&p, &mut mem);
+        // Writes: the load's 5 and the reduction's 5. Reads: the
+        // reduction's 5 and the store's 5.
+        assert_eq!(strip.stats.vrf_write_elems, 10);
+        assert_eq!(strip.stats.vrf_read_elems, 10);
+
+        let mut q = Program::new("empty");
+        q.push(VecInstr::setvl(0));
+        q.push(VecInstr::vfredsum(VReg::new(3), VReg::new(1)));
+        let empty = vpu.run(&q, &mut mem);
+        assert_eq!(empty.stats.vrf_write_elems, 1, "max(vl, 1) elements");
+        assert_eq!(empty.stats.vrf_read_elems, 0);
+        assert_eq!(vpu.tag_error(), None);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod swaptions;
 use ava_compiler::analysis::{analyze, AnalysisInput, AnalysisReport, Arena};
 use ava_compiler::IrKernel;
 use ava_isa::VectorContext;
-use ava_memory::MemoryHierarchy;
+use ava_memory::{MainMemory, MemoryHierarchy};
 
 pub use ava_compiler::analysis;
 pub use axpy::Axpy;
@@ -275,6 +275,15 @@ pub trait Workload {
 /// Returns `Err` with a human-readable message naming the first mismatching
 /// address, its expected and actual values.
 pub fn validate(mem: &MemoryHierarchy, checks: &[Check]) -> Result<(), String> {
+    validate_image(mem.memory(), checks)
+}
+
+/// [`validate`] on a functional memory image alone.
+///
+/// # Errors
+///
+/// As [`validate`].
+pub fn validate_image(mem: &MainMemory, checks: &[Check]) -> Result<(), String> {
     for (i, c) in checks.iter().enumerate() {
         let actual = mem.read_f64(c.addr);
         let ok = if c.tolerance == 0.0 {

@@ -6,9 +6,12 @@
 
 use ava::energy::{pnr_estimate, vpu_area};
 use ava::isa::Lmul;
-use ava::sim::{run_workload, ScenarioConfig};
+use ava::sim::{run_workload, RunReport, ScenarioConfig, Sweep};
 use ava::vpu::{preg_count_for_mvl, VpuConfig};
-use ava::workloads::{Axpy, Blackscholes, LavaMd2, ParticleFilter, Somier, Swaptions, Workload};
+use ava::workloads::{
+    Axpy, Blackscholes, LavaMd2, ParticleFilter, SharedWorkload, Somier, Swaptions, Workload,
+};
+use std::sync::Arc;
 
 fn speedup(workload: &dyn Workload, sys: &ScenarioConfig) -> f64 {
     let base = run_workload(workload, &ScenarioConfig::native_x(1));
@@ -69,6 +72,56 @@ fn axpy_speedup_grows_monotonically_with_mvl() {
         last = s;
     }
     assert!(last > 1.7, "NATIVE X8 should approach ~2x, got {last}");
+}
+
+// ------------------------------------------------------ Figure 3 (all kernels)
+
+#[test]
+fn ava_without_swaps_or_reclaims_matches_native_exactly() {
+    // AVA's second-level mapping only costs time when the P-VRF overflows.
+    // Wherever AVA Xn records no swap and no reclaim on a Figure 3 kernel,
+    // its report is NATIVE Xn's apart from the scenario label and axes.
+    let workloads: Vec<SharedWorkload> = vec![
+        Arc::new(Axpy::new(4096)),
+        Arc::new(Blackscholes::new(1024)),
+        Arc::new(LavaMd2::new(48, 2)),
+        Arc::new(ParticleFilter::new(2048, 64)),
+        Arc::new(Somier::new(4096)),
+        Arc::new(Swaptions::new(1024)),
+    ];
+    let xs = [1, 2, 3, 4, 8];
+    let scenarios = xs
+        .iter()
+        .flat_map(|&x| [ScenarioConfig::native_x(x), ScenarioConfig::ava_x(x)])
+        .collect();
+    let reports = Sweep::grid(workloads, scenarios)
+        .runner()
+        .threads(2)
+        .run()
+        .into_reports();
+    let unlabelled = |r: &RunReport| {
+        let mut r = r.clone();
+        r.config.clear();
+        r.axes.clear();
+        format!("{r:?}")
+    };
+    let mut equal = 0;
+    for pair in reports.chunks(2) {
+        let (native, ava) = (&pair[0], &pair[1]);
+        assert!(native.validated && ava.validated, "{}", ava.workload);
+        if ava.vpu.swap_ops() + ava.vpu.aggressive_reclaims == 0 {
+            assert_eq!(
+                unlabelled(native),
+                unlabelled(ava),
+                "{}: {} differs from {}",
+                ava.workload,
+                ava.config,
+                native.config
+            );
+            equal += 1;
+        }
+    }
+    assert_eq!(equal, 24, "AVA points with no swap and no reclaim");
 }
 
 // ------------------------------------------------------- Figure 3b (Blackscholes)
