@@ -103,9 +103,9 @@ fn fig4_area(run: &mut Runner<'_>) {
 }
 
 /// Unit-stride and strided vector accesses through the L2/DRAM timing
-/// model, the scalar L1 hit path, and word reads and writes of the
-/// functional memory, one word at a time and as page runs (the data path of
-/// every vector element, swap and spill).
+/// model, the per-point L2 warm-up, the scalar L1 hit path, and word reads
+/// and writes of the functional memory, one word at a time and as page runs
+/// (the data path of every vector element, swap and spill).
 fn memory_hierarchy(run: &mut Runner<'_>) {
     let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
     let base = mem.allocate(128 * 8);
@@ -118,6 +118,16 @@ fn memory_hierarchy(run: &mut Runner<'_>) {
     let addrs: Vec<u64> = (0..128u64).map(|i| base + i * 512).collect();
     run("memory/strided_128_elems", &mut || {
         mem.vector_access_elements(&addrs, false).total_cycles
+    });
+
+    // A simulated point's warm-up: a fresh hierarchy with the largest L2 of
+    // the sensitivity manifests, warmed over a 1 MiB working set.
+    let mut config = HierarchyConfig::default();
+    config.l2.size_bytes = 4 << 20;
+    run("memory/warm_1mib_into_4mib_l2", &mut || {
+        let mut mem = MemoryHierarchy::new(config);
+        mem.warm_caches_ranges(&[(0, 1 << 20)]);
+        mem.vector_access(0, 64, false).l2_hits
     });
 
     let mut mem = MemoryHierarchy::new(HierarchyConfig::default());

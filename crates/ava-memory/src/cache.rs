@@ -1,7 +1,7 @@
 //! Set-associative cache timing model with LRU replacement.
 //!
-//! The cache is a *timing* model only: data always lives in the functional
-//! [`crate::MainMemory`]; the cache tracks which lines would be resident to
+//! The cache is a *timing* model only: it holds no data, only which lines
+//! would be resident (one recency-ordered tag array, see [`Cache`]), to
 //! decide hit/miss latencies and to count dirty write-backs. Write-backs are
 //! only counted, in [`CacheStats::writebacks`]: the hierarchy charges DRAM
 //! time, `dram_bytes` and energy for misses alone, so an evicted dirty line
@@ -52,15 +52,6 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic timestamp of the last access, for LRU.
-    last_use: u64,
-}
-
 /// Outcome of a single line access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
@@ -70,7 +61,18 @@ pub struct AccessOutcome {
     pub writeback: bool,
 }
 
+/// The dirty flag of a tag entry.
+const DIRTY: u64 = 1 << 63;
+
 /// A set-associative, write-back, write-allocate cache with LRU replacement.
+///
+/// Tags live in one flat array of `sets × ways` entries, each set's ways in
+/// recency order (most recently used first): `tag + 1` with the dirty flag
+/// in bit 63, 0 for an empty way (empty ways sit behind valid ones). A hit
+/// moves its entry to the front; a miss fills the first empty way or else
+/// evicts the tail. LRU with invalid-first fill depends only on the order
+/// within each set, never on which way holds a line, so this equals
+/// timestamp LRU without a clock or per-way stamps.
 ///
 /// ```
 /// use ava_memory::{Cache, CacheConfig};
@@ -81,8 +83,9 @@ pub struct AccessOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
-    clock: u64,
+    sets: u64,
+    line_shift: u32,
+    tags: Vec<u64>,
     stats: CacheStats,
 }
 
@@ -103,8 +106,9 @@ impl Cache {
         );
         Self {
             config,
-            sets: vec![vec![Line::default(); config.ways]; sets],
-            clock: 0,
+            sets: sets as u64,
+            line_shift: config.line_bytes.trailing_zeros(),
+            tags: vec![0; sets * config.ways],
             stats: CacheStats::default(),
         }
     }
@@ -127,69 +131,72 @@ impl Cache {
         self.config.hit_latency
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.config.line_bytes as u64;
-        let set = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        (set, tag)
+    /// Where `addr`'s set starts in the tag array, and the line's tag
+    /// entry (tag plus one, clean).
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        let set = (line % self.sets) as usize;
+        (set * self.config.ways, line / self.sets + 1)
     }
 
     /// Accesses the line containing `addr`, allocating it on a miss.
     /// Returns whether it hit and whether a dirty victim was evicted.
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
-        self.clock += 1;
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let clock = self.clock;
-        let set = &mut self.sets[set_idx];
+        let (first, key) = self.locate(addr);
+        self.access_line(first, key, is_write)
+    }
 
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_use = clock;
-            line.dirty |= is_write;
-            if is_write {
-                self.stats.write_hits += 1;
-            } else {
-                self.stats.read_hits += 1;
+    /// Accesses the `lines` consecutive lines starting with the one
+    /// containing `addr`, in order, exactly as that many [`Cache::access`]
+    /// calls would, but with one division for the whole run. Returns how
+    /// many of them hit.
+    pub fn access_run(&mut self, addr: u64, lines: u64, is_write: bool) -> u64 {
+        let (mut first, mut key) = self.locate(addr);
+        let mut hits = 0;
+        for _ in 0..lines {
+            hits += u64::from(self.access_line(first, key, is_write).hit);
+            first += self.config.ways;
+            if first == self.tags.len() {
+                first = 0;
+                key += 1;
             }
-            return AccessOutcome {
-                hit: true,
-                writeback: false,
-            };
         }
+        hits
+    }
 
-        // Miss: pick an invalid way or the LRU way.
-        let victim_idx = set
+    fn access_line(&mut self, first: usize, key: u64, is_write: bool) -> AccessOutcome {
+        debug_assert!(key < DIRTY, "tag overflows into the dirty flag");
+        let ways = &mut self.tags[first..][..self.config.ways];
+        // A hit moves its entry to the front; a miss takes the first empty
+        // way, or else evicts the tail, and inserts at the front.
+        let pos = ways
             .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.last_use + 1 } else { 0 })
-            .map(|(i, _)| i)
-            .expect("cache set has at least one way");
-        let victim = &mut set[victim_idx];
-        let writeback = victim.valid && victim.dirty;
-        if writeback {
-            self.stats.writebacks += 1;
+            .position(|&e| e & !DIRTY == key || e == 0)
+            .unwrap_or(ways.len() - 1);
+        let hit = ways[pos] & !DIRTY == key;
+        let writeback = !hit && ways[pos] & DIRTY != 0;
+        let mut entry = if hit { ways[pos] } else { key } | if is_write { DIRTY } else { 0 };
+        for way in &mut ways[..=pos] {
+            entry = std::mem::replace(way, entry);
         }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            last_use: clock,
-        };
-        if is_write {
-            self.stats.write_misses += 1;
-        } else {
-            self.stats.read_misses += 1;
+        let stats = &mut self.stats;
+        match (hit, is_write) {
+            (true, false) => stats.read_hits += 1,
+            (true, true) => stats.write_hits += 1,
+            (false, false) => stats.read_misses += 1,
+            (false, true) => stats.write_misses += 1,
         }
-        AccessOutcome {
-            hit: false,
-            writeback,
-        }
+        stats.writebacks += u64::from(writeback);
+        AccessOutcome { hit, writeback }
     }
 
     /// True if the line containing `addr` is currently resident (no state change).
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let (first, key) = self.locate(addr);
+        self.tags[first..][..self.config.ways]
+            .iter()
+            .any(|&e| e & !DIRTY == key)
     }
 
     /// Clears the hit/miss counters without touching cache contents (used
@@ -200,11 +207,7 @@ impl Cache {
 
     /// Invalidates every line and clears dirty state (statistics are kept).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                *line = Line::default();
-            }
-        }
+        self.tags.fill(0);
     }
 }
 

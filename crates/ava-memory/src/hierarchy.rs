@@ -7,8 +7,8 @@
 //! * the vector memory unit (VMU), which — as in the paper's platform —
 //!   bypasses the L1 and talks to the L2 directly over a 512-bit bus.
 //!
-//! All *data* always lives in the functional [`MainMemory`]; caches and DRAM
-//! only produce timing and statistics.
+//! Caches and DRAM produce only timing and statistics. A timing-only run's
+//! [`MainMemory`] holds no data either, only the allocation cursor.
 
 use crate::cache::{Cache, CacheConfig};
 use crate::dram::{Dram, DramConfig};
@@ -67,6 +67,8 @@ pub struct MemoryHierarchy {
     dram: Dram,
     vmu_port: BusPort,
     stats: MemoryStats,
+    /// Scratch for the sorted, deduplicated lines of an element request.
+    line_buf: Vec<u64>,
 }
 
 impl MemoryHierarchy {
@@ -81,6 +83,7 @@ impl MemoryHierarchy {
             dram: Dram::new(config.dram),
             vmu_port: BusPort::new(config.vmu_bus_bytes),
             stats: MemoryStats::default(),
+            line_buf: Vec::new(),
         }
     }
 
@@ -150,8 +153,6 @@ impl MemoryHierarchy {
                 self.stats.dram_bytes += self.config.l2.line_bytes as u64;
             }
         }
-        self.stats.l1d = *self.l1d.stats();
-        self.stats.l2 = *self.l2.stats();
         latency
     }
 
@@ -163,11 +164,19 @@ impl MemoryHierarchy {
         element_addrs: &[u64],
         is_write: bool,
     ) -> AccessTiming {
-        let line = self.config.l2.line_bytes as u64;
-        let mut lines: Vec<u64> = element_addrs.iter().map(|a| a / line).collect();
+        let shift = self.config.l2.line_bytes.trailing_zeros();
+        let mut lines = std::mem::take(&mut self.line_buf);
+        lines.clear();
+        lines.extend(element_addrs.iter().map(|a| a >> shift));
         lines.sort_unstable();
         lines.dedup();
-        self.vector_access_lines(&lines, element_addrs.len() as u64 * 8, is_write)
+        let mut hits = 0;
+        for &l in &lines {
+            hits += u64::from(self.l2.access(l << shift, is_write).hit);
+        }
+        let (first, n) = (lines.first().copied(), lines.len() as u64);
+        self.line_buf = lines;
+        self.timing(first, n, hits, element_addrs.len() as u64 * 8)
     }
 
     /// Timing of a unit-stride vector request of `bytes` bytes at `base`.
@@ -175,54 +184,44 @@ impl MemoryHierarchy {
         if bytes == 0 {
             return AccessTiming::default();
         }
-        let line = self.config.l2.line_bytes as u64;
-        let first = base / line;
-        let last = (base + bytes - 1) / line;
-        let lines: Vec<u64> = (first..=last).collect();
-        self.vector_access_lines(&lines, bytes, is_write)
+        let shift = self.config.l2.line_bytes.trailing_zeros();
+        let first = base >> shift;
+        let lines = ((base + bytes - 1) >> shift) - first + 1;
+        let hits = self.l2.access_run(base, lines, is_write);
+        self.timing(Some(first), lines, hits, bytes)
     }
 
-    fn vector_access_lines(&mut self, lines: &[u64], bytes: u64, is_write: bool) -> AccessTiming {
-        if lines.is_empty() {
+    /// The timing and traffic counters of a request of `bytes` bytes that
+    /// touched `lines` L2 lines from line number `first`, `hits` of which hit.
+    fn timing(&mut self, first: Option<u64>, lines: u64, hits: u64, bytes: u64) -> AccessTiming {
+        let Some(first) = first else {
             return AccessTiming::default();
-        }
+        };
         let line_bytes = self.config.l2.line_bytes as u64;
-        let mut hits = 0;
-        let mut misses = 0;
-        for &l in lines {
-            let addr = l * line_bytes;
-            if self.l2.access(addr, is_write).hit {
-                hits += 1;
-            } else {
-                misses += 1;
-            }
-        }
+        let misses = lines - hits;
         // DRAM latency: one row activation for the request plus
         // bandwidth-limited streaming of the missed bytes.
         let dram_cycles = if misses > 0 {
             let missed_bytes = misses * line_bytes;
             self.stats.dram_accesses += misses;
             self.stats.dram_bytes += missed_bytes;
-            self.dram.access(lines[0] * line_bytes, missed_bytes)
+            self.dram.access(first * line_bytes, missed_bytes)
         } else {
             0
         };
         // The VMU port moves whole lines and is occupied for however many
         // cycles the configured bus width needs for them (one cycle per
         // 64 B line on the paper's 512-bit interface).
-        let moved_bytes = lines.len() as u64 * line_bytes;
-        let occupancy = self.vmu_port.occupancy_cycles_for(moved_bytes);
+        let occupancy = self.vmu_port.occupancy_cycles_for(lines * line_bytes);
         let total = self.l2.hit_latency() + dram_cycles + occupancy;
 
         self.stats.vmu_bytes += bytes;
         self.stats.vector_requests += 1;
-        self.stats.l1d = *self.l1d.stats();
-        self.stats.l2 = *self.l2.stats();
 
         AccessTiming {
             total_cycles: total,
             occupancy_cycles: occupancy,
-            lines_touched: lines.len() as u64,
+            lines_touched: lines,
             l2_hits: hits,
             l2_misses: misses,
         }
@@ -263,11 +262,8 @@ impl MemoryHierarchy {
     pub fn warm_caches_ranges(&mut self, ranges: &[(u64, u64)]) {
         let line = self.config.l2.line_bytes as u64;
         for &(start, end) in ranges {
-            let mut addr = start;
-            while addr < end {
-                let _ = self.l2.access(addr, false);
-                addr += line;
-            }
+            self.l2
+                .access_run(start, end.saturating_sub(start).div_ceil(line), false);
         }
         self.reset_stats();
     }
@@ -363,6 +359,56 @@ mod tests {
         assert_eq!(s.vector_requests, 2);
         assert_eq!(s.vmu_bytes, 512);
         assert!(s.dram_bytes > 0);
+    }
+
+    /// Warms `ranges` into a 3-set, 2-way L2 of 64 B lines, checks that it
+    /// then holds exactly the lines a walk of one `access` per line-sized
+    /// step from each range's start would leave, and returns it.
+    fn warmed_like_a_walk(ranges: &[(u64, u64)]) -> MemoryHierarchy {
+        let l2 = CacheConfig {
+            size_bytes: 3 * 2 * 64,
+            line_bytes: 64,
+            ways: 2,
+            hit_latency: 12,
+        };
+        let config = HierarchyConfig {
+            l2,
+            ..HierarchyConfig::default()
+        };
+        let mut h = MemoryHierarchy::new(config);
+        h.warm_caches_ranges(ranges);
+        let mut walked = Cache::new(l2);
+        for &(start, end) in ranges {
+            let mut addr = start;
+            while addr < end {
+                let _ = walked.access(addr, false);
+                addr += 64;
+            }
+        }
+        for line in 0..64 {
+            assert_eq!(
+                h.l2.contains(line * 64),
+                walked.contains(line * 64),
+                "{ranges:?}: line {line}"
+            );
+        }
+        assert_eq!(h.stats(), MemoryStats::default(), "{ranges:?}: counters");
+        h
+    }
+
+    #[test]
+    fn warming_a_range_that_starts_mid_line_touches_the_walks_lines() {
+        // [32, 90) steps once: line 0 only, though bytes 64..90 lie in line 1.
+        let h = warmed_like_a_walk(&[(32, 90)]);
+        assert!(h.l2.contains(0) && !h.l2.contains(64));
+        // Several ranges, one wrapping the sets many times and evicting.
+        let _ = warmed_like_a_walk(&[(32, 90), (100, 1000), (1500, 3000)]);
+    }
+
+    #[test]
+    fn warming_an_empty_range_touches_nothing() {
+        let h = warmed_like_a_walk(&[(640, 640), (900, 100)]);
+        assert!((0..64).all(|line| !h.l2.contains(line * 64)));
     }
 
     #[test]

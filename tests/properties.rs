@@ -7,9 +7,10 @@
 //! functional memory (word by word and in page runs) must agree with a plain
 //! byte-map model, `execute_into` must match the per-element definition of
 //! every arithmetic opcode bit for bit, the VRF mapping's resident walk
-//! must match its location table, and an L2 with more sets must hit
-//! wherever a smaller one of the same line and ways hits (the fact the
-//! sweep's sibling reuse rests on).
+//! must match its location table, the recency-ordered cache must match a
+//! timestamp-LRU reference model access for access, and an L2 with more
+//! sets must hit wherever a smaller one of the same line and ways hits (the
+//! fact the sweep's sibling reuse rests on).
 //!
 //! The container has no access to crates.io, so instead of proptest these
 //! tests drive a deterministic SplitMix64 case generator: every run explores
@@ -17,6 +18,7 @@
 
 use ava::compiler::{compile, CompileOptions, KernelBuilder, VirtReg};
 use ava::isa::{Element, Lmul, Opcode};
+use ava::memory::cache::AccessOutcome;
 use ava::memory::{Cache, CacheConfig, CacheStats, MainMemory, MemoryHierarchy};
 use ava::sim::ScenarioConfig;
 use ava::vpu::exec::{execute_into, OperandValue};
@@ -232,6 +234,195 @@ fn random_stream(rng: &mut DataGen, len: usize, lines: u64, line: u64) -> Vec<(u
             (addr, rng.next_u64().is_multiple_of(3))
         })
         .collect()
+}
+
+/// One way of the reference cache.
+#[derive(Debug, Clone, Copy, Default)]
+struct ReferenceLine {
+    tag: u64,
+    valid: bool,
+    dirty: bool,
+    /// Clock of the last access, for LRU.
+    last_use: u64,
+}
+
+/// The textbook timestamp-LRU cache: one vector of ways per set, a clock
+/// stamped on every access, a miss filling an invalid way first and
+/// otherwise evicting the way with the oldest stamp.
+struct ReferenceCache {
+    line: u64,
+    sets: Vec<Vec<ReferenceLine>>,
+    clock: u64,
+    stats: CacheStats,
+}
+
+impl ReferenceCache {
+    fn new(config: CacheConfig) -> Self {
+        Self {
+            line: config.line_bytes as u64,
+            sets: vec![vec![ReferenceLine::default(); config.ways]; config.sets()],
+            clock: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+        let line = addr / self.line;
+        let sets = self.sets.len() as u64;
+        ((line % sets) as usize, line / sets)
+    }
+
+    fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
+        self.clock += 1;
+        let (set, tag) = self.set_and_tag(addr);
+        let ways = &mut self.sets[set];
+        let found = ways.iter().position(|l| l.valid && l.tag == tag);
+        let way = found.unwrap_or_else(|| {
+            (0..ways.len())
+                .min_by_key(|&w| {
+                    if ways[w].valid {
+                        ways[w].last_use + 1
+                    } else {
+                        0
+                    }
+                })
+                .unwrap()
+        });
+        let hit = found.is_some();
+        let writeback = !hit && ways[way].valid && ways[way].dirty;
+        ways[way] = ReferenceLine {
+            tag,
+            valid: true,
+            dirty: is_write || (hit && ways[way].dirty),
+            last_use: self.clock,
+        };
+        let stats = &mut self.stats;
+        match (hit, is_write) {
+            (true, false) => stats.read_hits += 1,
+            (true, true) => stats.write_hits += 1,
+            (false, false) => stats.read_misses += 1,
+            (false, true) => stats.write_misses += 1,
+        }
+        stats.writebacks += u64::from(writeback);
+        AccessOutcome { hit, writeback }
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        let (set, tag) = self.set_and_tag(addr);
+        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+    }
+
+    fn flush(&mut self) {
+        for ways in &mut self.sets {
+            ways.fill(ReferenceLine::default());
+        }
+    }
+}
+
+/// The geometries the reference comparisons cover: 1, 2 and 16 ways over
+/// 1, 3 and 768 sets (set counts that are not powers of two, as an L2 of
+/// any whole KiB gives), each with a random line size.
+fn reference_geometries() -> impl Iterator<Item = (u64, CacheConfig)> {
+    [1usize, 2, 16]
+        .into_iter()
+        .enumerate()
+        .flat_map(|(w, ways)| {
+            [1usize, 3, 768]
+                .into_iter()
+                .enumerate()
+                .map(move |(s, sets)| {
+                    let case = (w * 3 + s) as u64;
+                    let line = 1usize << in_range(&mut case_rng(case), 4, 7);
+                    let config = CacheConfig {
+                        size_bytes: sets * ways * line,
+                        line_bytes: line,
+                        ways,
+                        hit_latency: 1,
+                    };
+                    (case, config)
+                })
+        })
+}
+
+/// Random read/write streams over working sets of 0.5x to 4x the capacity
+/// give the recency-ordered cache the reference model's outcome on every
+/// access, its counters, and its resident lines before and after a flush.
+#[test]
+fn the_recency_ordered_cache_matches_a_timestamp_lru_model() {
+    for (case, config) in reference_geometries() {
+        let capacity = (config.sets() * config.ways) as u64;
+        let line = config.line_bytes as u64;
+        for (i, half_capacities) in [1u64, 2, 4, 8].into_iter().enumerate() {
+            let mut rng = case_rng(case * 4 + i as u64);
+            let what = format!(
+                "{} sets x {} ways of {line} B, working set {half_capacities}/2 x capacity",
+                config.sets(),
+                config.ways
+            );
+            let lines = (capacity * half_capacities).div_ceil(2);
+            let stream = random_stream(&mut rng, 4 * lines.max(500) as usize, lines, line);
+            let mut cache = Cache::new(config);
+            let mut reference = ReferenceCache::new(config);
+            for (k, &(addr, write)) in stream.iter().enumerate() {
+                let outcome = cache.access(addr, write);
+                assert_eq!(outcome, reference.access(addr, write), "{what}: access {k}");
+            }
+            assert_eq!(*cache.stats(), reference.stats, "{what}: counters");
+            let touched: BTreeSet<u64> = stream.iter().map(|&(addr, _)| addr / line).collect();
+            for flushed in [false, true] {
+                if flushed {
+                    cache.flush();
+                    reference.flush();
+                    assert_eq!(
+                        *cache.stats(),
+                        reference.stats,
+                        "{what}: flush keeps counters"
+                    );
+                }
+                for &l in &touched {
+                    let (got, want) = (cache.contains(l * line), reference.contains(l * line));
+                    assert_eq!(got, want, "{what}: line {l} resident (flushed: {flushed})");
+                }
+            }
+        }
+    }
+}
+
+/// `access_run` equals the same consecutive lines accessed one by one,
+/// from unaligned starts and over runs that wrap past the last set (in a
+/// one-set cache, every line wraps).
+#[test]
+fn an_access_run_equals_its_lines_accessed_one_by_one() {
+    for (case, config) in reference_geometries() {
+        let mut rng = case_rng(case);
+        let sets = config.sets() as u64;
+        let line = config.line_bytes as u64;
+        let what = format!("{sets} sets x {} ways of {line} B", config.ways);
+        let lines = (sets * config.ways as u64 * 3).max(8);
+        let mut run = Cache::new(config);
+        let mut one_by_one = Cache::new(config);
+        for k in 0..200 {
+            let addr = in_range(&mut rng, 0, lines * line);
+            let len = in_range(&mut rng, 0, 2 * sets + 3);
+            let write = rng.next_u64().is_multiple_of(3);
+            let hits = run.access_run(addr, len, write);
+            let singles = (0..len)
+                .filter(|&i| one_by_one.access(addr + i * line, write).hit)
+                .count();
+            assert_eq!(
+                hits, singles as u64,
+                "{what}: run {k} of {len} lines at {addr:#x}"
+            );
+            assert_eq!(run.stats(), one_by_one.stats(), "{what}: run {k} counters");
+        }
+        for l in 0..lines + 2 * sets + 4 {
+            assert_eq!(
+                run.contains(l * line),
+                one_by_one.contains(l * line),
+                "{what}: line {l} resident"
+            );
+        }
+    }
 }
 
 /// Under LRU with nested set indexing, a cache with `k` times the sets of
