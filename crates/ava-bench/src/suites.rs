@@ -15,7 +15,7 @@ use ava_memory::{HierarchyConfig, MainMemory, MemoryHierarchy};
 use ava_sim::{run_workload, ScenarioConfig};
 use ava_vpu::exec::{execute_into, OperandValue};
 use ava_vpu::rac::Rac;
-use ava_vpu::rename::{RenameCheckpoint, RenameUnit};
+use ava_vpu::rename::RenameUnit;
 use ava_vpu::swap::{plan_free_register, SwapDecision};
 use ava_vpu::vrf_mapping::VrfMapping;
 
@@ -217,25 +217,9 @@ fn microarch(run: &mut Runner<'_>) {
         out.program.len() as u64
     });
 
-    // Checkpoint/restore against preallocated scratch: the speculation
-    // save-points the renaming unit takes on every swap decision.
-    let mut unit = RenameUnit::new(64);
-    for i in 0..32u8 {
-        unit.rename(Some(VReg::new(i % 32)), &[]).unwrap();
-    }
-    let mut scratch = RenameCheckpoint::empty();
-    run("microarch/rename_checkpoint_restore", &mut || {
-        let mut touched = 0u64;
-        for _ in 0..100 {
-            unit.checkpoint_into(&mut scratch);
-            unit.restore(&scratch);
-            touched += 1;
-        }
-        touched + unit.free_count() as u64
-    });
-
     // Functional execution into a caller-owned strip buffer, the pattern
-    // the VPU uses so steady-state strips never reallocate.
+    // the once-per-key functional pass (`FunctionalState`) uses so
+    // steady-state strips never reallocate; the VPU only times.
     let a: Vec<Element> = (0..256).map(|i| Element::from_f64(i as f64)).collect();
     let b: Vec<Element> = (0..256)
         .map(|i| Element::from_f64(2.5 * i as f64))

@@ -303,16 +303,6 @@ impl KernelBuilder {
         self.vfmadd(s, x, acc)
     }
 
-    /// Fused multiply-subtract: `a * b - c`.
-    pub fn vfmsub(
-        &mut self,
-        a: impl Into<IrOperand>,
-        b: impl Into<IrOperand>,
-        c: impl Into<IrOperand>,
-    ) -> VirtReg {
-        self.emit_value(Opcode::VFMsac, vec![a.into(), b.into(), c.into()])
-    }
-
     // -------------------------------------------------- int arithmetic
 
     /// Integer `a + b`.

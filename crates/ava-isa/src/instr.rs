@@ -267,17 +267,6 @@ impl VecInstr {
         )
     }
 
-    /// Fused multiply-add with three register operands:
-    /// `dst = src0 * src1 + acc` where `acc` is the old destination value.
-    #[must_use]
-    pub fn vfmacc_vv(dst: VReg, src0: VReg, src1: VReg) -> Self {
-        Self::base(
-            Opcode::VFMacc,
-            Some(dst),
-            vec![Operand::Reg(src0), Operand::Reg(src1), Operand::Reg(dst)],
-        )
-    }
-
     /// Merge/select: `dst[i] = mask[i] ? on_true[i] : on_false[i]`.
     #[must_use]
     pub fn vmerge(

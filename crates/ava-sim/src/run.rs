@@ -1,6 +1,5 @@
 //! Running one workload on one system configuration.
 
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use ava_compiler::{compile, CompileOptions, CompiledKernel};
@@ -345,7 +344,7 @@ pub fn run_workload(workload: &dyn Workload, scenario: &ScenarioConfig) -> RunRe
 /// for a single simulated point: the preparation, then one timing run.
 #[must_use]
 pub fn run_system(workload: &dyn Workload, system: &SystemConfig) -> RunReport {
-    simulate(&prepare(workload, system), system)
+    simulate(&mut prepare(workload, system), system)
 }
 
 /// The half of a point that does not depend on the scenario's timing
@@ -359,6 +358,9 @@ pub fn run_system(workload: &dyn Workload, system: &SystemConfig) -> RunReport {
 /// [`simulate`] of the point runs the program functionally over the image,
 /// once, validates the result and drops the image. Every timing run then
 /// works on a memory that holds only the allocation cursor.
+///
+/// A prepared point has one owner, which fills its lazy parts through
+/// `&mut`: nothing in it is shared or locked.
 #[derive(Debug)]
 pub(crate) struct PreparedPoint {
     workload: &'static str,
@@ -368,12 +370,12 @@ pub(crate) struct PreparedPoint {
     lmul: Lmul,
     /// The functional memory after planning, data generation and the spill
     /// arena, until the functional pass consumes it.
-    image: Mutex<MainMemory>,
+    image: MainMemory,
     /// The image's allocations without its data: the allocation cursor
     /// sits at the end of the arena, where a timing run's M-VRF goes.
     allocator: MainMemory,
     /// The functional pass's outcome, from the point's first simulation.
-    functional: OnceLock<FunctionalRun>,
+    functional: Option<FunctionalRun>,
     plan: PlannedLayout,
     /// Output checks, strip count, phase marks and warm ranges.
     setup: WorkloadSetup,
@@ -381,7 +383,7 @@ pub(crate) struct PreparedPoint {
     spill_base: u64,
     /// The result-store content fingerprint, computed on first use: a
     /// sweep without a store never formats the program.
-    fingerprint: OnceLock<u64>,
+    fingerprint: Option<u64>,
     #[cfg(test)]
     _live: tests::LiveImage,
 }
@@ -390,8 +392,8 @@ impl PreparedPoint {
     /// The content half of the point's result-store key: the planned
     /// layout, the golden reference, the spill arena and the compiled
     /// program bytes (via their exhaustive Debug form).
-    fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| {
+    fn fingerprint(&mut self) -> u64 {
+        *self.fingerprint.get_or_insert_with(|| {
             let mut h = Fingerprint::new();
             h.write_str(self.workload);
             h.write_u64(self.elements);
@@ -404,33 +406,6 @@ impl PreparedPoint {
             h.write_u64(self.compiled.spill_loads as u64);
             h.write_u64(self.compiled.max_pressure as u64);
             h.finish()
-        })
-    }
-
-    /// The functional pass's outcome. The first call runs the compiled
-    /// program over the image in program order, validates the result
-    /// against the golden reference and drops the image; a concurrent
-    /// caller waits for it.
-    fn functional(&self) -> &FunctionalRun {
-        self.functional.get_or_init(|| {
-            // Held through the pass, so a pass that panics poisons the
-            // image instead of leaving a later caller a half-run one.
-            let mut image = self
-                .image
-                .lock()
-                .expect("an earlier functional pass of this point panicked");
-            let mut indexed_addrs = Vec::new();
-            FunctionalState::new(self.mvl).run(
-                self.compiled.program.instructions(),
-                &mut image,
-                &mut indexed_addrs,
-            );
-            let validation = validate_image(&image, &self.setup.checks);
-            *image = MainMemory::default();
-            FunctionalRun {
-                validation,
-                indexed_addrs,
-            }
         })
     }
 
@@ -452,6 +427,29 @@ struct FunctionalRun {
     validation: Result<(), String>,
     /// The element addresses of every gather and scatter, in program order.
     indexed_addrs: Vec<u64>,
+}
+
+impl FunctionalRun {
+    /// Runs `compiled`'s program over `image` in program order and
+    /// validates the memory it leaves against `setup`'s golden reference.
+    /// The image is dropped when the pass ends.
+    fn new(
+        mut image: MainMemory,
+        compiled: &CompiledKernel,
+        setup: &WorkloadSetup,
+        mvl: usize,
+    ) -> Self {
+        let mut indexed_addrs = Vec::new();
+        FunctionalState::new(mvl).run(
+            compiled.program.instructions(),
+            &mut image,
+            &mut indexed_addrs,
+        );
+        Self {
+            validation: validate_image(&image, &setup.checks),
+            indexed_addrs,
+        }
+    }
 }
 
 /// Plans, builds and compiles `workload` for `system`'s MVL and compiler
@@ -492,13 +490,13 @@ pub(crate) fn prepare(workload: &dyn Workload, system: &SystemConfig) -> Prepare
         mvl: system.mvl(),
         lmul: system.compiler_lmul,
         allocator: mem.memory().allocator_only(),
-        image: Mutex::new(std::mem::take(mem.memory_mut())),
-        functional: OnceLock::new(),
+        image: std::mem::take(mem.memory_mut()),
+        functional: None,
         plan,
         setup,
         compiled,
         spill_base,
-        fingerprint: OnceLock::new(),
+        fingerprint: None,
         #[cfg(test)]
         _live: tests::LiveImage::new(),
     }
@@ -514,10 +512,10 @@ pub(crate) fn prepare(workload: &dyn Workload, system: &SystemConfig) -> Prepare
 /// Panics if `system`'s MVL or compiler LMUL differs from those of the
 /// system `prepared` was built for.
 pub(crate) fn stored_or(
-    prepared: &PreparedPoint,
+    prepared: &mut PreparedPoint,
     system: &SystemConfig,
     store: Option<&ResultStore>,
-    fresh: impl FnOnce() -> RunReport,
+    fresh: impl FnOnce(&mut PreparedPoint) -> RunReport,
 ) -> (RunReport, bool) {
     prepared.assert_prepared_for(system);
     let run_start = Instant::now();
@@ -538,7 +536,7 @@ pub(crate) fn stored_or(
             return (report, true);
         }
     }
-    let report = fresh();
+    let report = fresh(prepared);
 
     // Checkpoint: the fresh result lands in the store the moment this
     // point finishes, so a killed sweep loses at most the points in
@@ -562,19 +560,27 @@ pub(crate) fn stored_or(
 ///
 /// Panics if `system`'s MVL or compiler LMUL differs from those of the
 /// system `prepared` was built for.
-pub(crate) fn simulate(prepared: &PreparedPoint, system: &SystemConfig) -> RunReport {
+pub(crate) fn simulate(prepared: &mut PreparedPoint, system: &SystemConfig) -> RunReport {
     prepared.assert_prepared_for(system);
-    let functional = prepared.functional();
     let PreparedPoint {
-        setup, compiled, ..
+        workload,
+        mvl,
+        image,
+        allocator,
+        functional,
+        setup,
+        compiled,
+        ..
     } = prepared;
+    let functional = functional
+        .get_or_insert_with(|| FunctionalRun::new(std::mem::take(image), compiled, setup, *mvl));
 
     // 3. A fresh hierarchy for the scenario, whose memory holds no data but
     //    continues the prepared allocations. The VPU reserves its M-VRF
     //    backing store above the arena (AVA only); like the application
     //    data it belongs to the measured working set.
     let mut mem = MemoryHierarchy::new(system.memory);
-    *mem.memory_mut() = prepared.allocator.clone();
+    *mem.memory_mut() = allocator.clone();
     let (_, arena_end) = mem.memory().allocated_range();
     let mut vpu = Vpu::new(system.vpu.clone(), &mut mem);
     let (_, mvrf_end) = mem.memory().allocated_range();
@@ -664,7 +670,7 @@ pub(crate) fn simulate(prepared: &PreparedPoint, system: &SystemConfig) -> RunRe
     RunReport {
         config: system.label().to_string(),
         axes: system.axes.clone(),
-        workload: prepared.workload.to_string(),
+        workload: workload.to_string(),
         vpu_cycles: result.cycles,
         cycles,
         vpu: result.stats,
@@ -738,9 +744,9 @@ pub(crate) mod tests {
         let w = Blackscholes::new(128);
         let native = ScenarioConfig::native_x(2).resolve();
         let ava = ScenarioConfig::ava_x(2).with(Knob::L2_KIB, 256).resolve();
-        let prepared = prepare(&w, &native);
+        let mut prepared = prepare(&w, &native);
         for system in [&ava, &native, &ava] {
-            let report = simulate(&prepared, system);
+            let report = simulate(&mut prepared, system);
             assert_eq!(
                 format!("{report:?}"),
                 format!("{:?}", run_system(&w, system))
@@ -752,9 +758,9 @@ pub(crate) mod tests {
     #[should_panic(expected = "prepared for another MVL or compiler LMUL")]
     fn a_prepared_point_refuses_a_system_of_another_key() {
         let w = Axpy::new(256);
-        let prepared = prepare(&w, &ScenarioConfig::native_x(2).resolve());
+        let mut prepared = prepare(&w, &ScenarioConfig::native_x(2).resolve());
         let native_x4 = ScenarioConfig::native_x(4).resolve();
-        let _ = simulate(&prepared, &native_x4);
+        let _ = simulate(&mut prepared, &native_x4);
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //!
 //! * every simulated point gets a fresh [`MemoryHierarchy`], so no
 //!   simulation state is shared;
-//! * the only shared structure is the sweep's prepared-point memo (see
-//!   below), whose entries are read-only once prepared — and because
-//!   planning, data generation and [`ava_compiler::compile`] are pure
-//!   functions of the workload, the MVL and the compiler LMUL, reusing them
-//!   cannot change any report;
+//! * workers share no prepared state either: a claim is every point of one
+//!   prepare key, and its worker prepares the key for itself (see below) —
+//!   and because planning, data generation and [`ava_compiler::compile`]
+//!   are pure functions of the workload, the MVL and the compiler LMUL,
+//!   timing many points on one preparation cannot change any report;
 //! * a point copies a sibling's report only when that report proves the
 //!   two equal (see "Sibling reuse" below), and the sibling always runs
-//!   first on the same worker;
+//!   first in the same claim;
 //! * results are written into per-point slots, so the returned `Vec` is in
 //!   grid order regardless of which thread finished first.
 //!
@@ -26,10 +26,10 @@
 //!
 //! # Scheduling
 //!
-//! Workers claim **groups of sibling points** (see "Sibling reuse"), not
-//! single points: a claim is every point of one workload whose systems
-//! are equal apart from label, axes, L2 capacity, DRAM bandwidth and L1
-//! data cache. Per-claim simulation cost is heavily skewed — one large
+//! Workers claim **every point of one prepare key** — one (workload, MVL,
+//! compiler LMUL) triple — not single points, so the number of keys caps
+//! the useful worker count: 12 on the hierarchy sensitivity grid, 48 on
+//! Figure 3. Per-claim simulation cost is heavily skewed — one large
 //! Blackscholes point can cost more than a dozen Axpy points — so claiming
 //! in grid order lets an expensive claim picked up last tail the whole
 //! sweep. The runner claims longest-processing-time-first instead. Every
@@ -59,23 +59,23 @@
 //! A point splits into `run::prepare` — plan the layout, generate the
 //! data and golden reference, compile — and `run::simulate` — the timing
 //! run on a fresh hierarchy, then validation. Only the second half depends
-//! on the scenario's timing model, so the sweep prepares each (workload,
-//! MVL, compiler LMUL) key once and times it on every scenario of that
-//! key: the 972-point hierarchy sensitivity grid prepares 12 keys.
+//! on the scenario's timing model, so the worker that takes a key's claim
+//! prepares the key once and times it on every scenario of that key: the
+//! 972-point hierarchy sensitivity grid prepares 12 keys. The prepared
+//! point belongs to that worker alone and is dropped when the claim ends,
+//! so no worker ever waits on another's preparation.
 //!
 //! Values do not depend on the scenario either. The first simulation of a
 //! key runs its program functionally, once, over the prepared memory
 //! image; it validates the result against the golden reference, records
-//! the gather and scatter addresses and drops the image. A worker that
-//! needs the pass while another runs it waits. Every timing run reads the
-//! recorded addresses and moves no values. What stays per simulated point
-//! is the register-tag check, because swap and rename decisions depend on
-//! timing: it proves that every read met its last writer's value.
+//! the gather and scatter addresses and drops the image. Every timing run
+//! reads the recorded addresses and moves no values. What stays per
+//! simulated point is the register-tag check, because swap and rename
+//! decisions depend on timing: it proves that every read met its last
+//! writer's value.
 //!
-//! A claim's points share one key. The memo counts claims: a key's entry
-//! leaves the memo when its last claim is made. A store hit or a sibling
-//! copy never runs the functional pass, so a key served entirely that way
-//! never does. The memo is per sweep; a store hit still uses its key's
+//! A store hit or a sibling copy never runs the functional pass, so a key
+//! served entirely that way never does. A store hit still uses its key's
 //! prepared point, whose content fingerprint is half the store key, so the
 //! prepare counters of a warm rerun equal those of the cold run.
 //!
@@ -85,10 +85,12 @@
 //! the L2 never reaches DRAM, so its DRAM bandwidth cannot matter, nor can
 //! a larger L2, and no run uses the L1 data cache at all. The sweep skips
 //! such repeats when it can prove them. Inside a claim, points run in
-//! ascending (L2, DRAM, L1) order. Each point first consults the store as
-//! usual; on a miss it copies the report of the first earlier point of
-//! its claim whose report [`proves`] it equal — with `config` and `axes`
-//! rewritten — and otherwise simulates. A store-served report serves as a
+//! ascending (L2, DRAM, L1) order, so each point comes after every sibling
+//! (a system equal to its own apart from label, axes, L2 capacity, DRAM
+//! bandwidth and L1) that could prove it. Each point first consults the
+//! store as usual; on a miss it copies the report of the first earlier
+//! point of its claim whose report [`proves`] it equal — with `config` and
+//! `axes` rewritten — and otherwise simulates. A store-served report serves as a
 //! proof like a simulated one. A copy is a store miss like a simulation
 //! and is checkpointed the same way, so a warm rerun serves every point.
 //! [`SweepRun::reused_from`] names each copy's source, and
@@ -105,17 +107,17 @@
 //!
 //! [`SweepRunner::run`] returns a [`SweepReport`] that wraps the
 //! [`RunReport`]s with per-point wall-clock timing, the cost estimate,
-//! store provenance and claiming worker of every point, prepared-point
-//! memo and result-store hit/miss counters, the number of distinct
+//! store provenance and claiming worker of every point, prepared-key and
+//! result-store hit/miss counters, the number of distinct
 //! reports and the sweep's total wall-clock — the raw material for the
 //! `--json` report pipeline and CI wall-clock baselines.
 //! [`SweepRunner::execute`] returns it inside a [`SweepRun`] that adds
 //! each point's sibling-reuse source.
 //!
-//! The memo also makes the sweep cheaper than the sum of its points: on the
-//! full Figure 3 grid, NATIVE Xn, AVA Xn and RG-LMUL1 all share one
-//! (kernel, LMUL, MVL) key, so 14 configurations need only 8 preparations
-//! per workload.
+//! Preparing per key also makes the sweep cheaper than the sum of its
+//! points: on the full Figure 3 grid, NATIVE Xn, AVA Xn and RG-LMUL1 all
+//! share one (kernel, LMUL, MVL) key, so 14 configurations need only 8
+//! preparations per workload.
 //!
 //! ```
 //! use ava_sim::{ScenarioConfig, Sweep};
@@ -141,7 +143,7 @@
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::thread;
 use std::time::Instant;
 
@@ -150,7 +152,7 @@ use ava_workloads::{Fingerprint, SharedWorkload};
 
 use crate::configs::{config_axes_key, workload_identity, ScenarioConfig, SystemConfig};
 use crate::json::{object, Json};
-use crate::run::{prepare, simulate, stored_or, PreparedPoint, RunReport};
+use crate::run::{prepare, simulate, stored_or, RunReport};
 use crate::store::ResultStore;
 
 /// The static per-point cost heuristic: `elements * 16 / width` (element
@@ -169,64 +171,15 @@ fn heuristic_points_cost(elements: u64, width: u64) -> u64 {
     }
 }
 
-/// The prepared-point memo key: everything [`prepare`] reads — the
-/// workload (by grid index), the MVL and the compiler LMUL factor.
+/// A prepared point's key: everything [`prepare`] reads — the workload
+/// (by grid index), the MVL and the compiler LMUL factor.
 type PrepareKey = (usize, usize, usize);
-
-/// One key's prepared point, filled by the first worker that needs it.
-type Slot = Arc<OnceLock<PreparedPoint>>;
-
-/// The sweep's prepared points, one slot per key, each prepared exactly
-/// once however many workers ask for it.
-///
-/// An entry also counts its key's claims not yet made (a claim is a group
-/// of sibling points, see [`Sweep::claims`]). The claim that takes the
-/// count to zero removes the entry, so a prepared point — its program and
-/// recorded addresses, and its memory image if no point simulated — lives
-/// only until its key's last claim is done with it, not until the sweep
-/// ends. The claims of one key share a per-point cost
-/// estimate, so they are usually close in the claim order.
-struct PrepareMemo {
-    entries: Mutex<HashMap<PrepareKey, (Slot, usize)>>,
-}
-
-impl PrepareMemo {
-    /// A memo for claims with the given keys, one key per claim.
-    fn new(keys: impl IntoIterator<Item = PrepareKey>) -> Self {
-        let mut entries: HashMap<PrepareKey, (Slot, usize)> = HashMap::new();
-        for key in keys {
-            entries.entry(key).or_default().1 += 1;
-        }
-        Self {
-            entries: Mutex::new(entries),
-        }
-    }
-
-    /// Number of keys whose last claim is not yet made.
-    fn len(&self) -> usize {
-        self.entries.lock().expect("memo poisoned").len()
-    }
-
-    /// Makes one claim of `key` and returns the key's slot. The key's last
-    /// claim removes the entry.
-    fn claim(&self, key: PrepareKey) -> Slot {
-        let mut entries = self.entries.lock().expect("memo poisoned");
-        let (slot, remaining) = entries
-            .get_mut(&key)
-            .expect("every claimed point's key is in the memo");
-        *remaining -= 1;
-        if *remaining > 0 {
-            return Arc::clone(slot);
-        }
-        entries.remove(&key).expect("present above").0
-    }
-}
 
 /// Whether `a` and `b` are equal apart from their scenario metadata
 /// (`label`, `axes`) and the three hierarchy fields a report can show to
 /// be irrelevant: the L2 capacity, the DRAM bandwidth and the L1 data
-/// cache. A workload's points on such systems are siblings and form one
-/// claim.
+/// cache. A workload's points on such systems are siblings: one can prove
+/// the other's report.
 fn siblings(a: &SystemConfig, b: &SystemConfig) -> bool {
     // Destructured in full, so that a new field must be placed on one side
     // of the line or the other.
@@ -338,12 +291,12 @@ pub struct PointStats {
     /// [`Workload::elements`]: ava_workloads::Workload::elements
     pub elements: u64,
     /// Wall-clock time of the point, in nanoseconds: the timing run,
-    /// validation and checkpoint. Only the first point of a claim pays for
-    /// its key's preparation when the claim made it (a claim that waits on
-    /// another worker's preparation pays the wait). For a point served from
-    /// the result store this is the key lookup; for a point that copied a
-    /// sibling's report ([`SweepRun::reused_from`]) it is the lookup, the
-    /// proofs tried, the copy and its checkpoint. Neither ran a
+    /// validation and checkpoint. The first point of a claim also pays for
+    /// its key's preparation, and the key's first simulated point for the
+    /// functional pass; no point waits on another worker. For a point
+    /// served from the result store this is the key lookup; for a point
+    /// that copied a sibling's report ([`SweepRun::reused_from`]) it is the
+    /// lookup, the proofs tried, the copy and its checkpoint. Neither ran a
     /// simulation.
     pub wall_ns: u64,
     /// Index of the worker thread that executed the point (`0` for a serial
@@ -366,9 +319,9 @@ pub struct SweepReport {
     /// Points whose prepared point another point of the sweep prepared:
     /// the number of points less [`SweepReport::cache_misses`].
     pub cache_hits: u64,
-    /// Distinct (workload, MVL, compiler LMUL) keys the memo prepared and
-    /// compiled (`cache_hits + cache_misses` is the number of points). The
-    /// same at any thread count.
+    /// Distinct (workload, MVL, compiler LMUL) keys prepared and compiled,
+    /// one per claim (`cache_hits + cache_misses` is the number of points).
+    /// The same at any thread count.
     pub cache_misses: u64,
     /// Always 0: there is no on-disk compile tier. Kept so the report's
     /// field set and JSON keys stay stable.
@@ -734,30 +687,15 @@ impl Sweep {
         &self.resolved[self.points[point].1]
     }
 
-    /// The sweep's claims: each is the points of one workload on sibling
-    /// systems (equal apart from label, axes, L2 capacity, DRAM bandwidth
-    /// and L1 data cache), in ascending (L2, DRAM, L1) order, so that a
-    /// point meets every sibling that could prove it before it runs.
-    /// Claims are listed in order of their first point.
+    /// The sweep's claims: each is the points of one prepare key, in
+    /// ascending (L2, DRAM, L1, grid index) order, so that a point meets
+    /// every sibling that could prove it before it runs. Claims are listed
+    /// in order of their first point.
     fn claims(&self) -> Vec<Vec<usize>> {
-        // One family per class of sibling scenarios, found against the
-        // first scenario of each family.
-        let mut firsts: Vec<usize> = Vec::new();
-        let family: Vec<usize> = (0..self.resolved.len())
-            .map(|s| {
-                firsts
-                    .iter()
-                    .position(|&f| siblings(&self.resolved[f], &self.resolved[s]))
-                    .unwrap_or_else(|| {
-                        firsts.push(s);
-                        firsts.len() - 1
-                    })
-            })
-            .collect();
-        let mut index: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut index: HashMap<PrepareKey, usize> = HashMap::new();
         let mut claims: Vec<Vec<usize>> = Vec::new();
-        for (point, &(w, s)) in self.points.iter().enumerate() {
-            let claim = *index.entry((w, family[s])).or_insert_with(|| {
+        for point in 0..self.points.len() {
+            let claim = *index.entry(self.prepare_key(point)).or_insert_with(|| {
                 claims.push(Vec::new());
                 claims.len() - 1
             });
@@ -777,62 +715,46 @@ impl Sweep {
         claims
     }
 
-    /// Runs one claim into `done`: prepares its key (or waits for the
-    /// worker preparing it), then each point in order. A point is served
-    /// from `store` when it has a usable entry; otherwise it copies the
-    /// report of the first earlier point of the claim that [`proves`] it,
-    /// or else is simulated. Copies and simulations alike are checkpointed.
-    fn run_claim(
-        &self,
-        claim: &[usize],
-        memo: &PrepareMemo,
-        store: Option<&ResultStore>,
-        worker: usize,
-        done: &[OnceLock<Done>],
-    ) {
+    /// Runs one claim and returns its points' results, parallel to
+    /// `claim`: prepares the claim's key, then runs each point in order.
+    /// A point is served from `store` when it has a usable entry; otherwise
+    /// it copies the report of the first earlier point of the claim that
+    /// [`proves`] it, or else is simulated. Copies and simulations alike are
+    /// checkpointed. The prepared point is dropped when the claim ends.
+    fn run_claim(&self, claim: &[usize], store: Option<&ResultStore>, worker: usize) -> Vec<Done> {
         let mut start = Instant::now();
         let first = claim[0];
-        let slot = memo.claim(self.prepare_key(first));
-        // A second worker on this key blocks here until the first one has
-        // prepared it.
-        slot.get_or_init(|| {
-            prepare(
-                self.workloads[self.points[first].0].as_ref(),
-                self.system(first),
-            )
-        });
-        for (i, &point) in claim.iter().enumerate() {
+        let mut prepared = prepare(
+            self.workloads[self.points[first].0].as_ref(),
+            self.system(first),
+        );
+        let mut finished: Vec<Done> = Vec::with_capacity(claim.len());
+        for &point in claim {
             let system = self.system(point);
-            let prepared = slot.get().expect("prepared above");
             let mut reused_from = None;
-            let (report, from_store) = stored_or(prepared, system, store, || {
-                let source = claim[..i].iter().find_map(|&earlier| {
-                    let report = &done[earlier]
-                        .get()
-                        .expect("a claim's earlier points are done")
-                        .report;
-                    proves(report, self.system(earlier), system).then_some((earlier, report))
-                });
+            let (report, from_store) = stored_or(&mut prepared, system, store, |prepared| {
+                let source = claim
+                    .iter()
+                    .zip(&finished)
+                    .find(|&(&earlier, done)| proves(&done.report, self.system(earlier), system));
                 match source {
-                    Some((earlier, report)) => {
+                    Some((&earlier, done)) => {
                         reused_from = Some(earlier);
-                        copied(report, system)
+                        copied(&done.report, system)
                     }
                     None => simulate(prepared, system),
                 }
             });
-            let finished = Done {
+            finished.push(Done {
                 report,
                 from_store,
                 reused_from,
                 wall_ns: start.elapsed().as_nanos() as u64,
                 worker,
-            };
-            done[point]
-                .set(finished)
-                .expect("each point is claimed by one worker");
+            });
             start = Instant::now();
         }
+        finished
     }
 }
 
@@ -870,8 +792,8 @@ pub struct SweepRunner<'a> {
 
 impl<'a> SweepRunner<'a> {
     /// Caps the sweep at `threads` worker threads (further clamped to the
-    /// number of claims; `0` behaves like `1`). Without this the runner
-    /// uses every available core.
+    /// number of prepare keys, one claim each; `0` behaves like `1`).
+    /// Without this the runner uses every available core.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
@@ -914,10 +836,8 @@ impl<'a> SweepRunner<'a> {
             thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
         let workers = requested.clamp(1, claims.len().max(1));
-        let memo = PrepareMemo::new(claims.iter().map(|claim| sweep.prepare_key(claim[0])));
-        // Every claim asks the memo once; the first ask of a key prepares
-        // it, whichever worker makes it.
-        let prepared_keys = memo.len() as u64;
+        // One claim per key, and each claim prepares its key once.
+        let prepared_keys = claims.len() as u64;
         let order = execution_order(&claim_costs);
         let cursor = AtomicUsize::new(0);
         let store = self.store;
@@ -928,7 +848,12 @@ impl<'a> SweepRunner<'a> {
             // publishes no data (results travel through `done` and the
             // scope join), so a relaxed counter suffices.
             while let Some(&claim) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                sweep.run_claim(&claims[claim], &memo, store, worker, &done);
+                let claim = &claims[claim];
+                for (&point, finished) in claim.iter().zip(sweep.run_claim(claim, store, worker)) {
+                    done[point]
+                        .set(finished)
+                        .expect("each point is claimed by one worker");
+                }
             }
         };
         if workers == 1 {
@@ -941,8 +866,6 @@ impl<'a> SweepRunner<'a> {
                 }
             });
         }
-
-        debug_assert_eq!(memo.len(), 0, "every key's last claim removed it");
 
         let mut reports = Vec::with_capacity(n);
         let mut points = Vec::with_capacity(n);
@@ -1004,6 +927,7 @@ mod tests {
     use crate::configs::Knob;
     use ava_isa::Lmul;
     use ava_workloads::{Axpy, Blackscholes, Workload};
+    use std::sync::Arc;
 
     fn small_scenarios() -> Vec<ScenarioConfig> {
         vec![
@@ -1151,12 +1075,12 @@ mod tests {
         // No store attached: store counters stay at zero.
         assert_eq!(report.store_hits, 0);
         assert_eq!(report.store_misses, 0);
-        // The shared memo was exercised: every point is a hit or a miss.
+        // Every point is a hit or a miss of its key's preparation.
         assert!(report.cache_misses > 0);
         assert_eq!(
             report.cache_hits + report.cache_misses,
             6,
-            "one memo request per point"
+            "one prepared key per point"
         );
     }
 
@@ -1203,18 +1127,57 @@ mod tests {
     }
 
     #[test]
-    fn the_memo_removes_a_key_when_its_last_point_is_claimed() {
-        let memo = PrepareMemo::new([(0, 16, 1), (0, 32, 1), (0, 16, 1)]);
-        assert_eq!(memo.len(), 2);
-        let first = memo.claim((0, 16, 1));
-        assert_eq!(Arc::strong_count(&first), 2, "the memo still holds it");
-        let only = memo.claim((0, 32, 1));
-        assert_eq!(memo.len(), 1, "a one-point key leaves at its first claim");
-        assert_eq!(Arc::strong_count(&only), 1);
-        let second = memo.claim((0, 16, 1));
-        assert_eq!(memo.len(), 0);
-        assert!(Arc::ptr_eq(&first, &second), "one slot per key");
-        assert_eq!(Arc::strong_count(&second), 2, "only the two claims hold it");
+    fn claims_hold_exactly_one_prepare_key_each() {
+        let workloads: Vec<SharedWorkload> =
+            vec![Arc::new(Axpy::new(256)), Arc::new(Blackscholes::new(64))];
+        // NATIVE X2 and AVA X2 share a key; AVA X4 and RG-LMUL2 have their
+        // own. The VVR axis applies to the AVA bases only.
+        let mut scenarios = ScenarioConfig::axis(
+            &[
+                ScenarioConfig::native_x(2),
+                ScenarioConfig::ava_x(2),
+                ScenarioConfig::ava_x(4),
+                ScenarioConfig::rg_lmul(Lmul::M2),
+            ],
+            Knob::L2_KIB,
+            &[1024, 256],
+        );
+        scenarios.extend(ScenarioConfig::axis(
+            &ScenarioConfig::axis(
+                &[ScenarioConfig::ava_x(2), ScenarioConfig::ava_x(4)],
+                Knob::VVRS,
+                &[40, 96],
+            ),
+            Knob::L2_KIB,
+            &[512],
+        ));
+        let sweep = Sweep::grid(workloads, scenarios);
+        let claims = sweep.claims();
+        let keys: Vec<PrepareKey> = claims
+            .iter()
+            .map(|claim| sweep.prepare_key(claim[0]))
+            .collect();
+        assert_eq!(claims.len(), 2 * 3, "two workloads x three keys");
+        assert_eq!(
+            keys.iter().collect::<HashSet<_>>().len(),
+            keys.len(),
+            "no key is split across claims"
+        );
+        let mut covered: Vec<usize> = claims.concat();
+        covered.sort_unstable();
+        assert_eq!(covered, (0..sweep.len()).collect::<Vec<_>>());
+        for (claim, key) in claims.iter().zip(&keys) {
+            assert!(claim.iter().all(|&p| sweep.prepare_key(p) == *key));
+            let l2: Vec<usize> = claim
+                .iter()
+                .map(|&p| sweep.system(p).memory.l2.size_bytes)
+                .collect();
+            assert!(l2.windows(2).all(|w| w[0] <= w[1]), "ascending L2");
+        }
+        // One prepared key per claim, counted as one compile each.
+        let report = sweep.runner().threads(2).run();
+        assert_eq!(report.cache_misses, claims.len() as u64);
+        assert_eq!(report.compiles, claims.len() as u64);
     }
 
     #[test]
@@ -1384,17 +1347,17 @@ mod tests {
         );
         let sweep = Sweep::grid(workloads, scenarios);
         // Per workload: AVA x {1024, 256} x {24, 6}, then NATIVE likewise.
+        // AVA X2 and NATIVE X2 share a key, so each workload is one claim,
+        // ordered (256, 6), (256, 24), (1024, 6), (1024, 24).
         assert_eq!(
             sweep.claims(),
             vec![
-                vec![3, 2, 1, 0],
-                vec![7, 6, 5, 4],
-                vec![11, 10, 9, 8],
-                vec![15, 14, 13, 12]
+                vec![3, 7, 2, 6, 1, 5, 0, 4],
+                vec![11, 15, 10, 14, 9, 13, 8, 12]
             ]
         );
-        // Nothing misses at 256 KiB, so each claim simulates its first point
-        // and copies it three times.
+        // Nothing misses at 256 KiB, so each system's (256, 6) point is
+        // simulated and copied three times; AVA never proves NATIVE.
         let run = sweep.runner().threads(2).execute();
         assert_eq!(run.reused(), 12);
         assert_eq!(run.reused_from[0], Some(3));

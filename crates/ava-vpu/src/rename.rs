@@ -4,17 +4,15 @@
 //! (VVRs); in NATIVE/RG mode they are the physical registers themselves.
 //! The unit consists of the Register Alias Table (RAT) and the Free Register
 //! List (FRL), exactly as in Figure 1 of the paper. Old destinations are
-//! released back to the FRL when the renaming instruction commits, and the
-//! RAT/FRL state can be checkpointed and restored to recover from scalar-side
-//! misspeculation (paper §III.D).
+//! released back to the FRL when the renaming instruction commits. The
+//! simulated runs never flush, so the unit keeps no checkpoint of the
+//! RAT/FRL state for misspeculation recovery (paper §III.D).
 //!
 //! The unit sits on the per-instruction hot path of every simulated point,
 //! so it is allocation-free in steady state: renamed sources live in the
 //! fixed-capacity inline [`SrcList`] (no `Vec` push per instruction), FRL
 //! membership is tracked in a bitmap so the double-release check is O(1)
-//! instead of an O(pool) scan, and [`RenameUnit::checkpoint_into`] /
-//! [`RenameUnit::restore`] copy into preallocated buffers instead of
-//! cloning the RAT and FRL.
+//! instead of an O(pool) scan.
 
 use std::collections::VecDeque;
 
@@ -98,29 +96,6 @@ pub struct Renamed {
     pub old_dst: Option<RenamedReg>,
     /// Renamed registers for each register source, in operand order.
     pub srcs: SrcList,
-}
-
-/// Snapshot of the renaming state, taken at commit boundaries so the
-/// architectural mapping can be restored after a flush.
-///
-/// Create one cheaply with [`RenameCheckpoint::empty`] and fill it with
-/// [`RenameUnit::checkpoint_into`] to reuse its buffers across
-/// checkpoint/restore cycles; [`RenameUnit::checkpoint`] allocates a fresh
-/// snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RenameCheckpoint {
-    rat: Vec<Option<RenamedReg>>,
-    frl: VecDeque<RenamedReg>,
-    in_frl: Vec<bool>,
-}
-
-impl RenameCheckpoint {
-    /// An empty checkpoint holding no allocations; a scratch target for
-    /// [`RenameUnit::checkpoint_into`].
-    #[must_use]
-    pub fn empty() -> Self {
-        Self::default()
-    }
 }
 
 /// RAT + FRL renaming unit.
@@ -262,35 +237,6 @@ impl RenameUnit {
         self.in_frl[reg as usize] = true;
         self.frl.push_back(reg);
     }
-
-    /// Takes a snapshot of the RAT and FRL (the paper keeps a single commit-
-    /// time copy). Allocates a fresh snapshot; hot paths should hold a
-    /// [`RenameCheckpoint::empty`] scratch and use
-    /// [`RenameUnit::checkpoint_into`] instead.
-    #[must_use]
-    pub fn checkpoint(&self) -> RenameCheckpoint {
-        let mut cp = RenameCheckpoint::empty();
-        self.checkpoint_into(&mut cp);
-        cp
-    }
-
-    /// Writes the current RAT/FRL state into `checkpoint`, reusing its
-    /// buffers: after the first call on a given scratch checkpoint, taking a
-    /// snapshot performs no allocation.
-    pub fn checkpoint_into(&self, checkpoint: &mut RenameCheckpoint) {
-        checkpoint.rat.clone_from(&self.rat);
-        checkpoint.frl.clone_from(&self.frl);
-        checkpoint.in_frl.clone_from(&self.in_frl);
-    }
-
-    /// Restores a previously-taken snapshot, discarding all speculative
-    /// renames performed since. Copies into the unit's existing buffers —
-    /// no allocation.
-    pub fn restore(&mut self, checkpoint: &RenameCheckpoint) {
-        self.rat.clone_from(&checkpoint.rat);
-        self.frl.clone_from(&checkpoint.frl);
-        self.in_frl.clone_from(&checkpoint.in_frl);
-    }
 }
 
 #[cfg(test)]
@@ -394,50 +340,6 @@ mod tests {
         }
         assert_eq!(by_ref, vec![a.dst.unwrap(), b.dst.unwrap(), a.dst.unwrap()]);
         assert_eq!(format!("{:?}", read.srcs), format!("{:?}", collected));
-    }
-
-    #[test]
-    fn checkpoint_restore_recovers_the_mapping() {
-        let mut r = RenameUnit::new(8);
-        r.rename(Some(VReg::new(1)), &[]).unwrap();
-        let cp = r.checkpoint();
-        let committed_mapping = r.mapping(VReg::new(1));
-        // Speculative work beyond the checkpoint.
-        r.rename(Some(VReg::new(1)), &[]).unwrap();
-        r.rename(Some(VReg::new(2)), &[]).unwrap();
-        assert_ne!(r.mapping(VReg::new(1)), committed_mapping);
-        r.restore(&cp);
-        assert_eq!(r.mapping(VReg::new(1)), committed_mapping);
-        assert_eq!(r.mapping(VReg::new(2)), None);
-        assert_eq!(r.free_count(), 7);
-    }
-
-    #[test]
-    fn checkpoint_into_reuses_a_scratch_snapshot() {
-        let mut r = RenameUnit::new(8);
-        let mut scratch = RenameCheckpoint::empty();
-        r.rename(Some(VReg::new(1)), &[]).unwrap();
-        r.checkpoint_into(&mut scratch);
-        assert_eq!(scratch, r.checkpoint());
-        let committed = r.mapping(VReg::new(1));
-
-        // Speculate, restore, and verify the scratch snapshot round-trips
-        // repeatedly (the second cycle exercises the buffer-reuse path).
-        for _ in 0..2 {
-            r.rename(Some(VReg::new(1)), &[]).unwrap();
-            r.rename(Some(VReg::new(2)), &[]).unwrap();
-            r.restore(&scratch);
-            assert_eq!(r.mapping(VReg::new(1)), committed);
-            assert_eq!(r.mapping(VReg::new(2)), None);
-            assert_eq!(r.free_count(), 7);
-            r.checkpoint_into(&mut scratch);
-        }
-
-        // The restored unit must behave identically to a never-flushed one:
-        // double release is still caught after a restore.
-        let w2 = r.rename(Some(VReg::new(1)), &[]).unwrap();
-        r.release(w2.old_dst.unwrap());
-        assert_eq!(r.free_count(), 7);
     }
 
     #[test]

@@ -319,20 +319,6 @@ pub fn all_workloads() -> Vec<Box<dyn Workload>> {
 /// runs one simulation per (workload, system) point in parallel).
 pub type SharedWorkload = std::sync::Arc<dyn Workload + Send + Sync>;
 
-/// All six workloads at their default problem sizes as [`SharedWorkload`]s,
-/// in the order the paper presents them.
-#[must_use]
-pub fn all_workloads_shared() -> Vec<SharedWorkload> {
-    vec![
-        std::sync::Arc::new(Axpy::default()),
-        std::sync::Arc::new(Blackscholes::default()),
-        std::sync::Arc::new(LavaMd2::default()),
-        std::sync::Arc::new(ParticleFilter::default()),
-        std::sync::Arc::new(Somier::default()),
-        std::sync::Arc::new(Swaptions::default()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

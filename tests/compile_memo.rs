@@ -1,6 +1,7 @@
-//! The sweep's compile memo compiles each key exactly once, so its
-//! counters do not depend on how the workers interleave: a parallel sweep
-//! reports the same hits and misses as a serial one, run after run.
+//! The sweep compiles each prepare key exactly once, in the one claim that
+//! holds the key, so its counters do not depend on how the workers
+//! interleave: a parallel sweep reports the same hits and misses as a
+//! serial one, run after run.
 
 use std::sync::Arc;
 

@@ -1,9 +1,10 @@
 //! The sweep engine's core guarantee: a parallel sweep is observably
 //! indistinguishable from running the same grid serially. Every counter in
 //! every report — cycles, instruction counts, memory traffic, validation —
-//! must match bit-for-bit, at any thread count, with the shared
-//! prepared-point memo enabled (its reuse must not perturb results either)
-//! and with the cost-sorted scheduler reordering execution under the hood.
+//! must match bit-for-bit, at any thread count, with each prepare key
+//! timed on all of its scenarios (that reuse must not perturb results
+//! either) and with the cost-sorted scheduler reordering execution under
+//! the hood.
 
 use std::sync::Arc;
 
