@@ -8,7 +8,10 @@
 //! The result tables are dense vectors indexed by the virtual-register id
 //! (ids are allocated densely from 0), and [`Liveness::next_use`] — the
 //! query the Belady spill heuristic hammers — binary-searches the sorted
-//! per-register use positions instead of scanning them linearly.
+//! per-register use positions instead of scanning them linearly. The use
+//! positions of all registers share one flat array, grouped by register
+//! id, so the analysis allocates a fixed handful of vectors whatever the
+//! kernel's size.
 
 use crate::ir::{IrKernel, VirtReg};
 
@@ -54,8 +57,14 @@ impl LiveInterval {
 pub struct Liveness {
     /// Interval per virtual-register id (`None` for never-defined ids).
     intervals: Vec<Option<LiveInterval>>,
-    /// Sorted use positions per virtual-register id.
-    use_positions: Vec<Vec<usize>>,
+    /// Use positions of every register, grouped by register id and sorted
+    /// within a group: the uses of id `r` are
+    /// `uses[use_start[r]..use_start[r + 1]]`.
+    uses: Vec<usize>,
+    /// Group starts into `uses`, one per register id plus the end.
+    use_start: Vec<usize>,
+    /// Number of instructions in the analysed kernel.
+    len: usize,
 }
 
 impl Liveness {
@@ -70,16 +79,15 @@ impl Liveness {
             .max()
             .unwrap_or(0);
         let mut intervals: Vec<Option<LiveInterval>> = vec![None; nregs];
-        let mut use_positions: Vec<Vec<usize>> = vec![Vec::new(); nregs];
-
+        // First pass: intervals, and each register's use count in the
+        // slot after its own, so a prefix sum turns counts into starts.
+        let mut use_start = vec![0usize; nregs + 1];
         for (idx, instr) in kernel.instrs.iter().enumerate() {
             for src in instr.source_regs() {
                 if let Some(iv) = &mut intervals[src.0 as usize] {
                     iv.last_use = idx;
                 }
-                // The forward pass pushes positions in increasing order, so
-                // each list stays sorted for the `next_use` binary search.
-                use_positions[src.0 as usize].push(idx);
+                use_start[src.0 as usize + 1] += 1;
             }
             if let Some(dst) = instr.dst {
                 intervals[dst.0 as usize].get_or_insert(LiveInterval {
@@ -88,10 +96,33 @@ impl Liveness {
                 });
             }
         }
+        for r in 0..nregs {
+            use_start[r + 1] += use_start[r];
+        }
+        // Second pass: place every use. Positions arrive in increasing
+        // order, so each group stays sorted for the `next_use` search.
+        let mut fill = use_start[..nregs].to_vec();
+        let mut uses = vec![0usize; use_start[nregs]];
+        for (idx, instr) in kernel.instrs.iter().enumerate() {
+            for src in instr.source_regs() {
+                let at = &mut fill[src.0 as usize];
+                uses[*at] = idx;
+                *at += 1;
+            }
+        }
         Self {
             intervals,
-            use_positions,
+            uses,
+            use_start,
+            len: kernel.instrs.len(),
         }
+    }
+
+    /// One more than the highest virtual-register id the kernel names:
+    /// the length of the dense per-register tables.
+    #[must_use]
+    pub(crate) fn num_regs(&self) -> usize {
+        self.intervals.len()
     }
 
     /// The interval of a register, if it is ever defined.
@@ -113,9 +144,11 @@ impl Liveness {
     /// ("furthest next use") spill heuristic.
     #[must_use]
     pub fn next_use(&self, reg: VirtReg, from: usize) -> usize {
-        let Some(uses) = self.use_positions.get(reg.0 as usize) else {
+        let r = reg.0 as usize;
+        if r >= self.num_regs() {
             return usize::MAX;
-        };
+        }
+        let uses = &self.uses[self.use_start[r]..self.use_start[r + 1]];
         match uses.get(uses.partition_point(|&u| u < from)) {
             Some(&u) => u,
             None => usize::MAX,
@@ -126,20 +159,21 @@ impl Liveness {
     /// register pressure a compiler must accommodate.
     #[must_use]
     pub fn max_pressure(&self) -> usize {
-        // Sweep over interval endpoints.
-        let mut events: Vec<(usize, i32)> = Vec::with_capacity(self.intervals.len() * 2);
+        // A read value occupies a register from its definition through its
+        // last use: add one at the definition, take one off after the last
+        // use, and track the running total over the instruction indices.
+        let mut delta = vec![0i32; self.len + 1];
         for iv in self.intervals.iter().flatten() {
             if iv.is_dead() {
                 continue;
             }
-            events.push((iv.def, 1));
-            events.push((iv.last_use + 1, -1));
+            delta[iv.def] += 1;
+            delta[iv.last_use + 1] -= 1;
         }
-        events.sort_unstable();
         let mut live = 0i32;
         let mut max = 0i32;
-        for (_, delta) in events {
-            live += delta;
+        for d in delta {
+            live += d;
             max = max.max(live);
         }
         max.max(0) as usize
@@ -188,6 +222,52 @@ mod tests {
             13,
             "12 loads plus the first accumulator are simultaneously live"
         );
+    }
+
+    /// Reference pressure: sort the (index, ±1) endpoint events, ends
+    /// before starts at one index, and track the running total.
+    fn sorted_sweep_pressure(l: &Liveness) -> usize {
+        let mut events: Vec<(usize, i32)> = Vec::new();
+        for (_, iv) in l.intervals() {
+            if !iv.is_dead() {
+                events.push((iv.def, 1));
+                events.push((iv.last_use + 1, -1));
+            }
+        }
+        events.sort_unstable();
+        let (mut live, mut max) = (0i32, 0i32);
+        for (_, delta) in events {
+            live += delta;
+            max = max.max(live);
+        }
+        max.max(0) as usize
+    }
+
+    #[test]
+    fn max_pressure_matches_the_sorted_endpoint_sweep() {
+        // Values dying where others are defined, dead definitions and
+        // uses of one value at several distances.
+        let mut b = KernelBuilder::new("mixed");
+        let mut live = vec![b.vload(0), b.vload(8)];
+        for step in 0..40u64 {
+            let a = live[(step as usize * 7) % live.len()];
+            let c = live[(step as usize * 3) % live.len()];
+            let v = b.vfadd(a, c);
+            if step % 5 == 0 {
+                let _dead = b.vfmul(v, 2.0);
+            }
+            if step % 3 == 0 && live.len() > 2 {
+                live.remove(0);
+            }
+            live.push(v);
+        }
+        for v in live {
+            b.vstore(v, 0x1000);
+        }
+        for k in [b.finish(), chain(10), IrKernel::default()] {
+            let l = Liveness::analyse(&k);
+            assert_eq!(l.max_pressure(), sorted_sweep_pressure(&l), "{}", k.name);
+        }
     }
 
     #[test]

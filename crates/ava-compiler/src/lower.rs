@@ -5,11 +5,9 @@
 //! as a group base, so slot `i` becomes `v(i * LMUL)` — exactly how the
 //! RISC-V V specification names register groups.
 
-use std::collections::HashMap;
-
 use ava_isa::{InstrRole, Lmul, MemAccess, Operand, Program, VReg, VecInstr, VlMode};
 
-use crate::ir::{IrInstr, IrKernel, IrOperand, VirtReg};
+use crate::ir::{IrInstr, IrKernel, IrOperand};
 use crate::regalloc::{AllocatedKernel, Allocation, RegAllocator};
 
 /// Options controlling compilation of an IR kernel to a program.
@@ -136,17 +134,18 @@ pub fn lower(
         spill_stores: allocated.spill_stores,
         spill_loads: allocated.spill_loads,
         registers_used: allocated.slots_used,
-        max_pressure: kernel.max_pressure(),
+        max_pressure: allocated.max_pressure,
         spill_area_bytes: allocated.spill_area_bytes,
         ir_map,
     }
 }
 
 fn lower_op(ir: &IrInstr, dst_slot: Option<usize>, src_slots: &[usize], lmul: Lmul) -> VecInstr {
-    // Build the mapping from this instruction's virtual sources to the
-    // architectural registers chosen for them (used for the index register
-    // of gathers/scatters as well as the ordinary operands).
-    let mut reg_map: HashMap<VirtReg, VReg> = HashMap::new();
+    // The index register of a gather or scatter is one of the instruction's
+    // register sources, and takes the architectural register allocated to
+    // its position among them.
+    let index = ir.mem.and_then(|m| m.index);
+    let mut index_reg = None;
     let mut slot_iter = src_slots.iter();
     let mut srcs: Vec<Operand> = Vec::with_capacity(ir.srcs.len());
     for op in &ir.srcs {
@@ -156,7 +155,9 @@ fn lower_op(ir: &IrInstr, dst_slot: Option<usize>, src_slots: &[usize], lmul: Lm
                     .next()
                     .expect("allocation recorded fewer source slots than register operands");
                 let arch = slot_to_vreg(*slot, lmul);
-                reg_map.insert(*vr, arch);
+                if index == Some(*vr) {
+                    index_reg = Some(arch);
+                }
                 srcs.push(Operand::Reg(arch));
             }
             IrOperand::Scalar(e) => srcs.push(Operand::Scalar(*e)),
@@ -166,10 +167,8 @@ fn lower_op(ir: &IrInstr, dst_slot: Option<usize>, src_slots: &[usize], lmul: Lm
     let mem = ir.mem.map(|m| MemAccess {
         base: m.base,
         stride: m.stride,
-        index_reg: m.index.map(|ix| {
-            *reg_map
-                .get(&ix)
-                .expect("index register of an indexed access must be a source operand")
+        index_reg: m.index.map(|_| {
+            index_reg.expect("index register of an indexed access must be a source operand")
         }),
     });
     VecInstr {
@@ -279,6 +278,37 @@ mod tests {
         assert_eq!(gather.mem.unwrap().index_reg, gather.srcs[0].reg());
         let scatter = &out.program.instructions()[2];
         assert_eq!(scatter.mem.unwrap().index_reg, scatter.srcs[1].reg());
+    }
+
+    #[test]
+    fn an_index_read_twice_keeps_its_register() {
+        // A gather whose index value is also its second register source,
+        // and one whose index follows another source: the index register
+        // is the one its source position was allocated, v0 for the first
+        // value defined, under any register grouping.
+        let mut b = KernelBuilder::new("gather-twice");
+        let idx = b.vid();
+        let other = b.vsplat(1.0);
+        let twice = b.vload_indexed(0x1000, idx);
+        let after = b.vload_indexed(0x2000, idx);
+        b.vstore(twice, 0x3000);
+        b.vstore(after, 0x4000);
+        let mut k = b.finish();
+        k.instrs[2].srcs.push(IrOperand::Reg(idx));
+        k.instrs[3].srcs.insert(0, IrOperand::Reg(other));
+        for lmul in [Lmul::M1, Lmul::M4] {
+            let out = compile(&k, &CompileOptions::new(lmul, 0x40_0000, 1024));
+            let v0 = Some(VReg::new(0));
+            let twice = &out.program.instructions()[2];
+            assert_eq!(twice.srcs.len(), 2);
+            assert_eq!(twice.srcs[0].reg(), v0);
+            assert_eq!(twice.srcs[1].reg(), v0);
+            assert_eq!(twice.mem.unwrap().index_reg, v0, "{lmul}");
+            let after = &out.program.instructions()[3];
+            assert_ne!(after.srcs[0].reg(), v0);
+            assert_eq!(after.srcs[1].reg(), v0);
+            assert_eq!(after.mem.unwrap().index_reg, v0, "{lmul}");
+        }
     }
 
     #[test]

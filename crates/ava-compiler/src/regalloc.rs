@@ -68,6 +68,10 @@ pub struct AllocatedKernel {
     pub slots_used: usize,
     /// Bytes of stack reserved for spill slots.
     pub spill_area_bytes: u64,
+    /// Maximum simultaneous live values in the source IR, from the same
+    /// liveness pass the allocation used (equal to
+    /// [`IrKernel::max_pressure`]).
+    pub max_pressure: usize,
 }
 
 /// Belady register allocator.
@@ -121,16 +125,9 @@ impl RegAllocator {
     #[must_use]
     pub fn allocate(&self, kernel: &IrKernel) -> AllocatedKernel {
         let liveness = Liveness::analyse(kernel);
-
-        // Virtual-register ids are allocated densely from 0 by the kernel
-        // builder; one scan bounds the dense tables below.
-        let nregs = kernel
-            .instrs
-            .iter()
-            .flat_map(|i| i.dst.into_iter().chain(i.source_regs()))
-            .map(|r| r.0 as usize + 1)
-            .max()
-            .unwrap_or(0);
+        // Liveness tables are dense over the kernel's virtual-register ids,
+        // which bounds the dense tables below.
+        let nregs = liveness.num_regs();
 
         let mut st = AllocState {
             spill_base: self.spill_base,
@@ -227,6 +224,7 @@ impl RegAllocator {
 
         st.out.slots_used = st.max_slot_used;
         st.out.spill_area_bytes = st.next_spill_slot * self.spill_slot_bytes;
+        st.out.max_pressure = liveness.max_pressure();
         st.out
     }
 }

@@ -37,6 +37,6 @@ pub use configs::{
 };
 pub use json::Json;
 pub use report::{format_runs_table, format_sweep_summary, geometric_mean, speedup_vs};
-pub use run::{run_system, run_workload, PhaseBreakdown, RunReport};
+pub use run::{run_system, run_workload, store_key, PhaseBreakdown, RunReport};
 pub use store::{ResultStore, StoreKey, CODE_VERSION};
 pub use sweep::{proves, PointStats, Sweep, SweepReport, SweepRun, SweepRunner};

@@ -339,6 +339,15 @@ pub fn run_workload(workload: &dyn Workload, scenario: &ScenarioConfig) -> RunRe
     run_system(workload, &scenario.resolve())
 }
 
+/// The result-store key of `workload` on `system`: the point is planned,
+/// built and compiled as a sweep prepares it, then fingerprinted, but not
+/// simulated. Every system that shares the (MVL, compiler LMUL) key gets
+/// the same content fingerprint.
+#[must_use]
+pub fn store_key(workload: &dyn Workload, system: &SystemConfig) -> StoreKey {
+    prepare(workload, system).store_key(system)
+}
+
 /// Runs `workload` on an already-resolved [`SystemConfig`] (what
 /// [`run_workload`] does after resolution). This is the sweep's pipeline
 /// for a single simulated point: the preparation, then one timing run.
@@ -350,6 +359,9 @@ pub fn run_system(workload: &dyn Workload, system: &SystemConfig) -> RunReport {
 /// The half of a point that does not depend on the scenario's timing
 /// model: the workload's functional memory image, its golden reference and
 /// its compiled program, for one (workload, MVL, compiler LMUL) key.
+/// Its content fingerprint, half of every result-store key it serves,
+/// covers the layout, the golden reference, the spill arena and the
+/// compiled program.
 ///
 /// [`prepare`] reads nothing else of the system, so every scenario that
 /// agrees on those three — NATIVE Xn and AVA Xn, or one MVL across all L2,
@@ -389,9 +401,16 @@ pub(crate) struct PreparedPoint {
 }
 
 impl PreparedPoint {
+    /// The point's result-store key on `system`: its content fingerprint
+    /// plus the resolved scenario identity.
+    fn store_key(&mut self, system: &SystemConfig) -> StoreKey {
+        StoreKey::new(self.workload, self.elements, system, self.fingerprint())
+    }
+
     /// The content half of the point's result-store key: the planned
-    /// layout, the golden reference, the spill arena and the compiled
-    /// program bytes (via their exhaustive Debug form).
+    /// layout, the golden reference (its checks a word at a time), the
+    /// spill arena and the compiled program bytes (via their exhaustive
+    /// Debug form).
     fn fingerprint(&mut self) -> u64 {
         *self.fingerprint.get_or_insert_with(|| {
             let mut h = Fingerprint::new();
@@ -523,14 +542,7 @@ pub(crate) fn stored_or(
     // Result-store consultation. The key is the prepared content
     // fingerprint plus the resolved scenario identity. A hit replaces the
     // fresh report wholesale.
-    let key = store.map(|_| {
-        StoreKey::new(
-            prepared.workload,
-            prepared.elements,
-            system,
-            prepared.fingerprint(),
-        )
-    });
+    let key = store.map(|_| prepared.store_key(system));
     if let (Some(store), Some(key)) = (store, &key) {
         if let Some(report) = store.lookup(key) {
             return (report, true);

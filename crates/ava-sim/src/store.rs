@@ -3,8 +3,10 @@
 //! Every simulated point of a sweep is a pure function of three things: the
 //! *content* of the work (the compiled program bytes, the planned data
 //! layout and the golden reference, folded into one stable
-//! [`Fingerprint`]), the *resolved scenario* it runs on (display label plus
-//! every recorded axis) and the *code version* of the simulator itself.
+//! [`Fingerprint`]: FNV-1a over the layout, the program text and the
+//! counts, and one word step per field of each golden-reference check),
+//! the *resolved scenario* it runs on (display label plus every recorded
+//! axis) and the *code version* of the simulator itself.
 //! [`StoreKey`] captures exactly that triple, and [`ResultStore`] maps it to
 //! the full [`RunReport`] of the run, serialized through [`crate::json`] and
 //! parsed back bit-identically with [`RunReport::from_json`].
@@ -57,7 +59,10 @@ use crate::run::RunReport;
 /// every release: results computed by one simulator version are never
 /// served to another, because any model change — even one the fingerprint
 /// cannot see, like a cache-replacement tweak — may change every counter.
-pub const CODE_VERSION: &str = concat!("ava-", env!("CARGO_PKG_VERSION"), "+store.v1");
+/// The `+store.vN` suffix moves whenever the content fingerprint itself
+/// changes (v2: golden-reference checks hashed a word at a time), so an
+/// entry written under the old key reads as a miss, never as current.
+pub const CODE_VERSION: &str = concat!("ava-", env!("CARGO_PKG_VERSION"), "+store.v2");
 
 /// The identity of one stored result: which workload content ran on which
 /// resolved scenario under which simulator version.

@@ -133,15 +133,19 @@ pub struct WorkloadSetup {
 impl WorkloadSetup {
     /// Feeds this setup's golden-reference identity — the output checks
     /// (address, expected bits, tolerance bits), the stripmine count and the
-    /// phase boundaries — into a result-store fingerprint. The kernel itself
-    /// is fingerprinted separately from its *compiled* form (the program the
-    /// simulator actually executes), so it is deliberately not fed here.
+    /// phase boundaries — into a result-store fingerprint. The checks, a
+    /// large point's bulk, go one [`Fingerprint::write_word`] step per
+    /// field (`expected` and `tolerance` by their exact bit patterns, so
+    /// `0.0` and `-0.0` differ); the count and the rest go through the
+    /// byte-wise FNV-1a writes. The kernel itself is fingerprinted
+    /// separately from its *compiled* form (the program the simulator
+    /// actually executes), so it is deliberately not fed here.
     pub fn fingerprint(&self, h: &mut Fingerprint) {
         h.write_u64(self.checks.len() as u64);
         for c in &self.checks {
-            h.write_u64(c.addr);
-            h.write_f64(c.expected);
-            h.write_f64(c.tolerance);
+            h.write_word(c.addr);
+            h.write_word(c.expected.to_bits());
+            h.write_word(c.tolerance.to_bits());
         }
         h.write_u64(self.strips);
         h.write_u64(self.phase_marks.len() as u64);
@@ -380,6 +384,45 @@ mod tests {
         }];
         let err = validate(&mem, &checks).unwrap_err();
         assert!(err.contains("expected 2"));
+    }
+
+    #[test]
+    fn the_setup_fingerprint_sees_every_check_field_and_their_order() {
+        let check = |addr, expected, tolerance| Check {
+            addr,
+            expected,
+            tolerance,
+        };
+        let key = |checks: Vec<Check>| {
+            let setup = WorkloadSetup {
+                kernel: IrKernel::default(),
+                checks,
+                strips: 4,
+                outputs: Vec::new(),
+                warm_ranges: Vec::new(),
+                phase_marks: Vec::new(),
+            };
+            let mut h = Fingerprint::new();
+            setup.fingerprint(&mut h);
+            h.finish()
+        };
+        let base = vec![check(0x1000, 1.5, 0.0), check(0x1008, 0.0, 1e-9)];
+        let variants = [
+            base.clone(),
+            vec![check(0x1010, 1.5, 0.0), check(0x1008, 0.0, 1e-9)],
+            vec![check(0x1000, 2.5, 0.0), check(0x1008, 0.0, 1e-9)],
+            vec![check(0x1000, 1.5, 0.0), check(0x1008, -0.0, 1e-9)],
+            vec![check(0x1000, 1.5, 1e-12), check(0x1008, 0.0, 1e-9)],
+            vec![base[1], base[0]],
+            vec![base[0]],
+        ];
+        let keys: Vec<u64> = variants.into_iter().map(key).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "variants {i} and {j} share a fingerprint");
+            }
+        }
+        assert_eq!(keys[0], key(base), "the fingerprint is deterministic");
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! The sweep compiles each prepare key exactly once, in the one claim that
 //! holds the key, so its counters do not depend on how the workers
 //! interleave: a parallel sweep reports the same hits and misses as a
-//! serial one, run after run.
+//! serial one, run after run. Each compile reports the register pressure
+//! of its source IR.
 
 use std::sync::Arc;
 
-use ava::sim::Sweep;
+use ava::compiler::{compile, CompileOptions};
+use ava::isa::{Lmul, VectorContext};
+use ava::memory::MemoryHierarchy;
+use ava::sim::{ScenarioConfig, Sweep};
 use ava::workloads::{
     Axpy, Blackscholes, LavaMd2, ParticleFilter, SharedWorkload, Somier, Swaptions,
 };
 use ava_bench::evaluated_systems;
+use ava_bench::spec::{ExperimentSpec, MixRegistry};
 
 /// The Figure 3 grid shape — six kernels on the fourteen evaluated
 /// systems, 84 points — at test-speed problem sizes.
@@ -42,5 +47,41 @@ fn parallel_sweeps_report_the_serial_compile_counters_every_time() {
             "run {run}: two workers racing on one key must compile it once"
         );
         assert_eq!(parallel.compiles, parallel.cache_misses);
+    }
+}
+
+/// The compiler reports the register pressure of the liveness pass its
+/// allocator ran, which must be the pressure of the source IR: for every
+/// Figure 3 workload at every (MVL, compiler LMUL) key of the fourteen
+/// evaluated systems.
+#[test]
+fn compiled_kernels_report_their_ir_pressure_at_every_fig3_key() {
+    let label = "experiments/fig3_extrapolation.json";
+    let spec = ExperimentSpec::parse(label, &std::fs::read_to_string(label).unwrap()).unwrap();
+    let mut keys: Vec<(usize, Lmul)> = Vec::new();
+    for system in evaluated_systems().iter().map(ScenarioConfig::resolve) {
+        if !keys.contains(&(system.mvl(), system.compiler_lmul)) {
+            keys.push((system.mvl(), system.compiler_lmul));
+        }
+    }
+    assert_eq!(keys.len(), 8);
+    for entry in &spec.workloads {
+        let workload = MixRegistry::build(entry).unwrap();
+        for &(mvl, lmul) in &keys {
+            let mut mem = MemoryHierarchy::default();
+            let setup = workload.build(&mut mem, &VectorContext::with_mvl(mvl));
+            let slot_bytes = (mvl * 8) as u64;
+            let spill_base = mem.allocate(64 * slot_bytes);
+            let compiled = compile(
+                &setup.kernel,
+                &CompileOptions::new(lmul, spill_base, slot_bytes),
+            );
+            assert_eq!(
+                compiled.max_pressure,
+                setup.kernel.max_pressure(),
+                "{} at MVL {mvl}, {lmul}",
+                workload.name()
+            );
+        }
     }
 }

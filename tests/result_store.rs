@@ -1,19 +1,22 @@
 //! The result store's core guarantees, exercised end to end through the
 //! sweep engine: a killed sweep resumes bit-identically, a warm rerun
 //! simulates nothing, invalidation is scoped to the workload that changed,
-//! a damaged store entry degrades to a miss instead of a crash, and a point
-//! that failed validation is never checkpointed.
+//! a damaged store entry degrades to a miss instead of a crash, a point
+//! that failed validation is never checkpointed, and no two prepare keys of
+//! a committed manifest share a content fingerprint.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use ava::isa::VectorContext;
 use ava::memory::MemoryHierarchy;
-use ava::sim::{ResultStore, ScenarioConfig, Sweep, SweepReport};
+use ava::sim::{store_key, ResultStore, ScenarioConfig, Sweep, SweepReport};
 use ava::workloads::{
     Axpy, BufferBindings, DataLayout, PlannedLayout, SharedWorkload, Somier, Workload,
     WorkloadSetup,
 };
+use ava_bench::spec::{ArtefactKind, ExperimentSpec, MixRegistry};
+use ava_bench::{evaluated_systems, sensitivity_grid_with};
 
 fn store_dir(tag: &str) -> PathBuf {
     let dir =
@@ -287,4 +290,45 @@ fn store_round_trip_never_perturbs_results() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The content fingerprint of every prepare key — (workload, MVL,
+/// compiler LMUL) — of a committed manifest, one per key.
+fn manifest_key_fingerprints(manifest: &str) -> Vec<u64> {
+    let label = format!("experiments/{manifest}.json");
+    let spec = ExperimentSpec::parse(&label, &std::fs::read_to_string(&label).unwrap()).unwrap();
+    let scenarios = match spec.artefact {
+        ArtefactKind::Fig3 => evaluated_systems(),
+        ArtefactKind::Sensitivity => {
+            sensitivity_grid_with(&spec.axes.mvl, &spec.axes.l2_kib, &spec.axes.extra)
+        }
+        other => panic!("{label}: no key grid for {other:?}"),
+    };
+    let mut fingerprints = Vec::new();
+    for entry in &spec.workloads {
+        let workload = MixRegistry::build(entry).unwrap();
+        let mut keys = Vec::new();
+        for system in scenarios.iter().map(ScenarioConfig::resolve) {
+            let key = (system.mvl(), system.compiler_lmul);
+            if !keys.contains(&key) {
+                keys.push(key);
+                fingerprints.push(store_key(workload.as_ref(), &system).fingerprint);
+            }
+        }
+    }
+    fingerprints
+}
+
+/// Every prepare key of a manifest builds other data or compiles another
+/// program, so two keys sharing a content fingerprint would mean the
+/// fingerprint misses what tells them apart.
+#[test]
+fn every_manifest_key_has_its_own_fingerprint() {
+    for (manifest, keys) in [("fig3_extrapolation", 48), ("sensitivity_hierarchy", 12)] {
+        let mut fingerprints = manifest_key_fingerprints(manifest);
+        assert_eq!(fingerprints.len(), keys, "{manifest}");
+        fingerprints.sort_unstable();
+        fingerprints.dedup();
+        assert_eq!(fingerprints.len(), keys, "{manifest}: two keys collide");
+    }
 }
