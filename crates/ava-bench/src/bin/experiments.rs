@@ -1,7 +1,8 @@
-//! The one entry point that runs experiment sweeps: executes any
-//! experiment manifest from `experiments/` (or anywhere else) through the
-//! spec-driven driver. Every figure and sensitivity study of the paper is a
-//! committed manifest.
+//! The one entry point for every paper artefact: executes any experiment
+//! manifest from `experiments/` (or anywhere else) through the spec-driven
+//! driver. Every figure, table and sensitivity study of the paper is a
+//! committed manifest; Tables I, II–III and V (`paper_tables.json`) run no
+//! sweep and reject the execution flags and `--app`.
 //!
 //! Usage:
 //!

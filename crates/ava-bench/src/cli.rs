@@ -1,5 +1,5 @@
 //! Shared command-line plumbing for the `experiments` driver and the
-//! table/lint binaries.
+//! `lint` and `bench_baseline` binaries.
 //!
 //! Every binary parses its arguments through one [`BenchArgs`] pass: the
 //! shared flags — `--json <path>`, `--threads <n>`, `--store <dir>` and
@@ -19,8 +19,9 @@
 //! * `--resume` — assert that `--store` points at an *existing* checkpoint
 //!   directory (e.g. from a killed run) instead of silently starting cold.
 //!
-//! Binaries that do not run sweeps reject the execution flags with a clear
-//! message rather than ignoring them.
+//! Binaries and artefacts that do not run sweeps (`lint`, the `tables`
+//! manifest artefact) reject the execution flags with a clear message
+//! rather than ignoring them.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -155,8 +156,9 @@ impl BenchArgs {
         }
     }
 
-    /// For binaries that never run a sweep: rejects `--threads`, `--store`
-    /// and `--resume` with `reason` rather than silently ignoring them.
+    /// For binaries and artefacts that never run a sweep: rejects
+    /// `--threads`, `--store` and `--resume` with `reason` rather than
+    /// silently ignoring them.
     ///
     /// # Errors
     ///
@@ -356,9 +358,9 @@ mod tests {
     fn execution_flags_can_be_rejected_by_sweepless_binaries() {
         let args = BenchArgs::from_args(argv(&["--threads", "2"])).unwrap();
         let err = args
-            .reject_execution_flags("table1 is analytic")
+            .reject_execution_flags("the tables are analytic")
             .unwrap_err();
-        assert!(err.contains("table1 is analytic"));
+        assert!(err.contains("the tables are analytic"));
         let args = BenchArgs::from_args(argv(&[])).unwrap();
         assert!(args.reject_execution_flags("never triggers").is_ok());
         assert!(args.reject_json("never triggers").is_ok());

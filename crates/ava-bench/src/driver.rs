@@ -3,8 +3,9 @@
 //! [`execute`] turns one validated [`ExperimentSpec`] plus the shared
 //! execution options ([`BenchArgs`]) into the experiment's artefacts: the
 //! chart/table text that goes to stdout and the machine-readable JSON
-//! document. The `experiments` binary calls [`run`]; it is the only entry
-//! point that runs sweeps.
+//! document. The `experiments` binary calls [`run`]; it is the one entry
+//! point for every paper artefact, the analytic Tables I, II–III and V
+//! included.
 //!
 //! Progress lines (sweep size, sweep summary) stream to stderr while the
 //! sweeps run; the stdout text is accumulated and printed
@@ -23,8 +24,9 @@ use crate::spec::{ArtefactKind, AxesSpec, ExperimentSpec, MixRegistry};
 use crate::{
     evaluated_systems, figure4_data_with, format_cache_sensitivity, format_energy,
     format_energy_sensitivity, format_figure4_from, format_instruction_mix,
-    format_memory_breakdown, format_mvl_extrapolation, format_performance, manifest_key,
-    sensitivity_grid_with, sensitivity_json, sweep_energy_json,
+    format_memory_breakdown, format_mvl_extrapolation, format_performance, format_table1,
+    format_table5, format_table_configs, manifest_key, sensitivity_grid_with, sensitivity_json,
+    sweep_energy_json, table1_rows, table5_rows, TABLE1_PVRF_BYTES,
 };
 
 /// The artefacts of one executed experiment.
@@ -65,6 +67,7 @@ pub fn execute(spec: &ExperimentSpec, args: &BenchArgs) -> Result<ExperimentRun,
         ArtefactKind::Fig4 => fig4(spec, args, &mut stdout)?,
         ArtefactKind::Sensitivity => sensitivity(spec, args, &mut stdout)?,
         ArtefactKind::Ablation => ablation(spec, args, &mut stdout),
+        ArtefactKind::Tables => tables(spec, args, &mut stdout)?,
     };
     Ok(ExperimentRun { stdout, document })
 }
@@ -365,6 +368,104 @@ fn study(
                 .collect::<Json>(),
         )
         .field("sweep", run.to_json())
+        .finish()
+}
+
+/// Tables I, II–III and V: each chosen table's text, joined by one blank
+/// line, and a document holding each table's own JSON under its chart
+/// kind.
+fn tables(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Json, String> {
+    let reason = "the tables are computed analytically, without a sweep";
+    args.reject_execution_flags(reason)?;
+    if spec.app.is_some() {
+        return Err(format!("--app does not apply: {reason}"));
+    }
+    let chart = spec.chart();
+    let mut document = object().field("artefact", "tables");
+    let all = [
+        (
+            "table1",
+            format_table1 as fn() -> String,
+            table1_json as fn() -> Json,
+        ),
+        ("table_configs", format_table_configs, table_configs_json),
+        ("table5", format_table5, table5_json),
+    ];
+    for (kind, text, json) in all {
+        if chart == kind || chart == "all" {
+            if !out.is_empty() {
+                out.push('\n');
+            }
+            out.push_str(&text());
+            document = document.field(kind, json());
+        }
+    }
+    Ok(document.finish())
+}
+
+fn table1_json() -> Json {
+    object()
+        .field("artefact", "table1")
+        .field("pvrf_bytes", TABLE1_PVRF_BYTES)
+        .field(
+            "configurations",
+            table1_rows()
+                .into_iter()
+                .map(|(mvl, pregs)| {
+                    object()
+                        .field("mvl", mvl)
+                        .field("physical_regs", pregs)
+                        .finish()
+                })
+                .collect::<Json>(),
+        )
+        .finish()
+}
+
+fn table_configs_json() -> Json {
+    object()
+        .field("artefact", "table_configs")
+        .field(
+            "systems",
+            evaluated_systems()
+                .iter()
+                .map(|sys| {
+                    let vpu = sys.vpu_config();
+                    object()
+                        .field("config", sys.label())
+                        .field("mvl", vpu.mvl)
+                        .field("pvrf_bytes", vpu.pvrf_bytes)
+                        .field("physical_regs", vpu.physical_regs())
+                        .field("logical_regs", vpu.logical_regs)
+                        .field("mvrf_bytes", vpu.mvrf_bytes())
+                        .finish()
+                })
+                .collect::<Json>(),
+        )
+        .finish()
+}
+
+fn table5_json() -> Json {
+    object()
+        .field("artefact", "table5")
+        .field(
+            "rows",
+            table5_rows()
+                .iter()
+                .map(|(name, cfg)| {
+                    let p = ava_energy::pnr_estimate(cfg);
+                    object()
+                        .field("config", *name)
+                        .field("wns_ns", p.wns_ns)
+                        .field("power_mw", p.power_mw)
+                        .field("area_mm2", p.area_mm2)
+                        .field("density", p.density)
+                        .field("vrf_macro_area_mm2", p.vrf_macro_area_mm2)
+                        .field("ava_area_mm2", p.ava_area_mm2)
+                        .finish()
+                })
+                .collect::<Json>(),
+        )
         .finish()
 }
 

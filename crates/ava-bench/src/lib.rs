@@ -5,20 +5,18 @@
 //!
 //! | Binary          | Paper artefact                                              |
 //! |-----------------|-------------------------------------------------------------|
-//! | `experiments`   | Every sweep-backed artefact, one committed manifest each:     |
+//! | `experiments`   | Every paper artefact, one committed manifest each:            |
 //! |                 | Figure 3 (`experiments/fig3_extrapolation.json`), Figure 4    |
-//! |                 | (`fig4_area.json`), the sensitivity studies and the           |
-//! |                 | microarchitectural ablation (`ablation_microarch.json`)       |
-//! | `table1`        | Table I — P-VRF configurations (physical registers vs MVL)   |
-//! | `table_configs` | Tables II & III — evaluated system configurations             |
-//! | `table5`        | Table V — post-place-and-route estimates                      |
+//! |                 | (`fig4_area.json`), the sensitivity studies, the              |
+//! |                 | microarchitectural ablation (`ablation_microarch.json`) and   |
+//! |                 | Tables I, II–III and V (`paper_tables.json`, no sweep)        |
 //! | `bench_baseline`| Wall-clock baselines — `BENCH_<suite>.json` for CI            |
 //! | `lint`          | Static-analysis sweep — every workload/mix linted at every    |
 //! |                 | evaluated MVL (plus the 512 extrapolation), deny mode in CI   |
 //!
-//! Every binary accepts `--json <path>` and writes a machine-readable form
-//! of its artefact there (hand-rolled emitter in [`ava_sim::json`]; the
-//! workspace builds offline, so no serde).
+//! `experiments` and `lint` accept `--json <path>` and write a
+//! machine-readable form of their artefact there (hand-rolled emitter in
+//! [`ava_sim::json`]; the workspace builds offline, so no serde).
 //!
 //! The std-only benches in `benches/` measure the *simulator itself*
 //! (rename/swap throughput, cache behaviour, end-to-end kernel simulation),
@@ -236,13 +234,13 @@ fn config_map() -> BTreeMap<String, VpuConfig> {
 }
 
 /// The P-VRF capacity Table I assumes (8 KB).
-pub const TABLE1_PVRF_BYTES: usize = 8 * 1024;
+pub(crate) const TABLE1_PVRF_BYTES: usize = 8 * 1024;
 
 /// The Table I rows: `(MVL in elements, physical registers)` for every
 /// configuration of the 8 KB AVA P-VRF. Single source for both the text
 /// table and the `--json` artefact.
 #[must_use]
-pub fn table1_rows() -> Vec<(usize, usize)> {
+pub(crate) fn table1_rows() -> Vec<(usize, usize)> {
     (1..=8)
         .map(|n| (16 * n, preg_count_for_mvl(TABLE1_PVRF_BYTES, 16 * n)))
         .collect()
@@ -435,7 +433,7 @@ pub fn format_figure4_from(data: &Figure4Data) -> String {
 /// paper takes through the place-and-route flow. Single source for both
 /// the text table and the `--json` artefact.
 #[must_use]
-pub fn table5_rows() -> Vec<(&'static str, VpuConfig)> {
+pub(crate) fn table5_rows() -> Vec<(&'static str, VpuConfig)> {
     vec![
         ("NATIVE X8", VpuConfig::native_x(8)),
         ("AVA", VpuConfig::ava_x(8)),

@@ -2,12 +2,12 @@
 //!
 //! A manifest is a JSON document describing one experiment end to end —
 //! which artefact to regenerate (`fig3`, `fig4`, `sensitivity`,
-//! `ablation`), which workloads and mixes to sweep, which scenario axes to
-//! cross, how to execute (threads, result store) and what to emit (JSON
-//! path, chart kind). The `experiments` binary is the one entry point that
-//! runs sweeps: it drives the whole bench stack from such a file, and the
-//! committed `experiments/*.json` manifests regenerate every artefact of
-//! the paper.
+//! `ablation`, `tables`), which workloads and mixes to sweep, which
+//! scenario axes to cross, how to execute (threads, result store) and what
+//! to emit (JSON path, chart kind). The `experiments` binary is the one
+//! entry point for every paper artefact: it drives the whole bench stack
+//! from such a file, and the committed `experiments/*.json` manifests
+//! regenerate every figure and table of the paper.
 //!
 //! The schema is parsed with the dependency-free [`ava_sim::json`] parser;
 //! every schema error is a diagnostic naming the offending token and its
@@ -54,9 +54,20 @@ pub enum ArtefactKind {
     /// The microarchitectural ablation (issue queues, ROB, mem-op
     /// overhead).
     Ablation,
+    /// Tables I, II–III and V, computed analytically without a sweep.
+    Tables,
 }
 
 impl ArtefactKind {
+    /// Every artefact, in the order diagnostics list them.
+    pub const ALL: [ArtefactKind; 5] = [
+        ArtefactKind::Fig3,
+        ArtefactKind::Fig4,
+        ArtefactKind::Sensitivity,
+        ArtefactKind::Ablation,
+        ArtefactKind::Tables,
+    ];
+
     /// The manifest spelling of the artefact.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -65,17 +76,18 @@ impl ArtefactKind {
             ArtefactKind::Fig4 => "fig4",
             ArtefactKind::Sensitivity => "sensitivity",
             ArtefactKind::Ablation => "ablation",
+            ArtefactKind::Tables => "tables",
         }
     }
 
     fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "fig3" => Some(ArtefactKind::Fig3),
-            "fig4" => Some(ArtefactKind::Fig4),
-            "sensitivity" => Some(ArtefactKind::Sensitivity),
-            "ablation" => Some(ArtefactKind::Ablation),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|a| a.as_str() == s)
+    }
+
+    /// Whether a manifest picks this artefact's workloads: the ablation
+    /// fixes its own and the tables run none.
+    fn takes_workloads(self) -> bool {
+        !matches!(self, ArtefactKind::Ablation | ArtefactKind::Tables)
     }
 
     /// The chart kinds this artefact's text output can be restricted to
@@ -86,6 +98,7 @@ impl ArtefactKind {
         match self {
             ArtefactKind::Fig3 => &["mem", "mix", "perf", "energy", "all"],
             ArtefactKind::Sensitivity => &["tables", "energy", "all"],
+            ArtefactKind::Tables => &["table1", "table_configs", "table5", "all"],
             ArtefactKind::Fig4 | ArtefactKind::Ablation => &[],
         }
     }
@@ -94,7 +107,7 @@ impl ArtefactKind {
     #[must_use]
     pub fn default_chart(self) -> &'static str {
         match self {
-            ArtefactKind::Fig3 => "all",
+            ArtefactKind::Fig3 | ArtefactKind::Tables => "all",
             ArtefactKind::Sensitivity => "tables",
             ArtefactKind::Fig4 | ArtefactKind::Ablation => "",
         }
@@ -342,8 +355,8 @@ impl ExperimentSpec {
                 ArtefactKind::Fig3 | ArtefactKind::Fig4 => paper_workload_specs(),
                 ArtefactKind::Sensitivity => sensitivity_workload_specs(),
                 // The ablation's (workload, base-config) pairs are the
-                // studies themselves, not a pool.
-                ArtefactKind::Ablation => Vec::new(),
+                // studies themselves, not a pool; the tables run nothing.
+                ArtefactKind::Ablation | ArtefactKind::Tables => Vec::new(),
             },
             app: None,
             axes: AxesSpec::default(),
@@ -373,14 +386,27 @@ impl ExperimentSpec {
             .and_then(Json::as_str)
             .ok_or_else(|| format!("manifest {label}: missing required field \"artefact\""))?;
         let artefact = ArtefactKind::from_str(artefact_str).ok_or_else(|| {
+            let names = ArtefactKind::ALL.map(ArtefactKind::as_str);
+            let (last, rest) = names.split_last().expect("there are artefacts");
             ctx.fail(
                 artefact_str,
-                format!("unknown artefact {artefact_str:?} (expected fig3, fig4, sensitivity or ablation)"),
+                format!(
+                    "unknown artefact {artefact_str:?} (expected {} or {last})",
+                    rest.join(", ")
+                ),
             )
         })?;
         let mut spec = Self::new(artefact);
 
         for (key, value) in fields {
+            if artefact == ArtefactKind::Tables
+                && matches!(key.as_str(), "workloads" | "app" | "axes" | "execution")
+            {
+                return Err(ctx.fail(
+                    key,
+                    format!("{key:?} does not apply to the tables artefact (it runs no sweep)"),
+                ));
+            }
             match key.as_str() {
                 "artefact" => {}
                 "name" => {
@@ -456,7 +482,7 @@ impl ExperimentSpec {
     /// Cross-field validation run by [`ExperimentSpec::parse`] once every
     /// field is read.
     fn validate(&self, ctx: &Ctx<'_>) -> Result<(), String> {
-        if self.artefact != ArtefactKind::Ablation && self.workloads.is_empty() {
+        if self.artefact.takes_workloads() && self.workloads.is_empty() {
             return Err(format!(
                 "manifest {}: \"workloads\" needs at least one entry",
                 ctx.label
@@ -521,7 +547,7 @@ impl ExperimentSpec {
             o = o.field("name", name.as_str());
         }
         o = o.field("artefact", self.artefact.as_str());
-        if self.artefact != ArtefactKind::Ablation {
+        if self.artefact.takes_workloads() {
             o = o.field(
                 "workloads",
                 self.workloads
@@ -824,6 +850,9 @@ mod tests {
         assert_eq!(spec.chart(), "tables");
         let spec = ExperimentSpec::parse("t", r#"{"artefact": "ablation"}"#).unwrap();
         assert!(spec.workloads.is_empty());
+        let spec = ExperimentSpec::parse("t", r#"{"artefact": "tables"}"#).unwrap();
+        assert!(spec.workloads.is_empty());
+        assert_eq!(spec.chart(), "all");
     }
 
     #[test]
@@ -846,6 +875,9 @@ mod tests {
 
         let err = ExperimentSpec::parse("t", r#"{"artefact": "fig9"}"#).unwrap_err();
         assert!(err.contains("fig9") && err.contains("byte"), "{err}");
+        for kind in ArtefactKind::ALL {
+            assert!(err.contains(kind.as_str()), "{err} must name {kind:?}");
+        }
     }
 
     #[test]
@@ -946,6 +978,7 @@ mod tests {
                 "execution": {"threads": 1}}"#,
             r#"{"artefact": "ablation"}"#,
             r#"{"artefact": "fig4"}"#,
+            r#"{"artefact": "tables", "output": {"kind": "table5"}}"#,
         ];
         for text in texts {
             let spec = ExperimentSpec::parse("t", text).unwrap();

@@ -609,63 +609,52 @@ pub(crate) fn simulate(prepared: &mut PreparedPoint, system: &SystemConfig) -> R
     warm.push((arena_end, mvrf_end));
     mem.warm_caches_ranges(&warm);
 
-    // Multi-kernel setups run the compiled program as per-phase segments on
-    // the same VPU instance — observationally identical to one continuous
-    // run, but every phase's cycle/memory counters are recorded as a delta.
+    // The program runs as one segment per phase mark on the same VPU
+    // instance — observationally identical to one continuous run — or as
+    // one whole-program segment without marks. A multi-phase run records
+    // every phase's cycle/memory counters as a delta.
+    let marks = &setup.phase_marks;
+    let segments = marks.len().max(1);
     let mut phases = Vec::new();
     let mut indexed_addrs = functional.indexed_addrs.as_slice();
-    let result = if setup.phase_marks.len() > 1 {
-        let mut cycles = 0;
-        let mut stats = ava_vpu::VpuStats::default();
-        let mut program_start = 0;
-        let mut config_name = String::new();
-        let mut mem_before = mem.stats();
-        for (i, mark) in setup.phase_marks.iter().enumerate() {
-            // The last phase always runs to the end of the program, so any
-            // trailing compiler-inserted code is attributed to it.
-            let program_end = if i + 1 == setup.phase_marks.len() {
-                compiled.program.len()
-            } else {
-                compiled.program_split(mark.ir_end)
-            };
-            let seg = vpu.time_range(
-                &compiled.program,
-                program_start..program_end,
-                &mut mem,
-                &mut indexed_addrs,
-            );
+    let mut vpu_cycles = 0;
+    let mut vpu_stats = ava_vpu::VpuStats::default();
+    let mut program_start = 0;
+    let mut mem_before = mem.stats();
+    for i in 0..segments {
+        // The last segment always runs to the end of the program, so any
+        // trailing compiler-inserted code is attributed to it.
+        let program_end = if i + 1 == segments {
+            compiled.program.len()
+        } else {
+            compiled.program_split(marks[i].ir_end)
+        };
+        let seg = vpu.time_range(
+            &compiled.program,
+            program_start..program_end,
+            &mut mem,
+            &mut indexed_addrs,
+        );
+        if marks.len() > 1 {
             let mem_now = mem.stats();
             phases.push(PhaseBreakdown {
-                name: mark.name.clone(),
-                iter: mark.iter,
+                name: marks[i].name.clone(),
+                iter: marks[i].iter,
                 vpu_cycles: seg.cycles,
                 vpu: seg.stats,
                 mem: mem_now.delta_since(&mem_before),
             });
             mem_before = mem_now;
-            cycles += seg.cycles;
-            stats.merge(&seg.stats);
-            config_name = seg.config_name;
-            program_start = program_end;
         }
-        ava_vpu::VpuRunResult {
-            config_name,
-            cycles,
-            stats,
-        }
-    } else {
-        vpu.time_range(
-            &compiled.program,
-            0..compiled.program.len(),
-            &mut mem,
-            &mut indexed_addrs,
-        )
-    };
+        vpu_cycles += seg.cycles;
+        vpu_stats.merge(&seg.stats);
+        program_start = program_end;
+    }
 
     // 5. Scalar-core floor for the stripmined loop.
     let scalar_core = ScalarCore::new(system.scalar);
     let scalar = scalar_core.loop_cost(setup.strips, compiled.program.len() as u64);
-    let cycles = scalar_core.combine(result.cycles, &scalar);
+    let cycles = scalar_core.combine(vpu_cycles, &scalar);
 
     // 6. Validation: the functional pass's check against the golden
     //    reference (chained across phases for pipelined composites: a
@@ -683,9 +672,9 @@ pub(crate) fn simulate(prepared: &mut PreparedPoint, system: &SystemConfig) -> R
         config: system.label().to_string(),
         axes: system.axes.clone(),
         workload: workload.to_string(),
-        vpu_cycles: result.cycles,
+        vpu_cycles,
         cycles,
-        vpu: result.stats,
+        vpu: vpu_stats,
         mem: mem.stats(),
         phases,
         compiler_spill_stores: compiled.spill_stores,

@@ -1,12 +1,13 @@
 //! The declarative experiment manifests, exercised end to end: the
 //! committed `experiments/` files parse and round-trip, schema errors are
 //! byte-offset diagnostics (never panics), a store-attached manifest run
-//! resumes from its checkpoints, and a scaled-down run covers the reduced
-//! grids.
+//! resumes from its checkpoints, a scaled-down run covers the reduced
+//! grids, and the analytic tables reproduce the binaries they replaced.
 
 use std::path::PathBuf;
 
 use ava::sim::json::Json;
+use ava::workloads::Fingerprint;
 use ava_bench::cli::BenchArgs;
 use ava_bench::driver;
 use ava_bench::spec::{ArtefactKind, ExperimentSpec};
@@ -69,7 +70,7 @@ fn committed_manifests_parse_and_round_trip() {
         assert_eq!(spec, reparsed, "{label}: round trip changed the spec");
     }
     assert!(
-        seen >= 7,
+        seen >= 8,
         "expected the committed manifest set, found {seen}"
     );
 }
@@ -191,4 +192,110 @@ fn scale_down_runs_the_reduced_grids() {
     let run = driver::execute(&ablation, &plain_args()).unwrap();
     assert!(run.stdout.contains("swap-free baseline"));
     assert!(run.stdout.contains("swap-heavy AVA"));
+}
+
+/// FNV-1a over the bytes of what the `table1`, `table_configs` and
+/// `table5` binaries printed to stdout and wrote with `--json` (the file,
+/// trailing newline included) before the `tables` artefact replaced them.
+const RETIRED_TABLE_DIGESTS: [(&str, u64, u64); 3] = [
+    ("table1", 0x3290_31f3_aebd_423b, 0x6249_ee91_56fa_b523),
+    (
+        "table_configs",
+        0xd168_1c29_8080_51ac,
+        0x2a75_c613_8449_6691,
+    ),
+    ("table5", 0xaf4a_9e0f_03b0_ea48, 0xc4c1_4a49_ca42_bef5),
+];
+
+fn fnv1a(text: &str) -> u64 {
+    let mut h = Fingerprint::new();
+    h.write_bytes(text.as_bytes());
+    h.finish()
+}
+
+fn tables(kind: &str) -> driver::ExperimentRun {
+    let text = format!(r#"{{"artefact": "tables", "output": {{"kind": "{kind}"}}}}"#);
+    let spec = ExperimentSpec::parse("t", &text).unwrap();
+    driver::execute(&spec, &BenchArgs::from_args(Vec::new()).unwrap()).unwrap()
+}
+
+/// Each table kind prints and emits, byte for byte, what its retired
+/// binary did; `all` joins the three texts with one blank line and holds
+/// the three documents under their kinds.
+#[test]
+fn tables_artefact_reproduces_the_retired_table_binaries() {
+    let mut texts = Vec::new();
+    let mut documents = Vec::new();
+    for (kind, stdout, json) in RETIRED_TABLE_DIGESTS {
+        let run = tables(kind);
+        assert_eq!(fnv1a(&run.stdout), stdout, "{kind} stdout moved");
+        let Json::Obj(fields) = &run.document else {
+            panic!("{kind}: the document is an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["artefact", kind]);
+        let inner = run.document.get(kind).unwrap().to_string();
+        assert_eq!(fnv1a(&format!("{inner}\n")), json, "{kind} --json moved");
+        texts.push(run.stdout);
+        documents.push(inner);
+    }
+    let all = tables("all");
+    assert_eq!(all.stdout, texts.join("\n"));
+    assert_eq!(
+        all.document.to_string(),
+        format!(
+            r#"{{"artefact":"tables","table1":{},"table_configs":{},"table5":{}}}"#,
+            documents[0], documents[1], documents[2]
+        )
+    );
+}
+
+/// The tables run no sweep: the sweep keys of a manifest are byte-offset
+/// schema errors, and the execution flags and `--app` are named errors.
+#[test]
+fn tables_artefact_rejects_sweep_keys_and_execution_flags() {
+    for (token, field) in [
+        ("workloads", r#"["axpy"]"#),
+        ("app", r#""axpy""#),
+        ("axes", r#"{"mvl": [128]}"#),
+        ("execution", r#"{"threads": 2}"#),
+    ] {
+        let text = format!(r#"{{"artefact": "tables", "{token}": {field}}}"#);
+        let err = ExperimentSpec::parse("t", &text).unwrap_err();
+        let offset = text.find(&format!("\"{token}\"")).unwrap();
+        assert!(
+            err.contains(token) && err.contains(&format!("byte {offset}")),
+            "{text} -> {err}"
+        );
+    }
+
+    let label = "experiments/paper_tables.json";
+    let spec = ExperimentSpec::parse(label, &std::fs::read_to_string(label).unwrap()).unwrap();
+    let dir = temp_dir("tables");
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.to_str().unwrap();
+    for (flag, argv) in [
+        ("--threads", vec!["--threads", "2"]),
+        ("--store", vec!["--store", store]),
+        ("--resume", vec!["--store", store, "--resume"]),
+    ] {
+        let args = BenchArgs::from_args(argv.iter().map(ToString::to_string).collect()).unwrap();
+        let err = driver::execute(&spec, &args)
+            .err()
+            .expect("flag is rejected");
+        assert!(
+            err.contains(flag) && err.contains("without a sweep"),
+            "{err}"
+        );
+    }
+    let mut filtered = spec.clone();
+    filtered.app = Some("axpy".to_string());
+    let err = driver::execute(&filtered, &BenchArgs::from_args(Vec::new()).unwrap())
+        .err()
+        .expect("--app is rejected");
+    assert!(
+        err.contains("--app") && err.contains("without a sweep"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
