@@ -34,7 +34,7 @@
 
 use ava_sim::json::{object, parse, Json};
 use ava_sim::{Knob, SystemKind};
-use ava_workloads::{kernel_defaults, SharedWorkload, KERNEL_NAMES};
+use ava_workloads::{check_kernel, kernel_defaults, SharedWorkload, KERNEL_NAMES};
 
 use crate::{
     manifest_key, pipelined_mix, sensitivity_axes, solver_mix, HierarchyAxes, SENSITIVITY_L2_KIB,
@@ -189,13 +189,16 @@ impl MixRegistry {
         names
     }
 
-    /// Builds one workload entry.
+    /// Checks one workload entry's name and parameters without building
+    /// it. Every rule of [`MixRegistry::build`] lives here, so a manifest
+    /// parse rejects exactly what a build would.
     ///
     /// # Errors
     ///
     /// Returns a diagnostic for an unknown name or a parameter that does
-    /// not apply to it (`m` on a mix, `iters` on anything but `solver`).
-    pub fn build(spec: &WorkloadSpec) -> Result<SharedWorkload, String> {
+    /// not apply to it (`m` on a mix, `iters` on anything but `solver`, a
+    /// kernel size [`ava_workloads::check_kernel`] rejects).
+    pub fn check(spec: &WorkloadSpec) -> Result<(), String> {
         match spec.name.as_str() {
             "pipelined" => {
                 if spec.m.is_some() {
@@ -204,13 +207,11 @@ impl MixRegistry {
                 if spec.iters.is_some() {
                     return Err("\"iters\" only applies to the \"solver\" mix".to_string());
                 }
-                Ok(pipelined_mix(spec.n.unwrap_or(4096)))
             }
             "solver" => {
                 if spec.m.is_some() {
                     return Err("workload \"solver\" takes no second parameter m".to_string());
                 }
-                Ok(solver_mix(spec.n.unwrap_or(4096), spec.iters.unwrap_or(4)))
             }
             name => {
                 if spec.iters.is_some() {
@@ -222,9 +223,25 @@ impl MixRegistry {
                         Self::names().join(", ")
                     ));
                 }
-                ava_workloads::build_kernel(name, spec.n, spec.m)
+                check_kernel(name, spec.n, spec.m)?;
             }
         }
+        Ok(())
+    }
+
+    /// Builds one workload entry: [`MixRegistry::check`], then
+    /// construction.
+    ///
+    /// # Errors
+    ///
+    /// As [`MixRegistry::check`].
+    pub fn build(spec: &WorkloadSpec) -> Result<SharedWorkload, String> {
+        Self::check(spec)?;
+        Ok(match spec.name.as_str() {
+            "pipelined" => pipelined_mix(spec.n.unwrap_or(4096)),
+            "solver" => solver_mix(spec.n.unwrap_or(4096), spec.iters.unwrap_or(4)),
+            name => ava_workloads::build_kernel(name, spec.n, spec.m)?,
+        })
     }
 }
 
@@ -490,9 +507,11 @@ impl ExperimentSpec {
         }
         let mut solver_entries = 0usize;
         for w in &self.workloads {
-            // Build each entry once up front so an unknown name or a stray
+            // Check each entry up front so an unknown name or a stray
             // parameter fails at parse time with an offset, not mid-sweep.
-            MixRegistry::build(w).map_err(|e| ctx.fail(&w.name, e))?;
+            // Building is left to the driver, so each entry is constructed,
+            // and a composite linted, once per process.
+            MixRegistry::check(w).map_err(|e| ctx.fail(&w.name, e))?;
             if w.name == "solver" {
                 solver_entries += 1;
             }
@@ -1002,6 +1021,60 @@ mod tests {
         assert_eq!(spec.axes.mvl, vec![128]);
         assert_eq!(spec.axes.l2_kib, vec![256]);
         assert_eq!(spec.axes.extra.values(Knob::L1_KIB), [16]);
+    }
+
+    /// Each registry rule fails the parse with the message `build` gives
+    /// and the byte offset of the entry's name: parse only checks, and
+    /// `build` checks through the same rules before it constructs.
+    #[test]
+    fn every_registry_rejection_fails_the_parse_at_the_entry_name() {
+        let spec =
+            |name: &str, n: Option<usize>, m: Option<usize>, iters: Option<usize>| WorkloadSpec {
+                name: name.to_string(),
+                n,
+                m,
+                iters,
+            };
+        let unknown = format!(
+            "unknown workload \"nope\" (known names: {})",
+            MixRegistry::names().join(", ")
+        );
+        for (entry, message) in [
+            (
+                spec("composite", Some(3), None, None),
+                "workload \"composite\" needs n >= 4 to split across its phases, got 3",
+            ),
+            (
+                spec("pipelined", None, Some(2), None),
+                "workload \"pipelined\" takes no second parameter m",
+            ),
+            (
+                spec("solver", Some(512), Some(2), None),
+                "workload \"solver\" takes no second parameter m",
+            ),
+            (
+                spec("pipelined", None, None, Some(2)),
+                "\"iters\" only applies to the \"solver\" mix",
+            ),
+            (
+                spec("composite", None, None, Some(2)),
+                "\"iters\" only applies to the \"solver\" mix",
+            ),
+            (spec("nope", None, None, None), unknown.as_str()),
+        ] {
+            let text = format!(
+                r#"{{"artefact": "fig3", "workloads": [{}]}}"#,
+                entry.to_json()
+            );
+            let offset = text.find(&format!("\"{}\"", entry.name)).unwrap();
+            assert_eq!(
+                ExperimentSpec::parse("t", &text).unwrap_err(),
+                format!("manifest t: {message} at byte {offset}"),
+                "{text}"
+            );
+            assert_eq!(MixRegistry::check(&entry), Err(message.to_string()));
+            assert_eq!(MixRegistry::build(&entry).err().as_deref(), Some(message));
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   persists the results as `BENCH_<suite>.json`, the files the CI
 //!   `bench-regression` job diffs against the committed baselines.
 
+use ava_compiler::analysis::{analyze, AnalysisInput};
 use ava_compiler::{compile, CompileOptions, KernelBuilder};
-use ava_isa::{Element, Lmul, Opcode, VReg};
+use ava_isa::{Element, Lmul, Opcode, VReg, VectorContext};
 use ava_memory::{HierarchyConfig, MainMemory, MemoryHierarchy};
 use ava_sim::{run_workload, ScenarioConfig};
 use ava_vpu::exec::{execute_into, OperandValue};
@@ -18,12 +19,19 @@ use ava_vpu::rac::Rac;
 use ava_vpu::rename::RenameUnit;
 use ava_vpu::swap::{plan_free_register, SwapDecision};
 use ava_vpu::vrf_mapping::VrfMapping;
+use ava_workloads::{ArenaPlanner, BufferBindings};
 
 use crate::bench_workloads;
 use crate::microbench::{measure, BenchResult};
 
 /// Names of every benchmark suite, in the order the recorder runs them.
-pub const SUITE_NAMES: [&str; 4] = ["fig3_kernels", "fig4_area", "memory_hierarchy", "microarch"];
+pub const SUITE_NAMES: [&str; 5] = [
+    "fig3_kernels",
+    "fig4_area",
+    "memory_hierarchy",
+    "microarch",
+    "analysis",
+];
 
 /// Runs the named suite, invoking `report` after each benchmark completes
 /// (so long suites still show incremental progress) and returning all
@@ -46,6 +54,7 @@ pub fn run_suite(name: &str, mut report: impl FnMut(&BenchResult)) -> Vec<BenchR
             "fig4_area" => fig4_area(&mut run),
             "memory_hierarchy" => memory_hierarchy(&mut run),
             "microarch" => microarch(&mut run),
+            "analysis" => analysis(&mut run),
             other => panic!("unknown bench suite {other:?} (expected one of {SUITE_NAMES:?})"),
         }
     }
@@ -244,6 +253,27 @@ fn microarch(run: &mut Runner<'_>) {
             bits ^= strip[255].bits();
         }
         bits
+    });
+}
+
+/// The static analysis a composite runs on itself when it is constructed:
+/// the full `analyze` suite over the sensitivity pool's `composite`
+/// (n = 16384, about 26 000 IR instructions) at the lint's MVL 16. The
+/// kernel is built once outside the timed body, as `Workload::verify`
+/// builds it, so only the analysis is measured. A memory pass that scans
+/// every pending store per access costs about 5x this.
+fn analysis(run: &mut Runner<'_>) {
+    let workload = ava_workloads::build_kernel("composite", None, None)
+        .expect("the registry builds its default composite");
+    let mut mem = MemoryHierarchy::default();
+    let ctx = VectorContext::with_mvl(16);
+    let plan = ArenaPlanner::new().plan(&mut mem, &workload.data_layout());
+    let setup = workload.build_with_bindings(&mut mem, &ctx, &plan, &BufferBindings::none());
+    let input = AnalysisInput::new(Some(ctx.effective_mvl()))
+        .with_arenas(workload.analysis_arenas(&plan))
+        .with_phase_ends(setup.phase_marks.iter().map(|m| m.ir_end).collect());
+    run("analysis/composite_lint", &mut || {
+        analyze(&setup.kernel, &input).diagnostics.len() as u64
     });
 }
 

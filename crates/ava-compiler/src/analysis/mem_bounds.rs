@@ -87,6 +87,88 @@ fn overlaps(s1: u64, e1: u64, s2: u64, e2: u64) -> bool {
     s1 < e2 && s2 < e1
 }
 
+/// Exact unit-stride stores not yet observed by any load: start ->
+/// (end, ir_index, phase span).
+type Pending = BTreeMap<u64, (u64, usize, usize)>;
+
+/// The starts of the pending stores that overlap `[lo, hi)`, ascending.
+///
+/// Every store removes the pending stores it overlaps before it is
+/// inserted, so no two pending stores overlap. The candidates are then the
+/// stores starting in `lo..hi` and the last one starting before `lo`: any
+/// earlier store that reached `lo` would overlap that last one.
+fn overlapping(pending: &Pending, lo: u64, hi: u64) -> Vec<u64> {
+    pending
+        .range(..lo)
+        .next_back()
+        .into_iter()
+        .chain(pending.range(lo..hi))
+        .filter(|(&s, &(e, ..))| overlaps(s, e, lo, hi))
+        .map(|(&s, _)| s)
+        .collect()
+}
+
+/// The stores into one carried arena in the current phase span.
+#[derive(Debug, Clone, Default)]
+struct Written {
+    /// `(start, end, ir_index)` in program order, so a diagnostic names the
+    /// earliest store that overlaps a read.
+    stores: Vec<(u64, u64, usize)>,
+    /// The stores' intervals merged into runs, start -> end: intervals
+    /// that overlap or touch share a run, so runs neither overlap nor
+    /// touch. Every read that overlaps a store overlaps the run holding
+    /// it, so one lookup clears every other read without a scan.
+    runs: BTreeMap<u64, u64>,
+}
+
+impl Written {
+    fn clear(&mut self) {
+        self.stores.clear();
+        self.runs.clear();
+    }
+
+    fn insert(&mut self, lo: u64, hi: u64, idx: usize) {
+        self.stores.push((lo, hi, idx));
+        // Runs starting in `[lo, hi]` join the new one. Runs never touch,
+        // so the join cannot reach the run after the last of them.
+        let absorbed: Vec<(u64, u64)> = self.runs.range(lo..=hi).map(|(&s, &e)| (s, e)).collect();
+        let mut end = hi;
+        for (s, e) in absorbed {
+            self.runs.remove(&s);
+            end = end.max(e);
+        }
+        // A run starting before `lo` that reaches it takes the join; a
+        // strip-mined loop's next strip lands here.
+        match self.runs.range_mut(..lo).next_back() {
+            Some((_, e)) if *e >= lo => *e = end.max(*e),
+            _ => {
+                self.runs.insert(lo, end);
+            }
+        }
+    }
+
+    /// The earliest store overlapping `[lo, hi)`, if any. A run can
+    /// overlap a read that none of its stores overlaps (a zero-length read
+    /// at the seam of two touching stores), so a hit is confirmed on the
+    /// stores themselves.
+    fn first_overlap(&self, lo: u64, hi: u64) -> Option<(u64, u64, usize)> {
+        // Runs do not overlap, so the last one starting before `hi` is the
+        // only one that can reach past `lo`.
+        let hit = self
+            .runs
+            .range(..hi)
+            .next_back()
+            .is_some_and(|(_, &e)| lo < e);
+        if !hit {
+            return None;
+        }
+        self.stores
+            .iter()
+            .find(|&&(ws, we, _)| overlaps(ws, we, lo, hi))
+            .copied()
+    }
+}
+
 /// Checks every memory access of `kernel` against `arenas`.
 ///
 /// `vl_at[i]` must be the [`VlState`] in force on entry to instruction `i`
@@ -95,6 +177,10 @@ fn overlaps(s1: u64, e1: u64, s2: u64, e2: u64) -> bool {
 /// kernel); the read-after-destroy bookkeeping resets at those boundaries,
 /// because reading what the *previous* iteration wrote is exactly how
 /// carried values flow.
+///
+/// The pass is linear in the kernel up to logarithmic map lookups: each
+/// access looks up the few pending stores and written runs it can overlap
+/// instead of scanning them all.
 pub fn check_memory(
     kernel: &IrKernel,
     vl_at: &[VlState],
@@ -103,12 +189,12 @@ pub fn check_memory(
     phase_ends: &[usize],
     diags: &mut Vec<Diagnostic>,
 ) {
-    // Per-arena stores of the current phase span: (start, end, ir_index).
-    let mut written: Vec<Vec<(u64, u64, usize)>> = vec![Vec::new(); arenas.len()];
-    // Per-arena exact unit-stride stores not yet observed by any load:
-    // start -> (end, ir_index, phase span). Never reset — a store observed
-    // only in a later phase is still observed.
-    let mut pending: Vec<BTreeMap<u64, (u64, usize, usize)>> = vec![BTreeMap::new(); arenas.len()];
+    // Per-arena stores of the current phase span (read for carried arenas
+    // only, so only those are recorded).
+    let mut written: Vec<Written> = vec![Written::default(); arenas.len()];
+    // Per-arena pending stores. Never reset — a store observed only in a
+    // later phase is still observed.
+    let mut pending: Vec<Pending> = vec![BTreeMap::new(); arenas.len()];
     let mut next_phase = 0usize;
 
     for (idx, instr) in kernel.instrs.iter().enumerate() {
@@ -180,12 +266,7 @@ pub fn check_memory(
             // overwrite happens in a *later phase span*, the earlier store
             // is an intermediate result of an unrolled loop, superseded by
             // design — report it at info only.
-            let keys: Vec<u64> = pending[ai]
-                .iter()
-                .filter(|(&s, &(e, ..))| overlaps(s, e, lo, hi))
-                .map(|(&s, _)| s)
-                .collect();
-            for s in keys {
+            for s in overlapping(&pending[ai], lo, hi) {
                 let (e, old_idx, old_span) = pending[ai].remove(&s).unwrap();
                 if exact_unit && s >= lo && e <= hi {
                     let mut d = Diagnostic::new(
@@ -207,13 +288,12 @@ pub fn check_memory(
             if exact_unit {
                 pending[ai].insert(lo, (hi, idx, next_phase));
             }
-            written[ai].push((lo, hi, idx));
+            if arena.carried {
+                written[ai].insert(lo, hi, idx);
+            }
         } else {
             if arena.carried {
-                if let Some(&(ws, we, widx)) = written[ai]
-                    .iter()
-                    .find(|&&(ws, we, _)| overlaps(ws, we, lo, hi))
-                {
+                if let Some((ws, we, widx)) = written[ai].first_overlap(lo, hi) {
                     diags.push(Diagnostic::new(
                         Code::ReadAfterDestroy,
                         idx,
@@ -227,12 +307,7 @@ pub fn check_memory(
                 }
             }
             // The load observes any pending store it touches.
-            let keys: Vec<u64> = pending[ai]
-                .iter()
-                .filter(|(&s, &(e, ..))| overlaps(s, e, lo, hi))
-                .map(|(&s, _)| s)
-                .collect();
-            for s in keys {
+            for s in overlapping(&pending[ai], lo, hi) {
                 pending[ai].remove(&s);
             }
         }
@@ -373,6 +448,34 @@ mod tests {
             &[boundary.len(), k.len()],
         );
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn zero_length_read_at_the_seam_of_touching_stores_is_clean() {
+        // Two strips stored back to back, in either order, destroy no byte
+        // that a VL-0 read at their seam names; the same read inside a
+        // strip trips AVA003.
+        for order in [[0x1000u64, 0x1040], [0x1040, 0x1000]] {
+            let mut b = KernelBuilder::new("seam");
+            b.set_vl(8);
+            let x = b.vload(0x2000);
+            for base in order {
+                b.vstore(x, base);
+            }
+            b.set_vl(0);
+            b.vload(0x1040);
+            b.vload(0x1020);
+            let diags = check(
+                &b.finish(),
+                &[
+                    Arena::new("x", 0x1000, 0x80).as_carried(),
+                    Arena::new("y", 0x2000, 0x40),
+                ],
+                &[],
+            );
+            let found: Vec<(Code, usize)> = diags.iter().map(|d| (d.code, d.ir_index)).collect();
+            assert_eq!(found, [(Code::ReadAfterDestroy, 6)], "stores at {order:x?}");
+        }
     }
 
     #[test]

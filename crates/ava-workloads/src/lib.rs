@@ -56,7 +56,7 @@ pub use layout::{
     PlannedBuffer, PlannedLayout,
 };
 pub use particlefilter::ParticleFilter;
-pub use registry::{build_kernel, kernel_defaults, KERNEL_NAMES};
+pub use registry::{build_kernel, check_kernel, kernel_defaults, KERNEL_NAMES};
 pub use somier::Somier;
 pub use swaptions::Swaptions;
 

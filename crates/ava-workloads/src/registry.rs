@@ -53,23 +53,20 @@ pub fn kernel_defaults(name: &str) -> Option<(usize, Option<usize>)> {
     }
 }
 
-/// Builds a registered kernel by name. `n` and `m` override the defaults of
-/// [`kernel_defaults`]; an `m` for a single-parameter kernel is rejected so
-/// a manifest cannot silently carry a knob that does nothing.
-///
-/// The `composite` mix is parameterised by its axpy length `n`: it builds
-/// `Composite::new([Axpy(n), Blackscholes(n/4), Somier(n/2)])`, which at the
-/// default `n = 16384` reproduces the sensitivity-study mix exactly.
+/// Checks a kernel entry's parameters without building it and returns the
+/// resolved `(n, m)`: `n` and `m` override the defaults of
+/// [`kernel_defaults`], and an `m` for a single-parameter kernel is
+/// rejected so a manifest cannot silently carry a knob that does nothing.
 ///
 /// # Errors
 ///
 /// Returns a diagnostic for an unknown name, a zero size, a stray `m`, or a
 /// `composite` size too small to split across its three phases.
-pub fn build_kernel(
+pub fn check_kernel(
     name: &str,
     n: Option<usize>,
     m: Option<usize>,
-) -> Result<SharedWorkload, String> {
+) -> Result<(usize, usize), String> {
     let (default_n, default_m) = kernel_defaults(name).ok_or_else(|| {
         format!(
             "unknown workload {name:?} (known kernels: {})",
@@ -83,7 +80,29 @@ pub fn build_kernel(
     if n == 0 {
         return Err(format!("workload {name:?} needs a non-zero size n"));
     }
-    let m = m.or(default_m).unwrap_or(0);
+    if name == "composite" && n < 4 {
+        return Err(format!(
+            "workload \"composite\" needs n >= 4 to split across its phases, got {n}"
+        ));
+    }
+    Ok((n, m.or(default_m).unwrap_or(0)))
+}
+
+/// Builds a registered kernel by name: [`check_kernel`], then construction.
+///
+/// The `composite` mix is parameterised by its axpy length `n`: it builds
+/// `Composite::new([Axpy(n), Blackscholes(n/4), Somier(n/2)])`, which at the
+/// default `n = 16384` reproduces the sensitivity-study mix exactly.
+///
+/// # Errors
+///
+/// As [`check_kernel`].
+pub fn build_kernel(
+    name: &str,
+    n: Option<usize>,
+    m: Option<usize>,
+) -> Result<SharedWorkload, String> {
+    let (n, m) = check_kernel(name, n, m)?;
     Ok(match name {
         "axpy" => Arc::new(Axpy::new(n)),
         "blackscholes" => Arc::new(Blackscholes::new(n)),
@@ -91,18 +110,11 @@ pub fn build_kernel(
         "particlefilter" => Arc::new(ParticleFilter::new(n, m)),
         "somier" => Arc::new(Somier::new(n)),
         "swaptions" => Arc::new(Swaptions::new(n)),
-        "composite" => {
-            if n < 4 {
-                return Err(format!(
-                    "workload \"composite\" needs n >= 4 to split across its phases, got {n}"
-                ));
-            }
-            Arc::new(Composite::new(vec![
-                Arc::new(Axpy::new(n)),
-                Arc::new(Blackscholes::new(n / 4)),
-                Arc::new(Somier::new(n / 2)),
-            ]))
-        }
+        "composite" => Arc::new(Composite::new(vec![
+            Arc::new(Axpy::new(n)),
+            Arc::new(Blackscholes::new(n / 4)),
+            Arc::new(Somier::new(n / 2)),
+        ])),
         _ => unreachable!("name was validated against KERNEL_NAMES"),
     })
 }

@@ -8,15 +8,17 @@
 //! byte-map model, `execute_into` must match the per-element definition of
 //! every arithmetic opcode bit for bit, the VRF mapping's resident walk
 //! must match its location table, the recency-ordered cache must match a
-//! timestamp-LRU reference model access for access, and an L2 with more
+//! timestamp-LRU reference model access for access, an L2 with more
 //! sets must hit wherever a smaller one of the same line and ways hits (the
-//! fact the sweep's sibling reuse rests on).
+//! fact the sweep's sibling reuse rests on), and the linear static memory
+//! pass must report exactly what the quadratic scan it replaced did.
 //!
 //! The container has no access to crates.io, so instead of proptest these
 //! tests drive a deterministic SplitMix64 case generator: every run explores
 //! the same cases, and a failing case is reproducible from its index alone.
 
-use ava::compiler::{compile, CompileOptions, KernelBuilder, VirtReg};
+use ava::compiler::analysis::{check_memory, Arena, Code, Diagnostic, Severity, VlState};
+use ava::compiler::{compile, CompileOptions, IrKernel, KernelBuilder, VirtReg};
 use ava::isa::{Element, Lmul, Opcode};
 use ava::memory::cache::AccessOutcome;
 use ava::memory::{Cache, CacheConfig, CacheStats, MainMemory, MemoryHierarchy};
@@ -954,5 +956,257 @@ fn preg_count_is_monotonic_and_the_mvl_axis_holds_the_floor() {
         if vpu.mvl <= 128 {
             assert_eq!(vpu.pvrf_bytes, 8 * 1024, "{}", scenario.label());
         }
+    }
+}
+
+/// The memory pass as it was before it became linear: every access scans
+/// all pending stores of its arena, and every read of a carried arena scans
+/// all of the span's stores. Kept verbatim as the reference model.
+fn reference_check_memory(
+    kernel: &IrKernel,
+    vl_at: &[VlState],
+    mvl: Option<usize>,
+    arenas: &[Arena],
+    phase_ends: &[usize],
+    diags: &mut Vec<Diagnostic>,
+) {
+    fn overlaps(s1: u64, e1: u64, s2: u64, e2: u64) -> bool {
+        s1 < e2 && s2 < e1
+    }
+    let mut written: Vec<Vec<(u64, u64, usize)>> = vec![Vec::new(); arenas.len()];
+    let mut pending: Vec<BTreeMap<u64, (u64, usize, usize)>> = vec![BTreeMap::new(); arenas.len()];
+    let mut next_phase = 0usize;
+
+    for (idx, instr) in kernel.instrs.iter().enumerate() {
+        while next_phase < phase_ends.len() && phase_ends[next_phase] <= idx {
+            for w in &mut written {
+                w.clear();
+            }
+            next_phase += 1;
+        }
+        let Some(m) = &instr.mem else { continue };
+        let is_store = instr.opcode.is_store();
+        let access = if is_store { "store" } else { "load" };
+
+        let Some(ai) = arenas.iter().position(|a| a.contains(m.base)) else {
+            diags.push(Diagnostic::new(
+                Code::OutOfArena,
+                idx,
+                format!("{access} base {:#x} falls inside no planned arena", m.base),
+            ));
+            continue;
+        };
+        let arena = &arenas[ai];
+
+        if arena.placeholder {
+            diags.push(Diagnostic::new(
+                Code::UncoveredPlaceholder,
+                idx,
+                format!(
+                    "{access} lands in placeholder arena \"{}\", which is never \
+                     materialised — a rebase rule should have redirected it onto \
+                     the producer's buffer",
+                    arena.name
+                ),
+            ));
+        }
+
+        let width = vl_at.get(idx).and_then(|s| s.width(mvl));
+        let interval: Option<(u64, u64)> = match (m.index, width) {
+            (Some(_), _) | (_, None) => None,
+            (None, Some(0)) => Some((m.base, m.base)),
+            (None, Some(n)) => {
+                let span = (n as i128 - 1) * i128::from(m.stride);
+                let lo = i128::from(m.base) + span.min(0);
+                let hi = i128::from(m.base) + span.max(0) + 8;
+                if lo < i128::from(arena.start) || hi > i128::from(arena.end) {
+                    diags.push(Diagnostic::new(
+                        Code::StraddlesArena,
+                        idx,
+                        format!(
+                            "{access} spans [{lo:#x}, {hi:#x}) but arena \"{}\" only \
+                             covers [{:#x}, {:#x})",
+                            arena.name, arena.start, arena.end
+                        ),
+                    ));
+                }
+                let lo = u64::try_from(lo.max(0)).unwrap_or(0);
+                let hi = u64::try_from(hi.max(0)).unwrap_or(u64::MAX);
+                Some((lo, hi))
+            }
+        };
+        let (lo, hi) = interval.unwrap_or((arena.start, arena.end));
+        let exact_unit = interval.is_some() && m.index.is_none() && m.stride == 8;
+
+        if is_store {
+            let keys: Vec<u64> = pending[ai]
+                .iter()
+                .filter(|(&s, &(e, ..))| overlaps(s, e, lo, hi))
+                .map(|(&s, _)| s)
+                .collect();
+            for s in keys {
+                let (e, old_idx, old_span) = pending[ai].remove(&s).unwrap();
+                if exact_unit && s >= lo && e <= hi {
+                    let mut d = Diagnostic::new(
+                        Code::DeadStore,
+                        old_idx,
+                        format!(
+                            "store to \"{}\" [{s:#x}, {e:#x}) is fully overwritten \
+                             at ir[{idx}] with no intervening load",
+                            arena.name
+                        ),
+                    );
+                    if old_span != next_phase {
+                        d = d.with_severity(Severity::Info);
+                        d.message.push_str(" (superseded by a later phase)");
+                    }
+                    diags.push(d);
+                }
+            }
+            if exact_unit {
+                pending[ai].insert(lo, (hi, idx, next_phase));
+            }
+            written[ai].push((lo, hi, idx));
+        } else {
+            if arena.carried {
+                if let Some(&(ws, we, widx)) = written[ai]
+                    .iter()
+                    .find(|&&(ws, we, _)| overlaps(ws, we, lo, hi))
+                {
+                    diags.push(Diagnostic::new(
+                        Code::ReadAfterDestroy,
+                        idx,
+                        format!(
+                            "carried arena \"{}\" is read at [{lo:#x}, {hi:#x}) after \
+                             the store at ir[{widx}] ([{ws:#x}, {we:#x})) already \
+                             destroyed the carried value in this iteration",
+                            arena.name
+                        ),
+                    ));
+                }
+            }
+            let keys: Vec<u64> = pending[ai]
+                .iter()
+                .filter(|(&s, &(e, ..))| overlaps(s, e, lo, hi))
+                .map(|(&s, _)| s)
+                .collect();
+            for s in keys {
+                pending[ai].remove(&s);
+            }
+        }
+    }
+}
+
+/// A random memory-pass input: three to five small arenas with gaps
+/// between them (some placeholders, about half carried), a kernel of
+/// unit-stride, strided and indexed loads and stores, a random VL per
+/// instruction (unknown, zero, exact or the maximum, with or without a
+/// known MVL) and a few phase ends. Accesses start in, near and between
+/// the arenas, and a third of them continue where the last one ended, as
+/// strip-mined loops do, so intervals coincide, nest and touch.
+fn random_memory_case(
+    rng: &mut DataGen,
+) -> (
+    IrKernel,
+    Vec<VlState>,
+    Option<usize>,
+    Vec<Arena>,
+    Vec<usize>,
+) {
+    let mut arenas = Vec::new();
+    let mut start = 0x1000u64;
+    for a in 0..in_range(rng, 3, 5) {
+        let bytes = 8 * in_range(rng, 1, 24);
+        let mut arena = Arena::new(format!("a{a}"), start, bytes);
+        arena.placeholder = rng.next_u64().is_multiple_of(8);
+        arena.carried = rng.next_u64().is_multiple_of(2);
+        arenas.push(arena);
+        start += bytes + 8 * in_range(rng, 0, 4);
+    }
+    let mvl = (!rng.next_u64().is_multiple_of(4)).then(|| in_range(rng, 1, 8) as usize);
+    let mut vl_at = Vec::new();
+    let next_vl = |rng: &mut DataGen, vl_at: &mut Vec<VlState>| {
+        let vl = match rng.next_u64() % 10 {
+            0 => VlState::Unknown,
+            1 | 2 => VlState::Exact(0),
+            3 => VlState::Max,
+            _ => VlState::Exact(in_range(rng, 1, 8) as usize),
+        };
+        vl_at.push(vl);
+        vl.width(mvl)
+    };
+    let mut b = KernelBuilder::new("memory");
+    b.set_vl(8);
+    next_vl(rng, &mut vl_at);
+    let index = b.vid();
+    next_vl(rng, &mut vl_at);
+    let mut value = b.vload(arenas[0].start);
+    next_vl(rng, &mut vl_at);
+    let mut cursor = arenas[0].start;
+    for _ in 0..in_range(rng, 8, 120) {
+        let arena = &arenas[in_range(rng, 0, arenas.len() as u64 - 1) as usize];
+        let offset = 8 * in_range(rng, 0, (arena.end - arena.start) / 8 + 1);
+        let base = match rng.next_u64() % 9 {
+            0 => arena.start.saturating_sub(8) + in_range(rng, 0, 7),
+            1 => arena.start + offset + in_range(rng, 1, 7),
+            2..=4 => cursor,
+            _ => arena.start + offset,
+        };
+        let stride = [8i64, 8, 8, 16, -8, 24, 0][in_range(rng, 0, 6) as usize];
+        match rng.next_u64() % 6 {
+            0 => value = b.vload(base),
+            1 => value = b.vload_strided(base, stride),
+            2 => value = b.vload_indexed(base, index),
+            3 | 4 => b.vstore(value, base),
+            _ if rng.next_u64().is_multiple_of(2) => b.vstore_strided(value, base, stride),
+            _ => b.vstore_indexed(value, base, index),
+        }
+        if let Some(n) = next_vl(rng, &mut vl_at) {
+            cursor = base + 8 * n as u64;
+        }
+    }
+    let kernel = b.finish();
+    let mut phase_ends: Vec<usize> = (0..in_range(rng, 0, 6))
+        .map(|_| in_range(rng, 0, kernel.len() as u64) as usize)
+        .collect();
+    phase_ends.sort_unstable();
+    (kernel, vl_at, mvl, arenas, phase_ends)
+}
+
+/// The linear memory pass gives the quadratic scan it replaced the same
+/// diagnostics, equal in code, IR index, severity and message and in the
+/// same order, on random kernels dense in overlapping, nested, touching
+/// and zero-length intervals. Every memory finding shows up somewhere in
+/// the cases, so none of the compared paths goes unexercised.
+#[test]
+fn the_linear_memory_pass_matches_the_quadratic_scan() {
+    let mut seen: BTreeSet<String> = BTreeSet::new();
+    for case in 0..CASES * 16 {
+        let mut rng = case_rng(case);
+        let (kernel, vl_at, mvl, arenas, phase_ends) = random_memory_case(&mut rng);
+        let mut want = Vec::new();
+        reference_check_memory(&kernel, &vl_at, mvl, &arenas, &phase_ends, &mut want);
+        let mut got = Vec::new();
+        check_memory(&kernel, &vl_at, mvl, &arenas, &phase_ends, &mut got);
+        assert_eq!(got, want, "case {case}: {} instructions", kernel.len());
+        seen.extend(want.iter().map(|d| {
+            let later = d.message.ends_with("(superseded by a later phase)");
+            format!(
+                "{} {}{}",
+                d.code,
+                d.severity,
+                if later { " later" } else { "" }
+            )
+        }));
+    }
+    for finding in [
+        "AVA201 error",
+        "AVA202 error",
+        "AVA002 error",
+        "AVA003 error",
+        "AVA103 info",
+        "AVA103 info later",
+    ] {
+        assert!(seen.contains(finding), "{finding} never fired: {seen:?}");
     }
 }

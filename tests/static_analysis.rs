@@ -6,6 +6,7 @@
 //! workload and composite mix lints clean in deny mode across the MVL
 //! range, so the analyzer can gate construction without false positives.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use ava::compiler::analysis::{analyze, AnalysisInput, Arena, Code, Severity};
@@ -13,10 +14,13 @@ use ava::compiler::ir::{IrInstr, IrOperand};
 use ava::compiler::{IrKernel, KernelBuilder, RebaseRule, VirtReg};
 use ava::isa::{Opcode, VectorContext};
 use ava::memory::MemoryHierarchy;
+use ava::sim::ScenarioConfig;
 use ava::workloads::{
-    composite, Axpy, Blackscholes, BufferBindings, Composite, DataLayout, LavaMd2, OutputValues,
-    ParticleFilter, PlannedLayout, SharedWorkload, Somier, Swaptions, Workload, WorkloadSetup,
+    composite, Axpy, Blackscholes, BufferBindings, Composite, DataLayout, Fingerprint, LavaMd2,
+    OutputValues, ParticleFilter, PlannedLayout, SharedWorkload, Somier, Swaptions, Workload,
+    WorkloadSetup,
 };
+use ava_bench::spec::{MixRegistry, WorkloadSpec};
 
 // ---------------------------------------------------------------------
 // The PR 3 bug class: splat before any vsetvl
@@ -393,4 +397,53 @@ fn all_shipped_workloads_and_mixes_lint_clean_in_deny_mode() {
             );
         }
     }
+}
+
+/// The MVLs the `lint` binary covers: those of the fourteen evaluated
+/// configurations plus the Table I MVL-512 extrapolation point.
+fn lint_mvls() -> Vec<usize> {
+    let mut configs = ScenarioConfig::all_evaluated();
+    configs.extend(ScenarioConfig::axis_mvl(&[512]));
+    let mut mvls: Vec<usize> = configs.iter().map(ScenarioConfig::mvl).collect();
+    mvls.sort_unstable();
+    mvls.dedup();
+    mvls
+}
+
+/// Every finding, at every severity, of every registry kernel and mix at
+/// its manifest defaults, verified at every MVL the `lint` binary covers:
+/// one line per workload and MVL, then one per rendered diagnostic.
+fn registry_lint_text() -> String {
+    let mut text = String::new();
+    for name in MixRegistry::names() {
+        let workload = MixRegistry::build(&WorkloadSpec::named(name)).unwrap();
+        for mvl in lint_mvls() {
+            let report = workload.verify(mvl);
+            writeln!(text, "{name} at MVL {mvl}").unwrap();
+            for d in &report.diagnostics {
+                writeln!(text, "{d}").unwrap();
+            }
+        }
+    }
+    text
+}
+
+/// FNV-1a of [`registry_lint_text`], recorded before the memory pass
+/// became linear. All 54 reports were clean then, at every severity, info
+/// included; a faster lint must still say exactly that.
+const REGISTRY_LINT_DIGEST: u64 = 0x35b0_a46d_b1bf_f69c;
+
+/// Every registry kernel and mix (`composite`, `pipelined` and `solver`
+/// included) reports the same findings, rendered byte for byte, at every
+/// MVL the `lint` binary covers.
+#[test]
+fn registry_lint_findings_are_pinned() {
+    let text = registry_lint_text();
+    let mut h = Fingerprint::new();
+    h.write_bytes(text.as_bytes());
+    assert_eq!(
+        h.finish(),
+        REGISTRY_LINT_DIGEST,
+        "the lint's findings moved:\n{text}"
+    );
 }
