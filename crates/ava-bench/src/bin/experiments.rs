@@ -29,7 +29,7 @@ use std::process::ExitCode;
 
 use ava_bench::cli::{usage_error, BenchArgs};
 use ava_bench::driver;
-use ava_bench::spec::ExperimentSpec;
+use ava_bench::spec::{ArtefactKind, ExperimentSpec};
 
 const USAGE: &str = "experiments --spec <path> [--scale-down] [--app <name>] [--threads <n>] \
                      [--store <dir>] [--resume] [--json <path>]";
@@ -59,6 +59,10 @@ fn run() -> Result<ExitCode, String> {
     if scale_down {
         spec.scale_down();
     }
-    args.apply_execution(&spec.execution)?;
+    // The tables artefact runs no sweep and rejects the execution flags
+    // itself: open no store for it, so a rejected `--store` creates nothing.
+    if spec.artefact != ArtefactKind::Tables {
+        args.apply_execution(&spec.execution)?;
+    }
     driver::run(&spec, &args)
 }

@@ -14,14 +14,15 @@
 //!   `<path>` (the human-readable tables keep going to stdout);
 //! * `--threads <n>` — cap the sweep at `n` worker threads;
 //! * `--store <dir>` — attach the content-addressed result store at `<dir>`
-//!   (created if missing): points already stored are served from disk, fresh
-//!   results are checkpointed as they finish;
+//!   (created if missing, once [`BenchArgs::apply_execution`] knows a sweep
+//!   will run): points already stored are served from disk, fresh results
+//!   are checkpointed as they finish;
 //! * `--resume` — assert that `--store` points at an *existing* checkpoint
 //!   directory (e.g. from a killed run) instead of silently starting cold.
 //!
 //! Binaries and artefacts that do not run sweeps (`lint`, the `tables`
-//! manifest artefact) reject the execution flags with a clear message
-//! rather than ignoring them.
+//! manifest artefact) reject the execution flags with a clear message,
+//! rather than ignoring them, and create no store directory.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -35,8 +36,11 @@ pub struct BenchArgs {
     pub json: Option<String>,
     /// `--threads <n>`: worker-thread cap for the sweep.
     pub threads: Option<usize>,
-    /// `--store <dir>`: the opened result store.
+    /// The opened result store: `--store <dir>`, or else the manifest's,
+    /// opened by [`BenchArgs::apply_execution`].
     pub store: Option<ResultStore>,
+    /// `--store <dir>`, not opened until a sweep is known to run.
+    store_dir: Option<String>,
     /// `--resume`: the user expects the store to hold a prior checkpoint.
     pub resume: bool,
     rest: Vec<String>,
@@ -49,10 +53,10 @@ impl BenchArgs {
     ///
     /// # Errors
     ///
-    /// Returns a diagnostic when a shared flag is malformed, when
+    /// Returns a diagnostic when a shared flag is malformed, or when
     /// `--resume` is given without `--store` (or the store directory does
-    /// not exist yet — there is nothing to resume), or when the store
-    /// directory cannot be created.
+    /// not exist yet — there is nothing to resume). The store directory is
+    /// neither created nor opened here.
     pub fn parse() -> Result<Self, String> {
         Self::from_args(std::env::args().skip(1).collect())
     }
@@ -90,24 +94,20 @@ impl BenchArgs {
                 _ => rest.push(arg),
             }
         }
-        if resume && store_dir.is_none() {
-            return Err("--resume requires --store <dir>".to_string());
-        }
-        let store = match store_dir {
-            Some(dir) => {
-                if resume && !Path::new(&dir).is_dir() {
-                    return Err(format!(
-                        "--resume: store directory {dir} does not exist — nothing to resume"
-                    ));
-                }
-                Some(ResultStore::open(dir)?)
+        match &store_dir {
+            None if resume => return Err("--resume requires --store <dir>".to_string()),
+            Some(dir) if resume && !Path::new(dir).is_dir() => {
+                return Err(format!(
+                    "--resume: store directory {dir} does not exist — nothing to resume"
+                ));
             }
-            None => None,
-        };
+            _ => {}
+        }
         Ok(Self {
             json,
             threads,
-            store,
+            store: None,
+            store_dir,
             resume,
             rest,
         })
@@ -167,7 +167,7 @@ impl BenchArgs {
         if self.threads.is_some() {
             return Err(format!("--threads does not apply: {reason}"));
         }
-        if self.store.is_some() || self.resume {
+        if self.store_dir.is_some() || self.store.is_some() || self.resume {
             return Err(format!("--store/--resume do not apply: {reason}"));
         }
         Ok(())
@@ -187,9 +187,14 @@ impl BenchArgs {
     }
 
     /// Applies the shared execution flags (`--threads`, `--store`) to a
-    /// sweep runner.
+    /// sweep runner. A `--store` takes effect only once
+    /// [`BenchArgs::apply_execution`] has opened it.
     #[must_use]
     pub fn configure<'a>(&'a self, mut runner: SweepRunner<'a>) -> SweepRunner<'a> {
+        debug_assert!(
+            self.store_dir.is_none(),
+            "--store must be opened by apply_execution before a sweep"
+        );
         if let Some(n) = self.threads {
             runner = runner.threads(n);
         }
@@ -199,15 +204,15 @@ impl BenchArgs {
         runner
     }
 
-    /// Fills in execution options from a manifest's `execution` block.
-    /// CLI flags win field by field: a field already set on `self` keeps
-    /// its value, an unset one takes the manifest's. The merged result is
-    /// re-checked against the same cross-flag constraints as
-    /// [`BenchArgs::parse`].
+    /// Fills in execution options from a manifest's `execution` block and
+    /// opens the result store, for a caller about to sweep. CLI flags win
+    /// field by field: a field already set on `self` keeps its value, an
+    /// unset one takes the manifest's. The merged result is re-checked
+    /// against the same cross-flag constraints as [`BenchArgs::parse`].
     ///
     /// # Errors
     ///
-    /// Returns a diagnostic when a manifest store directory cannot be
+    /// Returns a diagnostic when the store directory cannot be created or
     /// opened, when `resume` points at a store directory that does not
     /// exist yet, or when `resume` is set without a store.
     pub fn apply_execution(&mut self, exec: &crate::spec::ExecutionSpec) -> Result<(), String> {
@@ -216,13 +221,13 @@ impl BenchArgs {
         }
         self.resume = self.resume || exec.resume;
         if self.store.is_none() {
-            if let Some(dir) = &exec.store {
-                if self.resume && !Path::new(dir).is_dir() {
+            if let Some(dir) = self.store_dir.take().or_else(|| exec.store.clone()) {
+                if self.resume && !Path::new(&dir).is_dir() {
                     return Err(format!(
                         "resume: store directory {dir} does not exist — nothing to resume"
                     ));
                 }
-                self.store = Some(ResultStore::open(dir.clone())?);
+                self.store = Some(ResultStore::open(dir)?);
             }
         }
         if self.resume && self.store.is_none() {
@@ -276,6 +281,7 @@ pub fn emit_json(path: Option<&str>, build: impl FnOnce() -> Json) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ExecutionSpec;
     use ava_sim::json::object;
 
     fn argv(args: &[&str]) -> Vec<String> {
@@ -324,10 +330,13 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("nothing to resume"), "{err}");
 
-        // With the directory present, --resume opens the store normally.
+        // With the directory present, --resume opens the store normally
+        // once the execution options are applied.
         std::fs::create_dir_all(&missing).unwrap();
-        let args = BenchArgs::from_args(argv(&["--store", missing.to_str().unwrap(), "--resume"]))
-            .unwrap();
+        let mut args =
+            BenchArgs::from_args(argv(&["--store", missing.to_str().unwrap(), "--resume"]))
+                .unwrap();
+        args.apply_execution(&ExecutionSpec::default()).unwrap();
         assert!(args.store.is_some());
         assert!(args.resume);
         let _ = std::fs::remove_dir_all(&missing);
@@ -337,10 +346,34 @@ mod tests {
     fn store_flag_opens_and_creates_the_directory() {
         let dir = std::env::temp_dir().join(format!("ava-bencharg-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let args = BenchArgs::from_args(argv(&["--store", dir.to_str().unwrap()])).unwrap();
+        let mut args = BenchArgs::from_args(argv(&["--store", dir.to_str().unwrap()])).unwrap();
+        assert!(!dir.exists(), "parsing alone must not create the directory");
+        args.apply_execution(&ExecutionSpec::default()).unwrap();
         assert!(args.store.is_some());
         assert!(dir.is_dir(), "--store must create the directory");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_rejected_store_flag_creates_no_directory() {
+        let dir = std::env::temp_dir().join(format!("ava-bencharg-reject-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let args = BenchArgs::from_args(argv(&["--store", dir.to_str().unwrap()])).unwrap();
+        let err = args.reject_execution_flags("no sweep here").unwrap_err();
+        assert!(
+            err.contains("--store") && err.contains("no sweep here"),
+            "{err}"
+        );
+        assert!(!dir.exists(), "a rejected --store must leave no directory");
+    }
+
+    #[test]
+    fn an_unwritable_store_fails_when_execution_is_applied() {
+        let file = std::env::temp_dir().join(format!("ava-bencharg-file-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let mut args = BenchArgs::from_args(argv(&["--store", file.to_str().unwrap()])).unwrap();
+        assert!(args.apply_execution(&ExecutionSpec::default()).is_err());
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

@@ -112,7 +112,8 @@ fn fig4_area(run: &mut Runner<'_>) {
 }
 
 /// Unit-stride and strided vector accesses through the L2/DRAM timing
-/// model, the per-point L2 warm-up, the scalar L1 hit path, and word reads
+/// model, the per-point L2 warm-up, a unit-stride stream whose every line
+/// misses into a full L2 set, the scalar L1 hit path, and word reads
 /// and writes of the functional memory, one word at a time and as page runs
 /// (the data path of every vector element, swap and spill).
 fn memory_hierarchy(run: &mut Runner<'_>) {
@@ -137,6 +138,22 @@ fn memory_hierarchy(run: &mut Runner<'_>) {
         let mut mem = MemoryHierarchy::new(config);
         mem.warm_caches_ranges(&[(0, 1 << 20)]);
         mem.vector_access(0, 64, false).l2_hits
+    });
+
+    // The miss path into full sets: unit-stride 1 KiB requests cycling
+    // through 4x the capacity of a 256 KiB L2, so under LRU every line
+    // misses and evicts. One pass before measuring fills every set.
+    let mut config = HierarchyConfig::default();
+    config.l2.size_bytes = 256 << 10;
+    let mut mem = MemoryHierarchy::new(config);
+    let span = 4 * config.l2.size_bytes as u64;
+    let base = mem.allocate(span);
+    mem.warm_caches_ranges(&[(base, base + span)]);
+    let mut offset = 0;
+    run("memory/stream_evicting_256kib_l2", &mut || {
+        let misses = mem.vector_access(base + offset, 128 * 8, false).l2_misses;
+        offset = (offset + 128 * 8) % span;
+        misses
     });
 
     let mut mem = MemoryHierarchy::new(HierarchyConfig::default());

@@ -91,21 +91,24 @@ fn overlaps(s1: u64, e1: u64, s2: u64, e2: u64) -> bool {
 /// (end, ir_index, phase span).
 type Pending = BTreeMap<u64, (u64, usize, usize)>;
 
-/// The starts of the pending stores that overlap `[lo, hi)`, ascending.
+/// Replaces `starts` with the starts of the pending stores that overlap
+/// `[lo, hi)`, ascending.
 ///
 /// Every store removes the pending stores it overlaps before it is
 /// inserted, so no two pending stores overlap. The candidates are then the
 /// stores starting in `lo..hi` and the last one starting before `lo`: any
 /// earlier store that reached `lo` would overlap that last one.
-fn overlapping(pending: &Pending, lo: u64, hi: u64) -> Vec<u64> {
-    pending
-        .range(..lo)
-        .next_back()
-        .into_iter()
-        .chain(pending.range(lo..hi))
-        .filter(|(&s, &(e, ..))| overlaps(s, e, lo, hi))
-        .map(|(&s, _)| s)
-        .collect()
+fn overlapping(pending: &Pending, lo: u64, hi: u64, starts: &mut Vec<u64>) {
+    starts.clear();
+    starts.extend(
+        pending
+            .range(..lo)
+            .next_back()
+            .into_iter()
+            .chain(pending.range(lo..hi))
+            .filter(|(&s, &(e, ..))| overlaps(s, e, lo, hi))
+            .map(|(&s, _)| s),
+    );
 }
 
 /// The stores into one carried arena in the current phase span.
@@ -195,6 +198,8 @@ pub fn check_memory(
     // Per-arena pending stores. Never reset — a store observed only in a
     // later phase is still observed.
     let mut pending: Vec<Pending> = vec![BTreeMap::new(); arenas.len()];
+    // Scratch for the overlapping pending stores of one access.
+    let mut starts = Vec::new();
     let mut next_phase = 0usize;
 
     for (idx, instr) in kernel.instrs.iter().enumerate() {
@@ -266,7 +271,8 @@ pub fn check_memory(
             // overwrite happens in a *later phase span*, the earlier store
             // is an intermediate result of an unrolled loop, superseded by
             // design — report it at info only.
-            for s in overlapping(&pending[ai], lo, hi) {
+            overlapping(&pending[ai], lo, hi, &mut starts);
+            for &s in &starts {
                 let (e, old_idx, old_span) = pending[ai].remove(&s).unwrap();
                 if exact_unit && s >= lo && e <= hi {
                     let mut d = Diagnostic::new(
@@ -307,8 +313,9 @@ pub fn check_memory(
                 }
             }
             // The load observes any pending store it touches.
-            for s in overlapping(&pending[ai], lo, hi) {
-                pending[ai].remove(&s);
+            overlapping(&pending[ai], lo, hi, &mut starts);
+            for s in &starts {
+                pending[ai].remove(s);
             }
         }
     }

@@ -75,11 +75,28 @@ impl MemoryHierarchy {
     /// Creates a hierarchy with the given configuration and empty caches.
     #[must_use]
     pub fn new(config: HierarchyConfig) -> Self {
+        Self::with_l2(config, Cache::new(config.l2))
+    }
+
+    /// Creates a hierarchy around `l2` as it stands, contents and counters:
+    /// say, a copy of an L2 warmed earlier over the same working set. Every
+    /// other part is fresh, as [`MemoryHierarchy::new`] makes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l2` was built for another configuration than `config.l2`.
+    #[must_use]
+    pub fn with_l2(config: HierarchyConfig, l2: Cache) -> Self {
+        assert_eq!(
+            *l2.config(),
+            config.l2,
+            "the L2 must have the hierarchy's geometry"
+        );
         Self {
             config,
             memory: MainMemory::new(),
             l1d: Cache::new(config.l1d),
-            l2: Cache::new(config.l2),
+            l2,
             dram: Dram::new(config.dram),
             vmu_port: BusPort::new(config.vmu_bus_bytes),
             stats: MemoryStats::default(),
@@ -225,6 +242,12 @@ impl MemoryHierarchy {
             l2_hits: hits,
             l2_misses: misses,
         }
+    }
+
+    /// The L2 cache.
+    #[must_use]
+    pub fn l2(&self) -> &Cache {
+        &self.l2
     }
 
     /// Aggregate statistics snapshot.
@@ -409,6 +432,13 @@ mod tests {
     fn warming_an_empty_range_touches_nothing() {
         let h = warmed_like_a_walk(&[(640, 640), (900, 100)]);
         assert!((0..64).all(|line| !h.l2.contains(line * 64)));
+    }
+
+    #[test]
+    #[should_panic(expected = "geometry")]
+    fn a_hierarchy_refuses_an_l2_of_another_geometry() {
+        let _ =
+            MemoryHierarchy::with_l2(HierarchyConfig::default(), Cache::new(CacheConfig::l1d()));
     }
 
     #[test]

@@ -4,10 +4,12 @@ use std::time::Instant;
 
 use ava_compiler::{compile, CompileOptions, CompiledKernel};
 use ava_isa::{Lmul, VectorContext};
-use ava_memory::{CacheStats, HierarchyConfig, MainMemory, MemoryHierarchy, MemoryStats};
+use ava_memory::{
+    Cache, CacheConfig, CacheStats, HierarchyConfig, MainMemory, MemoryHierarchy, MemoryStats,
+};
 use ava_scalar::{ScalarCore, ScalarCost};
 use ava_vpu::exec::FunctionalState;
-use ava_vpu::{Vpu, VpuStats};
+use ava_vpu::{Vpu, VpuConfig, VpuStats};
 use ava_workloads::{
     validate_image, ArenaPlanner, BufferBindings, Fingerprint, PlannedLayout, Workload,
     WorkloadSetup,
@@ -396,6 +398,9 @@ pub(crate) struct PreparedPoint {
     /// The result-store content fingerprint, computed on first use: a
     /// sweep without a store never formats the program.
     fingerprint: Option<u64>,
+    /// The warm-ups the owner announced through [`PreparedPoint::announce`]:
+    /// one per L2 geometry and warm ranges.
+    warm_l2: Vec<WarmL2>,
     #[cfg(test)]
     _live: tests::LiveImage,
 }
@@ -428,6 +433,39 @@ impl PreparedPoint {
         })
     }
 
+    /// Announces a later simulation on `system`, so that a warmed L2 its
+    /// warm-up shares with another announced simulation is walked once
+    /// and then copied.
+    pub(crate) fn announce(&mut self, system: &SystemConfig) {
+        let (l2, ranges) = (system.memory.l2, self.warm_ranges(&system.vpu));
+        match self
+            .warm_l2
+            .iter_mut()
+            .find(|w| w.l2 == l2 && w.ranges == ranges)
+        {
+            Some(w) => w.pending += 1,
+            None => self.warm_l2.push(WarmL2 {
+                l2,
+                ranges,
+                pending: 1,
+                cache: None,
+            }),
+        }
+    }
+
+    /// The ranges a simulation on a VPU built for `vpu` warms: the
+    /// planner-derived buffer ranges and the M-VRF, which that VPU reserves
+    /// directly above the spill arena.
+    fn warm_ranges(&self, vpu: &VpuConfig) -> Vec<(u64, u64)> {
+        let mut memory = self.allocator.clone();
+        let (_, arena_end) = memory.allocated_range();
+        let _ = Vpu::reserve_mvrf(vpu, &mut memory);
+        let (_, mvrf_end) = memory.allocated_range();
+        let mut ranges = self.setup.warm_ranges.clone();
+        ranges.push((arena_end, mvrf_end));
+        ranges
+    }
+
     fn assert_prepared_for(&self, system: &SystemConfig) {
         assert_eq!(
             (self.mvl, self.lmul),
@@ -437,6 +475,50 @@ impl PreparedPoint {
             system.label()
         );
     }
+}
+
+/// An L2 warm-up that several simulations of one prepared point share: the
+/// warmed L2 depends only on its geometry and the warm ranges.
+#[derive(Debug)]
+struct WarmL2 {
+    l2: CacheConfig,
+    ranges: Vec<(u64, u64)>,
+    /// Announced simulations that have not run yet.
+    pending: usize,
+    /// The warmed L2, kept from the first of them for the rest.
+    cache: Option<Cache>,
+}
+
+impl WarmL2 {
+    /// A hierarchy for `config` whose L2 is warmed over this entry's
+    /// ranges, with every counter at zero: a copy of the kept L2, or (for
+    /// the first simulation) a walk of the ranges, kept while announced
+    /// simulations remain. The last one takes the kept L2 itself.
+    fn hierarchy(&mut self, config: HierarchyConfig) -> MemoryHierarchy {
+        self.pending = self.pending.saturating_sub(1);
+        match (self.cache.take(), self.pending) {
+            (Some(l2), 0) => MemoryHierarchy::with_l2(config, l2),
+            (Some(l2), _) => {
+                let mem = MemoryHierarchy::with_l2(config, l2.clone());
+                self.cache = Some(l2);
+                mem
+            }
+            (None, pending) => {
+                let mem = walked(config, &self.ranges);
+                if pending > 0 {
+                    self.cache = Some(mem.l2().clone());
+                }
+                mem
+            }
+        }
+    }
+}
+
+/// A fresh hierarchy for `config` with its L2 warmed over `ranges`.
+fn walked(config: HierarchyConfig, ranges: &[(u64, u64)]) -> MemoryHierarchy {
+    let mut mem = MemoryHierarchy::new(config);
+    mem.warm_caches_ranges(ranges);
+    mem
 }
 
 /// What the functional pass of a prepared point leaves for its timing runs.
@@ -516,6 +598,7 @@ pub(crate) fn prepare(workload: &dyn Workload, system: &SystemConfig) -> Prepare
         compiled,
         spill_base,
         fingerprint: None,
+        warm_l2: Vec::new(),
         #[cfg(test)]
         _live: tests::LiveImage::new(),
     }
@@ -574,6 +657,7 @@ pub(crate) fn stored_or(
 /// system `prepared` was built for.
 pub(crate) fn simulate(prepared: &mut PreparedPoint, system: &SystemConfig) -> RunReport {
     prepared.assert_prepared_for(system);
+    let ranges = prepared.warm_ranges(&system.vpu);
     let PreparedPoint {
         workload,
         mvl,
@@ -582,37 +666,43 @@ pub(crate) fn simulate(prepared: &mut PreparedPoint, system: &SystemConfig) -> R
         functional,
         setup,
         compiled,
+        warm_l2,
         ..
     } = prepared;
     let functional = functional
         .get_or_insert_with(|| FunctionalRun::new(std::mem::take(image), compiled, setup, *mvl));
 
-    // 3. A fresh hierarchy for the scenario, whose memory holds no data but
-    //    continues the prepared allocations. The VPU reserves its M-VRF
-    //    backing store above the arena (AVA only); like the application
-    //    data it belongs to the measured working set.
-    let mut mem = MemoryHierarchy::new(system.memory);
+    // 3. A hierarchy for the scenario with its L2 warmed over the working
+    //    set: the planner-derived buffer ranges the run actually touches
+    //    (dead placeholder inputs of pipelined composites stay cold) and
+    //    the M-VRF — but *not* the spill arena: it is not application
+    //    data, and at long MVLs (64 slots × MVL × 8 B) warming it would
+    //    evict the real working set from small L2 configurations before
+    //    the run starts. A warm-up announced for several simulations is
+    //    walked once and copied. The memory holds no data but continues
+    //    the prepared allocations; the VPU reserves its M-VRF backing store
+    //    above the arena (AVA only), where the warm ranges put it.
+    let mut mem = match warm_l2
+        .iter_mut()
+        .find(|w| w.l2 == system.memory.l2 && w.ranges == ranges)
+    {
+        Some(warm) => warm.hierarchy(system.memory),
+        None => walked(system.memory, &ranges),
+    };
     *mem.memory_mut() = allocator.clone();
-    let (_, arena_end) = mem.memory().allocated_range();
     let mut vpu = Vpu::new(system.vpu.clone(), &mut mem);
-    let (_, mvrf_end) = mem.memory().allocated_range();
+    debug_assert_eq!(
+        ranges.last().map(|&(_, mvrf_end)| mvrf_end),
+        Some(mem.memory().allocated_range().1),
+        "the M-VRF lies where the warm ranges put it"
+    );
 
     // 4. Cycle-level simulation on the VPU, fed the gather and scatter
-    //    addresses of the functional pass. The caches are warmed over the
-    //    working set: the planner-derived buffer ranges the run actually
-    //    touches (dead placeholder inputs of pipelined composites stay
-    //    cold) and the M-VRF — but *not* the spill arena: it is not
-    //    application data, and at long MVLs (64 slots × MVL × 8 B) warming
-    //    it would evict the real working set from small L2 configurations
-    //    before the run starts.
-    let mut warm = setup.warm_ranges.clone();
-    warm.push((arena_end, mvrf_end));
-    mem.warm_caches_ranges(&warm);
-
-    // The program runs as one segment per phase mark on the same VPU
-    // instance — observationally identical to one continuous run — or as
-    // one whole-program segment without marks. A multi-phase run records
-    // every phase's cycle/memory counters as a delta.
+    //    addresses of the functional pass. The program runs as one segment
+    //    per phase mark on the same VPU instance — observationally
+    //    identical to one continuous run — or as one whole-program segment
+    //    without marks. A multi-phase run records every phase's
+    //    cycle/memory counters as a delta.
     let marks = &setup.phase_marks;
     let segments = marks.len().max(1);
     let mut phases = Vec::new();
@@ -753,6 +843,56 @@ pub(crate) mod tests {
                 format!("{:?}", run_system(&w, system))
             );
         }
+    }
+
+    #[test]
+    fn a_claim_that_shares_l2_warm_ups_reports_what_each_point_alone_does() {
+        // Somier's working set exceeds a 64 KiB L2, so that warm-up evicts.
+        // NATIVE X2 and AVA X2 share the key; each AVA point warms its
+        // M-VRF too, whose size the VVR count sets. The DRAM bandwidth and
+        // L1 size leave the warm-up alone, so points share one per L2 size
+        // and VVR count, in any order.
+        let w = Somier::new(2048);
+        let mut systems = Vec::new();
+        for l2 in [64, 256] {
+            for (dram, vvrs) in [(8, 64), (16, 64), (8, 96), (32, 64)] {
+                let ava = ScenarioConfig::ava_x(2)
+                    .with(Knob::L2_KIB, l2)
+                    .with(Knob::DRAM_BW, dram)
+                    .with(Knob::VVRS, vvrs);
+                systems.push(ava.resolve());
+            }
+            let native = ScenarioConfig::native_x(2).with(Knob::L2_KIB, l2);
+            systems.push(native.resolve());
+            systems.push(native.with(Knob::L1_KIB, 64).resolve());
+        }
+        systems.rotate_left(3);
+        let mut prepared = prepare(&w, &systems[0]);
+        for system in &systems {
+            prepared.announce(system);
+        }
+        assert_eq!(
+            prepared.warm_l2.len(),
+            6,
+            "2 L2 sizes x (2 VVR counts + NATIVE)"
+        );
+        let misses = |r: &RunReport| r.mem.l2.misses();
+        for (i, system) in systems.iter().enumerate() {
+            let report = simulate(&mut prepared, system);
+            let alone = run_system(&w, system);
+            assert!(report.validated, "{:?}", report.validation_error);
+            if system.memory.l2.size_bytes == 64 << 10 {
+                assert!(misses(&report) > 0, "point {i} misses the L2");
+            }
+            assert_eq!(format!("{report:?}"), format!("{alone:?}"), "point {i}");
+        }
+        assert!(
+            prepared
+                .warm_l2
+                .iter()
+                .all(|w| w.pending == 0 && w.cache.is_none()),
+            "the last point of each warm-up takes its L2"
+        );
     }
 
     #[test]

@@ -720,7 +720,9 @@ impl Sweep {
     /// A point is served from `store` when it has a usable entry; otherwise
     /// it copies the report of the first earlier point of the claim that
     /// [`proves`] it, or else is simulated. Copies and simulations alike are
-    /// checkpointed. The prepared point is dropped when the claim ends.
+    /// checkpointed. Every point's L2 warm-up is announced up front, so
+    /// points that share one walk it once. The prepared point is dropped
+    /// when the claim ends.
     fn run_claim(&self, claim: &[usize], store: Option<&ResultStore>, worker: usize) -> Vec<Done> {
         let mut start = Instant::now();
         let first = claim[0];
@@ -728,6 +730,9 @@ impl Sweep {
             self.workloads[self.points[first].0].as_ref(),
             self.system(first),
         );
+        for &point in claim {
+            prepared.announce(self.system(point));
+        }
         let mut finished: Vec<Done> = Vec::with_capacity(claim.len());
         for &point in claim {
             let system = self.system(point);

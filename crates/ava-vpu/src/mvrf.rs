@@ -1,8 +1,9 @@
 //! The Memory Vector Register File (M-VRF).
 //!
 //! The M-VRF is an ordinary region of memory (reserved by the
-//! `set_virtual_vrf` intrinsic in the paper; by an allocation in the memory
-//! hierarchy here) holding one full-MVL slot per Virtual Vector Register.
+//! `set_virtual_vrf` intrinsic in the paper; by an allocation in the
+//! functional memory here) holding one full-MVL slot per Virtual Vector
+//! Register.
 //! VVRs that do not fit in the P-VRF live here; the Swap Mechanism moves
 //! them back and forth with Swap-Store / Swap-Load memory operations, which
 //! travel through the same vector memory unit as ordinary vector accesses
@@ -10,14 +11,14 @@
 //! data through it: the timing model charges each slot access and carries
 //! the id of the instruction whose value a slot holds.
 
-use ava_memory::MemoryHierarchy;
+use ava_memory::MainMemory;
 
 /// The memory-resident second level of the vector register file.
 ///
 /// ```
 /// use ava_vpu::mvrf::MemoryVrf;
-/// use ava_memory::MemoryHierarchy;
-/// let mut mem = MemoryHierarchy::default();
+/// use ava_memory::MainMemory;
+/// let mut mem = MainMemory::new();
 /// let mvrf = MemoryVrf::allocate(&mut mem, 64, 32);
 /// assert_eq!(mvrf.slot_addr(7) - mvrf.base(), 7 * 32 * 8);
 /// ```
@@ -32,9 +33,9 @@ impl MemoryVrf {
     /// Reserves space for `num_vvrs` registers of `mvl` elements in the
     /// simulated memory (the paper's `set_virtual_vrf` intrinsic).
     #[must_use]
-    pub fn allocate(mem: &mut MemoryHierarchy, num_vvrs: usize, mvl: usize) -> Self {
+    pub fn allocate(mem: &mut MainMemory, num_vvrs: usize, mvl: usize) -> Self {
         let bytes = (num_vvrs * mvl * 8) as u64;
-        let base = mem.allocate(bytes.max(8));
+        let base = mem.alloc(bytes.max(8));
         Self {
             base,
             num_vvrs,
@@ -72,7 +73,7 @@ mod tests {
 
     #[test]
     fn slots_are_disjoint_and_sized_by_mvl() {
-        let mut mem = MemoryHierarchy::default();
+        let mut mem = MainMemory::new();
         let m = MemoryVrf::allocate(&mut mem, 64, 128);
         assert_eq!(m.size_bytes(), 64 * 128 * 8);
         assert_eq!(m.slot_addr(1) - m.slot_addr(0), 128 * 8);
@@ -81,7 +82,7 @@ mod tests {
 
     #[test]
     fn distinct_mvrfs_do_not_overlap() {
-        let mut mem = MemoryHierarchy::default();
+        let mut mem = MainMemory::new();
         let a = MemoryVrf::allocate(&mut mem, 4, 16);
         let b = MemoryVrf::allocate(&mut mem, 4, 16);
         assert!(a.slot_addr(3) + 16 * 8 <= b.base());
@@ -90,7 +91,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_slot_panics() {
-        let mut mem = MemoryHierarchy::default();
+        let mut mem = MainMemory::new();
         let m = MemoryVrf::allocate(&mut mem, 4, 16);
         let _ = m.slot_addr(4);
     }

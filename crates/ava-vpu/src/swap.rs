@@ -46,20 +46,24 @@ pub fn plan_free_register(
     if mapping.has_free_physical() {
         return Some(SwapDecision::AlreadyFree);
     }
-    let candidates = || mapping.resident().filter(|(v, _)| !protected.contains(v));
-    // When the victim's register is next writable: its value produced and
-    // every reader of it done.
-    let blocking =
-        |v: RenamedReg, preg: usize| preg_readers_done[preg].max(value_ready[v as usize]);
-    let reclaim = candidates()
-        .filter(|&(v, _)| rac.is_reclaimable(v))
-        .min_by_key(|&(v, preg)| (blocking(v, preg), v));
-    if let Some((v, _)) = reclaim {
-        return Some(SwapDecision::Reclaim(v));
-    }
-    candidates()
-        .min_by_key(|&(v, preg)| (rac.count(v), blocking(v, preg), v))
-        .map(|(v, _)| SwapDecision::SwapStore(v))
+    // One walk with the swap key (count, blocking, id). A reclaimable VVR
+    // has count zero, so when any candidate is reclaimable the minimum is
+    // one, and among those it minimises (blocking, id): the reclaim choice.
+    // `blocking` is when the victim's register is next writable: its value
+    // produced and every reader of it done.
+    let (_, _, v) = mapping
+        .resident()
+        .filter(|(v, _)| !protected.contains(v))
+        .map(|(v, preg)| {
+            let blocking = preg_readers_done[preg].max(value_ready[v as usize]);
+            (rac.count(v), blocking, v)
+        })
+        .min()?;
+    Some(if rac.is_reclaimable(v) {
+        SwapDecision::Reclaim(v)
+    } else {
+        SwapDecision::SwapStore(v)
+    })
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 use ava_isa::{
     ExecClass, InstrKind, InstrRole, Opcode, Program, VReg, VecInstr, VlMode, NUM_LOGICAL_VREGS,
 };
-use ava_memory::{AccessTiming, MemoryHierarchy};
+use ava_memory::{AccessTiming, MainMemory, MemoryHierarchy};
 
 use crate::config::{RenameMode, VpuConfig};
 use crate::exec::{element_addr, FunctionalState};
@@ -127,10 +127,7 @@ impl Vpu {
     pub fn new(config: VpuConfig, mem: &mut MemoryHierarchy) -> Self {
         let pregs = config.physical_regs();
         let pool = config.rename_pool();
-        let mvrf = match config.mode {
-            RenameMode::Ava => Some(MemoryVrf::allocate(mem, config.vvr_count, config.mvl)),
-            RenameMode::Native => None,
-        };
+        let mvrf = Self::reserve_mvrf(&config, mem.memory_mut());
         Self {
             rename: RenameUnit::new(pool),
             mapping: VrfMapping::new(pool, pregs),
@@ -161,6 +158,17 @@ impl Vpu {
             stats: VpuStats::default(),
             finish_time: 0,
             config,
+        }
+    }
+
+    /// Reserves the M-VRF backing store of a VPU built for `config` in
+    /// `memory`, as [`Vpu::new`] does: AVA only, at the next allocation.
+    /// On an allocator-only copy of the memory this says ahead of time
+    /// where the M-VRF will lie.
+    pub fn reserve_mvrf(config: &VpuConfig, memory: &mut MainMemory) -> Option<MemoryVrf> {
+        match config.mode {
+            RenameMode::Ava => Some(MemoryVrf::allocate(memory, config.vvr_count, config.mvl)),
+            RenameMode::Native => None,
         }
     }
 

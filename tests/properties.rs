@@ -8,7 +8,9 @@
 //! byte-map model, `execute_into` must match the per-element definition of
 //! every arithmetic opcode bit for bit, the VRF mapping's resident walk
 //! must match its location table, the recency-ordered cache must match a
-//! timestamp-LRU reference model access for access, an L2 with more
+//! timestamp-LRU reference model access for access (a clone of it too), an
+//! L2 installed from a warmed copy must equal one that walked its ranges,
+//! the one-walk swap victim must equal the two-walk selection, an L2 with more
 //! sets must hit wherever a smaller one of the same line and ways hits (the
 //! fact the sweep's sibling reuse rests on), and the linear static memory
 //! pass must report exactly what the quadratic scan it replaced did.
@@ -20,10 +22,13 @@
 use ava::compiler::analysis::{check_memory, Arena, Code, Diagnostic, Severity, VlState};
 use ava::compiler::{compile, CompileOptions, IrKernel, KernelBuilder, VirtReg};
 use ava::isa::{Element, Lmul, Opcode};
-use ava::memory::cache::AccessOutcome;
-use ava::memory::{Cache, CacheConfig, CacheStats, MainMemory, MemoryHierarchy};
+use ava::memory::cache::{AccessOutcome, TRACKED_LINES};
+use ava::memory::{Cache, CacheConfig, CacheStats, HierarchyConfig, MainMemory, MemoryHierarchy};
 use ava::sim::ScenarioConfig;
 use ava::vpu::exec::{execute_into, OperandValue};
+use ava::vpu::rac::Rac;
+use ava::vpu::rename::RenamedReg;
+use ava::vpu::swap::{plan_free_register, SwapDecision};
 use ava::vpu::vrf_mapping::{Location, VrfMapping};
 use ava::vpu::Vpu;
 use ava::workloads::data::DataGen;
@@ -388,6 +393,203 @@ fn the_recency_ordered_cache_matches_a_timestamp_lru_model() {
             }
         }
     }
+}
+
+/// A clone taken mid-stream continues exactly as the original and as the
+/// reference model: same outcomes, counters and resident lines, through a
+/// flush of the original. The streams mix lines that the cache's presence
+/// bitmap tracks with lines at and above its limit, which share sets and
+/// are found by a scan instead.
+#[test]
+fn a_cloned_cache_continues_like_the_original_and_the_reference() {
+    for (case, config) in reference_geometries() {
+        let capacity = (config.sets() * config.ways) as u64;
+        let line = config.line_bytes as u64;
+        let mut rng = case_rng(case + 100);
+        let what = format!("{} sets x {} ways of {line} B", config.sets(), config.ways);
+        let lines = 2 * capacity;
+        let stream: Vec<(u64, bool)> = (0..4 * lines.max(300))
+            .map(|_| {
+                let l = in_range(&mut rng, 0, lines - 1);
+                let l = match l % 3 {
+                    0 => l,
+                    1 => TRACKED_LINES - lines / 2 + l,
+                    _ => (1 << 40) + l,
+                };
+                (l * line, rng.next_u64().is_multiple_of(3))
+            })
+            .collect();
+        let (before, after) = stream.split_at(stream.len() / 2);
+        let mut cache = Cache::new(config);
+        let mut reference = ReferenceCache::new(config);
+        for &(addr, write) in before {
+            assert_eq!(
+                cache.access(addr, write),
+                reference.access(addr, write),
+                "{what}"
+            );
+        }
+        let mut copy = cache.clone();
+        for (k, &(addr, write)) in after.iter().enumerate() {
+            let want = reference.access(addr, write);
+            assert_eq!(cache.access(addr, write), want, "{what}: access {k}");
+            assert_eq!(copy.access(addr, write), want, "{what}: clone, access {k}");
+        }
+        assert_eq!(*copy.stats(), reference.stats, "{what}: clone counters");
+        let touched: BTreeSet<u64> = stream.iter().map(|&(addr, _)| addr).collect();
+        cache.flush();
+        for &addr in &touched {
+            let want = reference.contains(addr);
+            assert_eq!(
+                copy.contains(addr),
+                want,
+                "{what}: clone, {addr:#x} resident"
+            );
+            assert!(
+                !cache.contains(addr),
+                "{what}: {addr:#x} resident after a flush"
+            );
+        }
+    }
+}
+
+/// A hierarchy built around a copy of a warmed L2 equals one that walks
+/// the same ranges itself, on random ranges over random geometries (many
+/// of them larger than the L2, so the walk evicts), and keeps equal
+/// through a random stream of vector requests.
+#[test]
+fn an_installed_warm_l2_equals_a_walked_one() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case + 200);
+        let line = 1usize << in_range(&mut rng, 5, 7);
+        let ways = in_range(&mut rng, 1, 16) as usize;
+        let sets = in_range(&mut rng, 1, 12) as usize;
+        let l2 = CacheConfig {
+            size_bytes: sets * ways * line,
+            line_bytes: line,
+            ways,
+            hit_latency: 12,
+        };
+        let config = HierarchyConfig {
+            l2,
+            ..HierarchyConfig::default()
+        };
+        let span = 4 * l2.size_bytes as u64;
+        let ranges: Vec<(u64, u64)> = (0..in_range(&mut rng, 1, 4))
+            .map(|_| {
+                let start = in_range(&mut rng, 0, span);
+                (start, start + in_range(&mut rng, 0, span / 2))
+            })
+            .collect();
+        let what = format!("case {case}: {sets} sets x {ways} ways of {line} B, {ranges:?}");
+        let mut warmed = MemoryHierarchy::new(config);
+        warmed.warm_caches_ranges(&ranges);
+        let mut installed = MemoryHierarchy::with_l2(config, warmed.l2().clone());
+        let mut walked = MemoryHierarchy::new(config);
+        walked.warm_caches_ranges(&ranges);
+        for addr in (0..2 * span).step_by(line) {
+            assert_eq!(
+                installed.l2().contains(addr),
+                walked.l2().contains(addr),
+                "{what}"
+            );
+        }
+        for k in 0..100 {
+            let base = in_range(&mut rng, 0, 2 * span);
+            let bytes = in_range(&mut rng, 0, 4 * line as u64);
+            let write = rng.next_u64().is_multiple_of(2);
+            assert_eq!(
+                installed.vector_access(base, bytes, write),
+                walked.vector_access(base, bytes, write),
+                "{what}: request {k}"
+            );
+        }
+        assert_eq!(installed.stats(), walked.stats(), "{what}: counters");
+    }
+}
+
+/// The Swap Logic's choice as two walks: the reclaimable candidate with
+/// the least (blocking, id), else the candidate with the least (count,
+/// blocking, id).
+fn two_pass_victim(
+    mapping: &VrfMapping,
+    rac: &Rac,
+    protected: &[RenamedReg],
+    value_ready: &[u64],
+    preg_readers_done: &[u64],
+) -> Option<SwapDecision> {
+    if mapping.has_free_physical() {
+        return Some(SwapDecision::AlreadyFree);
+    }
+    let candidates = || mapping.resident().filter(|(v, _)| !protected.contains(v));
+    let blocking =
+        |v: RenamedReg, preg: usize| preg_readers_done[preg].max(value_ready[v as usize]);
+    let reclaim = candidates()
+        .filter(|&(v, _)| rac.is_reclaimable(v))
+        .min_by_key(|&(v, preg)| (blocking(v, preg), v));
+    if let Some((v, _)) = reclaim {
+        return Some(SwapDecision::Reclaim(v));
+    }
+    candidates()
+        .min_by_key(|&(v, preg)| (rac.count(v), blocking(v, preg), v))
+        .map(|(v, _)| SwapDecision::SwapStore(v))
+}
+
+/// `plan_free_register`'s single walk picks what the two walks pick, on
+/// random mappings, counters and timings drawn from small ranges (so
+/// counts and blocking cycles tie often), with random protected sets that
+/// sometimes cover every resident VVR.
+#[test]
+fn the_one_walk_swap_victim_equals_the_two_walk_selection() {
+    let mut decisions = [0usize; 4];
+    for case in 0..CASES {
+        let mut rng = case_rng(case + 300);
+        let vvrs = in_range(&mut rng, 4, 64) as usize;
+        let pregs = in_range(&mut rng, 1, vvrs as u64) as usize;
+        let mut mapping = VrfMapping::new(vvrs, pregs);
+        let mut rac = Rac::new(vvrs);
+        for step in 0..300 {
+            let v = in_range(&mut rng, 0, vvrs as u64 - 1) as u16;
+            match in_range(&mut rng, 0, 5) {
+                0 => {
+                    let _ = mapping.allocate_physical(v);
+                }
+                1 if mapping.physical_of(v).is_some() => {
+                    mapping.move_to_memory(v);
+                }
+                2 => rac.increment(v),
+                3 => rac.decrement(v),
+                4 => rac.clear(v),
+                _ => {
+                    let _ = mapping.allocate_physical(v);
+                    rac.increment(v);
+                }
+            }
+            let value_ready: Vec<u64> = (0..vvrs).map(|_| in_range(&mut rng, 0, 3)).collect();
+            let readers_done: Vec<u64> = (0..pregs).map(|_| in_range(&mut rng, 0, 3)).collect();
+            let resident: Vec<u16> = mapping.resident().map(|(v, _)| v).collect();
+            let protected: Vec<u16> = match in_range(&mut rng, 0, 3) {
+                0 => Vec::new(),
+                1 => resident.clone(),
+                _ => (0..in_range(&mut rng, 1, 4))
+                    .map(|_| in_range(&mut rng, 0, vvrs as u64 - 1) as u16)
+                    .collect(),
+            };
+            let got = plan_free_register(&mapping, &rac, &protected, &value_ready, &readers_done);
+            let want = two_pass_victim(&mapping, &rac, &protected, &value_ready, &readers_done);
+            assert_eq!(got, want, "case {case}, step {step}");
+            decisions[match got {
+                Some(SwapDecision::AlreadyFree) => 0,
+                Some(SwapDecision::Reclaim(_)) => 1,
+                Some(SwapDecision::SwapStore(_)) => 2,
+                None => 3,
+            }] += 1;
+        }
+    }
+    assert!(
+        decisions.iter().all(|&n| n > 0),
+        "every outcome is exercised: {decisions:?}"
+    );
 }
 
 /// `access_run` equals the same consecutive lines accessed one by one,
