@@ -187,9 +187,11 @@ fn memory_hierarchy(run: &mut Runner<'_>) {
 }
 
 /// The renaming unit, the Register Access Counters, the Swap Logic victim
-/// selection (the policy the VPU runs, timing tie-breaks included), and the register allocator that produces spill code — the
-/// structures the paper adds to the VPU, so their cost in the simulator is
-/// tracked explicitly.
+/// selection (the policy the VPU runs, timing tie-breaks included), the
+/// register allocator that produces spill code and the whole compile of
+/// the largest Figure 3 kernel — the structures the paper adds to the VPU
+/// and the tool-chain stage behind its spill counts, so their cost in the
+/// simulator is tracked explicitly.
 fn microarch(run: &mut Runner<'_>) {
     run("microarch/rename_chain", &mut || {
         let mut unit = RenameUnit::new(64);
@@ -241,6 +243,22 @@ fn microarch(run: &mut Runner<'_>) {
         let out = compile(&kernel, &CompileOptions::new(Lmul::M8, 0x40_0000, 1024));
         assert!(out.spill_stores > 0);
         out.program.len() as u64
+    });
+
+    // Compiling Figure 3's largest kernel: lavamd2 at its manifest size and
+    // MVL 16 (8 256 IR instructions), allocated onto 32 registers and
+    // lowered to a program. The kernel is built outside the timed body, as
+    // the sweep's prepare step builds it once before compiling.
+    let workload = ava_workloads::build_kernel("lavamd2", Some(48), Some(2))
+        .expect("the registry builds lavamd2 at Figure 3's size");
+    let mut mem = MemoryHierarchy::default();
+    let ctx = VectorContext::with_mvl(16);
+    let plan = ArenaPlanner::new().plan(&mut mem, &workload.data_layout());
+    let setup = workload.build_with_bindings(&mut mem, &ctx, &plan, &BufferBindings::none());
+    assert_eq!(setup.kernel.len(), 8256);
+    let options = CompileOptions::new(Lmul::M1, mem.allocate(64 * 16 * 8), 16 * 8);
+    run("microarch/compile_lavamd2_mvl16", &mut || {
+        compile(&setup.kernel, &options).program.len() as u64
     });
 
     // Functional execution into a caller-owned strip buffer, the pattern

@@ -156,7 +156,7 @@ impl ForwardPass for SsaPass {
 mod tests {
     use super::*;
     use crate::ir::{IrMemAccess, IrOperand};
-    use ava_isa::Opcode;
+    use ava_isa::{Opcode, OperandList};
 
     fn instr(opcode: Opcode, dst: Option<u32>, srcs: &[u32]) -> IrInstr {
         IrInstr {
@@ -200,7 +200,7 @@ mod tests {
             instrs: vec![IrInstr {
                 opcode: Opcode::VLoadIndexed,
                 dst: Some(VirtReg(1)),
-                srcs: vec![IrOperand::Reg(VirtReg(0))],
+                srcs: OperandList::new(Opcode::VLoadIndexed, &[IrOperand::Reg(VirtReg(0))]),
                 mem: Some(IrMemAccess {
                     base: 0x1000,
                     stride: 8,

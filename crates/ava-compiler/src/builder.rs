@@ -6,7 +6,7 @@
 //! so kernels are written in SSA style and the register allocator decides
 //! how they map onto the architectural registers.
 
-use ava_isa::{Element, Opcode};
+use ava_isa::{Element, Opcode, OperandList};
 
 use crate::ir::{IrInstr, IrKernel, IrMemAccess, IrOperand, VirtReg};
 
@@ -65,19 +65,32 @@ impl KernelBuilder {
         r
     }
 
-    fn push(&mut self, instr: IrInstr) {
-        self.kernel.instrs.push(instr);
-    }
-
-    fn emit_value(&mut self, opcode: Opcode, srcs: Vec<IrOperand>) -> VirtReg {
-        let dst = self.fresh();
-        self.push(IrInstr {
+    /// Appends one instruction; its operands are stored inline.
+    fn push(
+        &mut self,
+        opcode: Opcode,
+        dst: Option<VirtReg>,
+        srcs: &[IrOperand],
+        mem: Option<IrMemAccess>,
+    ) {
+        self.kernel.instrs.push(IrInstr {
             opcode,
-            dst: Some(dst),
-            srcs,
-            mem: None,
+            dst,
+            srcs: OperandList::new(opcode, srcs),
+            mem,
             setvl_request: None,
         });
+    }
+
+    fn emit_value(&mut self, opcode: Opcode, srcs: &[IrOperand]) -> VirtReg {
+        let dst = self.fresh();
+        self.push(opcode, Some(dst), srcs, None);
+        dst
+    }
+
+    fn emit_load(&mut self, opcode: Opcode, srcs: &[IrOperand], mem: IrMemAccess) -> VirtReg {
+        let dst = self.fresh();
+        self.push(opcode, Some(dst), srcs, Some(mem));
         dst
     }
 
@@ -85,10 +98,10 @@ impl KernelBuilder {
 
     /// Emits a `vsetvl` requesting `avl` elements.
     pub fn set_vl(&mut self, avl: usize) {
-        self.push(IrInstr {
+        self.kernel.instrs.push(IrInstr {
             opcode: Opcode::SetVl,
             dst: None,
-            srcs: vec![],
+            srcs: OperandList::EMPTY,
             mem: None,
             setvl_request: Some(avl),
         });
@@ -98,98 +111,55 @@ impl KernelBuilder {
 
     /// Unit-stride load.
     pub fn vload(&mut self, base: u64) -> VirtReg {
-        let dst = self.fresh();
-        self.push(IrInstr {
-            opcode: Opcode::VLoad,
-            dst: Some(dst),
-            srcs: vec![],
-            mem: Some(IrMemAccess {
-                base,
-                stride: 8,
-                index: None,
-            }),
-            setvl_request: None,
-        });
-        dst
+        self.emit_load(Opcode::VLoad, &[], IrMemAccess::strided(base, 8))
     }
 
     /// Strided load (`stride` in bytes).
     pub fn vload_strided(&mut self, base: u64, stride: i64) -> VirtReg {
-        let dst = self.fresh();
-        self.push(IrInstr {
-            opcode: Opcode::VLoadStrided,
-            dst: Some(dst),
-            srcs: vec![],
-            mem: Some(IrMemAccess {
-                base,
-                stride,
-                index: None,
-            }),
-            setvl_request: None,
-        });
-        dst
+        self.emit_load(
+            Opcode::VLoadStrided,
+            &[],
+            IrMemAccess::strided(base, stride),
+        )
     }
 
     /// Indexed gather: element i comes from `base + 8 * idx[i]`.
     pub fn vload_indexed(&mut self, base: u64, idx: VirtReg) -> VirtReg {
-        let dst = self.fresh();
-        self.push(IrInstr {
-            opcode: Opcode::VLoadIndexed,
-            dst: Some(dst),
-            srcs: vec![IrOperand::Reg(idx)],
-            mem: Some(IrMemAccess {
-                base,
-                stride: 8,
-                index: Some(idx),
-            }),
-            setvl_request: None,
-        });
-        dst
+        self.emit_load(
+            Opcode::VLoadIndexed,
+            &[IrOperand::Reg(idx)],
+            IrMemAccess::indexed(base, idx),
+        )
     }
 
     /// Unit-stride store.
     pub fn vstore(&mut self, src: VirtReg, base: u64) {
-        self.push(IrInstr {
-            opcode: Opcode::VStore,
-            dst: None,
-            srcs: vec![IrOperand::Reg(src)],
-            mem: Some(IrMemAccess {
-                base,
-                stride: 8,
-                index: None,
-            }),
-            setvl_request: None,
-        });
+        self.push(
+            Opcode::VStore,
+            None,
+            &[IrOperand::Reg(src)],
+            Some(IrMemAccess::strided(base, 8)),
+        );
     }
 
     /// Strided store.
     pub fn vstore_strided(&mut self, src: VirtReg, base: u64, stride: i64) {
-        self.push(IrInstr {
-            opcode: Opcode::VStoreStrided,
-            dst: None,
-            srcs: vec![IrOperand::Reg(src)],
-            mem: Some(IrMemAccess {
-                base,
-                stride,
-                index: None,
-            }),
-            setvl_request: None,
-        });
+        self.push(
+            Opcode::VStoreStrided,
+            None,
+            &[IrOperand::Reg(src)],
+            Some(IrMemAccess::strided(base, stride)),
+        );
     }
 
     /// Indexed scatter.
     pub fn vstore_indexed(&mut self, src: VirtReg, base: u64, idx: VirtReg) {
-        self.push(IrInstr {
-            opcode: Opcode::VStoreIndexed,
-            dst: None,
-            srcs: vec![IrOperand::Reg(src), IrOperand::Reg(idx)],
-            mem: Some(IrMemAccess {
-                base,
-                stride: 8,
-                index: Some(idx),
-            }),
-            setvl_request: None,
-        });
+        self.push(
+            Opcode::VStoreIndexed,
+            None,
+            &[IrOperand::Reg(src), IrOperand::Reg(idx)],
+            Some(IrMemAccess::indexed(base, idx)),
+        );
     }
 
     // ------------------------------------------------------ moves & misc
@@ -198,18 +168,18 @@ impl KernelBuilder {
     pub fn vsplat(&mut self, value: f64) -> VirtReg {
         self.emit_value(
             Opcode::VMvSplat,
-            vec![IrOperand::Scalar(Element::from_f64(value))],
+            &[IrOperand::Scalar(Element::from_f64(value))],
         )
     }
 
     /// Vector copy.
     pub fn vmv(&mut self, src: VirtReg) -> VirtReg {
-        self.emit_value(Opcode::VMv, vec![IrOperand::Reg(src)])
+        self.emit_value(Opcode::VMv, &[IrOperand::Reg(src)])
     }
 
     /// Index vector `[0, 1, 2, ...]`.
     pub fn vid(&mut self) -> VirtReg {
-        self.emit_value(Opcode::VId, vec![])
+        self.emit_value(Opcode::VId, &[])
     }
 
     /// Select `mask ? on_true : on_false`.
@@ -221,7 +191,7 @@ impl KernelBuilder {
     ) -> VirtReg {
         self.emit_value(
             Opcode::VMerge,
-            vec![on_true.into(), on_false.into(), IrOperand::Reg(mask)],
+            &[on_true.into(), on_false.into(), IrOperand::Reg(mask)],
         )
     }
 
@@ -229,17 +199,17 @@ impl KernelBuilder {
 
     /// `a + b`.
     pub fn vfadd(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VFAdd, vec![a.into(), b.into()])
+        self.emit_value(Opcode::VFAdd, &[a.into(), b.into()])
     }
 
     /// `a - b`.
     pub fn vfsub(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VFSub, vec![a.into(), b.into()])
+        self.emit_value(Opcode::VFSub, &[a.into(), b.into()])
     }
 
     /// `a * b`.
     pub fn vfmul(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VFMul, vec![a.into(), b.into()])
+        self.emit_value(Opcode::VFMul, &[a.into(), b.into()])
     }
 
     /// `a * scalar`.
@@ -249,42 +219,42 @@ impl KernelBuilder {
 
     /// `a / b`.
     pub fn vfdiv(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VFDiv, vec![a.into(), b.into()])
+        self.emit_value(Opcode::VFDiv, &[a.into(), b.into()])
     }
 
     /// `sqrt(a)`.
     pub fn vfsqrt(&mut self, a: VirtReg) -> VirtReg {
-        self.emit_value(Opcode::VFSqrt, vec![IrOperand::Reg(a)])
+        self.emit_value(Opcode::VFSqrt, &[IrOperand::Reg(a)])
     }
 
     /// `-a`.
     pub fn vfneg(&mut self, a: VirtReg) -> VirtReg {
-        self.emit_value(Opcode::VFNeg, vec![IrOperand::Reg(a)])
+        self.emit_value(Opcode::VFNeg, &[IrOperand::Reg(a)])
     }
 
     /// `|a|`.
     pub fn vfabs(&mut self, a: VirtReg) -> VirtReg {
-        self.emit_value(Opcode::VFAbs, vec![IrOperand::Reg(a)])
+        self.emit_value(Opcode::VFAbs, &[IrOperand::Reg(a)])
     }
 
     /// `exp(a)`.
     pub fn vfexp(&mut self, a: VirtReg) -> VirtReg {
-        self.emit_value(Opcode::VFExp, vec![IrOperand::Reg(a)])
+        self.emit_value(Opcode::VFExp, &[IrOperand::Reg(a)])
     }
 
     /// `ln(a)`.
     pub fn vfln(&mut self, a: VirtReg) -> VirtReg {
-        self.emit_value(Opcode::VFLn, vec![IrOperand::Reg(a)])
+        self.emit_value(Opcode::VFLn, &[IrOperand::Reg(a)])
     }
 
     /// `min(a, b)`.
     pub fn vfmin(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VFMin, vec![a.into(), b.into()])
+        self.emit_value(Opcode::VFMin, &[a.into(), b.into()])
     }
 
     /// `max(a, b)`.
     pub fn vfmax(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VFMax, vec![a.into(), b.into()])
+        self.emit_value(Opcode::VFMax, &[a.into(), b.into()])
     }
 
     /// Fused multiply-add producing a *new* value: `a * b + c`.
@@ -294,7 +264,7 @@ impl KernelBuilder {
         b: impl Into<IrOperand>,
         c: impl Into<IrOperand>,
     ) -> VirtReg {
-        self.emit_value(Opcode::VFMacc, vec![a.into(), b.into(), c.into()])
+        self.emit_value(Opcode::VFMacc, &[a.into(), b.into(), c.into()])
     }
 
     /// Fused multiply-accumulate into an existing accumulator with a scalar
@@ -307,41 +277,41 @@ impl KernelBuilder {
 
     /// Integer `a + b`.
     pub fn vadd(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VAdd, vec![a.into(), b.into()])
+        self.emit_value(Opcode::VAdd, &[a.into(), b.into()])
     }
 
     /// Integer `a * b`.
     pub fn vmul(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VMul, vec![a.into(), b.into()])
+        self.emit_value(Opcode::VMul, &[a.into(), b.into()])
     }
 
     /// Integer minimum.
     pub fn vmin(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VMin, vec![a.into(), b.into()])
+        self.emit_value(Opcode::VMin, &[a.into(), b.into()])
     }
 
     // --------------------------------------------------------- compares
 
     /// Floating `a < b` producing a 0/1 mask vector.
     pub fn vmflt(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VMFLt, vec![a.into(), b.into()])
+        self.emit_value(Opcode::VMFLt, &[a.into(), b.into()])
     }
 
     /// Floating `a >= b` producing a 0/1 mask vector.
     pub fn vmfge(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VMFGe, vec![a.into(), b.into()])
+        self.emit_value(Opcode::VMFGe, &[a.into(), b.into()])
     }
 
     // ------------------------------------------------------- reductions
 
     /// Sum reduction into element 0 of the result register.
     pub fn vfredsum(&mut self, src: VirtReg) -> VirtReg {
-        self.emit_value(Opcode::VFRedSum, vec![IrOperand::Reg(src)])
+        self.emit_value(Opcode::VFRedSum, &[IrOperand::Reg(src)])
     }
 
     /// Max reduction into element 0 of the result register.
     pub fn vfredmax(&mut self, src: VirtReg) -> VirtReg {
-        self.emit_value(Opcode::VFRedMax, vec![IrOperand::Reg(src)])
+        self.emit_value(Opcode::VFRedMax, &[IrOperand::Reg(src)])
     }
 }
 

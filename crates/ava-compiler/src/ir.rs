@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use ava_isa::{Element, InstrKind, Opcode};
+use ava_isa::{Element, InstrKind, Opcode, OperandList, PackedOperand};
 
 /// A virtual vector register: an SSA-like value name with no architectural
 /// constraint. The register allocator maps virtual registers to
@@ -49,6 +49,23 @@ impl IrOperand {
     }
 }
 
+impl PackedOperand for IrOperand {
+    fn pack(self) -> (u64, bool) {
+        match self {
+            IrOperand::Reg(r) => (u64::from(r.0), true),
+            IrOperand::Scalar(e) => (e.bits(), false),
+        }
+    }
+
+    fn unpack(word: u64, is_reg: bool) -> Self {
+        if is_reg {
+            IrOperand::Reg(VirtReg(word as u32))
+        } else {
+            IrOperand::Scalar(Element::from_bits(word))
+        }
+    }
+}
+
 impl From<VirtReg> for IrOperand {
     fn from(r: VirtReg) -> Self {
         IrOperand::Reg(r)
@@ -73,6 +90,28 @@ pub struct IrMemAccess {
     pub index: Option<VirtReg>,
 }
 
+impl IrMemAccess {
+    /// A strided access (`stride` 8 is unit stride).
+    #[must_use]
+    pub fn strided(base: u64, stride: i64) -> Self {
+        Self {
+            base,
+            stride,
+            index: None,
+        }
+    }
+
+    /// A gather or scatter whose element indices are in `index`.
+    #[must_use]
+    pub fn indexed(base: u64, index: VirtReg) -> Self {
+        Self {
+            base,
+            stride: 8,
+            index: Some(index),
+        }
+    }
+}
+
 /// One IR instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IrInstr {
@@ -80,8 +119,8 @@ pub struct IrInstr {
     pub opcode: Opcode,
     /// Defined virtual register, if any.
     pub dst: Option<VirtReg>,
-    /// Source operands.
-    pub srcs: Vec<IrOperand>,
+    /// Source operands, stored inline.
+    pub srcs: OperandList<IrOperand>,
     /// Memory descriptor for loads/stores.
     pub mem: Option<IrMemAccess>,
     /// Requested vector length for `SetVl`.
@@ -97,7 +136,7 @@ impl IrInstr {
 
     /// Virtual registers read by this instruction.
     pub fn source_regs(&self) -> impl Iterator<Item = VirtReg> + '_ {
-        self.srcs.iter().filter_map(IrOperand::reg)
+        self.srcs.iter().filter_map(|s| s.reg())
     }
 }
 
@@ -250,8 +289,8 @@ impl IrKernel {
                     .srcs
                     .iter()
                     .map(|s| match s {
-                        IrOperand::Reg(r) => IrOperand::Reg(remap(*r)),
-                        IrOperand::Scalar(e) => IrOperand::Scalar(*e),
+                        IrOperand::Reg(r) => IrOperand::Reg(remap(r)),
+                        IrOperand::Scalar(e) => IrOperand::Scalar(e),
                     })
                     .collect(),
                 mem: i.mem.map(|m| IrMemAccess {
@@ -288,7 +327,10 @@ mod tests {
         let i = IrInstr {
             opcode: Opcode::VFMul,
             dst: Some(VirtReg(2)),
-            srcs: vec![IrOperand::Reg(VirtReg(0)), IrOperand::from(3.0)],
+            srcs: OperandList::new(
+                Opcode::VFMul,
+                &[IrOperand::Reg(VirtReg(0)), IrOperand::from(3.0)],
+            ),
             mem: None,
             setvl_request: None,
         };
@@ -393,7 +435,7 @@ mod tests {
         // The appended phase's registers start after the first phase's.
         assert_eq!(a.instrs[2].dst, Some(VirtReg(1)));
         assert_eq!(a.instrs[3].mem.unwrap().index, Some(VirtReg(1)));
-        assert_eq!(a.instrs[4].srcs[0].reg(), Some(VirtReg(2)));
+        assert_eq!(a.instrs[4].srcs.get(0), Some(IrOperand::Reg(VirtReg(2))));
         // SSA: every destination id is defined exactly once.
         let mut defs: Vec<u32> = a.instrs.iter().filter_map(|i| i.dst.map(|d| d.0)).collect();
         defs.sort_unstable();

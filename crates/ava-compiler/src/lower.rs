@@ -5,7 +5,7 @@
 //! as a group base, so slot `i` becomes `v(i * LMUL)` — exactly how the
 //! RISC-V V specification names register groups.
 
-use ava_isa::{InstrRole, Lmul, MemAccess, Operand, Program, VReg, VecInstr, VlMode};
+use ava_isa::{InstrRole, Lmul, MemAccess, Operand, OperandList, Program, VReg, VecInstr, VlMode};
 
 use crate::ir::{IrInstr, IrKernel, IrOperand};
 use crate::regalloc::{AllocatedKernel, Allocation, RegAllocator};
@@ -91,7 +91,7 @@ pub fn lower(
     allocated: &AllocatedKernel,
     options: &CompileOptions,
 ) -> CompiledKernel {
-    let mut program = Program::new(kernel.name.clone());
+    let mut program = Program::with_capacity(kernel.name.clone(), allocated.allocations.len());
     let mut ir_map = Vec::with_capacity(allocated.allocations.len());
     // Spill code is emitted while the allocator processes one IR
     // instruction and always precedes that instruction's op in the stream,
@@ -140,27 +140,27 @@ pub fn lower(
     }
 }
 
-fn lower_op(ir: &IrInstr, dst_slot: Option<usize>, src_slots: &[usize], lmul: Lmul) -> VecInstr {
+fn lower_op(ir: &IrInstr, dst_slot: Option<usize>, src_slots: &[u8], lmul: Lmul) -> VecInstr {
     // The index register of a gather or scatter is one of the instruction's
     // register sources, and takes the architectural register allocated to
     // its position among them.
     let index = ir.mem.and_then(|m| m.index);
     let mut index_reg = None;
     let mut slot_iter = src_slots.iter();
-    let mut srcs: Vec<Operand> = Vec::with_capacity(ir.srcs.len());
+    let mut srcs = OperandList::EMPTY;
     for op in &ir.srcs {
         match op {
             IrOperand::Reg(vr) => {
                 let slot = slot_iter
                     .next()
                     .expect("allocation recorded fewer source slots than register operands");
-                let arch = slot_to_vreg(*slot, lmul);
-                if index == Some(*vr) {
+                let arch = slot_to_vreg(usize::from(*slot), lmul);
+                if index == Some(vr) {
                     index_reg = Some(arch);
                 }
                 srcs.push(Operand::Reg(arch));
             }
-            IrOperand::Scalar(e) => srcs.push(Operand::Scalar(*e)),
+            IrOperand::Scalar(e) => srcs.push(Operand::Scalar(e)),
         }
     }
     let dst = dst_slot.map(|s| slot_to_vreg(s, lmul));
@@ -275,9 +275,10 @@ mod tests {
         b.vstore_indexed(g, 0x2000, idx);
         let out = compile(&b.finish(), &CompileOptions::new(Lmul::M1, 0x40_0000, 1024));
         let gather = &out.program.instructions()[1];
-        assert_eq!(gather.mem.unwrap().index_reg, gather.srcs[0].reg());
+        let reg = |i: &VecInstr, k: usize| i.srcs.get(k).and_then(|o| o.reg());
+        assert_eq!(gather.mem.unwrap().index_reg, reg(gather, 0));
         let scatter = &out.program.instructions()[2];
-        assert_eq!(scatter.mem.unwrap().index_reg, scatter.srcs[1].reg());
+        assert_eq!(scatter.mem.unwrap().index_reg, reg(scatter, 1));
     }
 
     #[test]
@@ -295,18 +296,22 @@ mod tests {
         b.vstore(after, 0x4000);
         let mut k = b.finish();
         k.instrs[2].srcs.push(IrOperand::Reg(idx));
-        k.instrs[3].srcs.insert(0, IrOperand::Reg(other));
+        k.instrs[3].srcs = OperandList::new(
+            Opcode::VLoadIndexed,
+            &[IrOperand::Reg(other), IrOperand::Reg(idx)],
+        );
+        let reg = |i: &VecInstr, k: usize| i.srcs.get(k).and_then(|o| o.reg());
         for lmul in [Lmul::M1, Lmul::M4] {
             let out = compile(&k, &CompileOptions::new(lmul, 0x40_0000, 1024));
             let v0 = Some(VReg::new(0));
             let twice = &out.program.instructions()[2];
             assert_eq!(twice.srcs.len(), 2);
-            assert_eq!(twice.srcs[0].reg(), v0);
-            assert_eq!(twice.srcs[1].reg(), v0);
+            assert_eq!(reg(twice, 0), v0);
+            assert_eq!(reg(twice, 1), v0);
             assert_eq!(twice.mem.unwrap().index_reg, v0, "{lmul}");
             let after = &out.program.instructions()[3];
-            assert_ne!(after.srcs[0].reg(), v0);
-            assert_eq!(after.srcs[1].reg(), v0);
+            assert_ne!(reg(after, 0), v0);
+            assert_eq!(reg(after, 1), v0);
             assert_eq!(after.mem.unwrap().index_reg, v0, "{lmul}");
         }
     }
@@ -364,5 +369,52 @@ mod tests {
             &CompileOptions::new(Lmul::M1, 0x40_0000, 1024),
         );
         assert_eq!(out.max_pressure, 13);
+    }
+
+    /// The `{:?}` text of one small program covering every operand form:
+    /// `vsetvl`, unit-stride and strided loads and stores, a gather and a
+    /// scatter with index registers, `vfmacc` with a scalar, a
+    /// three-register `vmerge`, and LMUL-8 spill stores and reloads.
+    ///
+    /// A program's `Debug` text is the program half of every result-store
+    /// key. Changing this text changes every key, and needs a
+    /// `CODE_VERSION` bump so that stores filled before the change read
+    /// as misses.
+    #[test]
+    fn program_debug_text_is_pinned() {
+        const EXPECTED: &str = concat!(
+            "Program { name: \"forms\", instrs: [",
+            "VecInstr { opcode: SetVl, dst: None, srcs: [], mem: None, vl_mode: Current, setvl_request: Some(8), role: Normal }, ",
+            "VecInstr { opcode: VLoad, dst: Some(VReg(0)), srcs: [], mem: Some(MemAccess { base: 4096, stride: 8, index_reg: None }), vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VLoadStrided, dst: Some(VReg(8)), srcs: [], mem: Some(MemAccess { base: 8192, stride: 16, index_reg: None }), vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VId, dst: Some(VReg(16)), srcs: [], mem: None, vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VLoadIndexed, dst: Some(VReg(24)), srcs: [Reg(VReg(16))], mem: Some(MemAccess { base: 12288, stride: 8, index_reg: Some(VReg(16)) }), vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VStore, dst: None, srcs: [Reg(VReg(16))], mem: Some(MemAccess { base: 32768, stride: 8, index_reg: None }), vl_mode: FullMvl, setvl_request: None, role: SpillStore }, ",
+            "VecInstr { opcode: VFMacc, dst: Some(VReg(16)), srcs: [Scalar(Element(4612811918334230528)), Reg(VReg(8)), Reg(VReg(0))], mem: None, vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VMFLt, dst: Some(VReg(0)), srcs: [Reg(VReg(16)), Reg(VReg(24))], mem: None, vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VStore, dst: None, srcs: [Reg(VReg(8))], mem: Some(MemAccess { base: 33280, stride: 8, index_reg: None }), vl_mode: FullMvl, setvl_request: None, role: SpillStore }, ",
+            "VecInstr { opcode: VMerge, dst: Some(VReg(8)), srcs: [Reg(VReg(16)), Reg(VReg(24)), Reg(VReg(0))], mem: None, vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VStore, dst: None, srcs: [Reg(VReg(8))], mem: Some(MemAccess { base: 16384, stride: 8, index_reg: None }), vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VLoad, dst: Some(VReg(8)), srcs: [], mem: Some(MemAccess { base: 33280, stride: 8, index_reg: None }), vl_mode: FullMvl, setvl_request: None, role: SpillLoad }, ",
+            "VecInstr { opcode: VStoreStrided, dst: None, srcs: [Reg(VReg(8))], mem: Some(MemAccess { base: 20480, stride: -24, index_reg: None }), vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VLoad, dst: Some(VReg(8)), srcs: [], mem: Some(MemAccess { base: 32768, stride: 8, index_reg: None }), vl_mode: FullMvl, setvl_request: None, role: SpillLoad }, ",
+            "VecInstr { opcode: VStoreIndexed, dst: None, srcs: [Reg(VReg(24)), Reg(VReg(8))], mem: Some(MemAccess { base: 24576, stride: 8, index_reg: Some(VReg(8)) }), vl_mode: Current, setvl_request: None, role: Normal }",
+            "] }",
+        );
+        let mut b = KernelBuilder::new("forms");
+        b.set_vl(8);
+        let x = b.vload(0x1000);
+        let y = b.vload_strided(0x2000, 16);
+        let idx = b.vid();
+        let g = b.vload_indexed(0x3000, idx);
+        let f = b.vfmacc_scalar(x, 2.5, y);
+        let m = b.vmflt(f, g);
+        let s = b.vmerge(f, g, m);
+        b.vstore(s, 0x4000);
+        b.vstore_strided(y, 0x5000, -24);
+        b.vstore_indexed(g, 0x6000, idx);
+        let out = compile(&b.finish(), &CompileOptions::new(Lmul::M8, 0x8000, 512));
+        assert_eq!((out.spill_stores, out.spill_loads), (2, 2));
+        assert_eq!(format!("{:?}", out.program), EXPECTED);
     }
 }

@@ -12,15 +12,18 @@
 //! Values are SSA (defined once), so a value that has already been spilled
 //! is clean: evicting it again needs no second store.
 //!
-//! The allocator runs once per compiled point of every sweep, so its state
-//! is kept in dense vectors indexed by the (small, densely numbered)
-//! virtual-register id — no hash maps on the per-instruction path — with
-//! scratch buffers reused across instructions. Victim selection iterates
-//! the architectural slots in order and maximises the `(next_use, reg id)`
-//! pair; the keys are distinct, so the choice is identical to the previous
-//! hash-map scan and independent of iteration order.
+//! The allocator runs once per compiled key of every sweep, so it performs
+//! no heap allocation per instruction. Its state is kept in dense vectors
+//! indexed by the (small, densely numbered) virtual-register id — no hash
+//! maps on the per-instruction path. An instruction's register sources are
+//! read straight from its inline operand list, and the slots they get are
+//! recorded in an inline [`RegList`]; the output stream is reserved for
+//! one entry per instruction up front. Victim selection iterates the
+//! architectural slots in order and maximises the `(next_use, reg id)`
+//! pair; the keys are distinct, so the choice is independent of iteration
+//! order.
 
-use ava_isa::InstrKind;
+use ava_isa::{InstrKind, RegList};
 
 use crate::ir::{IrKernel, VirtReg};
 use crate::liveness::Liveness;
@@ -36,7 +39,7 @@ pub enum Allocation {
         dst_slot: Option<usize>,
         /// Slot assigned to each *register* source, in source order
         /// (scalar operands are not listed).
-        src_slots: Vec<usize>,
+        src_slots: RegList<u8>,
     },
     /// Compiler-inserted spill store of the value currently held in `slot`.
     SpillStore {
@@ -141,33 +144,32 @@ impl RegAllocator {
             protected: vec![false; nregs],
             next_spill_slot: 0,
             max_slot_used: 0,
-            out: AllocatedKernel::default(),
+            out: AllocatedKernel {
+                // One entry per instruction, plus whatever spill code it needs.
+                allocations: Vec::with_capacity(kernel.len()),
+                ..AllocatedKernel::default()
+            },
         };
-        // Scratch list of this instruction's register sources, reused
-        // across instructions.
-        let mut sources: Vec<VirtReg> = Vec::new();
 
         for (idx, instr) in kernel.instrs.iter().enumerate() {
             if instr.kind() == InstrKind::Config {
                 st.out.allocations.push(Allocation::Op {
                     ir_index: idx,
                     dst_slot: None,
-                    src_slots: Vec::new(),
+                    src_slots: RegList::new(),
                 });
                 continue;
             }
 
             // Registers that must not be evicted while processing this
             // instruction: its own sources (destination is added later).
-            sources.clear();
-            sources.extend(instr.source_regs());
-            for &src in &sources {
+            for src in instr.source_regs() {
                 st.protected[src.0 as usize] = true;
             }
 
             // 1. Make sure every source value is resident, reloading spilled
             //    values in source order.
-            for &src in &sources {
+            for src in instr.source_regs() {
                 if st.slot_of[src.0 as usize].is_some() {
                     continue;
                 }
@@ -190,12 +192,11 @@ impl RegAllocator {
             });
 
             // 3. Emit the instruction with slot-mapped operands.
-            let src_slots: Vec<usize> = sources
-                .iter()
-                .map(|r| st.slot_of[r.0 as usize].expect("source is resident"))
-                .collect();
-            for &s in &src_slots {
-                st.max_slot_used = st.max_slot_used.max(s + 1);
+            let mut src_slots = RegList::new();
+            for src in instr.source_regs() {
+                let slot = st.slot_of[src.0 as usize].expect("source is resident");
+                st.max_slot_used = st.max_slot_used.max(slot + 1);
+                src_slots.push(u8::try_from(slot).expect("slot index fits a byte"));
             }
             st.out.allocations.push(Allocation::Op {
                 ir_index: idx,
@@ -206,7 +207,7 @@ impl RegAllocator {
             // 4. Release values whose last use was this instruction, and
             //    dead definitions; also un-protect this instruction's
             //    registers so the scratch bitmap is clean for the next one.
-            for &src in &sources {
+            for src in instr.source_regs() {
                 st.protected[src.0 as usize] = false;
                 if let Some(iv) = liveness.interval(src) {
                     if iv.last_use <= idx {

@@ -43,7 +43,10 @@ pub mod value;
 pub use config::{
     Lmul, VectorContext, MAX_MVL_ELEMS, MIN_MVL_ELEMS, NUM_LOGICAL_VREGS, PAPER_MAX_MVL_ELEMS,
 };
-pub use instr::{InstrRole, MemAccess, Operand, VecInstr, VlMode};
+pub use instr::{
+    InstrRole, MemAccess, Operand, OperandIter, OperandList, PackedOperand, RegList, VecInstr,
+    VlMode, MAX_SRCS,
+};
 pub use opcode::{ExecClass, InstrKind, Opcode};
 pub use program::{Program, ProgramStats};
 pub use reg::VReg;

@@ -78,6 +78,15 @@ impl Program {
         }
     }
 
+    /// Creates an empty program with room for `capacity` instructions.
+    #[must_use]
+    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
+        Self {
+            name: name.into(),
+            instrs: Vec::with_capacity(capacity),
+        }
+    }
+
     /// The program's name (used in reports).
     #[must_use]
     pub fn name(&self) -> &str {

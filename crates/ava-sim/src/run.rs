@@ -391,7 +391,9 @@ pub(crate) struct PreparedPoint {
     /// The functional pass's outcome, from the point's first simulation.
     functional: Option<FunctionalRun>,
     plan: PlannedLayout,
-    /// Output checks, strip count, phase marks and warm ranges.
+    /// Output checks, strip count, phase marks and warm ranges. Its IR
+    /// kernel and reference outputs are dropped once compiled: nothing
+    /// reads them after that, and a claim holds all of its points.
     setup: WorkloadSetup,
     compiled: CompiledKernel,
     spill_base: u64,
@@ -571,7 +573,7 @@ pub(crate) fn prepare(workload: &dyn Workload, system: &SystemConfig) -> Prepare
     //    here — pipelined composites bind phase to phase internally).
     let ctx = VectorContext::with_mvl(system.mvl());
     let plan = ArenaPlanner::new().plan(&mut mem, &workload.data_layout());
-    let setup = workload.build_with_bindings(&mut mem, &ctx, &plan, &BufferBindings::none());
+    let mut setup = workload.build_with_bindings(&mut mem, &ctx, &plan, &BufferBindings::none());
 
     // 2. Register allocation against the architectural budget (32 registers,
     //    or 32/LMUL under register grouping); spill slots live on the stack
@@ -584,6 +586,8 @@ pub(crate) fn prepare(workload: &dyn Workload, system: &SystemConfig) -> Prepare
         &setup.kernel,
         &CompileOptions::new(system.compiler_lmul, spill_base, spill_slot_bytes),
     );
+    drop(std::mem::take(&mut setup.kernel));
+    drop(std::mem::take(&mut setup.outputs));
 
     PreparedPoint {
         workload: workload.name(),

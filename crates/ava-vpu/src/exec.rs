@@ -8,10 +8,8 @@
 //! reference there. The one datum the timing model needs from the values
 //! is the element addresses of indexed accesses, which the pass records.
 
-use ava_isa::{Element, MemAccess, Opcode, Operand, VecInstr, VlMode, NUM_LOGICAL_VREGS};
+use ava_isa::{Element, MemAccess, Opcode, Operand, VecInstr, VlMode, MAX_SRCS, NUM_LOGICAL_VREGS};
 use ava_memory::MainMemory;
-
-use crate::rename::MAX_SRCS;
 
 /// A source operand value: a borrowed vector of elements or a scalar
 /// broadcast to every element.
@@ -333,7 +331,7 @@ impl FunctionalState {
                 for (slot, op) in ops.iter_mut().zip(&instr.srcs) {
                     *slot = match op {
                         Operand::Reg(r) => OperandValue::Vector(&self.regs[r.index()][..vl]),
-                        Operand::Scalar(s) => OperandValue::Scalar(*s),
+                        Operand::Scalar(s) => OperandValue::Scalar(s),
                     };
                 }
                 execute_into(instr.opcode, &ops[..instr.srcs.len()], vl, &mut self.strip);

@@ -16,74 +16,15 @@
 
 use std::collections::VecDeque;
 
-use ava_isa::VReg;
+use ava_isa::{RegList, VReg};
 
 /// Identifier of a renamed register (VVR id in AVA mode, physical register
 /// id in NATIVE mode).
 pub type RenamedReg = u16;
 
-/// Upper bound on register sources per instruction. The widest shipped
-/// instructions carry three (`vfmacc` reads scalar + source + destination,
-/// `vmerge` reads three operands); one slot of headroom is kept for future
-/// forms.
-pub const MAX_SRCS: usize = 4;
-
-/// Fixed-capacity inline list of renamed source registers.
-///
-/// Behaves like a small `Vec<RenamedReg>` — it derefs to a slice, so
-/// indexing, `len()` and iteration all work — but lives entirely inline in
+/// The renamed source registers of one instruction, inline in
 /// [`Renamed`], so renaming an instruction performs no heap allocation.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SrcList {
-    regs: [RenamedReg; MAX_SRCS],
-    len: u8,
-}
-
-impl SrcList {
-    /// The empty list.
-    pub const EMPTY: Self = Self {
-        regs: [0; MAX_SRCS],
-        len: 0,
-    };
-
-    fn push(&mut self, reg: RenamedReg) {
-        assert!(
-            (self.len as usize) < MAX_SRCS,
-            "instruction has more than {MAX_SRCS} register sources"
-        );
-        self.regs[self.len as usize] = reg;
-        self.len += 1;
-    }
-
-    /// The renamed sources as a slice, in operand order.
-    #[must_use]
-    pub fn as_slice(&self) -> &[RenamedReg] {
-        &self.regs[..self.len as usize]
-    }
-}
-
-impl std::ops::Deref for SrcList {
-    type Target = [RenamedReg];
-
-    fn deref(&self) -> &[RenamedReg] {
-        self.as_slice()
-    }
-}
-
-impl std::fmt::Debug for SrcList {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
-    }
-}
-
-impl<'a> IntoIterator for &'a SrcList {
-    type Item = &'a RenamedReg;
-    type IntoIter = std::slice::Iter<'a, RenamedReg>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
+pub type SrcList = RegList<RenamedReg>;
 
 /// Result of renaming one instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,7 +136,7 @@ impl RenameUnit {
     /// but the FRL is empty, and [`RenameError::UseBeforeDef`] when a source
     /// has no mapping.
     pub fn rename(&mut self, dst: Option<VReg>, srcs: &[VReg]) -> Result<Renamed, RenameError> {
-        let mut renamed_srcs = SrcList::EMPTY;
+        let mut renamed_srcs = SrcList::new();
         for s in srcs {
             match self.rat[s.index()] {
                 Some(r) => renamed_srcs.push(r),

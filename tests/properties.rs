@@ -13,15 +13,16 @@
 //! the one-walk swap victim must equal the two-walk selection, an L2 with more
 //! sets must hit wherever a smaller one of the same line and ways hits (the
 //! fact the sweep's sibling reuse rests on), and the linear static memory
-//! pass must report exactly what the quadratic scan it replaced did.
+//! pass must report exactly what the quadratic scan it replaced did, and a
+//! packed operand list must round-trip, print and compare like a `Vec`.
 //!
 //! The container has no access to crates.io, so instead of proptest these
 //! tests drive a deterministic SplitMix64 case generator: every run explores
 //! the same cases, and a failing case is reproducible from its index alone.
 
 use ava::compiler::analysis::{check_memory, Arena, Code, Diagnostic, Severity, VlState};
-use ava::compiler::{compile, CompileOptions, IrKernel, KernelBuilder, VirtReg};
-use ava::isa::{Element, Lmul, Opcode};
+use ava::compiler::{compile, CompileOptions, IrKernel, IrOperand, KernelBuilder, VirtReg};
+use ava::isa::{Element, Lmul, Opcode, Operand, OperandList, PackedOperand, VReg, MAX_SRCS};
 use ava::memory::cache::{AccessOutcome, TRACKED_LINES};
 use ava::memory::{Cache, CacheConfig, CacheStats, HierarchyConfig, MainMemory, MemoryHierarchy};
 use ava::sim::ScenarioConfig;
@@ -1050,6 +1051,118 @@ fn execute_into_matches_the_per_element_reference() {
                 }
             }
         }
+    }
+}
+
+/// Checks one generated operand sequence of 0–3 operands against its
+/// packed list: `push`, `get`, `iter` and `collect` give the operands back
+/// by value, the list prints the `Debug` text of a `Vec` of them, and `==`
+/// against every list in `others` agrees with `==` on the slices.
+fn check_operand_list<T>(ops: &[T], others: &[Vec<T>], what: &str)
+where
+    T: PackedOperand + PartialEq + std::fmt::Debug,
+{
+    let mut pushed = OperandList::EMPTY;
+    for &op in ops {
+        pushed.push(op);
+    }
+    let list = OperandList::new(Opcode::VMerge, ops);
+    assert!(list == pushed, "{what}");
+    assert_eq!(list.len(), ops.len(), "{what}");
+    assert_eq!(list.is_empty(), ops.is_empty(), "{what}");
+    for (i, op) in ops.iter().enumerate() {
+        assert!(list.get(i) == Some(*op), "{what}: operand {i}");
+    }
+    assert!(list.get(ops.len()).is_none(), "{what}");
+    let iterated: Vec<T> = list.iter().collect();
+    assert!(iterated == ops, "{what}");
+    assert_eq!(list.iter().len(), ops.len(), "{what}");
+    let by_ref: Vec<T> = (&list).into_iter().collect();
+    assert!(by_ref == ops, "{what}");
+    assert!(
+        ops.iter().copied().collect::<OperandList<T>>() == list,
+        "{what}"
+    );
+    assert_eq!(format!("{list:?}"), format!("{:?}", ops.to_vec()), "{what}");
+    assert_eq!(
+        format!("{list:#?}"),
+        format!("{:#?}", ops.to_vec()),
+        "{what}"
+    );
+    for other in others {
+        let other_list = OperandList::new(Opcode::VMerge, other);
+        assert_eq!(
+            list == other_list,
+            ops == other.as_slice(),
+            "{what}: {ops:?} vs {other:?}"
+        );
+    }
+}
+
+/// Lists to compare `ops` with: itself, each prefix, and for each operand
+/// the list with that operand replaced by `alt(op)` (another register, a
+/// flipped scalar bit, or the other kind with the same payload word).
+fn operand_list_variants<T: PackedOperand>(
+    ops: &[T],
+    mut alt: impl FnMut(T) -> Vec<T>,
+) -> Vec<Vec<T>> {
+    let mut variants = vec![ops.to_vec()];
+    variants.extend((0..ops.len()).map(|n| ops[..n].to_vec()));
+    for i in 0..ops.len() {
+        for replacement in alt(ops[i]) {
+            let mut v = ops.to_vec();
+            v[i] = replacement;
+            variants.push(v);
+        }
+    }
+    variants
+}
+
+/// Packed operand lists, for the program's and the IR's operand kinds: a
+/// generated list of 0–3 operands (registers v0–v31 or unbounded virtual
+/// ids, and scalars that include NaN payloads, −0.0 and subnormals)
+/// round-trips, prints the `Debug` text of a `Vec`, and compares with `==`
+/// exactly as its slice does.
+#[test]
+fn packed_operand_lists_behave_like_vecs() {
+    for case in 0..256u64 {
+        let mut rng = case_rng(0x09E4_A7D5 ^ case);
+        let len = in_range(&mut rng, 0, MAX_SRCS as u64) as usize;
+        let mut isa = Vec::new();
+        let mut ir = Vec::new();
+        for k in 0..len {
+            if in_range(&mut rng, 0, 1) == 0 {
+                // Every architectural register appears across the cases.
+                let v = ((case as usize * MAX_SRCS + k) % 32) as u8;
+                isa.push(Operand::Reg(VReg::new(v)));
+                ir.push(IrOperand::Reg(VirtReg(rng.next_u64() as u32)));
+            } else {
+                isa.push(Operand::Scalar(edge_element(&mut rng)));
+                ir.push(IrOperand::Scalar(edge_element(&mut rng)));
+            }
+        }
+        let isa_others = operand_list_variants(&isa, |op| match op {
+            Operand::Reg(r) => vec![
+                Operand::Reg(VReg::new(((r.index() + 1) % 32) as u8)),
+                Operand::Scalar(Element::from_bits(r.index() as u64)),
+            ],
+            Operand::Scalar(e) => vec![
+                Operand::Scalar(Element::from_bits(e.bits() ^ 1 << 63)),
+                Operand::Reg(VReg::new((e.bits() % 32) as u8)),
+            ],
+        });
+        check_operand_list(&isa, &isa_others, &format!("case {case}, program operands"));
+        let ir_others = operand_list_variants(&ir, |op| match op {
+            IrOperand::Reg(r) => vec![
+                IrOperand::Reg(VirtReg(r.0 ^ 1)),
+                IrOperand::Scalar(Element::from_bits(u64::from(r.0))),
+            ],
+            IrOperand::Scalar(e) => vec![
+                IrOperand::Scalar(Element::from_bits(e.bits() ^ 1)),
+                IrOperand::Reg(VirtReg(e.bits() as u32)),
+            ],
+        });
+        check_operand_list(&ir, &ir_others, &format!("case {case}, IR operands"));
     }
 }
 

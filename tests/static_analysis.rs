@@ -12,7 +12,7 @@ use std::sync::Arc;
 use ava::compiler::analysis::{analyze, AnalysisInput, Arena, Code, Severity};
 use ava::compiler::ir::{IrInstr, IrOperand};
 use ava::compiler::{IrKernel, KernelBuilder, RebaseRule, VirtReg};
-use ava::isa::{Opcode, VectorContext};
+use ava::isa::{Opcode, OperandList, VectorContext};
 use ava::memory::MemoryHierarchy;
 use ava::sim::ScenarioConfig;
 use ava::workloads::{
@@ -272,7 +272,7 @@ fn ssa_violations_report_use_before_def_and_redefinition() {
             IrInstr {
                 opcode: Opcode::SetVl,
                 dst: None,
-                srcs: Vec::new(),
+                srcs: OperandList::EMPTY,
                 mem: None,
                 setvl_request: Some(8),
             },
@@ -280,7 +280,7 @@ fn ssa_violations_report_use_before_def_and_redefinition() {
             IrInstr {
                 opcode: Opcode::VFAdd,
                 dst: Some(VirtReg(0)),
-                srcs: vec![IrOperand::Reg(VirtReg(1)), scalar_one],
+                srcs: OperandList::new(Opcode::VFAdd, &[IrOperand::Reg(VirtReg(1)), scalar_one]),
                 mem: None,
                 setvl_request: None,
             },
@@ -288,7 +288,7 @@ fn ssa_violations_report_use_before_def_and_redefinition() {
             IrInstr {
                 opcode: Opcode::VFAdd,
                 dst: Some(VirtReg(0)),
-                srcs: vec![IrOperand::Reg(VirtReg(0)), scalar_one],
+                srcs: OperandList::new(Opcode::VFAdd, &[IrOperand::Reg(VirtReg(0)), scalar_one]),
                 mem: None,
                 setvl_request: None,
             },
