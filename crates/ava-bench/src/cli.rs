@@ -1,10 +1,10 @@
 //! Shared command-line plumbing for the `experiments` driver and the
-//! `lint` and `bench_baseline` binaries.
+//! `bench_baseline` binary.
 //!
 //! Every binary parses its arguments through one [`BenchArgs`] pass: the
 //! shared flags — `--json <path>`, `--threads <n>`, `--store <dir>` and
 //! `--resume` — are recognised in one place, and each binary pulls its own
-//! extensions (`--spec`, `--app`, `--mode`, ...) out of the remainder with
+//! extensions (`--spec`, `--app`, `--suite`, ...) out of the remainder with
 //! [`BenchArgs::take_value`] before calling [`BenchArgs::finish`] to reject
 //! anything left over.
 //!
@@ -20,8 +20,8 @@
 //! * `--resume` — assert that `--store` points at an *existing* checkpoint
 //!   directory (e.g. from a killed run) instead of silently starting cold.
 //!
-//! Binaries and artefacts that do not run sweeps (`lint`, the `tables`
-//! manifest artefact) reject the execution flags with a clear message,
+//! Binaries and artefacts that do not run sweeps (`bench_baseline`, the
+//! `tables` manifest artefact) reject the execution flags with a clear message,
 //! rather than ignoring them, and create no store directory.
 
 use std::path::Path;

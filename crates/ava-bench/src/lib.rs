@@ -11,11 +11,9 @@
 //! |                 | microarchitectural ablation (`ablation_microarch.json`) and   |
 //! |                 | Tables I, II–III and V (`paper_tables.json`, no sweep)        |
 //! | `bench_baseline`| Wall-clock baselines — `BENCH_<suite>.json` for CI            |
-//! | `lint`          | Static-analysis sweep — every workload/mix linted at every    |
-//! |                 | evaluated MVL (plus the 512 extrapolation), deny mode in CI   |
 //!
-//! `experiments` and `lint` accept `--json <path>` and write a
-//! machine-readable form of their artefact there (hand-rolled emitter in
+//! `experiments` accepts `--json <path>` and writes a machine-readable
+//! form of its artefact there (hand-rolled emitter in
 //! [`ava_sim::json`]; the workspace builds offline, so no serde).
 //!
 //! The std-only benches in `benches/` measure the *simulator itself*
@@ -57,21 +55,9 @@ use ava_workloads::{
 };
 
 use crate::cli::BenchArgs;
-use crate::spec::{paper_workload_specs, MixRegistry};
 
-/// The six applications of Table IV at the problem sizes used for the
-/// reproduction ([`spec::paper_workload_specs`], the Figure 3 / Figure 4
-/// manifest pool).
-#[must_use]
-pub fn paper_workloads() -> Vec<SharedWorkload> {
-    paper_workload_specs()
-        .iter()
-        .map(|w| MixRegistry::build(w).expect("the paper pool builds"))
-        .collect()
-}
-
-/// Smaller versions of the same workloads, used by the wall-clock benches so
-/// one benchmark iteration stays in the millisecond range.
+/// The six applications of Table IV at small sizes, used by the wall-clock
+/// benches so one benchmark iteration stays in the millisecond range.
 #[must_use]
 pub fn bench_workloads() -> Vec<SharedWorkload> {
     vec![
@@ -839,6 +825,7 @@ pub fn format_energy_sensitivity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::MixRegistry;
     use ava_isa::Lmul;
     use ava_workloads::Workload;
 

@@ -1,152 +1,55 @@
-//! A small forward-dataflow framework over straight-line IR.
+//! SSA well-formedness over straight-line IR.
 //!
-//! Kernels are straight-line traces (no branches), so a forward pass is a
-//! single left-to-right walk threading an abstract state through the
-//! instructions. Each analysis implements [`ForwardPass`]; the runner
-//! ([`run`] / [`run_traced`]) owns the iteration order and diagnostic
-//! collection so the passes stay pure transfer functions.
+//! Kernels are straight-line traces (no branches), so the check is a single
+//! left-to-right walk recording where each register is defined and whether
+//! it is ever read.
 
-use crate::ir::{IrInstr, IrKernel, VirtReg};
+use crate::ir::{IrKernel, VirtReg};
 
 use super::diagnostics::{Code, Diagnostic};
-
-/// One forward analysis over a straight-line kernel.
-pub trait ForwardPass {
-    /// The abstract state threaded through the instructions.
-    type State: Clone;
-
-    /// The state before the first instruction.
-    fn boundary(&self) -> Self::State;
-
-    /// Updates `state` across instruction `idx`, appending any findings.
-    fn transfer(
-        &mut self,
-        idx: usize,
-        instr: &IrInstr,
-        state: &mut Self::State,
-        diags: &mut Vec<Diagnostic>,
-    );
-
-    /// Called once after the last instruction, for whole-kernel findings
-    /// (e.g. definitions that were never used).
-    fn finish(&mut self, _state: &Self::State, _diags: &mut Vec<Diagnostic>) {}
-}
-
-/// Runs `pass` over `kernel`, returning the state after the last
-/// instruction.
-pub fn run<P: ForwardPass>(
-    kernel: &IrKernel,
-    pass: &mut P,
-    diags: &mut Vec<Diagnostic>,
-) -> P::State {
-    let mut state = pass.boundary();
-    for (idx, instr) in kernel.instrs.iter().enumerate() {
-        pass.transfer(idx, instr, &mut state, diags);
-    }
-    pass.finish(&state, diags);
-    state
-}
-
-/// Runs `pass` over `kernel`, additionally recording the state *before*
-/// each instruction (index `i` of the returned vector is the state on entry
-/// to `kernel.instrs[i]`). Use this when a later pass needs per-instruction
-/// context, e.g. the vector length in force at every memory access.
-pub fn run_traced<P: ForwardPass>(
-    kernel: &IrKernel,
-    pass: &mut P,
-    diags: &mut Vec<Diagnostic>,
-) -> Vec<P::State> {
-    let mut state = pass.boundary();
-    let mut trace = Vec::with_capacity(kernel.len());
-    for (idx, instr) in kernel.instrs.iter().enumerate() {
-        trace.push(state.clone());
-        pass.transfer(idx, instr, &mut state, diags);
-    }
-    pass.finish(&state, diags);
-    trace
-}
 
 /// SSA well-formedness: every register is defined before use (AVA101) and
 /// defined at most once (AVA102); definitions that are never read are
 /// reported at their def site (AVA104).
-#[derive(Debug)]
-pub struct SsaPass {
-    def_site: Vec<Option<usize>>,
-    used: Vec<bool>,
-}
-
-impl SsaPass {
-    /// A pass sized for `kernel`'s virtual-register universe.
-    #[must_use]
-    pub fn new(kernel: &IrKernel) -> Self {
-        let n = kernel.num_virt_regs as usize;
-        Self {
-            def_site: vec![None; n],
-            used: vec![false; n],
-        }
-    }
-
-    fn mark_use(&mut self, idx: usize, r: VirtReg, diags: &mut Vec<Diagnostic>) {
-        match self.def_site.get(r.id()) {
-            Some(Some(_)) => self.used[r.id()] = true,
-            _ => diags.push(Diagnostic::new(
-                Code::UseBeforeDef,
-                idx,
-                format!("{r} is read before any instruction defines it"),
-            )),
-        }
-    }
-}
-
-impl ForwardPass for SsaPass {
-    // The def/use tables live on the pass itself (they are written once per
-    // register, not rebuilt per instruction), so the threaded state is
-    // trivial.
-    type State = ();
-
-    fn boundary(&self) -> Self::State {}
-
-    fn transfer(
-        &mut self,
-        idx: usize,
-        instr: &IrInstr,
-        _state: &mut Self::State,
-        diags: &mut Vec<Diagnostic>,
-    ) {
-        for r in instr.source_regs() {
-            self.mark_use(idx, r, diags);
-        }
-        if let Some(m) = &instr.mem {
-            if let Some(r) = m.index {
-                self.mark_use(idx, r, diags);
+pub(crate) fn check_ssa(kernel: &IrKernel, diags: &mut Vec<Diagnostic>) {
+    let n = kernel.num_virt_regs as usize;
+    let mut def_site: Vec<Option<usize>> = vec![None; n];
+    let mut used = vec![false; n];
+    for (idx, instr) in kernel.instrs.iter().enumerate() {
+        let index_reg = instr.mem.and_then(|m| m.index);
+        for r in instr.source_regs().chain(index_reg) {
+            match def_site.get(r.id()) {
+                Some(Some(_)) => used[r.id()] = true,
+                _ => diags.push(Diagnostic::new(
+                    Code::UseBeforeDef,
+                    idx,
+                    format!("{r} is read before any instruction defines it"),
+                )),
             }
         }
         if let Some(d) = instr.dst {
-            if d.id() >= self.def_site.len() {
-                self.def_site.resize(d.id() + 1, None);
-                self.used.resize(d.id() + 1, false);
+            if d.id() >= def_site.len() {
+                def_site.resize(d.id() + 1, None);
+                used.resize(d.id() + 1, false);
             }
-            if let Some(prev) = self.def_site[d.id()] {
+            if let Some(prev) = def_site[d.id()] {
                 diags.push(Diagnostic::new(
                     Code::Redefinition,
                     idx,
                     format!("{d} is redefined (first defined at ir[{prev}]); SSA form requires a fresh register"),
                 ));
             }
-            self.def_site[d.id()] = Some(idx);
+            def_site[d.id()] = Some(idx);
         }
     }
-
-    fn finish(&mut self, _state: &Self::State, diags: &mut Vec<Diagnostic>) {
-        for (id, site) in self.def_site.iter().enumerate() {
-            if let Some(at) = site {
-                if !self.used[id] {
-                    diags.push(Diagnostic::new(
-                        Code::UnusedDef,
-                        *at,
-                        format!("{} is defined but never used", VirtReg(id as u32)),
-                    ));
-                }
+    for (id, site) in def_site.iter().enumerate() {
+        if let Some(at) = site {
+            if !used[id] {
+                diags.push(Diagnostic::new(
+                    Code::UnusedDef,
+                    *at,
+                    format!("{} is defined but never used", VirtReg(id as u32)),
+                ));
             }
         }
     }
@@ -155,7 +58,7 @@ impl ForwardPass for SsaPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{IrMemAccess, IrOperand};
+    use crate::ir::{IrInstr, IrMemAccess, IrOperand};
     use ava_isa::{Opcode, OperandList};
 
     fn instr(opcode: Opcode, dst: Option<u32>, srcs: &[u32]) -> IrInstr {
@@ -177,7 +80,7 @@ mod tests {
         b.vstore(y, 0x2000);
         let k = b.finish();
         let mut diags = Vec::new();
-        run(&k, &mut SsaPass::new(&k), &mut diags);
+        check_ssa(&k, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -189,7 +92,7 @@ mod tests {
             num_virt_regs: 2,
         };
         let mut diags = Vec::new();
-        run(&k, &mut SsaPass::new(&k), &mut diags);
+        check_ssa(&k, &mut diags);
         assert!(diags.iter().any(|d| d.code == Code::UseBeforeDef));
     }
 
@@ -211,7 +114,7 @@ mod tests {
             num_virt_regs: 2,
         };
         let mut diags = Vec::new();
-        run(&k, &mut SsaPass::new(&k), &mut diags);
+        check_ssa(&k, &mut diags);
         assert!(diags.iter().any(|d| d.code == Code::UseBeforeDef));
     }
 
@@ -227,7 +130,7 @@ mod tests {
             num_virt_regs: 2,
         };
         let mut diags = Vec::new();
-        run(&k, &mut SsaPass::new(&k), &mut diags);
+        check_ssa(&k, &mut diags);
         let d = diags.iter().find(|d| d.code == Code::Redefinition).unwrap();
         assert_eq!(d.ir_index, 1);
         assert!(d.message.contains("ir[0]"), "{}", d.message);
@@ -246,36 +149,11 @@ mod tests {
             num_virt_regs: 4,
         };
         let mut diags = Vec::new();
-        run(&k, &mut SsaPass::new(&k), &mut diags);
+        check_ssa(&k, &mut diags);
         let unused: Vec<_> = diags.iter().filter(|d| d.code == Code::UnusedDef).collect();
         // %1 (defined at ir[1]) and %3 (defined at ir[3]) are never read.
         assert_eq!(unused.len(), 2, "{diags:?}");
         assert_eq!(unused[0].ir_index, 1);
         assert_eq!(unused[1].ir_index, 3);
-    }
-
-    #[test]
-    fn traced_run_snapshots_states_before_each_instruction() {
-        struct Counter;
-        impl ForwardPass for Counter {
-            type State = usize;
-            fn boundary(&self) -> usize {
-                0
-            }
-            fn transfer(&mut self, _: usize, _: &IrInstr, s: &mut usize, _: &mut Vec<Diagnostic>) {
-                *s += 1;
-            }
-        }
-        let k = IrKernel {
-            name: "t".into(),
-            instrs: vec![
-                instr(Opcode::VId, Some(0), &[]),
-                instr(Opcode::VMv, Some(1), &[0]),
-            ],
-            num_virt_regs: 2,
-        };
-        let mut diags = Vec::new();
-        let trace = run_traced(&k, &mut Counter, &mut diags);
-        assert_eq!(trace, vec![0, 1]);
     }
 }

@@ -324,13 +324,12 @@ pub fn check_memory(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::dataflow::run_traced;
-    use crate::analysis::vl_state::VlPass;
+    use crate::analysis::vl_state::vl_trace;
     use crate::KernelBuilder;
 
     fn check(k: &IrKernel, arenas: &[Arena], phase_ends: &[usize]) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        let vl_at = run_traced(k, &mut VlPass::new(k, Some(16)), &mut diags);
+        let vl_at = vl_trace(k, Some(16), &mut diags);
         check_memory(k, &vl_at, Some(16), arenas, phase_ends, &mut diags);
         diags
     }
@@ -598,7 +597,7 @@ mod tests {
         b.vstore(x, 0x2000);
         let k = b.finish();
         let mut diags = Vec::new();
-        let vl_at = run_traced(&k, &mut VlPass::new(&k, Some(16)), &mut diags);
+        let vl_at = vl_trace(&k, Some(16), &mut diags);
         // Callers skip the memory pass when they have no layout; calling it
         // with an empty arena list would flag everything as out-of-arena.
         check_memory(&k, &vl_at, Some(16), &[], &[], &mut diags);

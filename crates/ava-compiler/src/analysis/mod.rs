@@ -40,15 +40,16 @@
 //! assert!(!report.is_clean(Severity::Warn));
 //! ```
 
-pub mod dataflow;
+mod dataflow;
 pub mod diagnostics;
 pub mod mem_bounds;
 pub mod vl_state;
 
-pub use dataflow::{run, run_traced, ForwardPass, SsaPass};
+use dataflow::check_ssa;
 pub use diagnostics::{AnalysisReport, Code, Diagnostic, Severity};
 pub use mem_bounds::{check_memory, Arena};
-pub use vl_state::{VlPass, VlState};
+use vl_state::vl_trace;
+pub use vl_state::VlState;
 
 use crate::ir::IrKernel;
 
@@ -98,8 +99,8 @@ impl AnalysisInput {
 #[must_use]
 pub fn analyze(kernel: &IrKernel, input: &AnalysisInput) -> AnalysisReport {
     let mut diags = Vec::new();
-    run(kernel, &mut SsaPass::new(kernel), &mut diags);
-    let vl_at = run_traced(kernel, &mut VlPass::new(kernel, input.mvl), &mut diags);
+    check_ssa(kernel, &mut diags);
+    let vl_at = vl_trace(kernel, input.mvl, &mut diags);
     if !input.arenas.is_empty() {
         check_memory(
             kernel,

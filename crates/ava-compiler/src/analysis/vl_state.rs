@@ -22,9 +22,8 @@
 //!   exactly that, and its stale lanes are harmless until (unless) a wide
 //!   store or reduction folds them into an observable result.
 
-use crate::ir::{IrInstr, IrKernel};
+use crate::ir::IrKernel;
 
-use super::dataflow::ForwardPass;
 use super::diagnostics::{Code, Diagnostic};
 use ava_isa::Opcode;
 
@@ -53,49 +52,31 @@ impl VlState {
     }
 }
 
-/// Forward pass tracking [`VlState`] and emitting AVA001/AVA004.
-#[derive(Debug)]
-pub struct VlPass {
+/// Walks `kernel` once, tracking [`VlState`] and emitting AVA001/AVA004
+/// into `diags`, on hardware with the given maximum VL (pass `None` to
+/// analyse portably across MVLs). Returns the state *before* each
+/// instruction: index `i` is the vector length in force on entry to
+/// `kernel.instrs[i]`, which the memory checks need at every access.
+pub(crate) fn vl_trace(
+    kernel: &IrKernel,
     mvl: Option<usize>,
-    /// Per-register count of validly-computed lanes (`usize::MAX` when
-    /// unbounded/unknown — unknown widths stay silent rather than guess).
-    valid: Vec<usize>,
-}
-
-impl VlPass {
-    /// A pass for `kernel` on hardware with the given maximum VL (pass
-    /// `None` to analyse portably across MVLs).
-    #[must_use]
-    pub fn new(kernel: &IrKernel, mvl: Option<usize>) -> Self {
-        Self {
-            mvl,
-            valid: vec![usize::MAX; kernel.num_virt_regs as usize],
-        }
-    }
-}
-
-impl ForwardPass for VlPass {
-    type State = VlState;
-
-    fn boundary(&self) -> VlState {
-        VlState::Unknown
-    }
-
-    fn transfer(
-        &mut self,
-        idx: usize,
-        instr: &IrInstr,
-        state: &mut VlState,
-        diags: &mut Vec<Diagnostic>,
-    ) {
+    diags: &mut Vec<Diagnostic>,
+) -> Vec<VlState> {
+    // Per-register count of validly-computed lanes (`usize::MAX` when
+    // unbounded/unknown — unknown widths stay silent rather than guess).
+    let mut valid = vec![usize::MAX; kernel.num_virt_regs as usize];
+    let mut state = VlState::Unknown;
+    let mut trace = Vec::with_capacity(kernel.len());
+    for (idx, instr) in kernel.instrs.iter().enumerate() {
+        trace.push(state);
         if let Some(req) = instr.setvl_request {
-            *state = match self.mvl {
+            state = match mvl {
                 Some(m) if req >= m => VlState::Max,
                 _ => VlState::Exact(req),
             };
-            return;
+            continue;
         }
-        if instr.opcode == Opcode::VMvSplat && *state == VlState::Unknown {
+        if instr.opcode == Opcode::VMvSplat && state == VlState::Unknown {
             diags.push(Diagnostic::new(
                 Code::SplatBeforeSetVl,
                 idx,
@@ -111,14 +92,14 @@ impl ForwardPass for VlPass {
         let mut narrowest = None;
         let index_reg = instr.mem.and_then(|m| m.index);
         for r in instr.source_regs().chain(index_reg) {
-            let v = self.valid.get(r.id()).copied().unwrap_or(usize::MAX);
+            let v = valid.get(r.id()).copied().unwrap_or(usize::MAX);
             if v < src_valid {
                 src_valid = v;
                 narrowest = Some(r);
             }
         }
 
-        let w = state.width(self.mvl).unwrap_or(usize::MAX);
+        let w = state.width(mvl).unwrap_or(usize::MAX);
         // Stores and reductions materialise every lane below VL: stale
         // lanes escape into memory or fold into the reduced result.
         let consumes_all_lanes = instr.opcode.is_store()
@@ -145,11 +126,11 @@ impl ForwardPass for VlPass {
         }
 
         if let Some(d) = instr.dst {
-            if d.id() >= self.valid.len() {
-                self.valid.resize(d.id() + 1, usize::MAX);
+            if d.id() >= valid.len() {
+                valid.resize(d.id() + 1, usize::MAX);
             }
             let fills_from_memory = instr.opcode.is_load() && index_reg.is_none();
-            self.valid[d.id()] = if consumes_all_lanes || fills_from_memory {
+            valid[d.id()] = if consumes_all_lanes || fills_from_memory {
                 // Reductions report their contamination above (one root
                 // cause, one finding) and then count as fully defined;
                 // unit/strided loads fill every lane below VL from memory.
@@ -161,17 +142,17 @@ impl ForwardPass for VlPass {
             };
         }
     }
+    trace
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::dataflow::run_traced;
     use crate::KernelBuilder;
 
     fn lint(k: &IrKernel, mvl: Option<usize>) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        run_traced(k, &mut VlPass::new(k, mvl), &mut diags);
+        vl_trace(k, mvl, &mut diags);
         diags
     }
 
@@ -305,5 +286,25 @@ mod tests {
         // Without a pinned MVL the preamble stays Exact(64), which still
         // covers the Exact(16) consumer.
         assert!(lint(&b.finish(), None).is_empty());
+    }
+
+    #[test]
+    fn trace_records_the_state_on_entry_to_each_instruction() {
+        let mut b = KernelBuilder::new("k");
+        b.set_vl(64);
+        let c = b.vsplat(1.0);
+        b.set_vl(8);
+        b.vstore(c, 0x2000);
+        let k = b.finish();
+        let trace = vl_trace(&k, Some(16), &mut Vec::new());
+        assert_eq!(
+            trace,
+            vec![
+                VlState::Unknown,
+                VlState::Max,
+                VlState::Max,
+                VlState::Exact(8)
+            ]
+        );
     }
 }

@@ -48,7 +48,6 @@ pub struct Dram {
     open_row: Option<u64>,
     accesses: u64,
     row_misses: u64,
-    bytes: u64,
 }
 
 impl Dram {
@@ -64,7 +63,6 @@ impl Dram {
             open_row: None,
             accesses: 0,
             row_misses: 0,
-            bytes: 0,
         }
     }
 
@@ -77,7 +75,6 @@ impl Dram {
     /// Latency in cycles to fetch `bytes` bytes starting at `addr`.
     pub fn access(&mut self, addr: u64, bytes: u64) -> u64 {
         self.accesses += 1;
-        self.bytes += bytes;
         let row = addr / self.config.row_bytes;
         let latency = if self.open_row == Some(row) {
             self.config.row_hit_latency
@@ -99,12 +96,6 @@ impl Dram {
     #[must_use]
     pub fn row_misses(&self) -> u64 {
         self.row_misses
-    }
-
-    /// Total bytes transferred.
-    #[must_use]
-    pub fn bytes_transferred(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -158,7 +149,6 @@ mod tests {
         d.access(0, 64);
         d.access(64, 64);
         assert_eq!(d.accesses(), 2);
-        assert_eq!(d.bytes_transferred(), 128);
     }
 
     #[test]

@@ -234,28 +234,11 @@ impl MainMemory {
         self.write_u64(addr, value.to_bits());
     }
 
-    /// Reads an `i64`.
-    #[must_use]
-    pub fn read_i64(&self, addr: u64) -> i64 {
-        self.read_u64(addr) as i64
-    }
-
-    /// Writes an `i64`.
-    pub fn write_i64(&mut self, addr: u64, value: i64) {
-        self.write_u64(addr, value as u64);
-    }
-
     /// Copies a slice of doubles into memory starting at `addr`.
     pub fn write_f64_slice(&mut self, addr: u64, values: &[f64]) {
         for (i, v) in values.iter().enumerate() {
             self.write_f64(addr + 8 * i as u64, *v);
         }
-    }
-
-    /// Reads `n` doubles starting at `addr`.
-    #[must_use]
-    pub fn read_f64_slice(&self, addr: u64, n: usize) -> Vec<f64> {
-        (0..n).map(|i| self.read_f64(addr + 8 * i as u64)).collect()
     }
 
     /// Number of distinct pages that have been written (for memory-footprint
@@ -287,12 +270,10 @@ mod tests {
     }
 
     #[test]
-    fn f64_and_i64_roundtrip() {
+    fn f64_roundtrip() {
         let mut m = MainMemory::new();
         m.write_f64(0x200, -1234.5);
-        m.write_i64(0x208, -77);
         assert_eq!(m.read_f64(0x200), -1234.5);
-        assert_eq!(m.read_i64(0x208), -77);
     }
 
     #[test]
@@ -323,7 +304,9 @@ mod tests {
         let a = m.alloc(8 * 5);
         let vals = [1.0, 2.5, -3.0, 0.0, 1e30];
         m.write_f64_slice(a, &vals);
-        assert_eq!(m.read_f64_slice(a, 5), vals.to_vec());
+        for (i, v) in vals.iter().enumerate() {
+            assert_eq!(m.read_f64(a + 8 * i as u64), *v);
+        }
     }
 
     #[test]

@@ -536,12 +536,6 @@ impl ScenarioConfig {
         }
         sys
     }
-
-    /// The axis metadata as an ordered JSON object (`{"mvl":256,...}`).
-    #[must_use]
-    pub fn axes_json(&self) -> Json {
-        axes_to_json(&self.axes)
-    }
 }
 
 /// Serialises recorded axes as an ordered JSON object.
@@ -867,7 +861,10 @@ mod tests {
         let s = ScenarioConfig::ava_x(8)
             .with(Knob::MVL, 256)
             .with(Knob::L2_KIB, 512);
-        assert_eq!(s.axes_json().to_string(), r#"{"mvl":256,"l2_kib":512}"#);
+        assert_eq!(
+            axes_to_json(s.axes()).to_string(),
+            r#"{"mvl":256,"l2_kib":512}"#
+        );
     }
 
     #[test]
@@ -879,7 +876,10 @@ mod tests {
         assert_eq!(s.label(), base.label());
         assert_eq!(s.resolve().vpu, base.resolve().vpu);
         // ...but the axis lands in the report JSON like any other knob.
-        assert_eq!(s.axes_json().to_string(), r#"{"mvl":256,"iters":8}"#);
+        assert_eq!(
+            axes_to_json(s.axes()).to_string(),
+            r#"{"mvl":256,"iters":8}"#
+        );
         let replaced = s.with(Knob::ITERS, 16);
         assert_eq!(
             replaced

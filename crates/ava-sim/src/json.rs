@@ -7,7 +7,7 @@
 //! `f64`) and compact emission. Everything CI and downstream plotting
 //! consume — `--json` report files and the `BENCH_*.json` baselines — is
 //! produced here, and [`parse`] reads the documents back so tooling (the
-//! `lint` binary, the round-trip tests) can verify its own output without
+//! result store, the round-trip tests) can verify its own output without
 //! an external JSON implementation.
 //!
 //! ```

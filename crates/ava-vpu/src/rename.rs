@@ -114,12 +114,6 @@ impl RenameUnit {
         self.frl.len()
     }
 
-    /// True if a destination register could be renamed right now.
-    #[must_use]
-    pub fn can_rename_dst(&self) -> bool {
-        !self.frl.is_empty()
-    }
-
     /// Current mapping of a logical register, if any.
     #[must_use]
     pub fn mapping(&self, logical: VReg) -> Option<RenamedReg> {
@@ -211,7 +205,6 @@ mod tests {
             renames.push(r.rename(Some(VReg::new(i)), &[]).unwrap());
         }
         assert_eq!(r.free_count(), 0);
-        assert!(!r.can_rename_dst());
         assert_eq!(
             r.rename(Some(VReg::new(9)), &[]),
             Err(RenameError::NoFreeRegister)

@@ -10,15 +10,14 @@
 //! * [`Composite::new`]: independent phases. Each phase keeps its own input
 //!   data and golden reference; only cache/DRAM *timing* state is shared.
 //! * [`Composite::pipelined`]: dataflow phases. An explicit binding map
-//!   routes producer output buffers into consumer input buffers — by
-//!   default from the immediately preceding phase, or from *any earlier*
-//!   phase via [`PhaseLink::producer`]. The consumer's kernel is rebased
-//!   onto the producer's output buffer (so it reads the *real* simulated
-//!   data at run time), the consumer's golden reference is computed over
-//!   the producer's *reference* output (chaining the scalar models), and
-//!   the producer's checks on a consumed buffer are superseded by the
-//!   consumer's — if the producer computes garbage, the consumer's chained
-//!   checks catch it downstream.
+//!   routes each phase's output buffers into the next phase's input
+//!   buffers. The consumer's kernel is rebased onto the producer's output
+//!   buffer (so it reads the *real* simulated data at run time), the
+//!   consumer's golden reference is computed over the producer's
+//!   *reference* output (chaining the scalar models), and the producer's
+//!   checks on a consumed buffer are superseded by the consumer's — if the
+//!   producer computes garbage, the consumer's chained checks catch it
+//!   downstream.
 //! * [`Composite::iterated`]: a convergence loop. One body phase is
 //!   unrolled `n` times; `carry` links route each iteration's outputs into
 //!   the next iteration's inputs. Instead of planning `n` buffer copies,
@@ -27,6 +26,11 @@
 //!   between two physical buffers with no per-iteration copies. The scalar
 //!   golden reference is iterated the same `n` times, and intermediate
 //!   checks are superseded so only the converged state is validated.
+//!
+//! Links and carries bind the inputs of kernel phases only: a composite
+//! takes no input bindings, so a link into a composite phase (or a carry
+//! into a composite body) is rejected when the outer composite is
+//! constructed. A composite may still be an unlinked phase of another.
 //!
 //! Either way the phases execute sequentially in a single program on one
 //! cache-warm memory hierarchy, and one `RunReport` (with per-phase — and,
@@ -38,22 +42,16 @@ use ava_compiler::{IrKernel, RebaseRule};
 use ava_isa::VectorContext;
 use ava_memory::MemoryHierarchy;
 
-use crate::layout::{BufferBindings, DataLayout, PlannedLayout};
+use crate::layout::{BufferBindings, BufferRole, DataLayout, PlannedLayout};
 use crate::{Check, OutputValues, PhaseMark, SharedWorkload, Workload, WorkloadSetup};
 
 /// One output→input binding: the producer phase's output buffer name and
 /// the consumer phase's input buffer name. In a [`Composite::pipelined`]
-/// link list for transition `i` the consumer is phase `i + 1`; the producer
-/// defaults to phase `i` but may be any earlier phase.
+/// link list for transition `p` the producer is phase `p` and the consumer
+/// phase `p + 1`; in the carry list of a [`Composite::iterated`] iteration
+/// `k` feeds iteration `k + 1`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseLink {
-    /// Explicit producer phase index. `None` binds from the phase
-    /// immediately preceding the consumer (the PR 4 behaviour); `Some(q)`
-    /// binds from phase `q`, which must precede the consumer — this is how
-    /// a pipeline expresses stage-crossing reuse (phase 3 reading phase
-    /// 0's output). Carry links of [`Composite::iterated`] always bind
-    /// from the previous iteration and must leave this `None`.
-    pub producer: Option<usize>,
     /// The producer's output buffer name.
     pub output: String,
     /// The consumer's input buffer name.
@@ -61,31 +59,26 @@ pub struct PhaseLink {
 }
 
 /// Builds the link list for one phase transition from `(output, input)`
-/// name pairs binding from the immediately preceding phase.
+/// name pairs.
 #[must_use]
 pub fn links(pairs: &[(&str, &str)]) -> Vec<PhaseLink> {
     pairs
         .iter()
         .map(|(o, i)| PhaseLink {
-            producer: None,
             output: (*o).to_string(),
             input: (*i).to_string(),
         })
         .collect()
 }
 
-/// Builds a link list from `(producer phase, output, input)` triples, for
-/// links that name an earlier phase explicitly (backward links).
-#[must_use]
-pub fn links_from(triples: &[(usize, &str, &str)]) -> Vec<PhaseLink> {
-    triples
-        .iter()
-        .map(|(q, o, i)| PhaseLink {
-            producer: Some(*q),
-            output: (*o).to_string(),
-            input: (*i).to_string(),
-        })
-        .collect()
+/// Whether binding `consumer`'s input named `input` destroys the bound
+/// (upstream) buffer's contents at run time: an `InOut` input, once
+/// rebased onto the producer's array, is written in place.
+fn overwrites_bound_input(consumer: &SharedWorkload, input: &str) -> bool {
+    consumer
+        .data_layout()
+        .get(input)
+        .is_some_and(|b| b.role == BufferRole::InOut)
 }
 
 /// The unroll description of an iterated composite: the body runs `n`
@@ -135,7 +128,7 @@ struct IterSpec {
 #[derive(Clone)]
 pub struct Composite {
     phases: Vec<SharedWorkload>,
-    /// `links[i]` binds earlier phases' outputs to phase `i + 1`'s inputs.
+    /// `links[p]` binds phase `p`'s outputs to phase `p + 1`'s inputs.
     links: Vec<Vec<PhaseLink>>,
     /// `Some` when this composite unrolls `phases[0]` as a solver loop.
     iterate: Option<IterSpec>,
@@ -153,22 +146,19 @@ impl Composite {
         Self::pipelined(phases, vec![Vec::new(); transitions])
     }
 
-    /// Creates a dataflow pipeline: `links[i]` names the `(output, input)`
-    /// buffer pairs binding producer outputs to phase `i + 1`'s inputs. A
-    /// link's producer defaults to phase `i` and may name any earlier phase
-    /// via [`PhaseLink::producer`]. An empty link list leaves that
-    /// transition independent.
+    /// Creates a dataflow pipeline: `links[p]` names the `(output, input)`
+    /// buffer pairs binding phase `p`'s outputs to phase `p + 1`'s inputs.
+    /// An empty link list leaves that transition independent.
     ///
     /// # Panics
     ///
     /// Panics if `phases` is empty, if `links` does not have exactly one
     /// entry per phase transition, or if any link repeats an earlier
-    /// `(producer, output, input)` triple of the same transition, names a
-    /// producer phase that does not precede the consumer, names an unknown
+    /// `(output, input)` pair of the same transition, names an unknown
     /// buffer, binds the same input twice, binds a non-bindable buffer (an
     /// output), consumes a non-exposable buffer (a pure input), consumes an
-    /// output an intermediate phase has already overwritten in place, or
-    /// pairs buffers of different sizes.
+    /// output an earlier link of the transition binds in place, pairs
+    /// buffers of different sizes, or binds an input of a composite phase.
     #[must_use]
     pub fn pipelined(phases: Vec<SharedWorkload>, links: Vec<Vec<PhaseLink>>) -> Self {
         assert!(!phases.is_empty(), "a composite needs at least one phase");
@@ -178,27 +168,22 @@ impl Composite {
             "need exactly one link list per phase transition"
         );
         for (p, transition) in links.iter().enumerate() {
-            Self::check_links(&phases, transition, p + 1, p);
-        }
-        // Destructive consumption (an `InOut` input, or an iterated
-        // consumer's carried input — see `Workload::overwrites_bound_input`)
-        // rebases the consumer's writes onto the producer's array: the
-        // produced values no longer exist anywhere after the consumer runs,
-        // so a later backward link naming them would chain a reference the
-        // simulation can never reproduce. Reject that wiring at
-        // construction.
-        let mut overwritten: Vec<(usize, &str)> = Vec::new();
-        for (p, transition) in links.iter().enumerate() {
+            Self::check_links(&phases, transition, p, p + 1);
+            // Destructive consumption (an `InOut` input) rebases the
+            // consumer's writes onto the producer's array: the produced
+            // values no longer exist once the consumer has run, so a second
+            // link reading them would chain a reference the simulation can
+            // never reproduce. Reject that wiring at construction.
+            let mut overwritten: Vec<&str> = Vec::new();
             for link in transition {
-                let q = link.producer.unwrap_or(p);
                 assert!(
-                    !overwritten.contains(&(q, link.output.as_str())),
-                    "output {:?} of phase {q} was overwritten in place by an \
+                    !overwritten.contains(&link.output.as_str()),
+                    "output {:?} of phase {p} was overwritten in place by an \
                      earlier consumer and can no longer be linked",
                     link.output
                 );
-                if phases[p + 1].overwrites_bound_input(&link.input) {
-                    overwritten.push((q, link.output.as_str()));
+                if overwrites_bound_input(&phases[p + 1], &link.input) {
+                    overwritten.push(&link.output);
                 }
             }
         }
@@ -226,25 +211,14 @@ impl Composite {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero, if any carry link sets an explicit
-    /// [`PhaseLink::producer`] (iteration `k` always feeds iteration
-    /// `k + 1`), if a buffer appears in more than one carry pair (the
-    /// ping-pong would be ill-defined: one array cannot alternate with two
-    /// partners), or if the carry links fail the same buffer checks as
-    /// [`Composite::pipelined`] (unknown/duplicate/size-mismatched/
-    /// non-bindable names).
+    /// Panics if `n` is zero, if a buffer appears in more than one carry
+    /// pair (the ping-pong would be ill-defined: one array cannot alternate
+    /// with two partners), if the carry links fail the same buffer checks
+    /// as [`Composite::pipelined`] (unknown/duplicate/size-mismatched/
+    /// non-bindable names), or if `n >= 2` carries into a composite body.
     #[must_use]
     pub fn iterated(body: SharedWorkload, n: usize, carry: Vec<PhaseLink>) -> Self {
         assert!(n >= 1, "an iterated composite needs at least one iteration");
-        for link in &carry {
-            assert!(
-                link.producer.is_none(),
-                "carry link {:?} -> {:?} must not name an explicit producer: \
-                 iteration k always feeds iteration k + 1",
-                link.output,
-                link.input
-            );
-        }
         // Carried buffers obey the same contract as a self-transition of a
         // pipeline (body feeding another instance of itself).
         let phases = vec![body];
@@ -284,7 +258,9 @@ impl Composite {
     /// finding at [`Severity::Warn`] or above is fatal — the known bug
     /// classes (splat before `vsetvl`, a rebase that misses its placeholder
     /// buffer, a carried array destroyed before it is read) are rejected
-    /// here, before any simulation runs.
+    /// here, before any simulation runs. The build also rejects a link or
+    /// carry into a composite phase (see [`Workload::build_with_bindings`]
+    /// on [`Composite`]).
     ///
     /// # Panics
     ///
@@ -301,41 +277,33 @@ impl Composite {
         }
     }
 
-    /// Validates one transition's link list against the producer/consumer
-    /// layouts. `consumer` and `default_producer` are phase indices into
+    /// Validates one transition's link list against the producer and
+    /// consumer layouts. `producer` and `consumer` are phase indices into
     /// `phases`; for carry links both are `0` (the body feeds itself).
     fn check_links(
         phases: &[SharedWorkload],
         transition: &[PhaseLink],
+        producer: usize,
         consumer: usize,
-        default_producer: usize,
     ) {
+        let from = phases[producer].data_layout();
         let to = phases[consumer].data_layout();
         let mut bound_inputs: Vec<&str> = Vec::new();
-        let mut seen: Vec<(usize, &str, &str)> = Vec::new();
+        let mut seen: Vec<(&str, &str)> = Vec::new();
         for link in transition {
-            let q = link.producer.unwrap_or(default_producer);
+            let pair = (link.output.as_str(), link.input.as_str());
             assert!(
-                q <= default_producer,
-                "link {:?} -> {:?} into phase {consumer} names producer phase {q}, \
-                 which does not precede the consumer",
-                link.output,
-                link.input
-            );
-            let triple = (q, link.output.as_str(), link.input.as_str());
-            assert!(
-                !seen.contains(&triple),
-                "duplicate link: buffer {:?} of phase {q} is already bound to \
+                !seen.contains(&pair),
+                "duplicate link: buffer {:?} of phase {producer} is already bound to \
                  input {:?} of phase {consumer}",
                 link.output,
                 link.input
             );
-            seen.push(triple);
-            let from = phases[q].data_layout();
+            seen.push(pair);
             let src = from.get(&link.output).unwrap_or_else(|| {
                 panic!(
-                    "phase {q} ({}) has no buffer named {:?}",
-                    phases[q].name(),
+                    "phase {producer} ({}) has no buffer named {:?}",
+                    phases[producer].name(),
                     link.output
                 )
             });
@@ -348,7 +316,7 @@ impl Composite {
             });
             assert!(
                 src.role.is_exposable(),
-                "buffer {:?} of phase {q} is a pure input and exposes no data",
+                "buffer {:?} of phase {producer} is a pure input and exposes no data",
                 link.output
             );
             assert!(
@@ -369,26 +337,6 @@ impl Composite {
             );
             bound_inputs.push(&link.input);
         }
-    }
-
-    /// The phases, in execution order (the single body for an iterated
-    /// composite).
-    #[must_use]
-    pub fn phases(&self) -> &[SharedWorkload] {
-        &self.phases
-    }
-
-    /// The output→input binding map, one entry per phase transition (empty
-    /// for an iterated composite — see [`Composite::carry_links`]).
-    #[must_use]
-    pub fn links(&self) -> &[Vec<PhaseLink>] {
-        &self.links
-    }
-
-    /// The carry links of an iterated composite (empty otherwise).
-    #[must_use]
-    pub fn carry_links(&self) -> &[PhaseLink] {
-        self.iterate.as_ref().map_or(&[], |s| &s.carry)
     }
 
     /// Number of times the body runs: the unroll factor for an iterated
@@ -433,7 +381,6 @@ impl Composite {
         mem: &mut MemoryHierarchy,
         ctx: &VectorContext,
         plan: &PlannedLayout,
-        bindings: &BufferBindings,
     ) -> WorkloadSetup {
         let body = &self.phases[0];
         let prefix = Self::prefix(0);
@@ -463,26 +410,10 @@ impl Composite {
         let mut final_checks: Vec<Check> = Vec::new();
 
         for k in 0..spec.n {
+            // The carry: every iteration after the first runs its reference
+            // on the previous iteration's reference outputs.
             let mut phase_bindings = BufferBindings::none();
-            // Externally-bound composite inputs (the nesting path, as in
-            // the pipelined build) apply to *every* iteration: a
-            // non-carried bound input is re-read from the same upstream
-            // array on every pass, so every iteration's reference must
-            // consume the bound values — binding only iteration 0 would
-            // let later references regenerate the input and diverge from
-            // the simulated dataflow.
-            for buf in sub.buffers() {
-                if let Some(values) = bindings.get(&format!("{prefix}{}", buf.spec.name)) {
-                    phase_bindings.bind(buf.spec.name.clone(), values.to_vec());
-                }
-            }
             if k > 0 {
-                // The carry: this iteration's reference runs on the
-                // previous iteration's reference outputs. (A carried input
-                // can only be externally bound when `n == 1` — the outer
-                // constructor's `overwrites_bound_input` check rejects it
-                // otherwise — so the carry never fights an external
-                // binding here.)
                 for link in &spec.carry {
                     let src = prev_outputs
                         .iter()
@@ -582,31 +513,6 @@ impl Workload for Composite {
         self.phases.iter().map(|p| p.elements()).sum::<usize>() * self.iterations()
     }
 
-    fn overwrites_bound_input(&self, input: &str) -> bool {
-        // Resolve the phase prefix ("p1.rest", possibly nested) and
-        // delegate inward.
-        let Some((p, rest)) = input
-            .strip_prefix('p')
-            .and_then(|s| s.split_once('.'))
-            .and_then(|(idx, rest)| idx.parse::<usize>().ok().map(|p| (p, rest)))
-        else {
-            return false;
-        };
-        let Some(phase) = self.phases.get(p) else {
-            return false;
-        };
-        if let Some(spec) = &self.iterate {
-            // A carried input is written by the ping-pong swap whenever a
-            // second iteration exists, whatever its declared role: the
-            // bound upstream buffer becomes one of the two alternating
-            // arrays and the producer's values are destroyed.
-            if spec.n >= 2 && spec.carry.iter().any(|l| l.input == rest) {
-                return true;
-            }
-        }
-        phase.overwrites_bound_input(rest)
-    }
-
     fn data_layout(&self) -> DataLayout {
         // The union of the phase layouts, each phase's buffer names
         // prefixed with `p{i}.` so equal phases do not collide. An iterated
@@ -626,7 +532,7 @@ impl Workload for Composite {
     }
 
     fn analysis_arenas(&self, plan: &PlannedLayout) -> Vec<Arena> {
-        // Recurse per phase (nested composites keep their inner markings),
+        // Recurse per phase (composite phases keep their inner markings),
         // re-prefixing arena names with the phase prefix.
         let mut arenas = Vec::new();
         for (p, phase) in self.phases.iter().enumerate() {
@@ -664,8 +570,7 @@ impl Workload for Composite {
             // A linked consumer input is never materialised: every access
             // to it must have been rebased onto the producer's buffer, so
             // any access still landing there is the wrong-buffer-rebase
-            // bug. The consumer of transition `p` is always phase `p + 1`,
-            // whichever earlier phase produces the data.
+            // bug. The consumer of transition `p` is phase `p + 1`.
             for (p, transition) in self.links.iter().enumerate() {
                 for link in transition {
                     let full = format!("{}{}", Self::prefix(p + 1), link.input);
@@ -683,19 +588,28 @@ impl Workload for Composite {
         plan: &PlannedLayout,
         bindings: &BufferBindings,
     ) -> WorkloadSetup {
+        // Links and carries bind kernel inputs only; values bound into a
+        // composite would have to be forwarded to its phases and rebased
+        // there, which no mix needs.
+        if let Some(name) = bindings.names().next() {
+            panic!(
+                "a composite takes no input bindings, but input {name:?} of this {} \
+                 composite is bound: link or carry into a kernel phase instead",
+                self.name()
+            );
+        }
         if let Some(spec) = &self.iterate {
-            return self.build_iterated(spec, mem, ctx, plan, bindings);
+            return self.build_iterated(spec, mem, ctx, plan);
         }
         let mut kernel = IrKernel {
             name: self.name().to_string(),
             ..Default::default()
         };
-        // Checks are held back per phase until the whole pipeline is wired:
-        // a link from *any* later transition that consumes one of a phase's
-        // output buffers supersedes that phase's checks on the buffer — the
-        // consumer's chained checks cover it downstream.
+        // A phase's checks are held back until the next phase is wired: a
+        // link consuming one of its output buffers supersedes its checks on
+        // the buffer — the consumer's chained checks cover it downstream.
         let mut deferred: Vec<Vec<Check>> = Vec::new();
-        let mut outputs_by_phase: Vec<Vec<OutputValues>> = Vec::new();
+        let mut prev_outputs: Vec<OutputValues> = Vec::new();
         let mut outputs = Vec::new();
         let mut warm_ranges = Vec::new();
         let mut phase_marks = Vec::new();
@@ -705,33 +619,20 @@ impl Workload for Composite {
             let prefix = Self::prefix(p);
             let sub = plan.subset(&prefix);
 
-            // Bindings for this phase: externally-bound composite inputs
-            // (named with the phase prefix — the nesting path: when this
-            // composite is itself a phase of an outer pipeline, the outer
-            // composite binds e.g. "p0.v" and rebases our whole kernel, so
-            // the forwarded values line up with the rebased reads) plus
-            // the pipeline links from the producer phases' reference
-            // outputs.
             let mut phase_bindings = BufferBindings::none();
-            for buf in sub.buffers() {
-                if let Some(values) = bindings.get(&format!("{prefix}{}", buf.spec.name)) {
-                    phase_bindings.bind(buf.spec.name.clone(), values.to_vec());
-                }
-            }
             let mut rebase = Vec::new();
             if p > 0 {
                 for link in &self.links[p - 1] {
-                    let q = link.producer.unwrap_or(p - 1);
-                    let src = outputs_by_phase[q]
+                    let src = prev_outputs
                         .iter()
                         .find(|o| o.name == link.output)
                         .unwrap_or_else(|| {
-                            panic!("phase {q} produced no output {:?}", link.output)
+                            panic!("phase {} produced no output {:?}", p - 1, link.output)
                         });
                     // Supersede the producer's checks on the consumed
                     // buffer: the consumer's chained reference covers it.
                     let (start, end) = src.range();
-                    deferred[q].retain(|c| !(c.addr >= start && c.addr < end));
+                    deferred[p - 1].retain(|c| !(c.addr >= start && c.addr < end));
                     // The consumer's reference runs on the producer's
                     // reference output...
                     phase_bindings.bind(link.input.clone(), src.values.clone());
@@ -769,7 +670,7 @@ impl Workload for Composite {
                     })
                     .collect(),
             );
-            let rebased_outputs: Vec<OutputValues> = part
+            prev_outputs = part
                 .outputs
                 .into_iter()
                 .map(|mut o| {
@@ -777,12 +678,11 @@ impl Workload for Composite {
                     o
                 })
                 .collect();
-            outputs.extend(rebased_outputs.iter().map(|o| OutputValues {
+            outputs.extend(prev_outputs.iter().map(|o| OutputValues {
                 name: format!("{prefix}{}", o.name),
                 base: o.base,
                 values: o.values.clone(),
             }));
-            outputs_by_phase.push(rebased_outputs);
         }
         let checks = deferred.into_iter().flatten().collect();
 
@@ -856,7 +756,7 @@ mod tests {
 
         let mut mem2 = MemoryHierarchy::default();
         let parts: Vec<WorkloadSetup> = mix()
-            .phases()
+            .phases
             .iter()
             .map(|p| p.build(&mut mem2, &ctx))
             .collect();
@@ -888,7 +788,7 @@ mod tests {
         let composite = mix().build(&mut mem, &ctx);
         let mut mem2 = MemoryHierarchy::default();
         let max_phase = mix()
-            .phases()
+            .phases
             .iter()
             .map(|p| p.build(&mut mem2, &ctx).kernel.max_pressure())
             .max()
@@ -1024,47 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn backward_links_chain_from_any_earlier_phase() {
-        // Phase 2 (somier) reads phase 0's (axpy's) output across the
-        // intermediate blackscholes stage: the reference must chain from
-        // phase 0, exactly as a consecutive link would.
-        let chained = Composite::pipelined(
-            vec![
-                Arc::new(Axpy::new(256)),
-                Arc::new(Blackscholes::new(64)),
-                Arc::new(Somier::new(256)),
-            ],
-            vec![Vec::new(), links_from(&[(0, "y", "v")])],
-        );
-        let mut mem = MemoryHierarchy::default();
-        let ctx = VectorContext::with_mvl(16);
-        let setup = chained.build(&mut mem, &ctx);
-
-        let axpy_y = setup.output("p0.y");
-        let somier_vout = setup.output("p2.vout");
-        let somier_x = {
-            let mut gen = crate::data::DataGen::for_workload("somier");
-            gen.uniform_vec(256 + 2, -1.0, 1.0)
-        };
-        for j in 0..256 {
-            let force = 4.0 * (-2.0f64).mul_add(somier_x[j + 1], somier_x[j] + somier_x[j + 2]);
-            let expected = force.mul_add(0.001, axpy_y.values[j]);
-            assert_eq!(somier_vout.values[j], expected, "element {j}");
-        }
-        // The consumed y checks are superseded even though they belong to a
-        // non-adjacent producer.
-        let (ys, ye) = axpy_y.range();
-        assert!(setup.checks.iter().all(|c| c.addr < ys || c.addr >= ye));
-        // And somier's velocity loads were rebased onto axpy's buffer.
-        assert!(setup
-            .kernel
-            .instrs
-            .iter()
-            .any(|i| i.opcode == ava_isa::Opcode::VLoad
-                && i.mem.is_some_and(|m| m.base >= ys && m.base < ye)));
-    }
-
-    #[test]
     fn iterated_matches_the_iterated_scalar_reference_bit_exactly() {
         for iters in [1, 3, 4] {
             let mut mem = MemoryHierarchy::default();
@@ -1170,48 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_pipelined_composites_chain_through_the_outer_links() {
-        // Outer pipeline: axpy feeds a nested pipeline (somier → axpy)
-        // through the inner composite's prefixed buffer name "p0.v". The
-        // outer composite forwards the bound values inward and rebases the
-        // whole inner kernel, so the nesting path lines up end to end.
-        let n = 128;
-        let inner: SharedWorkload = Arc::new(Composite::pipelined(
-            vec![Arc::new(Somier::new(n)), Arc::new(Axpy::new(n))],
-            vec![links(&[("xout", "x"), ("vout", "y")])],
-        ));
-        let outer = Composite::pipelined(
-            vec![Arc::new(Axpy::new(n)), inner],
-            vec![links(&[("y", "p0.v")])],
-        );
-        let mut mem = MemoryHierarchy::default();
-        let setup = outer.build(&mut mem, &VectorContext::with_mvl(16));
-
-        // The chained reference: the inner somier's velocity input is the
-        // outer axpy's reference output.
-        let axpy_y = setup.output("p0.y");
-        let somier_vout = setup.output("p1.p0.vout");
-        let somier_x = {
-            let mut gen = crate::data::DataGen::for_workload("somier");
-            gen.uniform_vec(n + 2, -1.0, 1.0)
-        };
-        for j in 0..n {
-            let force = 4.0 * (-2.0f64).mul_add(somier_x[j + 1], somier_x[j] + somier_x[j + 2]);
-            let expected = force.mul_add(0.001, axpy_y.values[j]);
-            assert_eq!(somier_vout.values[j], expected, "element {j}");
-        }
-        // The inner somier's velocity loads were rebased (by the outer
-        // composite) onto the outer axpy's y buffer.
-        let (ys, ye) = axpy_y.range();
-        assert!(setup
-            .kernel
-            .instrs
-            .iter()
-            .any(|i| i.opcode == ava_isa::Opcode::VLoad
-                && i.mem.is_some_and(|m| m.base >= ys && m.base < ye)));
-    }
-
-    #[test]
     #[should_panic(expected = "at least one phase")]
     fn empty_composite_is_rejected() {
         let _ = Composite::new(vec![]);
@@ -1295,122 +1112,48 @@ mod tests {
     }
 
     #[test]
-    fn external_bindings_apply_to_every_iteration() {
-        // Outer pipeline binding a NON-carried input of an iterated
-        // composite: the kernel re-reads the producer's (constant) array
-        // on every iteration, so every iteration's golden reference must
-        // consume the bound values — not just iteration 0's.
-        let n = 64;
-        let inner: SharedWorkload = Arc::new(Composite::iterated(
-            Arc::new(Somier::relaxation(n)),
-            2,
-            links(&[("xout", "x")]), // x carried; v deliberately NOT
-        ));
-        let outer = Composite::pipelined(
-            vec![Arc::new(Axpy::new(n)), inner],
-            vec![links(&[("y", "p0.v")])],
-        );
-        let mut mem = MemoryHierarchy::default();
-        let setup = outer.build(&mut mem, &VectorContext::with_mvl(16));
-        let y = setup.output("p0.y").values.clone();
-
-        // Hand-step the true dataflow: positions carry, velocities are
-        // re-read from axpy's y output on every iteration.
-        let mut gen = crate::data::DataGen::for_workload("somier");
-        let mut x = gen.uniform_vec(n + 2, -1.0, 1.0);
-        let mut vout = vec![0.0; n];
-        for _ in 0..2 {
-            let mut xn = x.clone();
-            for j in 0..n {
-                let force = 4.0 * (-2.0f64).mul_add(x[j + 1], x[j] + x[j + 2]);
-                let vnew = force.mul_add(0.001, y[j]);
-                xn[j + 1] = vnew.mul_add(0.001, x[j + 1]);
-                vout[j] = vnew;
-            }
-            x = xn;
-        }
-        assert_eq!(setup.output("p1.p0.vout").values, vout);
-        assert_eq!(setup.output("p1.p0.xout").values, x);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not precede the consumer")]
-    fn forward_producer_indices_are_rejected() {
-        let _ = Composite::pipelined(
-            vec![
-                Arc::new(Axpy::new(64)),
-                Arc::new(Somier::new(64)),
-                Arc::new(Axpy::new(64)),
-            ],
-            vec![Vec::new(), links_from(&[(2, "y", "x")])],
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "overwritten in place")]
     fn consuming_an_overwritten_output_is_rejected() {
-        // Phase 1 consumes axpy's y in place (InOut), destroying the
-        // produced values; phase 2's backward link onto them must fail at
-        // construction.
+        // Axpy binds somier's vout in place as y (InOut), destroying the
+        // produced values; a second link of the same transition reading
+        // them as x must fail at construction.
         let _ = Composite::pipelined(
-            vec![
-                Arc::new(Somier::new(64)),
-                Arc::new(Axpy::new(64)),
-                Arc::new(Axpy::new(64)),
-            ],
-            vec![links(&[("vout", "y")]), links_from(&[(0, "vout", "y")])],
+            vec![Arc::new(Somier::new(64)), Arc::new(Axpy::new(64))],
+            vec![links(&[("vout", "y"), ("vout", "x")])],
         );
     }
 
     #[test]
-    #[should_panic(expected = "overwritten in place")]
-    fn consuming_an_output_destroyed_by_an_iterated_consumer_is_rejected() {
-        // The iterated middle phase carries "v" (declared role: plain
-        // Input), so its odd iterations write into whatever array the
-        // outer link rebases "p0.v" onto — destroying axpy's produced y
-        // values. A later backward link onto them must fail at
-        // construction, not as a confusing validation failure mid-sweep.
-        let middle: SharedWorkload = Arc::new(Composite::iterated(
-            Arc::new(Somier::relaxation(64)),
-            2,
-            links(&[("xout", "x"), ("vout", "v")]),
+    #[should_panic(expected = "a composite takes no input bindings")]
+    fn links_into_a_composite_phase_are_rejected_at_construction() {
+        let inner: SharedWorkload = Arc::new(Composite::pipelined(
+            vec![Arc::new(Somier::new(64)), Arc::new(Axpy::new(64))],
+            vec![links(&[("xout", "x"), ("vout", "y")])],
         ));
         let _ = Composite::pipelined(
-            vec![Arc::new(Axpy::new(64)), middle, Arc::new(Axpy::new(64))],
-            vec![links(&[("y", "p0.v")]), links_from(&[(0, "y", "y")])],
+            vec![Arc::new(Axpy::new(64)), inner],
+            vec![links(&[("y", "p0.v")])],
         );
     }
 
     #[test]
-    fn single_iteration_consumers_do_not_destroy_bound_inputs() {
-        // With n = 1 there is no ping-pong write, so the same wiring is
-        // legal: the producer's output survives for the backward link.
-        let middle: SharedWorkload = Arc::new(Composite::iterated(
-            Arc::new(Somier::relaxation(64)),
-            1,
-            links(&[("xout", "x"), ("vout", "v")]),
-        ));
-        let piped = Composite::pipelined(
-            vec![Arc::new(Axpy::new(64)), middle, Arc::new(Axpy::new(64))],
-            vec![links(&[("y", "p0.v")]), links_from(&[(0, "y", "y")])],
-        );
-        // And the wiring genuinely builds and validates its own checks.
+    #[should_panic(expected = "a composite takes no input bindings")]
+    fn carries_into_a_composite_body_are_rejected_at_construction() {
+        let body: SharedWorkload = Arc::new(Composite::new(vec![Arc::new(Somier::relaxation(64))]));
+        let _ = Composite::iterated(body, 2, links(&[("p0.xout", "p0.x")]));
+    }
+
+    #[test]
+    fn unlinked_composite_phases_build_and_validate() {
+        let inner: SharedWorkload = Arc::new(solver(64, 2));
+        let outer = Composite::new(vec![Arc::new(Axpy::new(64)), inner]);
         let mut mem = MemoryHierarchy::default();
-        let setup = piped.build(&mut mem, &VectorContext::with_mvl(16));
+        let setup = outer.build(&mut mem, &VectorContext::with_mvl(16));
+        assert_eq!(setup.phase_marks.len(), 2);
         for c in &setup.checks {
             mem.write_f64(c.addr, c.expected);
         }
         assert!(validate(&mem, &setup.checks).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "must not name an explicit producer")]
-    fn explicit_producers_in_carry_links_are_rejected() {
-        let _ = Composite::iterated(
-            Arc::new(Somier::relaxation(64)),
-            2,
-            links_from(&[(0, "xout", "x")]),
-        );
     }
 
     #[test]

@@ -233,21 +233,17 @@ impl PlannedLayout {
     }
 }
 
-/// The shared allocator of the planning step: turns declared [`DataLayout`]s
-/// into [`PlannedLayout`]s by placing every buffer in the hierarchy's bump
-/// allocator, in declaration order. One planner instance serves a whole
-/// run (a composite plans all its phases through the same planner), so the
-/// full set of planned ranges is known in one place.
+/// The allocator of the planning step: turns declared [`DataLayout`]s into
+/// [`PlannedLayout`]s by placing every buffer in the hierarchy's bump
+/// allocator, in declaration order.
 #[derive(Debug, Default)]
-pub struct ArenaPlanner {
-    planned: Vec<(u64, u64)>,
-}
+pub struct ArenaPlanner;
 
 impl ArenaPlanner {
-    /// A fresh planner with no placements.
+    /// A planner.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Places every declared buffer of `layout` in `mem`'s allocator, in
@@ -256,23 +252,12 @@ impl ArenaPlanner {
         let buffers = layout
             .buffers
             .iter()
-            .map(|spec| {
-                let base = mem.allocate((spec.elems * 8) as u64);
-                self.planned.push((base, base + (spec.elems * 8) as u64));
-                PlannedBuffer {
-                    spec: spec.clone(),
-                    base,
-                }
+            .map(|spec| PlannedBuffer {
+                spec: spec.clone(),
+                base: mem.allocate((spec.elems * 8) as u64),
             })
             .collect();
         PlannedLayout { buffers }
-    }
-
-    /// Every range `[start, end)` this planner has placed, in placement
-    /// order.
-    #[must_use]
-    pub fn planned_ranges(&self) -> &[(u64, u64)] {
-        &self.planned
     }
 }
 
@@ -309,6 +294,11 @@ impl BufferBindings {
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&[f64]> {
         self.values.get(name).map(Vec::as_slice)
+    }
+
+    /// The bound input names, in name order.
+    pub(crate) fn names(&self) -> impl Iterator<Item = &str> {
+        self.values.keys().map(String::as_str)
     }
 }
 
@@ -385,7 +375,6 @@ mod tests {
         assert!(plan.addr("x") < plan.addr("y"));
         assert!(plan.addr("y") < plan.addr("z"));
         assert_eq!(plan.buffer("z").bytes(), 64);
-        assert_eq!(planner.planned_ranges().len(), 3);
     }
 
     #[test]

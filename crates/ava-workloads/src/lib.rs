@@ -194,21 +194,6 @@ pub trait Workload {
     /// size, so composites can validate bindings without a machine context.
     fn data_layout(&self) -> DataLayout;
 
-    /// Whether binding the input named `input` destroys the bound
-    /// (upstream) buffer's contents at run time — i.e. whether this
-    /// workload's kernel, once rebased onto the producer's array, writes
-    /// into it. True for `InOut` inputs by default; [`Composite`] refines
-    /// it (an iterated composite's carried input is written by the
-    /// ping-pong swap even though its declared role is a plain `Input`).
-    /// `Composite::pipelined` uses this to reject, at construction, a
-    /// later link onto an output that no longer exists by the time it
-    /// would be read.
-    fn overwrites_bound_input(&self, input: &str) -> bool {
-        self.data_layout()
-            .get(input)
-            .is_some_and(|b| b.role == BufferRole::InOut)
-    }
-
     /// Step 2 of the build protocol: generates input data (for unbound
     /// inputs), the vector IR trace for the machine described by `ctx` (its
     /// effective MVL decides the stripmine length) and the golden
@@ -257,8 +242,8 @@ pub trait Workload {
     /// vector length: builds it against a fresh memory hierarchy and runs
     /// the full [`analysis`] suite (SSA well-formedness, VL-state lints and
     /// address-interval bounds checks against the planned arenas). No
-    /// simulation runs — this is the `ava-lint` entry point used by tests,
-    /// the `lint` binary and the composite constructors.
+    /// simulation runs — this is the `ava-lint` entry point used by tests
+    /// and the composite constructors.
     fn verify(&self, mvl: usize) -> AnalysisReport {
         let mut mem = MemoryHierarchy::default();
         let ctx = VectorContext::with_mvl(mvl);

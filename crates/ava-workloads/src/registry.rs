@@ -35,7 +35,7 @@ pub const KERNEL_NAMES: [&str; 7] = [
 /// primary problem size (elements, options, particles, ...), `m` the
 /// secondary one where the constructor takes two (LavaMD's neighbour count,
 /// Particle Filter's grid size; `None` elsewhere). The defaults are the
-/// paper-evaluation sizes of `ava_bench::paper_workloads`, except
+/// paper-evaluation sizes of the Figure 3 / Figure 4 manifests, except
 /// `composite`, which defaults to the sensitivity-study mix size.
 ///
 /// Returns `None` for names not in [`KERNEL_NAMES`].

@@ -47,10 +47,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every committed manifest in `experiments/` parses, carries a name, and
-/// survives a to_json → parse round trip unchanged.
+/// Every committed manifest in `experiments/` parses and carries a name.
 #[test]
-fn committed_manifests_parse_and_round_trip() {
+fn committed_manifests_parse_and_are_named() {
     let mut seen = 0usize;
     for entry in std::fs::read_dir("experiments").expect("experiments/ directory exists") {
         let path = entry.unwrap().path();
@@ -66,8 +65,6 @@ fn committed_manifests_parse_and_round_trip() {
             spec.name.is_some(),
             "{label}: committed manifests are named"
         );
-        let reparsed = ExperimentSpec::parse(&label, &spec.to_json().to_string()).unwrap();
-        assert_eq!(spec, reparsed, "{label}: round trip changed the spec");
     }
     assert!(
         seen >= 8,

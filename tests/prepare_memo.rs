@@ -40,10 +40,6 @@ impl Workload for Counting {
         self.inner.data_layout()
     }
 
-    fn overwrites_bound_input(&self, input: &str) -> bool {
-        self.inner.overwrites_bound_input(input)
-    }
-
     fn build_with_bindings(
         &self,
         mem: &mut MemoryHierarchy,

@@ -366,7 +366,8 @@ fn out_of_arena_and_straddling_accesses_are_errors() {
 /// Every shipped workload and both composite mixes, verified across the
 /// full MVL range (including the 512 extrapolation point), produce zero
 /// warn-or-worse findings — the deny gate in the composite constructors
-/// and CI can never trip on correct code.
+/// can never trip on correct code. The solver mix's body at its registry
+/// size is checked standalone at every evaluated MVL as well.
 #[test]
 fn all_shipped_workloads_and_mixes_lint_clean_in_deny_mode() {
     let workloads: Vec<SharedWorkload> = vec![
@@ -387,20 +388,23 @@ fn all_shipped_workloads_and_mixes_lint_clean_in_deny_mode() {
             composite::links(&[("xout", "x"), ("vout", "v")]),
         )),
     ];
-    for w in &workloads {
-        for mvl in [16, 64, 128, 512] {
-            let report = w.verify(mvl);
-            assert!(
-                report.is_clean(Severity::Warn),
-                "{} at MVL {mvl} is not clean:\n{report}",
-                w.name()
-            );
-        }
+    let relaxation: SharedWorkload = Arc::new(Somier::relaxation(4096));
+    let grid = workloads
+        .iter()
+        .flat_map(|w| [16, 64, 128, 512].map(|mvl| (w, mvl)))
+        .chain(lint_mvls().into_iter().map(|mvl| (&relaxation, mvl)));
+    for (w, mvl) in grid {
+        let report = w.verify(mvl);
+        assert!(
+            report.is_clean(Severity::Warn),
+            "{} at MVL {mvl} is not clean:\n{report}",
+            w.name()
+        );
     }
 }
 
-/// The MVLs the `lint` binary covers: those of the fourteen evaluated
-/// configurations plus the Table I MVL-512 extrapolation point.
+/// The MVLs of the fourteen evaluated configurations plus the Table I
+/// MVL-512 extrapolation point.
 fn lint_mvls() -> Vec<usize> {
     let mut configs = ScenarioConfig::all_evaluated();
     configs.extend(ScenarioConfig::axis_mvl(&[512]));
@@ -411,7 +415,7 @@ fn lint_mvls() -> Vec<usize> {
 }
 
 /// Every finding, at every severity, of every registry kernel and mix at
-/// its manifest defaults, verified at every MVL the `lint` binary covers:
+/// its manifest defaults, verified at every [`lint_mvls`] MVL:
 /// one line per workload and MVL, then one per rendered diagnostic.
 fn registry_lint_text() -> String {
     let mut text = String::new();
@@ -435,7 +439,7 @@ const REGISTRY_LINT_DIGEST: u64 = 0x35b0_a46d_b1bf_f69c;
 
 /// Every registry kernel and mix (`composite`, `pipelined` and `solver`
 /// included) reports the same findings, rendered byte for byte, at every
-/// MVL the `lint` binary covers.
+/// [`lint_mvls`] MVL.
 #[test]
 fn registry_lint_findings_are_pinned() {
     let text = registry_lint_text();

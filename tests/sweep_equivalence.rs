@@ -330,27 +330,6 @@ fn pipelined_grid_is_bit_identical_validated_and_phase_attributed() {
     }
 }
 
-/// A nested pipeline — an outer composite binding into an inner pipelined
-/// composite through its prefixed buffer name — must simulate and validate
-/// end to end (the external-bindings forwarding path of
-/// `Composite::build_with_bindings`).
-#[test]
-fn nested_pipelined_composite_simulates_and_validates() {
-    let n = 256;
-    let inner: SharedWorkload = Arc::new(Composite::pipelined(
-        vec![Arc::new(Somier::new(n)), Arc::new(Axpy::new(n))],
-        vec![composite::links(&[("xout", "x"), ("vout", "y")])],
-    ));
-    let outer = Composite::pipelined(
-        vec![Arc::new(Axpy::new(n)), inner],
-        vec![composite::links(&[("y", "p0.v")])],
-    );
-    let report = run_workload(&outer, &ScenarioConfig::ava_x(4));
-    assert!(report.validated, "{:?}", report.validation_error);
-    assert_eq!(report.phases.len(), 2);
-    assert_eq!(report.phases[1].name, "1:pipelined");
-}
-
 /// The chained golden reference is provably *chained*: somier's phase-2
 /// checks are only satisfiable because its reference consumed axpy's real
 /// (reference) output. Somier run standalone on its own generated velocity
@@ -610,49 +589,6 @@ fn mis_wired_carry_link_fails_validation() {
     );
     let err = report.validation_error.unwrap();
     assert!(err.contains("expected"), "{err}");
-}
-
-/// An iterated composite nested inside an outer pipeline, with the outer
-/// link feeding a NON-carried input of the solver body: the kernel re-reads
-/// the producer's array on every iteration, so the chained reference must
-/// bind the external values on every iteration too — this wiring passes
-/// every construction check and must validate when simulated.
-#[test]
-fn nested_iterated_composite_with_external_binding_validates() {
-    let n = 256;
-    let inner: SharedWorkload = Arc::new(Composite::iterated(
-        Arc::new(Somier::relaxation(n)),
-        2,
-        composite::links(&[("xout", "x")]), // positions carry; velocities do not
-    ));
-    let outer = Composite::pipelined(
-        vec![Arc::new(Axpy::new(n)), inner],
-        vec![composite::links(&[("y", "p0.v")])],
-    );
-    let report = run_workload(&outer, &ScenarioConfig::ava_x(4));
-    assert!(report.validated, "{:?}", report.validation_error);
-    assert_eq!(report.phases.len(), 2);
-}
-
-/// A backward link (producer two phases upstream) must simulate and
-/// validate end to end, chaining the reference across the intermediate
-/// phase.
-#[test]
-fn backward_linked_pipeline_simulates_and_validates() {
-    let piped = Composite::pipelined(
-        vec![
-            Arc::new(Axpy::new(512)),
-            Arc::new(Blackscholes::new(64)),
-            Arc::new(Somier::new(512)),
-        ],
-        vec![Vec::new(), composite::links_from(&[(0, "y", "v")])],
-    );
-    let report = run_workload(&piped, &ScenarioConfig::ava_x(4));
-    assert!(report.validated, "{:?}", report.validation_error);
-    assert_eq!(report.phases.len(), 3);
-    // (That the chain is load-bearing — somier's reference consuming
-    // axpy's across the intermediate stage — is pinned by the
-    // `backward_links_chain_from_any_earlier_phase` unit test.)
 }
 
 /// The equivalence guarantee extends to the result store: the acceptance
