@@ -22,8 +22,9 @@ pub enum Code {
     /// covered, so at run time it would read a buffer that is never
     /// materialised.
     UncoveredPlaceholder,
-    /// A carried buffer was read after an overlapping in-place store within
-    /// the same phase span destroyed the carried value.
+    /// A buffer carried or linked between composite phases was read after
+    /// an overlapping in-place store within the same phase span destroyed
+    /// the value it carries.
     ReadAfterDestroy,
     /// A register defined under a narrow vector length is consumed under a
     /// wider one, so its upper lanes are stale.

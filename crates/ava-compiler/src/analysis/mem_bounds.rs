@@ -10,8 +10,9 @@
 //! * **AVA002** — the access lands in a *placeholder* arena (a composite
 //!   consumer input that a rebase rule should have redirected onto the
 //!   producer's buffer — the PR 4 wrong-buffer-rebase bug class).
-//! * **AVA003** — a *carried* arena is read after an overlapping store in
-//!   the same phase span already destroyed the carried value.
+//! * **AVA003** — a *destroy-tracked* arena (a composite's carried or
+//!   linked buffer) is read after an overlapping store in the same phase
+//!   span already overwrote the value it carries to or from another phase.
 //! * **AVA103** — a store whose bytes are completely overwritten by a later
 //!   store with no intervening load (a dead store).
 //!
@@ -42,10 +43,12 @@ pub struct Arena {
     /// every access to it should have been rebased away, so any remaining
     /// access is the wrong-buffer-rebase bug (AVA002).
     pub placeholder: bool,
-    /// True for a buffer whose contents are carried across iterations of an
-    /// iterated composite; reading it after an in-place overwrite within
-    /// one iteration destroys the carried value (AVA003).
-    pub carried: bool,
+    /// True for a buffer whose contents flow between composite phases: an
+    /// iterated composite's carried buffer, or a pipeline producer's
+    /// output that a later phase consumes through a link. Reading it after
+    /// an in-place overwrite within one phase span reads a value that no
+    /// longer flows between the phases (AVA003).
+    pub destroy_tracked: bool,
 }
 
 impl Arena {
@@ -57,7 +60,7 @@ impl Arena {
             start,
             end: start + bytes,
             placeholder: false,
-            carried: false,
+            destroy_tracked: false,
         }
     }
 
@@ -68,10 +71,10 @@ impl Arena {
         self
     }
 
-    /// Marks this arena as carried across composite iterations.
+    /// Marks this arena as carried or linked between composite phases.
     #[must_use]
-    pub fn as_carried(mut self) -> Self {
-        self.carried = true;
+    pub fn as_destroy_tracked(mut self) -> Self {
+        self.destroy_tracked = true;
         self
     }
 
@@ -111,7 +114,7 @@ fn overlapping(pending: &Pending, lo: u64, hi: u64, starts: &mut Vec<u64>) {
     );
 }
 
-/// The stores into one carried arena in the current phase span.
+/// The stores into one destroy-tracked arena in the current phase span.
 #[derive(Debug, Clone, Default)]
 struct Written {
     /// `(start, end, ir_index)` in program order, so a diagnostic names the
@@ -178,8 +181,8 @@ impl Written {
 /// (from a traced VL pass); `mvl` resolves [`VlState::Max`]. `phase_ends`
 /// lists the IR index one past each composite phase (empty for a plain
 /// kernel); the read-after-destroy bookkeeping resets at those boundaries,
-/// because reading what the *previous* iteration wrote is exactly how
-/// carried values flow.
+/// because reading what the *previous* phase wrote is exactly how carried
+/// and linked values flow.
 ///
 /// The pass is linear in the kernel up to logarithmic map lookups: each
 /// access looks up the few pending stores and written runs it can overlap
@@ -192,8 +195,8 @@ pub fn check_memory(
     phase_ends: &[usize],
     diags: &mut Vec<Diagnostic>,
 ) {
-    // Per-arena stores of the current phase span (read for carried arenas
-    // only, so only those are recorded).
+    // Per-arena stores of the current phase span (read for destroy-tracked
+    // arenas only, so only those are recorded).
     let mut written: Vec<Written> = vec![Written::default(); arenas.len()];
     // Per-arena pending stores. Never reset — a store observed only in a
     // later phase is still observed.
@@ -294,19 +297,19 @@ pub fn check_memory(
             if exact_unit {
                 pending[ai].insert(lo, (hi, idx, next_phase));
             }
-            if arena.carried {
+            if arena.destroy_tracked {
                 written[ai].insert(lo, hi, idx);
             }
         } else {
-            if arena.carried {
+            if arena.destroy_tracked {
                 if let Some((ws, we, widx)) = written[ai].first_overlap(lo, hi) {
                     diags.push(Diagnostic::new(
                         Code::ReadAfterDestroy,
                         idx,
                         format!(
-                            "carried arena \"{}\" is read at [{lo:#x}, {hi:#x}) after \
-                             the store at ir[{widx}] ([{ws:#x}, {we:#x})) already \
-                             destroyed the carried value in this iteration",
+                            "destroy-tracked arena \"{}\" is read at [{lo:#x}, {hi:#x}) \
+                             after the store at ir[{widx}] ([{ws:#x}, {we:#x})) already \
+                             overwrote its carried or linked value in this phase",
                             arena.name
                         ),
                     ));
@@ -419,7 +422,7 @@ mod tests {
         let diags = check(
             &b.finish(),
             &[
-                Arena::new("x", 0x1000, 0x80).as_carried(),
+                Arena::new("x", 0x1000, 0x80).as_destroy_tracked(),
                 Arena::new("y", 0x2000, 0x80),
             ],
             &[],
@@ -447,10 +450,10 @@ mod tests {
         let y = b.vfadd(x, 1.0);
         b.vstore(y, 0x1000);
         let mut k = boundary.clone();
-        k.concat(&b.finish());
+        k.concat_remapped(&b.finish(), &[]);
         let diags = check(
             &k,
-            &[Arena::new("x", 0x1000, 0x80).as_carried()],
+            &[Arena::new("x", 0x1000, 0x80).as_destroy_tracked()],
             &[boundary.len(), k.len()],
         );
         assert!(diags.is_empty(), "{diags:?}");
@@ -474,7 +477,7 @@ mod tests {
             let diags = check(
                 &b.finish(),
                 &[
-                    Arena::new("x", 0x1000, 0x80).as_carried(),
+                    Arena::new("x", 0x1000, 0x80).as_destroy_tracked(),
                     Arena::new("y", 0x2000, 0x40),
                 ],
                 &[],
@@ -497,7 +500,7 @@ mod tests {
         }
         let diags = check(
             &b.finish(),
-            &[Arena::new("y", 0x1000, 0x80).as_carried()],
+            &[Arena::new("y", 0x1000, 0x80).as_destroy_tracked()],
             &[],
         );
         assert!(diags.is_empty(), "{diags:?}");
@@ -533,7 +536,7 @@ mod tests {
         let x = b.vload(0x1000);
         b.vstore(x, 0x2000);
         let mut k = it0.clone();
-        k.concat(&b.finish());
+        k.concat_remapped(&b.finish(), &[]);
         let diags = check(
             &k,
             &[

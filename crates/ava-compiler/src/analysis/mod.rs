@@ -11,7 +11,7 @@
 //! |--------|----------|---------|
 //! | AVA001 | error    | splat before any `vsetvl` |
 //! | AVA002 | error    | access to a placeholder arena no rebase rule covered |
-//! | AVA003 | error    | carried buffer read after in-place destruction |
+//! | AVA003 | error    | carried or linked buffer read after in-place destruction |
 //! | AVA004 | warn     | narrow-VL value's stale lanes escape via a wider store/reduction |
 //! | AVA101 | error    | register used before definition |
 //! | AVA102 | error    | register redefined (SSA violation) |

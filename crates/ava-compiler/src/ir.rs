@@ -254,14 +254,11 @@ impl IrKernel {
     /// same memory hierarchy, and because values never flow between phases
     /// through *registers* the combined register pressure is the maximum —
     /// not the sum — of the phases'.
-    pub fn concat(&mut self, phase: &IrKernel) {
-        self.concat_remapped(phase, &[]);
-    }
-
-    /// [`IrKernel::concat`] with buffer rebinding: while appending, every
-    /// memory operand whose base falls inside a [`RebaseRule`]'s buffer is
-    /// rebased onto the rule's new base (first matching rule wins). A
-    /// pipelined composite uses this to make a consumer phase — generated
+    ///
+    /// While appending, every memory operand whose base falls inside a
+    /// [`RebaseRule`]'s buffer is rebased onto the rule's new base (first
+    /// matching rule wins); with no rules the phase is appended as it is.
+    /// A pipelined composite uses this to make a consumer phase — generated
     /// against its own planned placeholder input buffer — read the producer
     /// phase's actual output buffer at run time.
     ///
@@ -430,7 +427,7 @@ mod tests {
         b.vstore(s, 0x200);
         let second = b.finish();
 
-        a.concat(&second);
+        a.concat_remapped(&second, &[]);
         assert_eq!(a.num_virt_regs, 1 + 3);
         // The appended phase's registers start after the first phase's.
         assert_eq!(a.instrs[2].dst, Some(VirtReg(1)));

@@ -265,20 +265,13 @@ impl MemoryHierarchy {
         self.l2.flush();
     }
 
-    /// Brings every line of the allocated address range into the L2 and then
-    /// clears all statistics. This models measuring a region of interest
-    /// with warm caches, as the paper's gem5 runs do; data sets larger than
-    /// the L2 naturally still miss during the measured run.
-    pub fn warm_caches(&mut self) {
-        let range = self.memory.allocated_range();
-        self.warm_caches_ranges(&[range]);
-    }
-
     /// Warms every `[start, end)` range of `ranges`, in order, then clears
-    /// all statistics once. This is the planner-driven warm-up path: the
-    /// simulator derives the ranges from the workload's planned data layout
-    /// (every buffer the run touches), so auxiliary regions stay cold. The
-    /// spill arena is one: it is MVL-wide per slot, and warming it would
+    /// all statistics once. This models measuring a region of interest with
+    /// warm caches, as the paper's gem5 runs do; data sets larger than the
+    /// L2 naturally still miss during the measured run. The simulator
+    /// derives the ranges from the workload's planned data layout (every
+    /// buffer the run touches), so auxiliary regions stay cold. The spill
+    /// arena is one: it is MVL-wide per slot, and warming it would
     /// evict the application's working set from small L2 configurations
     /// before the run starts. Dead placeholder buffers of pipelined
     /// composites are another.

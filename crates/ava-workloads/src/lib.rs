@@ -111,7 +111,7 @@ pub struct PhaseMark {
 
 /// Everything needed to run and validate one workload at one vector length:
 /// the IR trace, the expected outputs and loop-shape metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadSetup {
     /// The vectorised kernel as an IR trace (before register allocation).
     pub kernel: IrKernel,
@@ -230,7 +230,8 @@ pub trait Workload {
     /// The planned buffers as [`analysis`] arenas, for the static verifier.
     /// The default maps every planned buffer to a plain arena; [`Composite`]
     /// overrides it to mark rebased consumer inputs as placeholders and
-    /// iterated carry buffers as carried.
+    /// iterated carry buffers and linked producer outputs as
+    /// destroy-tracked.
     fn analysis_arenas(&self, plan: &PlannedLayout) -> Vec<Arena> {
         plan.buffers()
             .iter()

@@ -148,15 +148,11 @@ impl Workload for Swaptions {
             let mut ssq = 0.0f64;
             for k in 0..vl {
                 let p = j + k;
-                let rate: f64 = (0..FACTORS)
-                    .map(|f| z[f][p].mul_add(VOLS[f], DRIFTS[f]))
-                    .fold(0.0, |acc, v| acc + v);
                 // Match the kernel's pairwise addition order.
                 let r0 = z[0][p].mul_add(VOLS[0], DRIFTS[0]);
                 let r1 = z[1][p].mul_add(VOLS[1], DRIFTS[1]);
                 let r2 = z[2][p].mul_add(VOLS[2], DRIFTS[2]);
                 let r3 = z[3][p].mul_add(VOLS[3], DRIFTS[3]);
-                let _ = rate;
                 let rate = (r0 + r1) + (r2 + r3);
                 let fwd = rate.exp();
                 let disc = (fwd - STRIKE).max(0.0) * DISCOUNT;

@@ -215,7 +215,7 @@ fn timing_accesses_never_corrupt_functional_state() {
             mem.write_f64(base + 8 * i as u64, *v);
         }
         // Timing-side activity.
-        mem.warm_caches();
+        mem.warm_caches_ranges(&[mem.memory().allocated_range()]);
         let _ = mem.vector_access(base, (values.len() * 8) as u64, false);
         let addrs: Vec<u64> = (0..values.len() as u64)
             .map(|i| base + i * 8 * stride % 4096)
@@ -1275,8 +1275,9 @@ fn preg_count_is_monotonic_and_the_mvl_axis_holds_the_floor() {
 }
 
 /// The memory pass as it was before it became linear: every access scans
-/// all pending stores of its arena, and every read of a carried arena scans
-/// all of the span's stores. Kept verbatim as the reference model.
+/// all pending stores of its arena, and every read of a destroy-tracked
+/// arena scans all of the span's stores. Kept verbatim as the reference
+/// model, but for the arena flag's name and the AVA003 wording.
 fn reference_check_memory(
     kernel: &IrKernel,
     vl_at: &[VlState],
@@ -1383,7 +1384,7 @@ fn reference_check_memory(
             }
             written[ai].push((lo, hi, idx));
         } else {
-            if arena.carried {
+            if arena.destroy_tracked {
                 if let Some(&(ws, we, widx)) = written[ai]
                     .iter()
                     .find(|&&(ws, we, _)| overlaps(ws, we, lo, hi))
@@ -1392,9 +1393,9 @@ fn reference_check_memory(
                         Code::ReadAfterDestroy,
                         idx,
                         format!(
-                            "carried arena \"{}\" is read at [{lo:#x}, {hi:#x}) after \
-                             the store at ir[{widx}] ([{ws:#x}, {we:#x})) already \
-                             destroyed the carried value in this iteration",
+                            "destroy-tracked arena \"{}\" is read at [{lo:#x}, {hi:#x}) \
+                             after the store at ir[{widx}] ([{ws:#x}, {we:#x})) already \
+                             overwrote its carried or linked value in this phase",
                             arena.name
                         ),
                     ));
@@ -1413,7 +1414,7 @@ fn reference_check_memory(
 }
 
 /// A random memory-pass input: three to five small arenas with gaps
-/// between them (some placeholders, about half carried), a kernel of
+/// between them (some placeholders, about half destroy-tracked), a kernel of
 /// unit-stride, strided and indexed loads and stores, a random VL per
 /// instruction (unknown, zero, exact or the maximum, with or without a
 /// known MVL) and a few phase ends. Accesses start in, near and between
@@ -1434,7 +1435,7 @@ fn random_memory_case(
         let bytes = 8 * in_range(rng, 1, 24);
         let mut arena = Arena::new(format!("a{a}"), start, bytes);
         arena.placeholder = rng.next_u64().is_multiple_of(8);
-        arena.carried = rng.next_u64().is_multiple_of(2);
+        arena.destroy_tracked = rng.next_u64().is_multiple_of(2);
         arenas.push(arena);
         start += bytes + 8 * in_range(rng, 0, 4);
     }

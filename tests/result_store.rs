@@ -2,20 +2,21 @@
 //! sweep engine: a killed sweep resumes bit-identically, a warm rerun
 //! simulates nothing, invalidation is scoped to the workload that changed,
 //! a damaged store entry degrades to a miss instead of a crash, a point
-//! that failed validation is never checkpointed, and no two prepare keys of
-//! a committed manifest share a content fingerprint.
+//! that failed validation is never checkpointed, no two prepare keys of a
+//! committed manifest share a content fingerprint, and those fingerprints
+//! hold their pinned digest.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use ava::isa::VectorContext;
 use ava::memory::MemoryHierarchy;
-use ava::sim::{store_key, ResultStore, ScenarioConfig, Sweep, SweepReport};
+use ava::sim::{store_key, Knob, ResultStore, ScenarioConfig, Sweep, SweepReport};
 use ava::workloads::{
-    Axpy, BufferBindings, DataLayout, PlannedLayout, SharedWorkload, Somier, Workload,
+    Axpy, BufferBindings, DataLayout, Fingerprint, PlannedLayout, SharedWorkload, Somier, Workload,
     WorkloadSetup,
 };
-use ava_bench::spec::{ArtefactKind, ExperimentSpec, MixRegistry};
+use ava_bench::spec::{ArtefactKind, ExperimentSpec, MixRegistry, WorkloadSpec};
 use ava_bench::{evaluated_systems, sensitivity_grid_with};
 
 fn store_dir(tag: &str) -> PathBuf {
@@ -293,8 +294,10 @@ fn store_round_trip_never_perturbs_results() {
 }
 
 /// The content fingerprint of every prepare key — (workload, MVL,
-/// compiler LMUL) — of a committed manifest, one per key.
-fn manifest_key_fingerprints(manifest: &str) -> Vec<u64> {
+/// compiler LMUL) — of a committed manifest, one per key; `None` for an
+/// artefact with no key grid (the figure 4, ablation and tables
+/// manifests).
+fn manifest_key_fingerprints(manifest: &str) -> Option<Vec<u64>> {
     let label = format!("experiments/{manifest}.json");
     let spec = ExperimentSpec::parse(&label, &std::fs::read_to_string(&label).unwrap()).unwrap();
     let scenarios = match spec.artefact {
@@ -302,7 +305,7 @@ fn manifest_key_fingerprints(manifest: &str) -> Vec<u64> {
         ArtefactKind::Sensitivity => {
             sensitivity_grid_with(&spec.axes.mvl, &spec.axes.l2_kib, &spec.axes.extra)
         }
-        other => panic!("{label}: no key grid for {other:?}"),
+        _ => return None,
     };
     let mut fingerprints = Vec::new();
     for entry in &spec.workloads {
@@ -316,7 +319,7 @@ fn manifest_key_fingerprints(manifest: &str) -> Vec<u64> {
             }
         }
     }
-    fingerprints
+    Some(fingerprints)
 }
 
 /// Every prepare key of a manifest builds other data or compiles another
@@ -325,10 +328,54 @@ fn manifest_key_fingerprints(manifest: &str) -> Vec<u64> {
 #[test]
 fn every_manifest_key_has_its_own_fingerprint() {
     for (manifest, keys) in [("fig3_extrapolation", 48), ("sensitivity_hierarchy", 12)] {
-        let mut fingerprints = manifest_key_fingerprints(manifest);
+        let mut fingerprints = manifest_key_fingerprints(manifest).unwrap();
         assert_eq!(fingerprints.len(), keys, "{manifest}");
         fingerprints.sort_unstable();
         fingerprints.dedup();
         assert_eq!(fingerprints.len(), keys, "{manifest}: two keys collide");
     }
+}
+
+/// [`prepared_content_digest`], recorded before the composite build was
+/// folded into one per-phase step. Re-pin it only in a change that means
+/// to move what a prepared point holds.
+const PREPARED_CONTENT_DIGEST: u64 = 0xed28_07ba_349d_e9a3;
+
+/// The content fingerprints of every prepare key of every committed fig3-
+/// and sensitivity-kind manifest, in file-name order, then of the
+/// `pipelined` mix at its defaults at MVL 16 and 128 (no committed
+/// manifest sweeps it), folded into one digest.
+fn prepared_content_digest() -> u64 {
+    let mut manifests: Vec<String> = std::fs::read_dir("experiments")
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|x| x == "json"))
+        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    manifests.sort();
+    let mut h = Fingerprint::new();
+    for manifest in &manifests {
+        for f in manifest_key_fingerprints(manifest).into_iter().flatten() {
+            h.write_u64(f);
+        }
+    }
+    let pipelined = MixRegistry::build(&WorkloadSpec::named("pipelined")).unwrap();
+    for mvl in [16, 128] {
+        let system = ScenarioConfig::ava_x(1).with(Knob::MVL, mvl).resolve();
+        h.write_u64(store_key(pipelined.as_ref(), &system).fingerprint);
+    }
+    h.finish()
+}
+
+/// Golden lines pin what a run reports, not the checks, expected values
+/// and superseded checks behind it; the content fingerprint covers those
+/// too, along with the layout and the compiled program. A refactor of how
+/// a workload or mix is built must leave this digest where it is.
+#[test]
+fn prepared_content_fingerprints_are_pinned() {
+    let digest = prepared_content_digest();
+    assert_eq!(
+        digest, PREPARED_CONTENT_DIGEST,
+        "a prepared point's content moved: {digest:#018x}"
+    );
 }

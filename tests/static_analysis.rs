@@ -178,9 +178,10 @@ fn reconstructed_wrong_buffer_rebase_is_rejected_statically() {
 // Carried-buffer destruction in an iterated composite
 // ---------------------------------------------------------------------
 
-/// A solver body that overwrites its carried input array in place and then
-/// reads it back within the same iteration — the carried value is gone by
-/// the time it is consumed.
+/// A phase that overwrites its input array in place and then reads it back
+/// within its own phase. As a solver body, the carried value is gone by the
+/// time it is consumed; as a pipeline consumer, so is the linked producer
+/// output its input is rebased onto.
 struct DestroysItsCarry;
 
 impl Workload for DestroysItsCarry {
@@ -230,14 +231,28 @@ impl Workload for DestroysItsCarry {
     }
 }
 
+/// Construction rejects the reread with AVA003 whether the destroyed
+/// array is carried between iterations or linked from a producer.
 #[test]
-#[should_panic(expected = "AVA003")]
-fn iterated_construction_rejects_a_body_destroying_its_carry() {
-    let _ = Composite::iterated(
-        Arc::new(DestroysItsCarry),
-        2,
-        composite::links(&[("xout", "x")]),
-    );
+fn construction_rejects_a_phase_destroying_its_carried_or_linked_input() {
+    let carried = std::panic::catch_unwind(|| {
+        Composite::iterated(
+            Arc::new(DestroysItsCarry),
+            2,
+            composite::links(&[("xout", "x")]),
+        )
+    });
+    let linked = std::panic::catch_unwind(|| {
+        Composite::pipelined(
+            vec![Arc::new(Axpy::new(16)), Arc::new(DestroysItsCarry)],
+            vec![composite::links(&[("y", "x")])],
+        )
+    });
+    for (what, outcome) in [("carried", carried), ("linked", linked)] {
+        let panic = outcome.expect_err(what);
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("AVA003"), "{what}: {message}");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -330,6 +330,24 @@ fn pipelined_grid_is_bit_identical_validated_and_phase_attributed() {
     }
 }
 
+/// One producer output linked to two inputs of its consumer, one of them
+/// overwritten in place, validates whichever link is listed first: axpy
+/// loads both operands of a strip before it stores `y` over them.
+#[test]
+fn an_output_linked_in_place_and_read_validates_in_either_link_order() {
+    for pairs in [
+        [("vout", "y"), ("vout", "x")],
+        [("vout", "x"), ("vout", "y")],
+    ] {
+        let mix = Composite::pipelined(
+            vec![Arc::new(Somier::new(512)), Arc::new(Axpy::new(512))],
+            vec![composite::links(&pairs)],
+        );
+        let report = run_workload(&mix, &ScenarioConfig::ava_x(4));
+        assert!(report.validated, "{pairs:?}: {:?}", report.validation_error);
+    }
+}
+
 /// The chained golden reference is provably *chained*: somier's phase-2
 /// checks are only satisfiable because its reference consumed axpy's real
 /// (reference) output. Somier run standalone on its own generated velocity
@@ -572,7 +590,7 @@ fn mis_wired_carry_link_fails_validation() {
             // rebase map, so at run time iteration 2 re-reads the original
             // input arrays and recomputes iteration 1's state.
             let mut setup = first;
-            setup.kernel.concat(&second.kernel);
+            setup.kernel.concat_remapped(&second.kernel, &[]);
             setup.strips += second.strips;
             // Only the "converged" state is checked, as in the real
             // iterated composite.
