@@ -120,7 +120,7 @@ pub fn format_sweep_summary(run: &SweepRun) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::configs::ScenarioConfig;
+    use crate::configs::{Knob, ScenarioConfig};
     use crate::run::run_workload;
     use crate::sweep::Sweep;
     use ava_workloads::{Axpy, SharedWorkload};
@@ -164,8 +164,12 @@ mod tests {
     #[test]
     fn sweep_summary_mentions_the_store_only_when_attached() {
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(128))];
-        // NATIVE X2 and AVA X2 share one prepared key.
-        let scenarios = vec![ScenarioConfig::native_x(2), ScenarioConfig::ava_x(2)];
+        // NATIVE X2 and AVA X2 share one prepared key. With 48 VVRs
+        // against NATIVE's 64 physical registers, neither proves the other.
+        let scenarios = vec![
+            ScenarioConfig::native_x(2),
+            ScenarioConfig::ava_x(2).with(Knob::VVRS, 48),
+        ];
         let sweep = Sweep::grid(workloads, scenarios);
         let summary = format_sweep_summary(&sweep.runner().threads(1).execute());
         assert!(summary.starts_with("2 points on 1 thread"), "{summary}");

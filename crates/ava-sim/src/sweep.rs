@@ -83,25 +83,28 @@
 //!
 //! Much of a sensitivity grid repeats itself: a run that never misses in
 //! the L2 never reaches DRAM, so its DRAM bandwidth cannot matter, nor can
-//! a larger L2, and no run uses the L1 data cache at all. The sweep skips
-//! such repeats when it can prove them. Inside a claim, points run in
-//! ascending (L2, DRAM, L1) order, so each point comes after every sibling
-//! (a system equal to its own apart from label, axes, L2 capacity, DRAM
-//! bandwidth and L1) that could prove it. Each point first consults the
-//! store as usual; on a miss it copies the report of the first earlier
-//! point of its claim whose report [`proves`] it equal — with `config` and
-//! `axes` rewritten — and otherwise simulates. A store-served report serves as a
-//! proof like a simulated one. A copy is a store miss like a simulation
-//! and is checkpointed the same way, so a warm rerun serves every point.
-//! [`SweepRun::reused_from`] names each copy's source, and
-//! [`SweepReport::distinct_reports`] counts the distinct reports, proven
-//! or not (on the Figure 3 grid, AVA with no swaps equals NATIVE, which no
-//! proof covers).
+//! a larger L2, and no run uses the L1 data cache at all. On the Figure 3
+//! grid an AVA run that never swapped, reclaimed or missed in the L2 times
+//! like NATIVE Xn, whose rename pool is as large. The sweep skips such
+//! repeats when it can prove them. Inside a claim, points run in
+//! ascending (L2, DRAM, L1) order, AVA before NATIVE mode at equal
+//! hierarchy, so each point comes after every sibling (a system equal to
+//! its own apart from label, axes, register-file organisation, L2
+//! capacity, DRAM bandwidth and L1) that could prove it. Each point first
+//! consults the store as usual; on a miss it copies the report of the
+//! first earlier point of its claim whose report [`proves`] it equal —
+//! with `config` and `axes` rewritten — and otherwise simulates. A
+//! store-served report serves as a proof like a simulated one. A copy is a
+//! store miss like a simulation and is checkpointed the same way, so a
+//! warm rerun serves every point. [`SweepRun::reused_from`] names each
+//! copy's source, and [`SweepReport::distinct_reports`] counts the
+//! distinct reports, proven or not.
 //!
 //! A copy is exact, not an estimate: [`proves`] holds only when every
 //! field in which the two systems differ is one the report shows the run
 //! never felt. On the full hierarchy sensitivity grid 144 of the 972
-//! points are simulated; the other 828 are copies.
+//! points are simulated; the other 828 are copies. Figure 3 simulates 54
+//! of its 84 points (52 distinct reports) and Figure 4 36 of 60.
 //!
 //! # Instrumentation
 //!
@@ -148,6 +151,7 @@ use std::thread;
 use std::time::Instant;
 
 use ava_memory::{CacheConfig, CacheStats, DramConfig, HierarchyConfig};
+use ava_vpu::{RenameMode, VpuConfig};
 use ava_workloads::{Fingerprint, SharedWorkload};
 
 use crate::configs::{config_axes_key, workload_identity, ScenarioConfig, SystemConfig};
@@ -175,16 +179,17 @@ fn heuristic_points_cost(elements: u64, width: u64) -> u64 {
 /// (by grid index), the MVL and the compiler LMUL factor.
 type PrepareKey = (usize, usize, usize);
 
-/// Whether `a` and `b` are equal apart from their scenario metadata
-/// (`label`, `axes`) and the three hierarchy fields a report can show to
-/// be irrelevant: the L2 capacity, the DRAM bandwidth and the L1 data
-/// cache. A workload's points on such systems are siblings: one can prove
-/// the other's report.
+/// Whether `a` and `b` are equal apart from what the timing run never
+/// reads — the scenario metadata (`kind`, `label`, `axes`) and the VPU's
+/// `name` — and five fields a report can show to be irrelevant: the VPU's
+/// register-file organisation (`mode`, `pvrf_bytes`, `vvr_count`), the L2
+/// capacity, the DRAM bandwidth and the L1 data cache. A workload's points
+/// on such systems are siblings: one can prove the other's report.
 fn siblings(a: &SystemConfig, b: &SystemConfig) -> bool {
     // Destructured in full, so that a new field must be placed on one side
     // of the line or the other.
     let SystemConfig {
-        kind,
+        kind: _,
         label: _,
         axes: _,
         vpu,
@@ -192,6 +197,20 @@ fn siblings(a: &SystemConfig, b: &SystemConfig) -> bool {
         memory,
         compiler_lmul,
     } = a;
+    let VpuConfig {
+        name: _,
+        mode: _,
+        pvrf_bytes: _,
+        vvr_count: _,
+        lanes,
+        mvl,
+        logical_regs,
+        arith_queue_entries,
+        mem_queue_entries,
+        rob_entries,
+        mem_op_overhead,
+        frontend_cycles_per_instr,
+    } = vpu;
     let HierarchyConfig {
         l1d: _,
         l2,
@@ -206,8 +225,15 @@ fn siblings(a: &SystemConfig, b: &SystemConfig) -> bool {
         bytes_per_cycle: 0,
         ..*d
     };
-    *kind == b.kind
-        && *vpu == b.vpu
+    let v = &b.vpu;
+    *lanes == v.lanes
+        && *mvl == v.mvl
+        && *logical_regs == v.logical_regs
+        && *arith_queue_entries == v.arith_queue_entries
+        && *mem_queue_entries == v.mem_queue_entries
+        && *rob_entries == v.rob_entries
+        && *mem_op_overhead == v.mem_op_overhead
+        && *frontend_cycles_per_instr == v.frontend_cycles_per_instr
         && *scalar == b.scalar
         && *compiler_lmul == b.compiler_lmul
         && *vmu_bus_bytes == b.memory.vmu_bus_bytes
@@ -217,11 +243,42 @@ fn siblings(a: &SystemConfig, b: &SystemConfig) -> bool {
 
 /// Whether `report`, the report of a point on `from`, is also the report of
 /// the same workload on `to`, apart from `config` and `axes`. A pure
-/// predicate over the report's counters: it holds only when `from` and `to`
-/// are equal apart from their labels, axes, L2 capacity, DRAM bandwidth
-/// and L1 data cache, and every one of those three that differs is shown
+/// predicate over the report's counters, so a report served from the store
+/// proves like a simulated one: it holds only when `from` and `to` are
+/// siblings, and every field of the four that may differ is shown
 /// irrelevant by the report:
 ///
+/// * **The register-file organisation** — either the two VPUs are equal
+///   apart from `name` (NATIVE X1 and RG-LMUL1 are one machine under two
+///   labels, and the timing run reads neither the label nor
+///   `SystemConfig::kind`), or `from` is AVA and `to` NATIVE-mode with
+///   equal rename pools, and `report` shows no Swap-Load, no Swap-Store, no
+///   aggressive reclaim and no L2 miss. AVA Xn then times like NATIVE Xn
+///   (64 VVRs against 64 physical registers), step for step in
+///   `ava_vpu::Vpu`:
+///   1. The rename unit depends only on its pool size and the program, so
+///      both runs see the same renamed ids, `renamed_free_at` and
+///      `value_ready`.
+///   2. With no Swap-Store and no reclaim, `free_one_preg` always answers
+///      `AlreadyFree` and leaves the pre-issue time alone, and
+///      `ensure_resident` never takes its `Memory` arm: only an eviction
+///      moves a VVR to the M-VRF, and a clean victim needs an earlier
+///      Swap-Store. AVA's physical register numbers then differ from
+///      NATIVE's, which are the renamed ids, but nothing else does.
+///   3. The destination gate `completion.max(preg_writable[p] + 1)` reads
+///      a `preg_writable[p]` that the release of `p`'s previous value set
+///      to that releasing instruction's commit (its readers completed no
+///      later than they committed, in order, before it). So the gate is at
+///      most `last_commit + 1`, and the reorder buffer commits at
+///      `max(completion, dispatch, last_commit + 1)`: in either mode the
+///      gate moves no commit, no finish time and, through the commits, no
+///      later gate. The statistics read only the number of source
+///      registers, never their numbers.
+///   4. AVA warms its M-VRF range last (see `run::PreparedPoint`'s warm
+///      ranges), so in every set AVA's data lines are the most recent part
+///      of NATIVE's LRU stack, in the same order. While every AVA access
+///      hits, neither cache inserts or evicts a line and that stays true,
+///      so every NATIVE access hits too, with identical `CacheStats`.
 /// * **DRAM bandwidth** — `report` reached DRAM zero times. DRAM is
 ///   touched only on an L2 miss, and the warm-up never reaches it.
 /// * **A larger L2** — `to`'s L2 is larger with the same line, ways and
@@ -236,12 +293,21 @@ fn siblings(a: &SystemConfig, b: &SystemConfig) -> bool {
 /// * **The L1 data cache** — `report`'s `l1d` counters are all zero: the
 ///   scalar access path is the L1's only entry, and the run never took it.
 ///
-/// A smaller L2 is never proven, so a sweep tries its siblings in
-/// ascending L2 order.
+/// A smaller L2 is never proven, nor is NATIVE proven to equal AVA, so a
+/// sweep tries its siblings in ascending L2 order, AVA first.
 #[must_use]
 pub fn proves(report: &RunReport, from: &SystemConfig, to: &SystemConfig) -> bool {
     let (f, t, mem) = (&from.memory, &to.memory, &report.mem);
+    let (fv, tv, vpu) = (&from.vpu, &to.vpu, &report.vpu);
     siblings(from, to)
+        && ((fv.mode, fv.pvrf_bytes, fv.vvr_count) == (tv.mode, tv.pvrf_bytes, tv.vvr_count)
+            || (fv.mode == RenameMode::Ava
+                && tv.mode == RenameMode::Native
+                && fv.rename_pool() == tv.rename_pool()
+                && vpu.swap_loads == 0
+                && vpu.swap_stores == 0
+                && vpu.aggressive_reclaims == 0
+                && mem.l2.misses() == 0))
         && (f.dram.bytes_per_cycle == t.dram.bytes_per_cycle || mem.dram_accesses == 0)
         && (f.l1d == t.l1d || mem.l1d == CacheStats::default())
         && (f.l2.size_bytes == t.l2.size_bytes
@@ -688,7 +754,8 @@ impl Sweep {
     }
 
     /// The sweep's claims: each is the points of one prepare key, in
-    /// ascending (L2, DRAM, L1, grid index) order, so that a point meets
+    /// ascending (L2, DRAM, L1, NATIVE mode, grid index) order — AVA points
+    /// before NATIVE-mode ones at equal hierarchy — so that a point meets
     /// every sibling that could prove it before it runs. Claims are listed
     /// in order of their first point.
     fn claims(&self) -> Vec<Vec<usize>> {
@@ -703,11 +770,13 @@ impl Sweep {
         }
         for claim in &mut claims {
             claim.sort_by_key(|&point| {
-                let memory = &self.system(point).memory;
+                let system = self.system(point);
+                let memory = &system.memory;
                 (
                     memory.l2.size_bytes,
                     memory.dram.bytes_per_cycle,
                     memory.l1d.size_bytes,
+                    system.vpu.mode != RenameMode::Ava,
                     point,
                 )
             });
@@ -719,7 +788,8 @@ impl Sweep {
     /// `claim`: prepares the claim's key, then runs each point in order.
     /// A point is served from `store` when it has a usable entry; otherwise
     /// it copies the report of the first earlier point of the claim that
-    /// [`proves`] it, or else is simulated. Copies and simulations alike are
+    /// [`proves`] it (the claim order puts AVA points before their
+    /// NATIVE-mode twins), or else is simulated. Copies and simulations alike are
     /// checkpointed. Every point's L2 warm-up is announced up front, so
     /// points that share one walk it once. The prepared point is dropped
     /// when the claim ends.
@@ -1321,16 +1391,67 @@ mod tests {
             .with(Knob::VMU_BUS, 32)
             .resolve();
         assert!(!proves(&report, &from, &other_bus), "not a sibling");
-        assert!(!proves(
+
+        // No swap, no reclaim and no L2 miss: AVA X2 proves NATIVE X2, its
+        // 64 VVRs against 64 physical registers, on top of a larger L2.
+        let native = |l2: u64, config: ScenarioConfig| {
+            config
+                .with(Knob::L2_KIB, l2)
+                .with(Knob::DRAM_BW, 6)
+                .resolve()
+        };
+        let native_x2 = native(512, ScenarioConfig::native_x(2));
+        assert!(proves(&report, &from, &native_x2), "AVA to NATIVE");
+        assert!(proves(
             &report,
             &from,
-            &ScenarioConfig::native_x(2).resolve()
+            &native(2048, ScenarioConfig::native_x(2))
         ));
+        assert!(
+            !proves(&report, &native_x2, &from),
+            "NATIVE never proves AVA"
+        );
+        let fewer_vvrs = |config: ScenarioConfig| native(512, config.with(Knob::VVRS, 48));
+        let ava_48 = fewer_vvrs(ScenarioConfig::ava_x(2));
+        assert!(!proves(&report, &from, &ava_48), "another VVR count");
+        assert!(!proves(&report, &ava_48, &native_x2), "another rename pool");
+        let shallow = native(
+            512,
+            ScenarioConfig::native_x(2).with(Knob::ISSUE_QUEUES, 16),
+        );
+        assert!(!proves(&report, &from, &shallow), "another queue size");
+        let (native_x1, rg_lmul1) = (
+            ScenarioConfig::native_x(1).resolve(),
+            ScenarioConfig::rg_lmul(Lmul::M1).resolve(),
+        );
+        assert_ne!(native_x1.kind, rg_lmul1.kind);
+        assert!(proves(&report, &rg_lmul1, &native_x1), "a label alone");
+        assert!(proves(&report, &native_x1, &rg_lmul1), "either way");
+        for counter in ["a Swap-Load", "a Swap-Store", "an aggressive reclaim"] {
+            let mut swapped = report.clone();
+            let vpu = &mut swapped.vpu;
+            match counter {
+                "a Swap-Load" => vpu.swap_loads = 1,
+                "a Swap-Store" => vpu.swap_stores = 1,
+                _ => vpu.aggressive_reclaims = 1,
+            }
+            assert!(!proves(&swapped, &from, &native_x2), "{counter}");
+            assert!(proves(&swapped, &from, &at(2048, 24)), "{counter} on AVA");
+        }
+        // A real swapping run: AVA X8's 8 physical registers overflow.
+        let (ava_x8, native_x8) = (
+            ScenarioConfig::ava_x(8).resolve(),
+            ScenarioConfig::native_x(8).resolve(),
+        );
+        let swapping = crate::run::run_system(&Blackscholes::new(64), &ava_x8);
+        assert!(swapping.vpu.swap_ops() > 0);
+        assert!(!proves(&swapping, &ava_x8, &native_x8), "a swapping run");
 
         report.mem.l1d.read_hits = 1;
         assert!(!proves(&report, &from, &bigger_l1), "an L1 access");
         report.mem.l2.write_misses = 1;
         assert!(!proves(&report, &from, &at(2048, 6)), "an L2 miss");
+        assert!(!proves(&report, &from, &native_x2), "an L2 miss on AVA");
         report.mem.dram_accesses = 1;
         assert!(!proves(&report, &from, &at(512, 24)), "a DRAM access");
         assert!(proves(&report, &from, &at(512, 6)), "nothing differs");
@@ -1340,10 +1461,11 @@ mod tests {
     fn claims_group_siblings_in_ascending_l2_dram_order() {
         let workloads: Vec<SharedWorkload> =
             vec![Arc::new(Axpy::new(256)), Arc::new(Blackscholes::new(64))];
-        // L2 descending on the axis, so the claim reorders it.
+        // L2 descending on the axis and NATIVE before AVA, so the claim
+        // reorders both.
         let scenarios = ScenarioConfig::axis(
             &ScenarioConfig::axis(
-                &[ScenarioConfig::ava_x(2), ScenarioConfig::native_x(2)],
+                &[ScenarioConfig::native_x(2), ScenarioConfig::ava_x(2)],
                 Knob::L2_KIB,
                 &[1024, 256],
             ),
@@ -1351,29 +1473,31 @@ mod tests {
             &[24, 6],
         );
         let sweep = Sweep::grid(workloads, scenarios);
-        // Per workload: AVA x {1024, 256} x {24, 6}, then NATIVE likewise.
+        // Per workload: NATIVE x {1024, 256} x {24, 6}, then AVA likewise.
         // AVA X2 and NATIVE X2 share a key, so each workload is one claim,
-        // ordered (256, 6), (256, 24), (1024, 6), (1024, 24).
+        // ordered (256, 6), (256, 24), (1024, 6), (1024, 24), AVA first.
         assert_eq!(
             sweep.claims(),
             vec![
-                vec![3, 7, 2, 6, 1, 5, 0, 4],
-                vec![11, 15, 10, 14, 9, 13, 8, 12]
+                vec![7, 3, 6, 2, 5, 1, 4, 0],
+                vec![15, 11, 14, 10, 13, 9, 12, 8]
             ]
         );
-        // Nothing misses at 256 KiB, so each system's (256, 6) point is
-        // simulated and copied three times; AVA never proves NATIVE.
+        // Nothing misses at 256 KiB and AVA X2's 32 physical registers
+        // hold both kernels, so each workload's AVA (256, 6) point is
+        // simulated and the seven others copy it.
         let run = sweep.runner().threads(2).execute();
-        assert_eq!(run.reused(), 12);
-        assert_eq!(run.reused_from[0], Some(3));
-        assert_eq!(run.reused_from[3], None);
+        assert!(run.report.reports.iter().all(|r| r.vpu.swap_ops() == 0));
+        assert_eq!(run.reused(), 14);
+        assert_eq!(run.reused_from[3], Some(7), "NATIVE copies AVA");
+        assert_eq!(run.reused_from[7], None);
         let json = run.to_json().to_string();
         assert!(
-            json.contains("\"reused\":12,\"distinct_reports\":"),
+            json.contains("\"reused\":14,\"distinct_reports\":"),
             "{json}"
         );
         assert!(
-            json.contains("\"from_store\":false,\"reused_from\":3,"),
+            json.contains("\"from_store\":false,\"reused_from\":7,"),
             "{json}"
         );
     }

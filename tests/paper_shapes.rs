@@ -81,6 +81,8 @@ fn ava_without_swaps_or_reclaims_matches_native_exactly() {
     // AVA's second-level mapping only costs time when the P-VRF overflows.
     // Wherever AVA Xn records no swap and no reclaim on a Figure 3 kernel,
     // its report is NATIVE Xn's apart from the scenario label and axes.
+    // A sweep copies such a NATIVE point from its AVA twin, so each side
+    // runs in a sweep of its own organisation: nothing here is a copy.
     let workloads: Vec<SharedWorkload> = vec![
         Arc::new(Axpy::new(4096)),
         Arc::new(Blackscholes::new(1024)),
@@ -90,15 +92,13 @@ fn ava_without_swaps_or_reclaims_matches_native_exactly() {
         Arc::new(Swaptions::new(1024)),
     ];
     let xs = [1, 2, 3, 4, 8];
-    let scenarios = xs
-        .iter()
-        .flat_map(|&x| [ScenarioConfig::native_x(x), ScenarioConfig::ava_x(x)])
-        .collect();
-    let reports = Sweep::grid(workloads, scenarios)
-        .runner()
-        .threads(2)
-        .run()
-        .into_reports();
+    let run = |preset: fn(usize) -> ScenarioConfig| {
+        let sweep = Sweep::grid(workloads.clone(), xs.iter().map(|&x| preset(x)).collect());
+        let run = sweep.runner().threads(2).execute();
+        assert_eq!(run.reused(), 0, "one organisation proves no sibling here");
+        run.report.into_reports()
+    };
+    let (natives, avas) = (run(ScenarioConfig::native_x), run(ScenarioConfig::ava_x));
     let unlabelled = |r: &RunReport| {
         let mut r = r.clone();
         r.config.clear();
@@ -106,8 +106,7 @@ fn ava_without_swaps_or_reclaims_matches_native_exactly() {
         format!("{r:?}")
     };
     let mut equal = 0;
-    for pair in reports.chunks(2) {
-        let (native, ava) = (&pair[0], &pair[1]);
+    for (native, ava) in natives.iter().zip(&avas) {
         assert!(native.validated && ava.validated, "{}", ava.workload);
         if ava.vpu.swap_ops() + ava.vpu.aggressive_reclaims == 0 {
             assert_eq!(

@@ -4,15 +4,21 @@
 //! point at any thread count, a point whose siblings all miss in the L2 is
 //! simulated, and a store checkpoints copies like simulations.
 //!
-//! The grid: Axpy and a two-phase pipeline, both with working sets between
-//! 256 KiB and 1 MiB, on MVL {64, 128} × L2 {256, 1024, 4096} KiB × DRAM
-//! {6, 24} B/cycle. At 256 KiB every point misses, so nothing there is
-//! provable; at 1 MiB and above nothing misses.
+//! The hierarchy grid: Axpy and a two-phase pipeline, both with working
+//! sets between 256 KiB and 1 MiB, on MVL {64, 128} × L2 {256, 1024, 4096}
+//! KiB × DRAM {6, 24} B/cycle. At 256 KiB every point misses, so nothing
+//! there is provable; at 1 MiB and above nothing misses. The Figure 3 grid
+//! pins the register-file clause: an AVA point that never swapped proves
+//! its NATIVE-mode twins.
 
 use std::sync::Arc;
 
 use ava::sim::{run_system, Knob, ResultStore, ScenarioConfig, Sweep, SweepRun};
-use ava::workloads::{composite, Axpy, Composite, SharedWorkload, Somier};
+use ava::vpu::RenameMode;
+use ava::workloads::{
+    composite, Axpy, Blackscholes, Composite, LavaMd2, ParticleFilter, SharedWorkload, Somier,
+    Swaptions,
+};
 
 fn workloads() -> Vec<SharedWorkload> {
     vec![
@@ -137,4 +143,58 @@ fn a_store_checkpoints_copies_and_serves_them_warm() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The Figure 3 grid, the six kernels of `experiments/fig3_extrapolation.json`
+/// on the fourteen evaluated systems, simulates 54 of its 84 points. Every
+/// copy equals a standalone `run_system`, and every NATIVE-mode copy of an
+/// AVA point has a source that never swapped, reclaimed or missed in the
+/// L2.
+#[test]
+fn figure3_simulates_54_of_84_points() {
+    let workloads: Vec<SharedWorkload> = vec![
+        Arc::new(Axpy::new(4096)),
+        Arc::new(Blackscholes::new(1024)),
+        Arc::new(LavaMd2::new(48, 2)),
+        Arc::new(ParticleFilter::new(2048, 64)),
+        Arc::new(Somier::new(4096)),
+        Arc::new(Swaptions::new(1024)),
+    ];
+    let sweep = Sweep::grid(workloads, ScenarioConfig::all_evaluated());
+    let systems = sweep.resolved_systems();
+    let run = sweep.runner().threads(2).execute();
+    let reports = &run.report.reports;
+    assert_eq!((run.simulated(), reports.len()), (54, 84));
+    assert_eq!(run.distinct_reports, 52);
+    let mut ava_to_native = 0;
+    for (point, source) in run.reused_from.iter().enumerate() {
+        let Some(source) = *source else { continue };
+        let (workload, to) = (point / systems.len(), point % systems.len());
+        let from = &systems[source % systems.len()];
+        let fresh = run_system(sweep.workloads()[workload].as_ref(), &systems[to]);
+        assert_eq!(
+            format!("{:?}", reports[point]),
+            format!("{fresh:?}"),
+            "{} on {}",
+            fresh.workload,
+            fresh.config
+        );
+        if (from.vpu.mode, systems[to].vpu.mode) == (RenameMode::Ava, RenameMode::Native) {
+            let r = &reports[source];
+            assert_eq!(
+                (
+                    r.vpu.swap_ops(),
+                    r.vpu.aggressive_reclaims,
+                    r.mem.l2.misses()
+                ),
+                (0, 0, 0),
+                "{} on {} proved {}",
+                r.workload,
+                r.config,
+                fresh.config
+            );
+            ava_to_native += 1;
+        }
+    }
+    assert_eq!(ava_to_native, 30, "24 NATIVE Xn and 6 RG-LMUL1 copies");
 }
