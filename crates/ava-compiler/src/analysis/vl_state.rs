@@ -90,8 +90,7 @@ pub(crate) fn vl_trace(
         // operands cover every lane by construction).
         let mut src_valid = usize::MAX;
         let mut narrowest = None;
-        let index_reg = instr.mem.and_then(|m| m.index);
-        for r in instr.source_regs().chain(index_reg) {
+        for r in instr.source_regs() {
             let v = valid.get(r.id()).copied().unwrap_or(usize::MAX);
             if v < src_valid {
                 src_valid = v;
@@ -102,11 +101,7 @@ pub(crate) fn vl_trace(
         let w = state.width(mvl).unwrap_or(usize::MAX);
         // Stores and reductions materialise every lane below VL: stale
         // lanes escape into memory or fold into the reduced result.
-        let consumes_all_lanes = instr.opcode.is_store()
-            || matches!(
-                instr.opcode,
-                Opcode::VFRedSum | Opcode::VFRedMax | Opcode::VFRedMin
-            );
+        let consumes_all_lanes = instr.opcode.is_store() || instr.opcode == Opcode::VFRedSum;
         if consumes_all_lanes && w != usize::MAX && w > src_valid {
             let r = narrowest.expect("a finite valid width implies a register source");
             diags.push(Diagnostic::new(
@@ -129,11 +124,10 @@ pub(crate) fn vl_trace(
             if d.id() >= valid.len() {
                 valid.resize(d.id() + 1, usize::MAX);
             }
-            let fills_from_memory = instr.opcode.is_load() && index_reg.is_none();
-            valid[d.id()] = if consumes_all_lanes || fills_from_memory {
+            valid[d.id()] = if consumes_all_lanes || instr.opcode == Opcode::VLoad {
                 // Reductions report their contamination above (one root
                 // cause, one finding) and then count as fully defined;
-                // unit/strided loads fill every lane below VL from memory.
+                // unit-stride loads fill every lane below VL from memory.
                 w
             } else {
                 // Elementwise ops (and gathers, through their index) are

@@ -111,16 +111,7 @@ impl KernelBuilder {
 
     /// Unit-stride load.
     pub fn vload(&mut self, base: u64) -> VirtReg {
-        self.emit_load(Opcode::VLoad, &[], IrMemAccess::strided(base, 8))
-    }
-
-    /// Strided load (`stride` in bytes).
-    pub fn vload_strided(&mut self, base: u64, stride: i64) -> VirtReg {
-        self.emit_load(
-            Opcode::VLoadStrided,
-            &[],
-            IrMemAccess::strided(base, stride),
-        )
+        self.emit_load(Opcode::VLoad, &[], IrMemAccess::unit(base))
     }
 
     /// Indexed gather: element i comes from `base + 8 * idx[i]`.
@@ -138,27 +129,7 @@ impl KernelBuilder {
             Opcode::VStore,
             None,
             &[IrOperand::Reg(src)],
-            Some(IrMemAccess::strided(base, 8)),
-        );
-    }
-
-    /// Strided store.
-    pub fn vstore_strided(&mut self, src: VirtReg, base: u64, stride: i64) {
-        self.push(
-            Opcode::VStoreStrided,
-            None,
-            &[IrOperand::Reg(src)],
-            Some(IrMemAccess::strided(base, stride)),
-        );
-    }
-
-    /// Indexed scatter.
-    pub fn vstore_indexed(&mut self, src: VirtReg, base: u64, idx: VirtReg) {
-        self.push(
-            Opcode::VStoreIndexed,
-            None,
-            &[IrOperand::Reg(src), IrOperand::Reg(idx)],
-            Some(IrMemAccess::indexed(base, idx)),
+            Some(IrMemAccess::unit(base)),
         );
     }
 
@@ -170,16 +141,6 @@ impl KernelBuilder {
             Opcode::VMvSplat,
             &[IrOperand::Scalar(Element::from_f64(value))],
         )
-    }
-
-    /// Vector copy.
-    pub fn vmv(&mut self, src: VirtReg) -> VirtReg {
-        self.emit_value(Opcode::VMv, &[IrOperand::Reg(src)])
-    }
-
-    /// Index vector `[0, 1, 2, ...]`.
-    pub fn vid(&mut self) -> VirtReg {
-        self.emit_value(Opcode::VId, &[])
     }
 
     /// Select `mask ? on_true : on_false`.
@@ -227,11 +188,6 @@ impl KernelBuilder {
         self.emit_value(Opcode::VFSqrt, &[IrOperand::Reg(a)])
     }
 
-    /// `-a`.
-    pub fn vfneg(&mut self, a: VirtReg) -> VirtReg {
-        self.emit_value(Opcode::VFNeg, &[IrOperand::Reg(a)])
-    }
-
     /// `|a|`.
     pub fn vfabs(&mut self, a: VirtReg) -> VirtReg {
         self.emit_value(Opcode::VFAbs, &[IrOperand::Reg(a)])
@@ -245,11 +201,6 @@ impl KernelBuilder {
     /// `ln(a)`.
     pub fn vfln(&mut self, a: VirtReg) -> VirtReg {
         self.emit_value(Opcode::VFLn, &[IrOperand::Reg(a)])
-    }
-
-    /// `min(a, b)`.
-    pub fn vfmin(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VFMin, &[a.into(), b.into()])
     }
 
     /// `max(a, b)`.
@@ -273,23 +224,6 @@ impl KernelBuilder {
         self.vfmadd(s, x, acc)
     }
 
-    // -------------------------------------------------- int arithmetic
-
-    /// Integer `a + b`.
-    pub fn vadd(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VAdd, &[a.into(), b.into()])
-    }
-
-    /// Integer `a * b`.
-    pub fn vmul(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VMul, &[a.into(), b.into()])
-    }
-
-    /// Integer minimum.
-    pub fn vmin(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VMin, &[a.into(), b.into()])
-    }
-
     // --------------------------------------------------------- compares
 
     /// Floating `a < b` producing a 0/1 mask vector.
@@ -297,21 +231,11 @@ impl KernelBuilder {
         self.emit_value(Opcode::VMFLt, &[a.into(), b.into()])
     }
 
-    /// Floating `a >= b` producing a 0/1 mask vector.
-    pub fn vmfge(&mut self, a: impl Into<IrOperand>, b: impl Into<IrOperand>) -> VirtReg {
-        self.emit_value(Opcode::VMFGe, &[a.into(), b.into()])
-    }
-
     // ------------------------------------------------------- reductions
 
     /// Sum reduction into element 0 of the result register.
     pub fn vfredsum(&mut self, src: VirtReg) -> VirtReg {
         self.emit_value(Opcode::VFRedSum, &[IrOperand::Reg(src)])
-    }
-
-    /// Max reduction into element 0 of the result register.
-    pub fn vfredmax(&mut self, src: VirtReg) -> VirtReg {
-        self.emit_value(Opcode::VFRedMax, &[IrOperand::Reg(src)])
     }
 }
 
@@ -369,12 +293,12 @@ mod tests {
     #[test]
     fn indexed_access_records_index_register() {
         let mut b = KernelBuilder::new("t");
-        let idx = b.vid();
+        let idx = b.vload(0x80);
         let g = b.vload_indexed(0x100, idx);
-        b.vstore_indexed(g, 0x200, idx);
+        b.vstore(g, 0x200);
         let k = b.finish();
         assert_eq!(k.instrs[1].mem.unwrap().index, Some(idx));
-        assert_eq!(k.instrs[2].source_regs().count(), 2);
+        assert_eq!(k.instrs[1].source_regs().collect::<Vec<_>>(), [idx]);
     }
 
     #[test]

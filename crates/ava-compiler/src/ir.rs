@@ -84,29 +84,22 @@ impl From<f64> for IrOperand {
 pub struct IrMemAccess {
     /// Base byte address of element 0.
     pub base: u64,
-    /// Stride in bytes (8 = unit stride).
-    pub stride: i64,
-    /// Index register for gathers/scatters.
+    /// Index register for gathers; `None` for a unit-stride access.
     pub index: Option<VirtReg>,
 }
 
 impl IrMemAccess {
-    /// A strided access (`stride` 8 is unit stride).
+    /// A unit-stride access.
     #[must_use]
-    pub fn strided(base: u64, stride: i64) -> Self {
-        Self {
-            base,
-            stride,
-            index: None,
-        }
+    pub fn unit(base: u64) -> Self {
+        Self { base, index: None }
     }
 
-    /// A gather or scatter whose element indices are in `index`.
+    /// A gather whose element indices are in `index`.
     #[must_use]
     pub fn indexed(base: u64, index: VirtReg) -> Self {
         Self {
             base,
-            stride: 8,
             index: Some(index),
         }
     }
@@ -292,7 +285,6 @@ impl IrKernel {
                     .collect(),
                 mem: i.mem.map(|m| IrMemAccess {
                     base: rebase_addr(m.base),
-                    stride: m.stride,
                     index: m.index.map(remap),
                 }),
                 setvl_request: i.setvl_request,
@@ -421,7 +413,7 @@ mod tests {
         let mut a = b.finish();
 
         let mut b = crate::KernelBuilder::new("b");
-        let idx = b.vid();
+        let idx = b.vload(0x80);
         let g = b.vload_indexed(0x100, idx);
         let s = b.vfadd(g, 1.0);
         b.vstore(s, 0x200);

@@ -141,7 +141,7 @@ pub fn lower(
 }
 
 fn lower_op(ir: &IrInstr, dst_slot: Option<usize>, src_slots: &[u8], lmul: Lmul) -> VecInstr {
-    // The index register of a gather or scatter is one of the instruction's
+    // The index register of a gather is one of the instruction's
     // register sources, and takes the architectural register allocated to
     // its position among them.
     let index = ir.mem.and_then(|m| m.index);
@@ -166,7 +166,7 @@ fn lower_op(ir: &IrInstr, dst_slot: Option<usize>, src_slots: &[u8], lmul: Lmul)
     let dst = dst_slot.map(|s| slot_to_vreg(s, lmul));
     let mem = ir.mem.map(|m| MemAccess {
         base: m.base,
-        stride: m.stride,
+        stride: 8,
         index_reg: m.index.map(|_| {
             index_reg.expect("index register of an indexed access must be a source operand")
         }),
@@ -270,15 +270,13 @@ mod tests {
     #[test]
     fn indexed_ops_map_their_index_register() {
         let mut b = KernelBuilder::new("gather");
-        let idx = b.vid();
+        let idx = b.vload(0x800);
         let g = b.vload_indexed(0x1000, idx);
-        b.vstore_indexed(g, 0x2000, idx);
+        b.vstore(g, 0x2000);
         let out = compile(&b.finish(), &CompileOptions::new(Lmul::M1, 0x40_0000, 1024));
         let gather = &out.program.instructions()[1];
         let reg = |i: &VecInstr, k: usize| i.srcs.get(k).and_then(|o| o.reg());
         assert_eq!(gather.mem.unwrap().index_reg, reg(gather, 0));
-        let scatter = &out.program.instructions()[2];
-        assert_eq!(scatter.mem.unwrap().index_reg, reg(scatter, 1));
     }
 
     #[test]
@@ -288,7 +286,7 @@ mod tests {
         // is the one its source position was allocated, v0 for the first
         // value defined, under any register grouping.
         let mut b = KernelBuilder::new("gather-twice");
-        let idx = b.vid();
+        let idx = b.vload(0x800);
         let other = b.vsplat(1.0);
         let twice = b.vload_indexed(0x1000, idx);
         let after = b.vload_indexed(0x2000, idx);
@@ -372,8 +370,8 @@ mod tests {
     }
 
     /// The `{:?}` text of one small program covering every operand form:
-    /// `vsetvl`, unit-stride and strided loads and stores, a gather and a
-    /// scatter with index registers, `vfmacc` with a scalar, a
+    /// `vsetvl`, unit-stride loads and stores, gathers with index registers
+    /// (one of them reloaded from a spill), `vfmacc` with a scalar, a
     /// three-register `vmerge`, and LMUL-8 spill stores and reloads.
     ///
     /// A program's `Debug` text is the program half of every result-store
@@ -386,8 +384,8 @@ mod tests {
             "Program { name: \"forms\", instrs: [",
             "VecInstr { opcode: SetVl, dst: None, srcs: [], mem: None, vl_mode: Current, setvl_request: Some(8), role: Normal }, ",
             "VecInstr { opcode: VLoad, dst: Some(VReg(0)), srcs: [], mem: Some(MemAccess { base: 4096, stride: 8, index_reg: None }), vl_mode: Current, setvl_request: None, role: Normal }, ",
-            "VecInstr { opcode: VLoadStrided, dst: Some(VReg(8)), srcs: [], mem: Some(MemAccess { base: 8192, stride: 16, index_reg: None }), vl_mode: Current, setvl_request: None, role: Normal }, ",
-            "VecInstr { opcode: VId, dst: Some(VReg(16)), srcs: [], mem: None, vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VLoad, dst: Some(VReg(8)), srcs: [], mem: Some(MemAccess { base: 8192, stride: 8, index_reg: None }), vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VLoad, dst: Some(VReg(16)), srcs: [], mem: Some(MemAccess { base: 24576, stride: 8, index_reg: None }), vl_mode: Current, setvl_request: None, role: Normal }, ",
             "VecInstr { opcode: VLoadIndexed, dst: Some(VReg(24)), srcs: [Reg(VReg(16))], mem: Some(MemAccess { base: 12288, stride: 8, index_reg: Some(VReg(16)) }), vl_mode: Current, setvl_request: None, role: Normal }, ",
             "VecInstr { opcode: VStore, dst: None, srcs: [Reg(VReg(16))], mem: Some(MemAccess { base: 32768, stride: 8, index_reg: None }), vl_mode: FullMvl, setvl_request: None, role: SpillStore }, ",
             "VecInstr { opcode: VFMacc, dst: Some(VReg(16)), srcs: [Scalar(Element(4612811918334230528)), Reg(VReg(8)), Reg(VReg(0))], mem: None, vl_mode: Current, setvl_request: None, role: Normal }, ",
@@ -396,23 +394,25 @@ mod tests {
             "VecInstr { opcode: VMerge, dst: Some(VReg(8)), srcs: [Reg(VReg(16)), Reg(VReg(24)), Reg(VReg(0))], mem: None, vl_mode: Current, setvl_request: None, role: Normal }, ",
             "VecInstr { opcode: VStore, dst: None, srcs: [Reg(VReg(8))], mem: Some(MemAccess { base: 16384, stride: 8, index_reg: None }), vl_mode: Current, setvl_request: None, role: Normal }, ",
             "VecInstr { opcode: VLoad, dst: Some(VReg(8)), srcs: [], mem: Some(MemAccess { base: 33280, stride: 8, index_reg: None }), vl_mode: FullMvl, setvl_request: None, role: SpillLoad }, ",
-            "VecInstr { opcode: VStoreStrided, dst: None, srcs: [Reg(VReg(8))], mem: Some(MemAccess { base: 20480, stride: -24, index_reg: None }), vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VStore, dst: None, srcs: [Reg(VReg(8))], mem: Some(MemAccess { base: 20480, stride: 8, index_reg: None }), vl_mode: Current, setvl_request: None, role: Normal }, ",
             "VecInstr { opcode: VLoad, dst: Some(VReg(8)), srcs: [], mem: Some(MemAccess { base: 32768, stride: 8, index_reg: None }), vl_mode: FullMvl, setvl_request: None, role: SpillLoad }, ",
-            "VecInstr { opcode: VStoreIndexed, dst: None, srcs: [Reg(VReg(24)), Reg(VReg(8))], mem: Some(MemAccess { base: 24576, stride: 8, index_reg: Some(VReg(8)) }), vl_mode: Current, setvl_request: None, role: Normal }",
+            "VecInstr { opcode: VLoadIndexed, dst: Some(VReg(0)), srcs: [Reg(VReg(8))], mem: Some(MemAccess { base: 28672, stride: 8, index_reg: Some(VReg(8)) }), vl_mode: Current, setvl_request: None, role: Normal }, ",
+            "VecInstr { opcode: VStore, dst: None, srcs: [Reg(VReg(0))], mem: Some(MemAccess { base: 24576, stride: 8, index_reg: None }), vl_mode: Current, setvl_request: None, role: Normal }",
             "] }",
         );
         let mut b = KernelBuilder::new("forms");
         b.set_vl(8);
         let x = b.vload(0x1000);
-        let y = b.vload_strided(0x2000, 16);
-        let idx = b.vid();
+        let y = b.vload(0x2000);
+        let idx = b.vload(0x6000);
         let g = b.vload_indexed(0x3000, idx);
         let f = b.vfmacc_scalar(x, 2.5, y);
         let m = b.vmflt(f, g);
         let s = b.vmerge(f, g, m);
         b.vstore(s, 0x4000);
-        b.vstore_strided(y, 0x5000, -24);
-        b.vstore_indexed(g, 0x6000, idx);
+        b.vstore(y, 0x5000);
+        let h = b.vload_indexed(0x7000, idx);
+        b.vstore(h, 0x6000);
         let out = compile(&b.finish(), &CompileOptions::new(Lmul::M8, 0x8000, 512));
         assert_eq!((out.spill_stores, out.spill_loads), (2, 2));
         assert_eq!(format!("{:?}", out.program), EXPECTED);

@@ -53,12 +53,6 @@ impl Operand {
     pub fn scalar_f64(v: f64) -> Self {
         Operand::Scalar(Element::from_f64(v))
     }
-
-    /// Convenience constructor for an integer scalar operand.
-    #[must_use]
-    pub fn scalar_i64(v: i64) -> Self {
-        Operand::Scalar(Element::from_i64(v))
-    }
 }
 
 impl From<VReg> for Operand {
@@ -328,10 +322,13 @@ impl<'a, T: Copy + Default> IntoIterator for &'a RegList<T> {
 pub struct MemAccess {
     /// Base byte address of element 0.
     pub base: u64,
-    /// Stride in bytes between consecutive elements (8 for unit stride).
+    /// Stride in bytes between consecutive elements. Every access the ISA
+    /// has is unit-stride, so it is always 8; the field stays because a
+    /// program's `Debug` text, which prints it, is half of every
+    /// result-store key.
     pub stride: i64,
-    /// For indexed (gather/scatter) accesses, the register holding the
-    /// per-element indices; addresses are `base + 8 * index[i]`.
+    /// For gathers, the register holding the per-element indices;
+    /// addresses are `base + 8 * index[i]`.
     pub index_reg: Option<VReg>,
 }
 
@@ -342,16 +339,6 @@ impl MemAccess {
         Self {
             base,
             stride: 8,
-            index_reg: None,
-        }
-    }
-
-    /// Strided access with `stride` bytes between elements.
-    #[must_use]
-    pub fn strided(base: u64, stride: i64) -> Self {
-        Self {
-            base,
-            stride,
             index_reg: None,
         }
     }
@@ -462,38 +449,10 @@ impl VecInstr {
         i
     }
 
-    /// Strided vector load.
-    #[must_use]
-    pub fn vload_strided(dst: VReg, base: u64, stride: i64) -> Self {
-        let mut i = Self::base(Opcode::VLoadStrided, Some(dst), &[]);
-        i.mem = Some(MemAccess::strided(base, stride));
-        i
-    }
-
-    /// Strided vector store.
-    #[must_use]
-    pub fn vstore_strided(src: VReg, base: u64, stride: i64) -> Self {
-        let mut i = Self::base(Opcode::VStoreStrided, None, &[Operand::Reg(src)]);
-        i.mem = Some(MemAccess::strided(base, stride));
-        i
-    }
-
     /// Indexed gather: `dst[i] = mem[base + 8 * idx[i]]`.
     #[must_use]
     pub fn vload_indexed(dst: VReg, base: u64, idx: VReg) -> Self {
         let mut i = Self::base(Opcode::VLoadIndexed, Some(dst), &[Operand::Reg(idx)]);
-        i.mem = Some(MemAccess::indexed(base, idx));
-        i
-    }
-
-    /// Indexed scatter: `mem[base + 8 * idx[i]] = src[i]`.
-    #[must_use]
-    pub fn vstore_indexed(src: VReg, base: u64, idx: VReg) -> Self {
-        let mut i = Self::base(
-            Opcode::VStoreIndexed,
-            None,
-            &[Operand::Reg(src), Operand::Reg(idx)],
-        );
         i.mem = Some(MemAccess::indexed(base, idx));
         i
     }
@@ -549,18 +508,6 @@ impl VecInstr {
     #[must_use]
     pub fn vsplat(dst: VReg, value: f64) -> Self {
         Self::base(Opcode::VMvSplat, Some(dst), &[Operand::scalar_f64(value)])
-    }
-
-    /// Vector-register copy.
-    #[must_use]
-    pub fn vmv(dst: VReg, src: VReg) -> Self {
-        Self::base(Opcode::VMv, Some(dst), &[Operand::Reg(src)])
-    }
-
-    /// Index vector: `dst[i] = i`.
-    #[must_use]
-    pub fn vid(dst: VReg) -> Self {
-        Self::base(Opcode::VId, Some(dst), &[])
     }
 
     /// Sum reduction of `src` (+ scalar seed) into element 0 of `dst`.
@@ -621,9 +568,6 @@ impl fmt::Display for VecInstr {
         }
         if let Some(m) = &self.mem {
             write!(f, " @{:#x}", m.base)?;
-            if m.stride != 8 {
-                write!(f, " stride={}", m.stride)?;
-            }
         }
         if let Some(avl) = self.setvl_request {
             write!(f, " avl={avl}")?;
@@ -660,8 +604,6 @@ mod tests {
         let i = VecInstr::vload_indexed(VReg::new(1), 0x0, VReg::new(9));
         assert_eq!(i.source_regs().collect::<Vec<_>>(), vec![VReg::new(9)]);
         assert_eq!(i.mem.unwrap().index_reg, Some(VReg::new(9)));
-        let s = VecInstr::vstore_indexed(VReg::new(2), 0x0, VReg::new(9));
-        assert_eq!(s.source_regs().count(), 2);
     }
 
     #[test]
@@ -733,7 +675,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 3 source operands")]
     fn pushing_past_the_capacity_panics() {
-        let mut list = OperandList::new(Opcode::VMerge, &[Operand::scalar_i64(-1); 3]);
+        let mut list = OperandList::new(Opcode::VMerge, &[Operand::scalar_f64(-1.0); 3]);
         list.push(Operand::Reg(VReg::new(0)));
     }
 }

@@ -5,7 +5,7 @@
 //! decide hit/miss latencies and to count dirty write-backs. Write-backs are
 //! only counted, in [`CacheStats::writebacks`]: the hierarchy charges DRAM
 //! time, `dram_bytes` and energy for misses alone, so an evicted dirty line
-//! costs nothing (whether to charge it is open item 2 of `ROADMAP.md`).
+//! costs nothing (whether to charge it is open item 4b of `ROADMAP.md`).
 //!
 //! Beside the tag array a presence bitmap holds one bit per line number
 //! below [`TRACKED_LINES`]. Its invariant: a bit is set exactly when a

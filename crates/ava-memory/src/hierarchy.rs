@@ -175,7 +175,7 @@ impl MemoryHierarchy {
 
     /// Timing of a vector memory request covering the explicit set of
     /// element addresses `element_addrs` (8 bytes per element). Used for
-    /// strided and indexed accesses where elements may touch scattered lines.
+    /// gathers, whose elements may touch scattered lines.
     pub fn vector_access_elements(
         &mut self,
         element_addrs: &[u64],

@@ -13,8 +13,8 @@ const PAGE_SIZE: usize = 4096;
 
 /// Writes must stay below this address (16 GiB), which caps the page table
 /// at 32 MiB. Simulated workloads use a few MiB above [`ALLOC_BASE`]; a
-/// write beyond the cap is a wild address (say, a scatter with a negative
-/// index) and panics instead of growing the table without bound.
+/// write beyond the cap is a wild address and panics instead of growing
+/// the table without bound.
 const WRITE_LIMIT: u64 = 1 << 34;
 
 /// Base address handed out by the allocator. Address 0 is left unmapped so

@@ -528,7 +528,7 @@ fn walked(config: HierarchyConfig, ranges: &[(u64, u64)]) -> MemoryHierarchy {
 struct FunctionalRun {
     /// The golden-reference check of the memory the program left.
     validation: Result<(), String>,
-    /// The element addresses of every gather and scatter, in program order.
+    /// The element addresses of every gather, in program order.
     indexed_addrs: Vec<u64>,
 }
 
@@ -701,8 +701,8 @@ pub(crate) fn simulate(prepared: &mut PreparedPoint, system: &SystemConfig) -> R
         "the M-VRF lies where the warm ranges put it"
     );
 
-    // 4. Cycle-level simulation on the VPU, fed the gather and scatter
-    //    addresses of the functional pass. The program runs as one segment
+    // 4. Cycle-level simulation on the VPU, fed the gather addresses of
+    //    the functional pass. The program runs as one segment
     //    per phase mark on the same VPU instance — observationally
     //    identical to one continuous run — or as one whole-program segment
     //    without marks. A multi-phase run records every phase's

@@ -68,7 +68,7 @@
 //! Values do not depend on the scenario either. The first simulation of a
 //! key runs its program functionally, once, over the prepared memory
 //! image; it validates the result against the golden reference, records
-//! the gather and scatter addresses and drops the image. Every timing run
+//! the gather addresses and drops the image. Every timing run
 //! reads the recorded addresses and moves no values. What stays per
 //! simulated point is the register-tag check, because swap and rename
 //! decisions depend on timing: it proves that every read met its last

@@ -6,9 +6,10 @@
 //! compiled program functionally once per prepared (workload, MVL, LMUL)
 //! key and validates the resulting memory against the scalar golden
 //! reference there. The one datum the timing model needs from the values
-//! is the element addresses of indexed accesses, which the pass records.
+//! is the element addresses of gathers, which the pass records; a
+//! unit-stride load or store is timed from its base and length alone.
 
-use ava_isa::{Element, MemAccess, Opcode, Operand, VecInstr, VlMode, MAX_SRCS, NUM_LOGICAL_VREGS};
+use ava_isa::{Element, Opcode, Operand, VecInstr, VlMode, MAX_SRCS, NUM_LOGICAL_VREGS};
 use ava_memory::MainMemory;
 
 /// A source operand value: a borrowed vector of elements or a scalar
@@ -38,33 +39,12 @@ fn f(op: &OperandValue<'_>, i: usize) -> f64 {
     op.elem(i).as_f64()
 }
 
-fn x(op: &OperandValue<'_>, i: usize) -> i64 {
-    op.elem(i).as_i64()
-}
-
-/// Executes one arithmetic/move/reduction opcode over `vl` elements,
-/// returning a freshly allocated result.
-///
-/// Convenience wrapper over [`execute_into`]; the functional pass calls
-/// [`execute_into`] with a reused strip buffer instead.
-///
-/// # Panics
-///
-/// Panics if called with a memory or configuration opcode, or if an operand
-/// required by the opcode is missing.
-#[must_use]
-pub fn execute(opcode: Opcode, srcs: &[OperandValue<'_>], vl: usize) -> Vec<Element> {
-    let mut out = Vec::with_capacity(vl);
-    execute_into(opcode, srcs, vl, &mut out);
-    out
-}
-
 /// Executes one arithmetic/move/reduction opcode over `vl` elements into
 /// `out`, which is cleared first and reused without reallocating once its
 /// capacity has warmed up.
 ///
-/// Strip-uniform work is batched: register-to-register moves copy whole
-/// slices and scalar splats are bulk fills, with the same results as the
+/// Splats are strip-uniform, so they are batched: a scalar splat is a bulk
+/// fill and a vector one a slice copy, with the same results as the
 /// per-element path.
 ///
 /// # Panics
@@ -84,12 +64,6 @@ pub fn execute_into(opcode: Opcode, srcs: &[OperandValue<'_>], vl: usize, out: &
             out.extend((0..vl).map(|i| Element::from_f64(g(i))));
         }};
     }
-    macro_rules! map_i64 {
-        ($g:expr) => {{
-            let g = $g;
-            out.extend((0..vl).map(|i| Element::from_i64(g(i))));
-        }};
-    }
     macro_rules! map_bool {
         ($g:expr) => {{
             let g = $g;
@@ -104,37 +78,17 @@ pub fn execute_into(opcode: Opcode, srcs: &[OperandValue<'_>], vl: usize, out: &
         VFDiv => map_f64!(|i| f(s(0), i) / f(s(1), i)),
         VFSqrt => map_f64!(|i| f(s(0), i).sqrt()),
         VFMacc => map_f64!(|i| f(s(0), i).mul_add(f(s(1), i), f(s(2), i))),
-        VFMsac => map_f64!(|i| f(s(0), i).mul_add(f(s(1), i), -f(s(2), i))),
-        VFMin => map_f64!(|i| f(s(0), i).min(f(s(1), i))),
         VFMax => map_f64!(|i| f(s(0), i).max(f(s(1), i))),
-        VFNeg => map_f64!(|i| -f(s(0), i)),
         VFAbs => map_f64!(|i| f(s(0), i).abs()),
         VFExp => map_f64!(|i| f(s(0), i).exp()),
         VFLn => map_f64!(|i| f(s(0), i).ln()),
 
-        VAdd => map_i64!(|i| x(s(0), i).wrapping_add(x(s(1), i))),
-        VSub => map_i64!(|i| x(s(0), i).wrapping_sub(x(s(1), i))),
-        VMul => map_i64!(|i| x(s(0), i).wrapping_mul(x(s(1), i))),
-        VAnd => map_i64!(|i| x(s(0), i) & x(s(1), i)),
-        VOr => map_i64!(|i| x(s(0), i) | x(s(1), i)),
-        VXor => map_i64!(|i| x(s(0), i) ^ x(s(1), i)),
-        VSll => map_i64!(|i| x(s(0), i).wrapping_shl(x(s(1), i) as u32 & 63)),
-        VSrl => map_i64!(|i| ((x(s(0), i) as u64) >> (x(s(1), i) as u32 & 63)) as i64),
-        VMin => map_i64!(|i| x(s(0), i).min(x(s(1), i))),
-        VMax => map_i64!(|i| x(s(0), i).max(x(s(1), i))),
-
         VMFLt => map_bool!(|i| f(s(0), i) < f(s(1), i)),
-        VMFLe => map_bool!(|i| f(s(0), i) <= f(s(1), i)),
-        VMFGt => map_bool!(|i| f(s(0), i) > f(s(1), i)),
-        VMFGe => map_bool!(|i| f(s(0), i) >= f(s(1), i)),
-        VMFEq => map_bool!(|i| f(s(0), i) == f(s(1), i)),
-        VMSLt => map_bool!(|i| x(s(0), i) < x(s(1), i)),
-        VMSEq => map_bool!(|i| x(s(0), i) == x(s(1), i)),
 
-        // Moves and splats are strip-uniform: whole-slice copies and bulk
-        // fills replace the per-element loop (identical results — vector
-        // reads past the end are zero, scalars repeat).
-        VMv | VMvSplat => match *s(0) {
+        // Splats are strip-uniform: a whole-slice copy or a bulk fill
+        // replaces the per-element loop (identical results — vector reads
+        // past the end are zero, scalars repeat).
+        VMvSplat => match *s(0) {
             OperandValue::Vector(v) => {
                 let copied = vl.min(v.len());
                 out.extend_from_slice(&v[..copied]);
@@ -142,7 +96,6 @@ pub fn execute_into(opcode: Opcode, srcs: &[OperandValue<'_>], vl: usize, out: &
             }
             OperandValue::Scalar(val) => out.resize(vl, val),
         },
-        VId => map_i64!(|i| i as i64),
         VMerge => out.extend((0..vl).map(|i| {
             if s(2).elem(i).as_bool() {
                 s(0).elem(i)
@@ -150,40 +103,13 @@ pub fn execute_into(opcode: Opcode, srcs: &[OperandValue<'_>], vl: usize, out: &
                 s(1).elem(i)
             }
         })),
-        VSlide1Up => out.extend((0..vl).map(|i| {
-            if i == 0 {
-                srcs.get(1).map_or(Element::ZERO, |o| o.elem(0))
-            } else {
-                s(0).elem(i - 1)
-            }
-        })),
-        VSlide1Down => out.extend((0..vl).map(|i| {
-            if i + 1 == vl {
-                srcs.get(1).map_or(Element::ZERO, |o| o.elem(0))
-            } else {
-                s(0).elem(i + 1)
-            }
-        })),
-
-        VFRedSum | VFRedMax | VFRedMin => {
-            let mut acc = match opcode {
-                VFRedSum => 0.0,
-                VFRedMax => f64::NEG_INFINITY,
-                _ => f64::INFINITY,
-            };
-            for i in 0..vl {
-                let v = f(s(0), i);
-                acc = match opcode {
-                    VFRedSum => acc + v,
-                    VFRedMax => acc.max(v),
-                    _ => acc.min(v),
-                };
-            }
+        VFRedSum => {
+            let sum = (0..vl).fold(0.0, |acc, i| acc + f(s(0), i));
             out.resize(vl.max(1), Element::ZERO);
-            out[0] = Element::from_f64(acc);
+            out[0] = Element::from_f64(sum);
         }
 
-        VLoad | VStore | VLoadStrided | VStoreStrided | VLoadIndexed | VStoreIndexed | SetVl => {
+        VLoad | VStore | VLoadIndexed | SetVl => {
             panic!("{opcode} is not an arithmetic operation")
         }
     }
@@ -213,7 +139,7 @@ pub fn execute_into(opcode: Opcode, srcs: &[OperandValue<'_>], vl: usize, out: &
 /// let mut indexed = Vec::new();
 /// FunctionalState::new(16).run(&program, &mut mem, &mut indexed);
 /// assert_eq!(mem.read_f64(a + 8 * 3), 6.0);
-/// assert!(indexed.is_empty(), "no gather or scatter ran");
+/// assert!(indexed.is_empty(), "no gather ran");
 /// ```
 #[derive(Debug, Clone)]
 pub struct FunctionalState {
@@ -238,8 +164,8 @@ impl FunctionalState {
     }
 
     /// Executes `instrs` in order over `mem`, appending to `indexed_addrs`
-    /// the element addresses of every gather and scatter, one per element,
-    /// in program order.
+    /// the element addresses of every gather, one per element, in program
+    /// order.
     ///
     /// # Panics
     ///
@@ -275,30 +201,15 @@ impl FunctionalState {
             Opcode::SetVl => {
                 self.vl = instr.setvl_request.unwrap_or(self.mvl).min(self.mvl);
             }
-            Opcode::VLoad | Opcode::VLoadStrided => {
-                let m = access();
-                let out = &mut self.regs[dst()][..vl];
-                if m.stride == 8 {
-                    let mut elems = out.iter_mut();
-                    mem.read_words(m.base, vl, |w| {
-                        *elems.next().expect("one word per element") = Element::from_bits(w);
-                    });
-                } else {
-                    for (i, e) in out.iter_mut().enumerate() {
-                        *e = Element::from_bits(mem.read_u64(element_addr(&m, i)));
-                    }
-                }
+            Opcode::VLoad => {
+                let mut elems = self.regs[dst()][..vl].iter_mut();
+                mem.read_words(access().base, vl, |w| {
+                    *elems.next().expect("one word per element") = Element::from_bits(w);
+                });
             }
-            Opcode::VStore | Opcode::VStoreStrided => {
-                let m = access();
+            Opcode::VStore => {
                 let data = &self.regs[reg(0)][..vl];
-                if m.stride == 8 {
-                    mem.write_words(m.base, data.iter().map(|e| e.bits()));
-                } else {
-                    for (i, e) in data.iter().enumerate() {
-                        mem.write_u64(element_addr(&m, i), e.bits());
-                    }
-                }
+                mem.write_words(access().base, data.iter().map(|e| e.bits()));
             }
             Opcode::VLoadIndexed => {
                 let start = indexed_addrs.len();
@@ -311,19 +222,6 @@ impl FunctionalState {
                 let out = &mut self.regs[dst()][..vl];
                 for (e, &a) in out.iter_mut().zip(&indexed_addrs[start..]) {
                     *e = Element::from_bits(mem.read_u64(a));
-                }
-            }
-            Opcode::VStoreIndexed => {
-                let start = indexed_addrs.len();
-                let base = access().base;
-                indexed_addrs.extend(
-                    self.regs[reg(1)][..vl]
-                        .iter()
-                        .map(|&i| indexed_addr(base, i)),
-                );
-                let data = &self.regs[reg(0)][..vl];
-                for (&a, e) in indexed_addrs[start..].iter().zip(data) {
-                    mem.write_u64(a, e.bits());
                 }
             }
             _ => {
@@ -343,15 +241,7 @@ impl FunctionalState {
     }
 }
 
-/// Address of element `i` of a strided access. A stride of 0 puts every
-/// element at `base`, as the timing model and the compiler's bounds check
-/// assume.
-pub(crate) fn element_addr(m: &MemAccess, i: usize) -> u64 {
-    (m.base as i64 + m.stride * i as i64) as u64
-}
-
-/// Address of a gathered or scattered element: `index` 8-byte words from
-/// `base`.
+/// Address of a gathered element: `index` 8-byte words from `base`.
 fn indexed_addr(base: u64, index: Element) -> u64 {
     base.wrapping_add((index.as_i64() as u64).wrapping_mul(8))
 }
@@ -362,6 +252,13 @@ mod tests {
 
     fn vecf(vals: &[f64]) -> Vec<Element> {
         vals.iter().map(|v| Element::from_f64(*v)).collect()
+    }
+
+    /// `execute_into` into a fresh buffer.
+    fn execute(opcode: Opcode, srcs: &[OperandValue<'_>], vl: usize) -> Vec<Element> {
+        let mut out = Vec::new();
+        execute_into(opcode, srcs, vl, &mut out);
+        out
     }
 
     #[test]
@@ -447,64 +344,21 @@ mod tests {
     }
 
     #[test]
-    fn integer_operations_wrap() {
-        let a: Vec<Element> = [i64::MAX, 4]
-            .iter()
-            .map(|v| Element::from_i64(*v))
-            .collect();
-        let b: Vec<Element> = [1i64, 3].iter().map(|v| Element::from_i64(*v)).collect();
-        let r = execute(
-            Opcode::VAdd,
-            &[OperandValue::Vector(&a), OperandValue::Vector(&b)],
-            2,
-        );
-        assert_eq!(r[0].as_i64(), i64::MIN);
-        assert_eq!(r[1].as_i64(), 7);
-    }
-
-    #[test]
     fn reductions_write_element_zero() {
         let a = vecf(&[1.0, 2.0, 3.0, 4.0]);
         let sum = execute(Opcode::VFRedSum, &[OperandValue::Vector(&a)], 4);
         assert_eq!(sum[0].as_f64(), 10.0);
         assert_eq!(sum[1], Element::ZERO);
-        let max = execute(Opcode::VFRedMax, &[OperandValue::Vector(&a)], 4);
-        assert_eq!(max[0].as_f64(), 4.0);
-        let min = execute(Opcode::VFRedMin, &[OperandValue::Vector(&a)], 4);
-        assert_eq!(min[0].as_f64(), 1.0);
     }
 
     #[test]
-    fn vid_and_splat_and_slides() {
-        let id = execute(Opcode::VId, &[], 4);
-        assert_eq!(id[3].as_i64(), 3);
+    fn splat_fills_every_lane() {
         let sp = execute(
             Opcode::VMvSplat,
             &[OperandValue::Scalar(Element::from_f64(7.0))],
             3,
         );
-        assert_eq!(sp[2].as_f64(), 7.0);
-        let a = vecf(&[1.0, 2.0, 3.0]);
-        let up = execute(
-            Opcode::VSlide1Up,
-            &[
-                OperandValue::Vector(&a),
-                OperandValue::Scalar(Element::from_f64(9.0)),
-            ],
-            3,
-        );
-        assert_eq!(up[0].as_f64(), 9.0);
-        assert_eq!(up[2].as_f64(), 2.0);
-        let down = execute(
-            Opcode::VSlide1Down,
-            &[
-                OperandValue::Vector(&a),
-                OperandValue::Scalar(Element::from_f64(8.0)),
-            ],
-            3,
-        );
-        assert_eq!(down[0].as_f64(), 2.0);
-        assert_eq!(down[2].as_f64(), 8.0);
+        assert_eq!(sp, vecf(&[7.0; 3]));
     }
 
     #[test]
@@ -537,8 +391,8 @@ mod tests {
     #[test]
     fn execute_into_reuses_one_buffer_across_opcodes() {
         // One buffer through heterogeneous opcodes — including the batched
-        // move/splat fast paths and the shorter-than-vl zero-fill — must
-        // produce exactly what the allocating wrapper produces.
+        // splat fast paths and the shorter-than-vl zero-fill — must produce
+        // exactly what a fresh buffer gets.
         let a = vecf(&[1.0, 2.0, 3.0]);
         let short = vecf(&[5.0]);
         let cases: Vec<(Opcode, Vec<OperandValue<'_>>, usize)> = vec![
@@ -547,14 +401,14 @@ mod tests {
                 vec![OperandValue::Vector(&a), OperandValue::Vector(&a)],
                 3,
             ),
-            (Opcode::VMv, vec![OperandValue::Vector(&short)], 3),
+            (Opcode::VMvSplat, vec![OperandValue::Vector(&short)], 3),
             (
                 Opcode::VMvSplat,
                 vec![OperandValue::Scalar(Element::from_f64(7.0))],
                 4,
             ),
             (Opcode::VFRedSum, vec![OperandValue::Vector(&a)], 3),
-            (Opcode::VId, vec![], 2),
+            (Opcode::VFAbs, vec![OperandValue::Vector(&a)], 2),
         ];
         let mut buf = Vec::new();
         for (op, srcs, vl) in cases {

@@ -22,7 +22,7 @@
 //! * [`exec`] — the functional pass: a program executed once in program
 //!   order on architectural registers, so runs are checked for
 //!   *correctness* against scalar references, not only timed. It records
-//!   the element addresses of gathers and scatters for the timing model.
+//!   the element addresses of gathers for the timing model.
 //! * [`vpu`] — the cycle-level model tying everything together, usable in
 //!   AVA mode or in NATIVE mode (conventional single-level renaming with a
 //!   register file sized for the target MVL, the paper's baselines). It

@@ -29,7 +29,7 @@ use ava_isa::{
 use ava_memory::{AccessTiming, MainMemory, MemoryHierarchy};
 
 use crate::config::{RenameMode, VpuConfig};
-use crate::exec::{element_addr, FunctionalState};
+use crate::exec::FunctionalState;
 use crate::issue::IssueQueue;
 use crate::mvrf::MemoryVrf;
 use crate::rac::Rac;
@@ -108,8 +108,6 @@ pub struct Vpu {
     protected_buf: Vec<RenamedReg>,
     /// Physical register of each register source, in operand order.
     src_pregs_buf: Vec<usize>,
-    /// Per-element addresses of strided accesses.
-    addr_buf: Vec<u64>,
     /// Architectural state of [`Vpu::run_range`]'s functional pass, made on
     /// its first call.
     functional: Option<FunctionalState>,
@@ -152,7 +150,6 @@ impl Vpu {
             src_regs_buf: Vec::new(),
             protected_buf: Vec::new(),
             src_pregs_buf: Vec::new(),
-            addr_buf: Vec::new(),
             functional: None,
             vl: config.mvl,
             stats: VpuStats::default(),
@@ -232,8 +229,8 @@ impl Vpu {
     /// Times the instructions `range` of `program` without executing them,
     /// returning the cycle count and statistics of that segment alone.
     /// `indexed_addrs` holds the element addresses of the segment's gathers
-    /// and scatters in program order, as [`FunctionalState::run`] records
-    /// them; each indexed access consumes its addresses from the front.
+    /// in program order, as [`FunctionalState::run`] records them; each
+    /// gather consumes its addresses from the front.
     /// Segments run back to back partition the totals of one run, which is
     /// how the simulator reports per-phase breakdowns of multi-kernel
     /// composites.
@@ -372,7 +369,7 @@ impl Vpu {
 
         let (_start, chain_ready, mut completion) = match instr.kind() {
             InstrKind::Memory => {
-                let timing = self.memory_timing(instr, vl_eff, mem, indexed_addrs);
+                let timing = memory_timing(instr, vl_eff, mem, indexed_addrs);
                 // Stores issue as soon as their address is ready: the data is
                 // streamed from the register file while it is being produced
                 // (chaining through the store data path), so the issue gate
@@ -686,40 +683,6 @@ impl Vpu {
         (start, chain_ready, completion)
     }
 
-    fn memory_timing(
-        &mut self,
-        instr: &VecInstr,
-        vl: usize,
-        mem: &mut MemoryHierarchy,
-        indexed_addrs: &mut &[u64],
-    ) -> AccessTiming {
-        let access = instr
-            .mem
-            .expect("memory instruction carries an address descriptor");
-        let is_write = instr.opcode.is_store();
-        match instr.opcode {
-            Opcode::VLoad | Opcode::VStore => {
-                mem.vector_access(access.base, (vl * 8) as u64, is_write)
-            }
-            Opcode::VLoadStrided | Opcode::VStoreStrided => {
-                self.addr_buf.clear();
-                self.addr_buf
-                    .extend((0..vl).map(|i| element_addr(&access, i)));
-                mem.vector_access_elements(&self.addr_buf, is_write)
-            }
-            Opcode::VLoadIndexed | Opcode::VStoreIndexed => {
-                assert!(
-                    indexed_addrs.len() >= vl,
-                    "`{instr}`: the functional pass recorded no addresses for it"
-                );
-                let (addrs, rest) = indexed_addrs.split_at(vl);
-                *indexed_addrs = rest;
-                mem.vector_access_elements(addrs, is_write)
-            }
-            _ => unreachable!("not a memory opcode"),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Statistics
     // ------------------------------------------------------------------
@@ -747,6 +710,35 @@ impl Vpu {
     }
 }
 
+/// The L2/DRAM timing of one memory instruction: a unit-stride access from
+/// its base, or a gather at the next `vl` of the addresses the functional
+/// pass recorded.
+fn memory_timing(
+    instr: &VecInstr,
+    vl: usize,
+    mem: &mut MemoryHierarchy,
+    indexed_addrs: &mut &[u64],
+) -> AccessTiming {
+    let access = instr
+        .mem
+        .expect("memory instruction carries an address descriptor");
+    match instr.opcode {
+        Opcode::VLoad | Opcode::VStore => {
+            mem.vector_access(access.base, (vl * 8) as u64, instr.opcode.is_store())
+        }
+        Opcode::VLoadIndexed => {
+            assert!(
+                indexed_addrs.len() >= vl,
+                "`{instr}`: the functional pass recorded no addresses for it"
+            );
+            let (addrs, rest) = indexed_addrs.split_at(vl);
+            *indexed_addrs = rest;
+            mem.vector_access_elements(addrs, false)
+        }
+        _ => unreachable!("not a memory opcode"),
+    }
+}
+
 fn subtract_stats(stats: &mut VpuStats, baseline: &VpuStats) {
     stats.arith_instrs -= baseline.arith_instrs;
     stats.vloads -= baseline.vloads;
@@ -770,7 +762,7 @@ fn subtract_stats(stats: &mut VpuStats, baseline: &VpuStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ava_isa::{Operand, Program};
+    use ava_isa::Program;
 
     /// Builds `a[i] = a[i] * 2 + b[i]` over `n` elements as a stripmined
     /// program for the given MVL, using two logical registers.
@@ -1038,53 +1030,27 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scatter_work_through_the_vpu() {
+    fn gather_works_through_the_vpu() {
         let mut mem = MemoryHierarchy::default();
         let src = mem.allocate(64 * 8);
+        let idx = mem.allocate(16 * 8);
         let dst = mem.allocate(64 * 8);
         for i in 0..64u64 {
             mem.write_f64(src + 8 * i, i as f64);
         }
-        // Reverse-copy 16 elements using an index vector.
+        for i in 0..16u64 {
+            mem.write_u64(idx + 8 * i, 15 - i);
+        }
+        // Reverse-copy 16 elements through an index vector.
         let mut p = Program::new("reverse");
         p.push(VecInstr::setvl(16));
-        p.push(VecInstr::vid(VReg::new(3)));
-        p.push(VecInstr::binary(
-            Opcode::VSub,
-            VReg::new(4),
-            Operand::scalar_i64(15),
-            VReg::new(3),
-        ));
+        p.push(VecInstr::vload(VReg::new(4), idx));
         p.push(VecInstr::vload_indexed(VReg::new(5), src, VReg::new(4)));
         p.push(VecInstr::vstore(VReg::new(5), dst));
         let mut vpu = Vpu::new(VpuConfig::ava_x(1), &mut mem);
         let _ = vpu.run(&p, &mut mem);
         for i in 0..16u64 {
             assert_eq!(mem.read_f64(dst + 8 * i), (15 - i) as f64);
-        }
-    }
-
-    #[test]
-    fn stride_zero_broadcasts_one_element_and_touches_one_line() {
-        let mut mem = MemoryHierarchy::default();
-        let src = mem.allocate(64 * 8);
-        let dst = mem.allocate(16 * 8);
-        for i in 0..64u64 {
-            mem.write_f64(src + 8 * i, i as f64 + 1.0);
-        }
-        let mut p = Program::new("broadcast");
-        p.push(VecInstr::setvl(16));
-        p.push(VecInstr::vload_strided(VReg::new(1), src + 8 * 3, 0));
-        p.push(VecInstr::vstore(VReg::new(1), dst));
-        let mut vpu = Vpu::new(VpuConfig::native_x(1), &mut mem);
-        let before = mem.stats();
-        let _ = vpu.run_range(&p, 0..2, &mut mem);
-        let load = mem.stats().delta_since(&before);
-        assert_eq!(load.vector_requests, 1);
-        assert_eq!(load.l2.accesses(), 1, "every element is in one line");
-        let _ = vpu.run_range(&p, 2..3, &mut mem);
-        for i in 0..16u64 {
-            assert_eq!(mem.read_f64(dst + 8 * i), 4.0, "element {i} is mem[base]");
         }
     }
 

@@ -52,10 +52,6 @@ impl Workload for Axpy {
         "axpy"
     }
 
-    fn domain(&self) -> &'static str {
-        "HPC (BLAS)"
-    }
-
     fn elements(&self) -> usize {
         // Two loads, one fused multiply-add, one store per element.
         self.n * 4

@@ -86,10 +86,6 @@ impl Workload for Blackscholes {
         "blackscholes"
     }
 
-    fn domain(&self) -> &'static str {
-        "Financial Analysis (Dense Linear Algebra)"
-    }
-
     fn elements(&self) -> usize {
         // The pricing formula evaluates two polynomial CNDs plus the
         // call/put assembly per option — by far the heaviest kernel of the

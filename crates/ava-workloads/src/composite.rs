@@ -512,10 +512,6 @@ impl Workload for Composite {
         }
     }
 
-    fn domain(&self) -> &'static str {
-        "multi-kernel mix"
-    }
-
     fn elements(&self) -> usize {
         // The sweep scheduler's cost estimate: a mix costs the sum of its
         // phases (and an iterated mix runs its body n times), so composite

@@ -65,10 +65,6 @@ impl Workload for LavaMd2 {
         "lavamd2"
     }
 
-    fn domain(&self) -> &'static str {
-        "Molecular Dynamics (N-Body)"
-    }
-
     fn elements(&self) -> usize {
         // Each home particle interacts with every 48-particle neighbour box
         // (~a dozen operations per pair).

@@ -179,9 +179,6 @@ pub trait Workload {
     /// Short name used in reports ("axpy", "blackscholes", ...).
     fn name(&self) -> &'static str;
 
-    /// Application domain, as listed in Table IV of the paper.
-    fn domain(&self) -> &'static str;
-
     /// Approximate number of vector element operations one simulation of
     /// this workload executes: problem size scaled by a rough per-element
     /// kernel weight. The sweep scheduler uses this as its per-point cost
@@ -314,16 +311,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_workloads_have_distinct_names_and_domains() {
+    fn all_workloads_have_distinct_names() {
         let ws = all_workloads();
         assert_eq!(ws.len(), 6);
         let mut names: Vec<_> = ws.iter().map(|w| w.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 6, "duplicate workload names");
-        for w in &ws {
-            assert!(!w.domain().is_empty());
-        }
     }
 
     #[test]

@@ -43,10 +43,6 @@ impl Workload for ParticleFilter {
         "particlefilter"
     }
 
-    fn domain(&self) -> &'static str {
-        "Medical Imaging (Structured Grids)"
-    }
-
     fn elements(&self) -> usize {
         // Indexed likelihood gather, weight update and position drift per
         // particle.

@@ -80,10 +80,6 @@ impl Workload for Somier {
         "somier"
     }
 
-    fn domain(&self) -> &'static str {
-        "Physics Simulation (Dense Linear Algebra)"
-    }
-
     fn elements(&self) -> usize {
         // Three neighbour reads, the force computation and two writes per
         // node.

@@ -48,10 +48,6 @@ impl Workload for Swaptions {
         "swaptions"
     }
 
-    fn domain(&self) -> &'static str {
-        "Financial Analysis (MapReduce)"
-    }
-
     fn elements(&self) -> usize {
         // Volatility/drift accumulation across the four HJM factors plus the
         // payoff reduction per path.

@@ -11,12 +11,7 @@ use ava::workloads::{Axpy, SharedWorkload, Workload};
 
 fn main() {
     let workload = Axpy::new(4096);
-    println!(
-        "workload: {} ({}), {} elements",
-        workload.name(),
-        workload.domain(),
-        4096
-    );
+    println!("workload: {}, {} elements", workload.name(), 4096);
 
     let workloads: Vec<SharedWorkload> = vec![Arc::new(workload)];
     let systems = vec![ScenarioConfig::native_x(1), ScenarioConfig::ava_x(8)];

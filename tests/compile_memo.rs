@@ -2,19 +2,21 @@
 //! holds the key, so its counters do not depend on how the workers
 //! interleave: a parallel sweep reports the same hits and misses as a
 //! serial one, run after run. Each compile reports the register pressure
-//! of its source IR.
+//! of its source IR, and the registry's compiled programs together emit
+//! every opcode of the ISA.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use ava::compiler::{compile, CompileOptions};
-use ava::isa::{Lmul, VectorContext};
+use ava::isa::{Lmul, Opcode, VectorContext};
 use ava::memory::MemoryHierarchy;
 use ava::sim::{ScenarioConfig, Sweep};
 use ava::workloads::{
     Axpy, Blackscholes, LavaMd2, ParticleFilter, SharedWorkload, Somier, Swaptions,
 };
 use ava_bench::evaluated_systems;
-use ava_bench::spec::{ExperimentSpec, MixRegistry};
+use ava_bench::spec::{ExperimentSpec, MixRegistry, WorkloadSpec};
 
 /// The Figure 3 grid shape — six kernels on the fourteen evaluated
 /// systems, 84 points — at test-speed problem sizes.
@@ -84,4 +86,36 @@ fn compiled_kernels_report_their_ir_pressure_at_every_fig3_key() {
             );
         }
     }
+}
+
+/// The ISA holds exactly the opcodes the kernels emit: every registry
+/// kernel and mix at its defaults, compiled at MVL 16 and 512 with LMUL 1
+/// and 8, emits each member of `Opcode::ALL` somewhere. An opcode no
+/// kernel emits fails here until it is deleted, or a kernel that needs it
+/// lands.
+#[test]
+fn every_opcode_is_emitted_by_some_registry_program() {
+    let mut emitted: HashSet<Opcode> = HashSet::new();
+    for name in MixRegistry::names() {
+        let workload = MixRegistry::build(&WorkloadSpec::named(name)).unwrap();
+        for mvl in [16, 512] {
+            let mut mem = MemoryHierarchy::default();
+            let setup = workload.build(&mut mem, &VectorContext::with_mvl(mvl));
+            let slot_bytes = (mvl * 8) as u64;
+            let spill_base = mem.allocate(64 * slot_bytes);
+            for lmul in [Lmul::M1, Lmul::M8] {
+                let compiled = compile(
+                    &setup.kernel,
+                    &CompileOptions::new(lmul, spill_base, slot_bytes),
+                );
+                emitted.extend(compiled.program.iter().map(|i| i.opcode));
+            }
+        }
+    }
+    let unused: Vec<Opcode> = Opcode::ALL
+        .iter()
+        .copied()
+        .filter(|op| !emitted.contains(op))
+        .collect();
+    assert!(unused.is_empty(), "no registry program emits {unused:?}");
 }

@@ -28,10 +28,6 @@ impl Workload for Counting {
         self.inner.name()
     }
 
-    fn domain(&self) -> &'static str {
-        self.inner.domain()
-    }
-
     fn elements(&self) -> usize {
         self.inner.elements()
     }

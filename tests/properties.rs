@@ -202,12 +202,13 @@ fn results_are_identical_across_organisations() {
 
 /// A generated kernel as a [`Workload`]: `spec`'s operations on every strip
 /// of `len` elements at the machine's MVL (the last strip shorter when
-/// `len` is not a multiple of it), over two planned buffers, so the L2
+/// `len` is not a multiple of it), over three planned buffers, so the L2
 /// warm-up covers them as it covers a registry workload's. The fresh loads
-/// cycle through unit-stride, strided and indexed ones inside `x`, four
-/// strips wide; the stores cycle through four output slots of `y`. It
-/// carries no output checks: the sibling harness compares timing reports,
-/// and the register tags still check every read.
+/// cycle through unit-stride ones in the low and the high half of `x` and
+/// gathers inside `x` whose indices `0, 3, 6, ...` are loaded from `idx`;
+/// the stores cycle through four output slots of `y`. It carries no output
+/// checks: the sibling harness compares timing reports, and the register
+/// tags still check every read.
 #[derive(Debug, Clone)]
 struct GeneratedWorkload {
     spec: RandomKernel,
@@ -219,10 +220,6 @@ impl Workload for GeneratedWorkload {
         "generated"
     }
 
-    fn domain(&self) -> &'static str {
-        "property test"
-    }
-
     fn elements(&self) -> usize {
         self.len * (self.spec.ops.len() + 1)
     }
@@ -230,19 +227,23 @@ impl Workload for GeneratedWorkload {
     fn data_layout(&self) -> DataLayout {
         let mut l = DataLayout::new();
         l.input("x", 4 * self.len);
+        l.input("idx", self.len);
         l.output("y", 4 * self.len);
         l
     }
 
     fn build_with_bindings(
         &self,
-        _mem: &mut MemoryHierarchy,
+        mem: &mut MemoryHierarchy,
         ctx: &VectorContext,
         plan: &PlannedLayout,
         bindings: &BufferBindings,
     ) -> WorkloadSetup {
-        let (x, y, len) = (plan.addr("x"), plan.addr("y"), self.len);
+        let (x, idx, y, len) = (plan.addr("x"), plan.addr("idx"), plan.addr("y"), self.len);
         let at = |base: u64, element: usize| base + 8 * element as u64;
+        for k in 0..len {
+            mem.write_u64(at(idx, k), 3 * k as u64);
+        }
         let mvl = ctx.effective_mvl();
         let mut b = KernelBuilder::new("generated");
         let mut strips = 0;
@@ -255,11 +256,10 @@ impl Workload for GeneratedWorkload {
                 live,
                 |b, i| match i % 3 {
                     0 => b.vload(at(x, (start + 16 * i) % len)),
-                    1 => b.vload_strided(at(x, i % len), 16),
+                    1 => b.vload(at(x, 2 * len + i % len)),
                     _ => {
-                        let idx = b.vid();
-                        let idx = b.vmul(idx, IrOperand::Scalar(Element::from_i64(3)));
-                        b.vload_indexed(at(x, i % len), idx)
+                        let indices = b.vload(idx);
+                        b.vload_indexed(at(x, i % len), indices)
                     }
                 },
                 |b, i, v| b.vstore(v, at(y, (i % 4) * len + start)),
@@ -278,7 +278,7 @@ impl Workload for GeneratedWorkload {
 }
 
 /// Case `case` of the sibling harness: a generated workload of 16 to 900
-/// elements (up to 58 KiB of buffers) at a register pressure of 3 to 28
+/// elements (up to 63 KiB of buffers) at a register pressure of 3 to 28
 /// values, and the scale `n` of the AVA Xn / NATIVE Xn pair it runs on.
 fn generated_case(case: u64) -> (GeneratedWorkload, usize) {
     let mut rng = case_rng(case ^ 0x5EED);
@@ -1134,17 +1134,9 @@ fn reference_execute(op: Opcode, srcs: &[OperandValue<'_>], vl: usize) -> Vec<El
     use Opcode::*;
     let e = |k: usize, i: usize| srcs[k].elem(i);
     let f = |k: usize, i: usize| e(k, i).as_f64();
-    let x = |k: usize, i: usize| e(k, i).as_i64();
     let lanes = |g: &dyn Fn(usize) -> Element| (0..vl).map(g).collect::<Vec<_>>();
     let fp = |g: &dyn Fn(usize) -> f64| lanes(&|i| Element::from_f64(g(i)));
-    let int = |g: &dyn Fn(usize) -> i64| lanes(&|i| Element::from_i64(g(i)));
     let mask = |g: &dyn Fn(usize) -> bool| lanes(&|i| Element::from_bool(g(i)));
-    let edge = || srcs.get(1).map_or(Element::ZERO, |o| o.elem(0));
-    let reduce = |init: f64, g: fn(f64, f64) -> f64| {
-        let mut out = vec![Element::ZERO; vl.max(1)];
-        out[0] = Element::from_f64((0..vl).fold(init, |acc, i| g(acc, f(0, i))));
-        out
-    };
     match op {
         VFAdd => fp(&|i| f(0, i) + f(1, i)),
         VFSub => fp(&|i| f(0, i) - f(1, i)),
@@ -1152,38 +1144,18 @@ fn reference_execute(op: Opcode, srcs: &[OperandValue<'_>], vl: usize) -> Vec<El
         VFDiv => fp(&|i| f(0, i) / f(1, i)),
         VFSqrt => fp(&|i| f(0, i).sqrt()),
         VFMacc => fp(&|i| f(0, i).mul_add(f(1, i), f(2, i))),
-        VFMsac => fp(&|i| f(0, i).mul_add(f(1, i), -f(2, i))),
-        VFMin => fp(&|i| f(0, i).min(f(1, i))),
         VFMax => fp(&|i| f(0, i).max(f(1, i))),
-        VFNeg => fp(&|i| -f(0, i)),
         VFAbs => fp(&|i| f(0, i).abs()),
         VFExp => fp(&|i| f(0, i).exp()),
         VFLn => fp(&|i| f(0, i).ln()),
-        VAdd => int(&|i| x(0, i).wrapping_add(x(1, i))),
-        VSub => int(&|i| x(0, i).wrapping_sub(x(1, i))),
-        VMul => int(&|i| x(0, i).wrapping_mul(x(1, i))),
-        VAnd => int(&|i| x(0, i) & x(1, i)),
-        VOr => int(&|i| x(0, i) | x(1, i)),
-        VXor => int(&|i| x(0, i) ^ x(1, i)),
-        VSll => int(&|i| x(0, i).wrapping_shl(x(1, i) as u32 & 63)),
-        VSrl => int(&|i| ((x(0, i) as u64) >> (x(1, i) as u32 & 63)) as i64),
-        VMin => int(&|i| x(0, i).min(x(1, i))),
-        VMax => int(&|i| x(0, i).max(x(1, i))),
         VMFLt => mask(&|i| f(0, i) < f(1, i)),
-        VMFLe => mask(&|i| f(0, i) <= f(1, i)),
-        VMFGt => mask(&|i| f(0, i) > f(1, i)),
-        VMFGe => mask(&|i| f(0, i) >= f(1, i)),
-        VMFEq => mask(&|i| f(0, i) == f(1, i)),
-        VMSLt => mask(&|i| x(0, i) < x(1, i)),
-        VMSEq => mask(&|i| x(0, i) == x(1, i)),
-        VMv | VMvSplat => lanes(&|i| e(0, i)),
-        VId => int(&|i| i as i64),
+        VMvSplat => lanes(&|i| e(0, i)),
         VMerge => lanes(&|i| if e(2, i).as_bool() { e(0, i) } else { e(1, i) }),
-        VSlide1Up => lanes(&|i| if i == 0 { edge() } else { e(0, i - 1) }),
-        VSlide1Down => lanes(&|i| if i + 1 == vl { edge() } else { e(0, i + 1) }),
-        VFRedSum => reduce(0.0, |a, v| a + v),
-        VFRedMax => reduce(f64::NEG_INFINITY, f64::max),
-        VFRedMin => reduce(f64::INFINITY, f64::min),
+        VFRedSum => {
+            let mut out = vec![Element::ZERO; vl.max(1)];
+            out[0] = Element::from_f64((0..vl).fold(0.0, |acc, i| acc + f(0, i)));
+            out
+        }
         _ => unreachable!("{op} is not an arithmetic opcode"),
     }
 }
@@ -1192,11 +1164,8 @@ fn reference_execute(op: Opcode, srcs: &[OperandValue<'_>], vl: usize) -> Vec<El
 fn operand_count(op: Opcode) -> usize {
     use Opcode::*;
     match op {
-        VId => 0,
-        VFSqrt | VFNeg | VFAbs | VFExp | VFLn | VMv | VMvSplat | VFRedSum | VFRedMax | VFRedMin => {
-            1
-        }
-        VFMacc | VFMsac | VMerge => 3,
+        VFSqrt | VFAbs | VFExp | VFLn | VMvSplat | VFRedSum => 1,
+        VFMacc | VMerge => 3,
         _ => 2,
     }
 }
@@ -1215,7 +1184,7 @@ fn execute_into_matches_the_per_element_reference() {
         .filter(|op| op.kind() == ava::isa::InstrKind::Arithmetic);
     for &op in arithmetic {
         let k = operand_count(op);
-        let reduction = matches!(op, Opcode::VFRedSum | Opcode::VFRedMax | Opcode::VFRedMin);
+        let reduction = op == Opcode::VFRedSum;
         for vl in [0usize, 1, 7, 16, 33] {
             // Shape digit per operand: 0 full, 1 short, 2 scalar.
             for shapes in 0..3usize.pow(k as u32) {
@@ -1488,7 +1457,8 @@ fn preg_count_is_monotonic_and_the_mvl_axis_holds_the_floor() {
 /// The memory pass as it was before it became linear: every access scans
 /// all pending stores of its arena, and every read of a destroy-tracked
 /// arena scans all of the span's stores. Kept verbatim as the reference
-/// model, but for the arena flag's name and the AVA003 wording.
+/// model, but for the arena flag's name, the AVA003 wording and the stride,
+/// which is 8 for every access now.
 fn reference_check_memory(
     kernel: &IrKernel,
     vl_at: &[VlState],
@@ -1543,7 +1513,7 @@ fn reference_check_memory(
             (Some(_), _) | (_, None) => None,
             (None, Some(0)) => Some((m.base, m.base)),
             (None, Some(n)) => {
-                let span = (n as i128 - 1) * i128::from(m.stride);
+                let span = (n as i128 - 1) * 8;
                 let lo = i128::from(m.base) + span.min(0);
                 let hi = i128::from(m.base) + span.max(0) + 8;
                 if lo < i128::from(arena.start) || hi > i128::from(arena.end) {
@@ -1563,7 +1533,7 @@ fn reference_check_memory(
             }
         };
         let (lo, hi) = interval.unwrap_or((arena.start, arena.end));
-        let exact_unit = interval.is_some() && m.index.is_none() && m.stride == 8;
+        let exact_unit = interval.is_some() && m.index.is_none();
 
         if is_store {
             let keys: Vec<u64> = pending[ai]
@@ -1626,7 +1596,7 @@ fn reference_check_memory(
 
 /// A random memory-pass input: three to five small arenas with gaps
 /// between them (some placeholders, about half destroy-tracked), a kernel of
-/// unit-stride, strided and indexed loads and stores, a random VL per
+/// unit-stride loads and stores and gathers, a random VL per
 /// instruction (unknown, zero, exact or the maximum, with or without a
 /// known MVL) and a few phase ends. Accesses start in, near and between
 /// the arenas, and a third of them continue where the last one ended, as
@@ -1665,7 +1635,7 @@ fn random_memory_case(
     let mut b = KernelBuilder::new("memory");
     b.set_vl(8);
     next_vl(rng, &mut vl_at);
-    let index = b.vid();
+    let index = b.vload(arenas[0].start);
     next_vl(rng, &mut vl_at);
     let mut value = b.vload(arenas[0].start);
     next_vl(rng, &mut vl_at);
@@ -1679,14 +1649,10 @@ fn random_memory_case(
             2..=4 => cursor,
             _ => arena.start + offset,
         };
-        let stride = [8i64, 8, 8, 16, -8, 24, 0][in_range(rng, 0, 6) as usize];
-        match rng.next_u64() % 6 {
-            0 => value = b.vload(base),
-            1 => value = b.vload_strided(base, stride),
+        match rng.next_u64() % 5 {
+            0 | 1 => value = b.vload(base),
             2 => value = b.vload_indexed(base, index),
-            3 | 4 => b.vstore(value, base),
-            _ if rng.next_u64().is_multiple_of(2) => b.vstore_strided(value, base, stride),
-            _ => b.vstore_indexed(value, base, index),
+            _ => b.vstore(value, base),
         }
         if let Some(n) = next_vl(rng, &mut vl_at) {
             cursor = base + 8 * n as u64;

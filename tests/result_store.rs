@@ -152,9 +152,6 @@ impl Workload for CorruptedAxpy {
     fn name(&self) -> &'static str {
         "corrupted-axpy"
     }
-    fn domain(&self) -> &'static str {
-        "test"
-    }
     fn elements(&self) -> usize {
         self.0.elements()
     }

@@ -65,9 +65,6 @@ impl Workload for SplatsTooEarly {
     fn name(&self) -> &'static str {
         "axpy"
     }
-    fn domain(&self) -> &'static str {
-        "test"
-    }
     fn elements(&self) -> usize {
         Axpy::new(256).elements()
     }
@@ -187,9 +184,6 @@ struct DestroysItsCarry;
 impl Workload for DestroysItsCarry {
     fn name(&self) -> &'static str {
         "badcarry"
-    }
-    fn domain(&self) -> &'static str {
-        "test"
     }
     fn elements(&self) -> usize {
         16

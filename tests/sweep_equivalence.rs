@@ -410,9 +410,6 @@ fn broken_binding_fails_validation() {
         fn name(&self) -> &'static str {
             "broken-binding"
         }
-        fn domain(&self) -> &'static str {
-            "test"
-        }
         fn elements(&self) -> usize {
             Axpy::new(256).elements() + Somier::new(256).elements()
         }
@@ -560,9 +557,6 @@ fn mis_wired_carry_link_fails_validation() {
     impl Workload for MisWired {
         fn name(&self) -> &'static str {
             "mis-wired-carry"
-        }
-        fn domain(&self) -> &'static str {
-            "test"
         }
         fn elements(&self) -> usize {
             solver(256, 2).elements()
